@@ -69,9 +69,8 @@ from .opt_engine import (
     UNBOUNDED,
     LinearProgram,
     LPSolution,
-    enumerate_signs,
+    best_sign_pattern,
     hill_climb,
-    sign_patterns,
     solve_lp,
 )
 from .approx_nets import (

@@ -8,10 +8,11 @@ For a simple function f the norm equals both
 which at finite n reduces to a maximum over sign patterns, respectively over
 the extreme points of the dual ball.  Three engines realize this:
 
-  * ``norm_exact``        Gray-code enumeration of sign patterns against the
-                          entrywise absolute value of f (pattern count is
-                          2^(support-1); ties go to the lexicographically
-                          smallest pattern, all-plus encoded as zero),
+  * ``norm_exact``        exhaustive enumeration of sign patterns against the
+                          entrywise absolute value of f, scored in blocks of
+                          2^12 patterns (pattern count is 2^(support-1); ties
+                          go to the lexicographically smallest pattern,
+                          all-plus encoded as zero),
   * ``norm_closed_form``  enumeration of dual extreme points for polyhedral
                           value norms, with O(n d) fast paths for sup-type
                           norms and for sign-consistent atom matrices,
@@ -32,8 +33,8 @@ import numpy as np
 
 from .errors import CapacityExceeded, LPInfeasible, NotPolyhedral
 from .measure_core import MeasurableSet, SimpleFunction
-from .normed_space import L1_EXTREME_LIMIT, L2, LINF, norm as x_norm
-from .opt_engine import LinearProgram, OPTIMAL, UNBOUNDED, hill_climb, sign_patterns, solve_lp
+from .normed_space import L1_EXTREME_LIMIT, L2, LINF, norm as x_norm, norm_rows
+from .opt_engine import LinearProgram, OPTIMAL, UNBOUNDED, best_sign_pattern, hill_climb, solve_lp
 from .rng import SplitMix64
 from .vector_measure import VectorMeasure, combine
 
@@ -45,7 +46,6 @@ DEFAULT_EXACT_CUTOFF = 16
 DEFAULT_LP_CUTOFF = 12
 # 2^(d-1) ball constraints in the dual-norm LP stop here.
 KOETHE_CORNER_LIMIT = 14
-_REFRESH_PERIOD = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,27 +88,9 @@ def norm_exact(
     if k > exact_cutoff:
         raise CapacityExceeded(f"support size {k} exceeds the exact cutoff {exact_cutoff}")
     a = np.abs(f.coeffs[support])[:, None] * m.atoms[support]
-    running = a.sum(axis=0)
-    best_value = x_norm(m.X, running)
-    best_code = 0
-    best_delta = np.ones(k)
-    code = 0
-    steps = 0
-    for delta, flipped in sign_patterns(k):
-        if flipped is None:
-            continue
-        running += (2.0 * delta[flipped]) * a[flipped]
-        code ^= 1 << (k - 1 - flipped)
-        steps += 1
-        if steps % _REFRESH_PERIOD == 0:  # cap incremental-update drift
-            running = delta @ a
-        value = x_norm(m.X, running)
-        if value > best_value or (value == best_value and code < best_code):
-            best_value = value
-            best_code = code
-            best_delta = delta.copy()
-    value = x_norm(m.X, best_delta @ a)  # drift-free value at the winning pattern
-    return NormResult(value, _witness_from_pattern(f, support, best_delta), EXACT)
+    delta, _ = best_sign_pattern(a, lambda sums: norm_rows(m.X, sums))
+    value = x_norm(m.X, delta @ a)  # the winner's value, free of block summation order
+    return NormResult(value, _witness_from_pattern(f, support, delta), EXACT)
 
 
 def _closed_form_linf(m: VectorMeasure, f: SimpleFunction) -> NormResult:
@@ -179,13 +161,12 @@ def norm_heuristic(
     if k == 0:
         return NormResult(0.0, MeasurableSet.full(f.space), HEURISTIC)
     a = np.abs(f.coeffs[support])[:, None] * m.atoms[support]
-    X = m.X
 
-    def objective(delta):
-        return x_norm(X, delta @ a)
+    def objective(patterns):  # on one pattern exactly x_norm(m.X, delta @ a), the reported value
+        return x_norm(m.X, patterns @ a)
 
     delta, value = hill_climb(k, objective, restarts=restarts, seed=seed)
-    return NormResult(float(value), _witness_from_pattern(f, support, delta), HEURISTIC)
+    return NormResult(value, _witness_from_pattern(f, support, delta), HEURISTIC)
 
 
 def norm_best(

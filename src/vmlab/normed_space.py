@@ -85,19 +85,23 @@ def _check_dim(X: NormSpec, v: np.ndarray):
         raise ValueError(f"vector of length {v.shape[-1]} in a {X.dim}-dimensional space")
 
 
-def norm(X: NormSpec, v) -> float:
+def norm(X: NormSpec, v):
+    """The norm of a vector, or the norms of the rows of an (N, d) array, each as if alone."""
     v = np.asarray(v, dtype=float)
     _check_dim(X, v)
     s = X.scale * v
     if X.kind == L1:
-        return float(np.sum(np.abs(s)))
-    if X.kind == L2:
-        return float(np.sqrt(np.sum(s * s)))
-    return float(np.max(np.abs(s)))
+        out = np.sum(np.abs(s), axis=-1)
+    elif X.kind == L2:
+        out = np.sqrt(np.sum(s * s, axis=-1))
+    else:
+        out = np.max(np.abs(s), axis=-1)
+    return float(out) if v.ndim == 1 else out
 
 
 def norm_rows(X: NormSpec, V) -> np.ndarray:
-    """Norms of the rows of an (N, d) array, vectorized."""
+    """Norms of the rows of an (N, d) array; the L1 kind sums by a matrix
+    product, so its last bits can differ from ``norm``."""
     V = np.asarray(V, dtype=float)
     _check_dim(X, V)
     if X.kind == L1:

@@ -3,18 +3,20 @@
 Three small deterministic tools back the norm and dual-norm engines:
 
   * a dense two-phase tableau simplex with Bland's anti-cycling rule,
-  * Gray-code enumeration of sign patterns (first component pinned to +1,
-    one flip per step so visitors can update running sums in O(d)),
-  * steepest-ascent single-flip hill climbing with seeded random restarts.
+  * exhaustive search over sign patterns (first component pinned to +1),
+    scored in blocks of 2^12 patterns by one matrix product each,
+  * steepest-ascent single-flip hill climbing with seeded random restarts,
+    scoring all k flips of a pattern in one batched objective call.
 
 Problem sizes are desk scale (a few hundred variables, a few thousand
-constraints); simplicity and bit-for-bit determinism beat speed here.
+constraints).  The sign kernels replace per-pattern Python loops by numpy
+blocks; their tie rules keep results bit-for-bit deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +29,11 @@ UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
 SIGN_ENUM_LIMIT = 24
+_BLOCK_BITS = 12
+# row t holds the signs of the low code bits of t: -1 where bit b of t is set
+_LOW_SIGNS = 1.0 - 2.0 * ((np.arange(1 << _BLOCK_BITS)[:, None] >> np.arange(_BLOCK_BITS)) & 1)
+_LOW_SIGNS.setflags(write=False)
+_BATCH_RTOL = 1e-9  # batch values this close to the batch maximum are scored again
 
 
 @dataclass(frozen=True)
@@ -256,41 +263,52 @@ def _recover(xstd, cols, bounds, nvars):
     return x
 
 
-def sign_patterns(k: int) -> Iterator[tuple[np.ndarray, Optional[int]]]:
-    """Yield the 2^(k-1) sign vectors with first entry +1, one flip per step.
+def best_sign_pattern(
+    a: np.ndarray, score: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, float]:
+    """Exhaustive maximum of ``score(eps @ a)`` over sign vectors with eps_0 = +1.
 
-    The yielded array is reused; callers must copy if they keep a pattern.
-    The second element is the flipped index (None for the initial all-ones
-    pattern), enabling O(d) incremental updates of running sums.
+    ``a`` has one row per position and ``score`` maps an (N, d) array of sums
+    to N values.  A pattern's code has bit k-1-j set where eps_j = -1, so the
+    all-plus pattern is code 0.  The low 12 bits are enumerated once as a
+    block of sums and the higher bits shift that block; ties in the maximum
+    go to the smallest code (``argmax`` within a block, strict ``>`` across
+    blocks in ascending code order).
     """
+    k = a.shape[0]
     if k < 1:
         raise ValueError("need at least one position")
     if k > SIGN_ENUM_LIMIT:
         raise CapacityExceeded(f"2^{k - 1} sign patterns exceed the limit (k <= {SIGN_ENUM_LIMIT})")
-    eps = np.ones(k)
-    yield eps, None
-    for t in range(1, 1 << (k - 1)):
-        j = 1 + ((t & -t).bit_length() - 1)  # Gray code: flip one free position
-        eps[j] = -eps[j]
-        yield eps, j
-
-
-def enumerate_signs(k: int, visitor: Callable[[np.ndarray, Optional[int]], None]) -> None:
-    """Visit every pinned sign pattern in Gray-code order."""
-    for eps, flipped in sign_patterns(k):
-        visitor(eps, flipped)
+    rev = a[::-1]  # rev[b] is the row of code bit b
+    low = min(k - 1, _BLOCK_BITS)
+    high = k - 1 - low
+    block = _LOW_SIGNS[: 1 << low, :low] @ rev[:low]
+    heads = _LOW_SIGNS[: 1 << high, :high] @ rev[low : k - 1] + a[0]
+    best_code, best_value = 0, -np.inf
+    for h, head in enumerate(heads):
+        values = score(block + head)
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_code, best_value = (h << low) + i, float(values[i])
+    pattern = 1.0 - 2.0 * ((best_code >> np.arange(k - 1, -1, -1)) & 1)
+    return pattern, best_value
 
 
 def hill_climb(
     k: int,
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     restarts: int = 8,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
     """Steepest-ascent single-flip local search over sign vectors.
 
-    Deterministic for a fixed seed: restarts draw their starting patterns
-    from SplitMix64(seed), each ascent applies the best strictly improving
+    ``objective`` maps an (N, k) array of patterns to N values; one call
+    scores all k flips of the current pattern.  A batch may round unlike a
+    single pattern, so flips within a relative 1e-9 of the best are scored
+    again alone, and every decision and the returned value use single-pattern
+    values.  Deterministic for a fixed seed: restarts start from
+    SplitMix64(seed) draws, each ascent applies the best strictly improving
     flip (smallest index on ties) until none remains, and the best restart
     wins (first one on exact ties).
     """
@@ -299,25 +317,22 @@ def hill_climb(
     if restarts < 1:
         raise ValueError("need at least one restart")
     gen = SplitMix64(seed)
+    flips = 1.0 - 2.0 * np.eye(k)  # row j flips position j
     best_pattern = None
     best_value = -np.inf
     for _ in range(restarts):
         eps = np.array(gen.signs(k))
-        value = float(objective(eps))
+        value = float(objective(eps[None])[0])
         while True:
-            flip = -1
-            flip_value = value
-            for j in range(k):
-                eps[j] = -eps[j]
-                v = float(objective(eps))
-                eps[j] = -eps[j]
-                if v > flip_value:
-                    flip_value = v
-                    flip = j
-            if flip < 0:
+            batch = objective(flips * eps)
+            top = batch.max()
+            near = np.flatnonzero(batch >= top - _BATCH_RTOL * abs(top))
+            values = [float(objective(flips[j : j + 1] * eps)[0]) for j in near]
+            i = int(np.argmax(values))
+            if not values[i] > value:
                 break
-            eps[flip] = -eps[flip]
-            value = flip_value
+            eps[near[i]] = -eps[near[i]]
+            value = values[i]
         if value > best_value:
             best_value = value
             best_pattern = eps.copy()

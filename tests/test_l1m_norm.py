@@ -83,6 +83,35 @@ def test_norm_exact_matches_brute_force():
         assert _reproduce(m, f, res) == pytest.approx(res.value, abs=1e-10)
 
 
+def test_norm_exact_matches_brute_force_at_block_boundaries():
+    # 12 free positions fill one block exactly; 13 and more add block indices
+    rng = np.random.default_rng(23)
+    for k in (1, 2, 12, 13, 14, 17):
+        space = random_space(rng, k)
+        X = random_norm_spec(rng, 3, KINDS[k % 3])
+        m = random_measure(rng, space, X)
+        f = SimpleFunction(space, rng.normal(size=k))
+        res = norm_exact(m, f, exact_cutoff=17)
+        assert res.value == pytest.approx(brute_norm(m, f), abs=1e-10)
+        assert _reproduce(m, f, res) == pytest.approx(res.value, abs=1e-10)
+
+
+def test_norm_exact_tie_goes_to_smallest_code():
+    # atoms 2 and 3 repeat one row and every other atom but 0 is null, so
+    # 2^11 patterns tie; the smallest code flips atoms 2 and 3 only, and the
+    # null atom 1 sits in the block index
+    space = MeasureSpace.uniform(14)
+    atoms = np.zeros((14, 2))
+    atoms[0], atoms[2], atoms[3] = [1.0, 0.5], [-1.0, 0.0], [-1.0, 0.0]
+    m = VectorMeasure(space, NormSpec.l2(2), atoms)
+    f = SimpleFunction(space, np.ones(14))
+    res = norm_exact(m, f)
+    assert res.value == norm(m.X, [3.0, 0.5])
+    expected = np.ones(14, dtype=bool)
+    expected[[2, 3]] = False
+    assert np.array_equal(res.witness_set.members, expected)
+
+
 def test_norm_exact_skips_zero_atoms():
     # n far above the cutoff but support small: still exact
     rng = np.random.default_rng(1)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,13 @@ from vmlab import (
     LinearProgram,
     OPTIMAL,
     UNBOUNDED,
-    enumerate_signs,
+    NormSpec,
+    best_sign_pattern,
     hill_climb,
-    sign_patterns,
+    norm,
     solve_lp,
 )
+from vmlab.rng import SplitMix64
 
 
 def test_lp_trivial_examples():
@@ -106,41 +110,90 @@ def test_lp_invariant_under_row_and_variable_reordering():
         assert solve_lp(reordered).value == pytest.approx(base, abs=1e-8)
 
 
-def test_sign_patterns_counts_and_pinning():
-    assert [p.copy() for p, _ in sign_patterns(1)] == [pytest.approx([1.0])]
-    patterns = [tuple(p) for p, _ in sign_patterns(3)]
-    assert len(patterns) == 4
-    assert len(set(patterns)) == 4
-    assert all(p[0] == 1.0 for p in patterns)
-    seen = set()
-    previous = None
-    for eps, flipped in sign_patterns(5):
-        seen.add(tuple(eps))
-        if previous is not None:
-            assert int(np.sum(np.asarray(previous) != eps)) == 1  # Gray property
-            assert eps[flipped] != previous[flipped]
-        previous = tuple(eps)
-    assert len(seen) == 16
+def _all_patterns(k):
+    """Every sign vector with first entry +1, by itertools."""
+    return [np.array((1.0,) + rest) for rest in itertools.product((1.0, -1.0), repeat=k - 1)]
+
+
+def test_best_sign_pattern_scores_every_pinned_pattern_in_code_order():
+    for k in (1, 2, 5, 13, 14):
+        seen = []
+
+        def score(sums):
+            seen.append(sums.copy())
+            return np.zeros(len(sums))
+
+        pattern, value = best_sign_pattern(np.eye(k), score)
+        sums = np.vstack(seen)  # with a = I each sum is its pattern
+        assert sums.shape == (1 << (k - 1), k)
+        assert np.all(sums[:, 0] == 1.0)
+        codes = ((sums < 0) * (1 << np.arange(k - 1, -1, -1))).sum(axis=1)
+        assert np.array_equal(codes, np.arange(1 << (k - 1)))  # ascending code order
+        assert np.array_equal(pattern, np.ones(k)) and value == 0.0  # all ties: code 0
     with pytest.raises(CapacityExceeded):
-        list(sign_patterns(25))
+        best_sign_pattern(np.ones((25, 1)), lambda sums: np.zeros(len(sums)))
 
 
-def test_enumerate_signs_incremental_consistency():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(10, 3))
-    state = {"sum": a.sum(axis=0)}
+def test_best_sign_pattern_takes_smallest_code_on_ties():
+    # only position 14 matters, and it must carry -1: 2^13 tied maxima whose
+    # smallest code flips position 14 alone, in the first block
+    a = np.zeros((15, 1))
+    a[0, 0], a[14, 0] = 1.0, -3.0
+    pattern, value = best_sign_pattern(a, lambda sums: np.abs(sums[:, 0]))
+    expected = np.ones(15)
+    expected[14] = -1.0
+    assert np.array_equal(pattern, expected) and value == 4.0
+    # the same with position 1, which lives in the block index: the first
+    # block holding the maximum wins
+    a[14, 0], a[1, 0] = 0.0, -3.0
+    pattern, _ = best_sign_pattern(a, lambda sums: np.abs(sums[:, 0]))
+    expected = np.ones(15)
+    expected[1] = -1.0
+    assert np.array_equal(pattern, expected)
 
-    def visit(eps, flipped):
-        if flipped is not None:
-            state["sum"] = state["sum"] + 2.0 * eps[flipped] * a[flipped]
-        recomputed = eps @ a
-        assert np.max(np.abs(state["sum"] - recomputed)) < 1e-12
 
-    enumerate_signs(10, visit)
+def _reference_ascent(k, value_of, restarts, seed):
+    """The single-pattern ascent: one objective call per flip."""
+    gen = SplitMix64(seed)
+    best_pattern, best_value = None, -np.inf
+    for _ in range(restarts):
+        eps = np.array(gen.signs(k))
+        value = value_of(eps)
+        while True:
+            flip, flip_value = -1, value
+            for j in range(k):
+                eps[j] = -eps[j]
+                v = value_of(eps)
+                eps[j] = -eps[j]
+                if v > flip_value:
+                    flip, flip_value = j, v
+            if flip < 0:
+                break
+            eps[flip] = -eps[flip]
+            value = flip_value
+        if value > best_value:
+            best_value, best_pattern = value, eps.copy()
+    return best_pattern, best_value
+
+
+def test_hill_climb_matches_single_pattern_ascent():
+    rng = np.random.default_rng(13)
+    for trial in range(30):
+        k = int(rng.integers(2, 40))
+        d = int(rng.integers(1, 7))
+        X = NormSpec(("L1", "L2", "LINF")[trial % 3], d, rng.uniform(0.5, 2.0, d))
+        a = rng.normal(size=(k, d))
+        if trial % 2:  # repeated, negated and zero rows make exact ties between flips
+            a[k // 2 :] = a[: k - k // 2] * rng.choice([-1.0, 0.0, 1.0], size=(k - k // 2, 1))
+        seed = int(rng.integers(1 << 30))
+        got = hill_climb(k, lambda patterns: norm(X, patterns @ a), restarts=4, seed=seed)
+        want = _reference_ascent(k, lambda eps: norm(X, eps @ a), restarts=4, seed=seed)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
 
 
 def test_hill_climb_constant_objective():
-    pattern, value = hill_climb(6, lambda eps: 2.5, restarts=3, seed=1)
+    pattern, value = hill_climb(6, lambda patterns: np.full(len(patterns), 2.5), restarts=3, seed=1)
     assert value == 2.5
     assert pattern.shape == (6,)
 
@@ -151,10 +204,10 @@ def test_hill_climb_is_lower_bound_of_enumeration():
         k = int(rng.integers(2, 9))
         a = rng.normal(size=(k, 3))
 
-        def objective(eps):
-            return float(np.abs(eps @ a).sum())
+        def objective(patterns):
+            return np.abs(patterns @ a).sum(axis=-1)
 
-        best = max(objective(eps) for eps, _ in sign_patterns(k))
+        best = max(float(np.abs(eps @ a).sum()) for eps in _all_patterns(k))
         _, value = hill_climb(k, objective, restarts=4, seed=int(rng.integers(1 << 30)))
         assert value <= best + 1e-12
 
@@ -163,8 +216,8 @@ def test_hill_climb_deterministic():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(8, 2))
 
-    def objective(eps):
-        return float(np.abs(eps @ a).sum())
+    def objective(patterns):
+        return np.abs(patterns @ a).sum(axis=-1)
 
     first = hill_climb(8, objective, restarts=8, seed=42)
     second = hill_climb(8, objective, restarts=8, seed=42)
