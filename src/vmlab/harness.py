@@ -62,7 +62,7 @@ from .daugavet import (
     series_approximation_gap,
 )
 from .errors import ParseError, ValidationError, VmlabError
-from .l1m_norm import norm_best, norm_heuristic
+from .l1m_norm import HEURISTIC, norm_best, norm_heuristic
 from .measure_core import MeasurableSet, MeasureSpace, SimpleFunction, dyadic_chain
 from .normed_space import NormSpec, same_norm
 from .rng import SplitMix64
@@ -311,8 +311,9 @@ def _default_tests(scenario: Scenario, finest=None):
 def _run_norm(sc: Scenario, exp: dict) -> dict:
     rows = []
     for idx, f in enumerate(sc.functions):
-        best = norm_best(sc.measure, f, exact_cutoff=exp["exact_cutoff"])
-        heur = norm_heuristic(sc.measure, f, restarts=exp["restarts"], seed=exp["seed"])
+        kw = dict(restarts=exp["restarts"], seed=exp["seed"])
+        best = norm_best(sc.measure, f, exact_cutoff=exp["exact_cutoff"], **kw)
+        heur = best if best.method == HEURISTIC else norm_heuristic(sc.measure, f, **kw)
         rows.append([idx, best.value, best.method, heur.value])
     return {"columns": ["f_index", "value", "method", "heuristic"], "rows": rows}
 

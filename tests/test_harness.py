@@ -255,6 +255,23 @@ def test_composed_measure_kind():
         build_scenario(data)
 
 
+def test_norm_table_fallback_uses_experiment_seed_and_restarts():
+    # support 20 > exact_cutoff 16 on an L2 value space: only hill climbing runs
+    rng = np.random.default_rng(31)
+    data = {
+        "schema_version": 1,
+        "space": {"n": 20, "weights": "uniform"},
+        "value_space": {"kind": "L2", "d": 4, "scale": 1.0},
+        "measure": {"kind": "random", "seed": 5},
+        "functions": [rng.normal(size=20).tolist()],
+        "experiment": {"kind": "norm", "restarts": 1},
+    }
+    for seed in (3, 4):
+        (row,) = run(build_scenario(data), seed=seed)["results"]["rows"]
+        assert row[2] == "heuristic"
+        assert row[1] == row[3]
+
+
 def test_rn_net_expectation_matches_martingale_table():
     data = _preset("canonical-l1")
     data["experiment"] = {"kind": "rn_net", "family": "expectation", "levels": 2}
