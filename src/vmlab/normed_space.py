@@ -85,7 +85,7 @@ def _check_dim(X: NormSpec, v: np.ndarray):
         raise ValueError(f"vector of length {v.shape[-1]} in a {X.dim}-dimensional space")
 
 
-def norm(X: NormSpec, v):
+def norm(X: NormSpec, v) -> float | np.ndarray:
     """The norm of a vector, or the norms of the rows of an (N, d) array, each as if alone."""
     v = np.asarray(v, dtype=float)
     _check_dim(X, v)

@@ -1,7 +1,7 @@
 """Shared fixtures-by-hand: random instance generators and independent oracles.
 
 The oracles deliberately avoid every shortcut the engines use: the norm
-oracle enumerates all 2^n sign vectors with itertools (no Gray code, no
+oracle enumerates all 2^n sign vectors with itertools (no blocks, no
 support skipping, no pinning), and the LP oracle is scipy's HiGHS solver.
 """
 

@@ -19,6 +19,17 @@ def test_norm_examples():
     assert norm(NormSpec.l2(2), [3.0, 4.0]) == 5.0
 
 
+def test_norm_of_rows_is_bitwise_the_norm_of_each_row():
+    rng = np.random.default_rng(14)
+    for trial in range(60):
+        d = int(rng.integers(1, 40))
+        X = random_norm_spec(rng, d, KINDS[trial % 3])
+        V = rng.normal(size=(int(rng.integers(1, 9)), d)) * np.exp(3.0 * rng.normal(size=(1, d)))
+        rows = norm(X, V)
+        assert rows.shape == (len(V),)
+        assert all(rows[i] == norm(X, v) for i, v in enumerate(V))
+
+
 def test_norm_dimension_mismatch():
     with pytest.raises(ValueError):
         norm(NormSpec.l1(3), [1.0, 2.0])
