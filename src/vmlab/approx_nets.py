@@ -13,6 +13,12 @@ value vector per term) cover both conditional expectations and coordinate
 projections; ``run_net`` reports, per net level, the norm gap, the deviation
 seminorm, the pointwise integration gap, and a weak* gap over probe
 functionals, which together witness or refute convergence of the net.
+
+Derivative densities are computed for the whole stack of probes (or of
+family functionals) with one matrix product per measure, via
+``rn_derivatives``.  For coordinate probes, the default, that product is
+exact and every pairing has the bits of a one-probe-at-a-time computation;
+a stack of general dense probes may round differently in the last bits.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .l1m_norm import deviation as deviation_seminorm
 from .l1m_norm import integrate, norm_best
 from .measure_core import MeasureSpace, Partition, SimpleFunction, same_space
 from .normed_space import NormSpec, norm as x_norm
-from .vector_measure import VectorMeasure, rn_derivative, same_setting
+from .vector_measure import VectorMeasure, rn_derivatives, same_setting
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,16 +128,11 @@ def basis_truncated_measure(m: VectorMeasure, k: int) -> VectorMeasure:
 
 def rn_operator(m: VectorMeasure, functionals: Sequence, vectors: Sequence) -> FiniteRankOperator:
     """Finite-rank operator with one derivative density per supplied dual vector."""
-    functionals = list(functionals)
-    vectors = list(vectors)
-    if len(functionals) != len(vectors):
+    densities = rn_derivatives(m, list(functionals))
+    vectors = np.asarray(list(vectors), dtype=float)
+    if len(densities) != len(vectors):
         raise ValueError("need one value vector per dual vector")
-    if not functionals:
-        return FiniteRankOperator(
-            m.space, m.X, np.zeros((0, m.space.n)), np.zeros((0, m.X.dim))
-        )
-    densities = np.stack([rn_derivative(m, x).coeffs for x in functionals])
-    return FiniteRankOperator(m.space, m.X, densities, np.stack([np.asarray(v, float) for v in vectors]))
+    return FiniteRankOperator(m.space, m.X, densities, vectors)
 
 
 def associated_measure(R: FiniteRankOperator, space: MeasureSpace) -> VectorMeasure:
@@ -170,18 +171,35 @@ def expectation_family(m: VectorMeasure, p: Partition):
     return xstars, values
 
 
-def weakstar_gap(
-    m: VectorMeasure, m1: VectorMeasure, xstar, tests: Sequence[SimpleFunction]
+def _max_pairing(
+    diff: np.ndarray, weights: np.ndarray, tests: Sequence[SimpleFunction]
 ) -> float:
-    """max over test functions of | sum_i f_i (phi1_i - phi_i) mu_i |."""
-    if not same_setting(m, m1):
-        raise ValueError("measures live on different spaces or value spaces")
-    phi = rn_derivative(m, xstar).coeffs
-    phi1 = rn_derivative(m1, xstar).coeffs
+    """max over rows of diff and test functions of | sum_i f_i diff_i mu_i |.
+
+    Each row sum runs over the contiguous last axis, so it has the bits of the
+    1-D ``np.sum`` of that row alone.
+    """
     gap = 0.0
     for f in tests:
-        gap = max(gap, abs(float(np.sum(f.coeffs * (phi1 - phi) * m.space.weights))))
+        row_gaps = np.abs(np.sum(f.coeffs * diff * weights, axis=1))
+        gap = max(gap, float(np.max(row_gaps, initial=0.0)))
     return gap
+
+
+def weakstar_gap(
+    m: VectorMeasure, m1: VectorMeasure, xstars, tests: Sequence[SimpleFunction]
+) -> float:
+    """max over dual vectors and test functions of | sum_i f_i (phi1_i - phi_i) mu_i |.
+
+    ``xstars`` is one dual vector or a (p, d) stack; an empty stack or an
+    empty test family gives 0.0.  The densities of the stack come from one
+    matrix product: exact for coordinate vectors, while general dense
+    vectors may round differently in the last bits from one-at-a-time calls.
+    """
+    if not same_setting(m, m1):
+        raise ValueError("measures live on different spaces or value spaces")
+    diff = rn_derivatives(m1, xstars) - rn_derivatives(m, xstars)
+    return _max_pairing(diff, m.space.weights, tests)
 
 
 @dataclass(frozen=True)
@@ -227,9 +245,14 @@ def run_net(
     seminorm (which always dominates the norm gap), the pointwise gap
     || I_m f - I_level f ||_X, and the largest weak* gap over the probe
     functionals evaluated on the test family (defaults to {f}).
+    The probes (coordinate vectors by default, whose densities are exact)
+    are one stack, rounded as in ``weakstar_gap``; the target's densities
+    are computed once per net.
     """
     if probes is None:
-        probes = [row for row in np.eye(m.X.dim)]
+        probes = np.eye(m.X.dim)
+    xstars = np.asarray(probes, dtype=float)
+    phi = rn_derivatives(m, xstars)
     if tests is None:
         tests = [f]
     kw = dict(exact_cutoff=exact_cutoff, restarts=restarts, seed=seed)
@@ -242,9 +265,7 @@ def run_net(
         level_norm = norm_best(m_level, f, **kw).value
         dev = deviation_seminorm(m, m_level, f, **kw)
         pointwise = x_norm(m.X, target_value - integrate(m_level, f))
-        wsgap = 0.0
-        for xstar in probes:
-            wsgap = max(wsgap, weakstar_gap(m, m_level, xstar, tests))
+        wsgap = _max_pairing(rn_derivatives(m_level, xstars) - phi, m.space.weights, tests)
         levels.append(
             NetLevelStats(idx, abs(level_norm - target_norm), dev, pointwise, wsgap)
         )

@@ -6,8 +6,9 @@ measure with atom masses <m_i, x*>, whose density against the atom weights
 
     phi_i = <m_i, x*> / mu_i
 
-is the discrete Radon-Nikodym derivative.  The integration map sends a
-coefficient vector f to sum_i f_i m_i.
+is the discrete Radon-Nikodym derivative; ``rn_derivatives`` gives the
+densities of a whole stack of dual vectors with one matrix product.  The
+integration map sends a coefficient vector f to sum_i f_i m_i.
 """
 
 from __future__ import annotations
@@ -86,6 +87,26 @@ def semivariation(m: VectorMeasure, A: MeasurableSet) -> float:
 def rn_derivative(m: VectorMeasure, xstar) -> SimpleFunction:
     """Density of the scalarized measure against the atom weights."""
     return SimpleFunction(m.space, scalarize(m, xstar).coeffs / m.space.weights)
+
+
+def rn_derivatives(m: VectorMeasure, xstars) -> np.ndarray:
+    """Densities for a stack of dual vectors: row k is the density for xstars[k].
+
+    Accepts one dual vector or a (p, d) stack, and returns a C-contiguous
+    (p, n) array; an empty stack gives shape (0, n).  The densities come from
+    one matrix product, which is exact for coordinate vectors (every row then
+    has the bits of ``rn_derivative``) but may round differently from
+    one-at-a-time ``rn_derivative`` calls for general dense vectors.
+    """
+    xstars = np.asarray(xstars, dtype=float)
+    if xstars.shape == (0,):
+        xstars = xstars.reshape(0, m.X.dim)
+    xstars = np.atleast_2d(xstars)
+    if xstars.ndim != 2 or xstars.shape[1] != m.X.dim:
+        raise ValueError(
+            f"dual vectors must have dimension {m.X.dim}, got shape {xstars.shape}"
+        )
+    return (xstars @ m.atoms.T) / m.space.weights
 
 
 def is_rybakov(m: VectorMeasure, xstar, tol: float = 1e-12) -> bool:

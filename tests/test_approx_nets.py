@@ -3,6 +3,7 @@ import pytest
 
 from helpers import random_function, random_measure, random_norm_spec, random_space
 from vmlab import (
+    L2,
     MeasurableSet,
     MeasureSpace,
     NormSpec,
@@ -27,6 +28,7 @@ from vmlab import (
     norm_exact,
     rank_one_measure,
     refine,
+    rn_derivative,
     rn_operator,
     run_net,
     weakstar_gap,
@@ -180,6 +182,12 @@ def test_weakstar_gap_examples(s1):
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
     assert weakstar_gap(m, one_block, e0, [f]) == pytest.approx(0.75, abs=1e-15)
     assert weakstar_gap(m, one_block, e0, []) == 0.0
+    assert weakstar_gap(m, one_block, np.eye(4), [f]) == weakstar_gap(m, one_block, e0, [f])
+    assert weakstar_gap(m, one_block, np.eye(4), []) == 0.0
+    assert weakstar_gap(m, one_block, [], [f]) == 0.0
+    assert weakstar_gap(m, one_block, np.zeros((0, 4)), [f]) == 0.0
+    with pytest.raises(ValueError, match="dimension 4"):
+        weakstar_gap(m, one_block, np.ones(3), [f])
 
 
 def test_run_net_trivial(s1, f1):
@@ -263,3 +271,114 @@ def test_exhaustion_is_exact(s1, f1):
     X = random_norm_spec(rng, 4)
     m2 = random_measure(rng, space, X)
     assert deviation(m2, basis_truncated_measure(m2, 4), f1) == 0.0
+
+
+def _reference_weakstar_gap(m, m1, probes, tests):
+    # one probe at a time, with the 1-D pairing sum
+    gap = 0.0
+    for xstar in probes:
+        phi = rn_derivative(m, xstar).coeffs
+        phi1 = rn_derivative(m1, xstar).coeffs
+        for f in tests:
+            gap = max(gap, abs(float(np.sum(f.coeffs * (phi1 - phi) * m.space.weights))))
+    return gap
+
+
+def _block_tests(space, f, p):
+    blocks = [MeasurableSet.from_indices(space, ids) for ids in p.blocks()]
+    return [f] + [SimpleFunction.indicator(A) for A in blocks]
+
+
+def _nets(m, chain):
+    """basis, martingale and both rn_net families, as in the harness experiments."""
+    nets = {"basis": basis_net(m), "martingale": martingale_net(m, chain)}
+    coordinate = []
+    for k in range(1, m.X.dim + 1):
+        xs, vs = coordinate_family(m, k)
+        coordinate.append(associated_measure(rn_operator(m, xs, vs), m.space))
+    nets["rn_net/coordinate"] = coordinate
+    if m.X.dim == m.space.n:
+        expectation = []
+        for p in chain:
+            xs, vs = expectation_family(m, p)
+            expectation.append(associated_measure(rn_operator(m, xs, vs), m.space))
+        nets["rn_net/expectation"] = expectation
+    return nets
+
+
+@pytest.mark.parametrize("kind", ["indicator", "l2"])
+def test_run_net_weakstar_column_is_bitwise_the_per_probe_loop(kind):
+    rng = np.random.default_rng(11)
+    for n in (4, 8, 16) if kind == "indicator" else (4, 8, 12):
+        space = random_space(rng, n)
+        if kind == "indicator":
+            m = indicator_measure(space)
+        else:
+            m = random_measure(rng, space, random_norm_spec(rng, 4, kind=L2))
+        f = random_function(rng, space)
+        chain = dyadic_chain(2, space)
+        tests = _block_tests(space, f, chain[-1])
+        probes = np.eye(m.X.dim)
+        for name, net in _nets(m, chain).items():
+            report = run_net(m, net, f, tests=tests, restarts=1)
+            expected = [_reference_weakstar_gap(m, lv, probes, tests) for lv in net]
+            assert report.column("weakstar_gap") == expected, (kind, n, name)
+            assert any(v > 0.0 for v in expected), (kind, n, name)
+
+
+def test_weakstar_gap_stack_matches_per_probe_loop_on_dense_probes():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        d = int(rng.integers(1, 7))
+        space = random_space(rng, n)
+        X = random_norm_spec(rng, d)
+        m, m1 = random_measure(rng, space, X), random_measure(rng, space, X)
+        probes = rng.normal(size=(int(rng.integers(1, 6)), d))
+        tests = [random_function(rng, space) for _ in range(3)]
+        expected = _reference_weakstar_gap(m, m1, probes, tests)
+        assert weakstar_gap(m, m1, probes, tests) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "probes",
+    [[], np.zeros((0, 4)), np.array([0.0, 1.0, 0.0, 0.0]), [np.array([0.5, -1.0, 2.0, 0.25])]],
+    ids=["empty-list", "empty-stack", "single-1d", "single-dense"],
+)
+def test_run_net_probe_edge_cases(s1, f1, probes):
+    space, m = s1
+    net = martingale_net(m, dyadic_chain(2, space))
+    report = run_net(m, net, f1, probes=probes)
+    stack = np.asarray(probes, dtype=float).reshape(-1, 4)
+    assert report.column("weakstar_gap") == [
+        _reference_weakstar_gap(m, lv, stack, [f1]) for lv in net
+    ]
+    if len(stack) == 0:
+        assert report.column("weakstar_gap") == [0.0, 0.0, 0.0]
+
+
+def test_run_net_empty_tests_and_wrong_probe_length(s1, f1):
+    space, m = s1
+    net = martingale_net(m, dyadic_chain(2, space))
+    assert run_net(m, net, f1, tests=[]).column("weakstar_gap") == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="dimension 4"):
+        run_net(m, net, f1, probes=[np.ones(3)])
+    with pytest.raises(ValueError, match="dimension 4"):
+        run_net(m, net, f1, probes=np.ones(5))
+
+
+def test_rn_operator_functionals_are_bitwise_the_stacked_derivatives():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        space = random_space(rng, 4 * int(rng.integers(1, 4)))
+        X = random_norm_spec(rng, int(rng.integers(1, 6)))
+        m = random_measure(rng, space, X)
+        for k in range(1, X.dim + 1):
+            xs, vs = coordinate_family(m, k)
+            expected = np.stack([rn_derivative(m, x).coeffs for x in xs])
+            assert np.array_equal(rn_operator(m, xs, vs).functionals, expected)
+        ind = indicator_measure(space)
+        for p in dyadic_chain(2, space):
+            xs, vs = expectation_family(ind, p)
+            expected = np.stack([rn_derivative(ind, x).coeffs for x in xs])
+            assert np.array_equal(rn_operator(ind, xs, vs).functionals, expected)

@@ -18,6 +18,7 @@ from vmlab import (
     nonunique_derivative_pair,
     rank_one_measure,
     rn_derivative,
+    rn_derivatives,
     scalarize,
     semivariation,
     set_value,
@@ -125,6 +126,34 @@ def test_rn_derivative_linear_in_functional():
     lhs = rn_derivative(m, x1 + c * x2).coeffs
     rhs = rn_derivative(m, x1).coeffs + c * rn_derivative(m, x2).coeffs
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_rn_derivatives_match_stacked_rn_derivative():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        space = random_space(rng, int(rng.integers(1, 12)))
+        X = random_norm_spec(rng, int(rng.integers(1, 7)))
+        m = random_measure(rng, space, X)
+        coordinates = np.eye(X.dim)
+        stacked = np.stack([rn_derivative(m, x).coeffs for x in coordinates])
+        assert np.array_equal(rn_derivatives(m, coordinates), stacked)
+        dense = rng.normal(size=(int(rng.integers(1, 6)), X.dim))
+        stacked = np.stack([rn_derivative(m, x).coeffs for x in dense])
+        batched = rn_derivatives(m, dense)
+        assert batched.flags.c_contiguous
+        np.testing.assert_allclose(batched, stacked, rtol=1e-12, atol=1e-12 * np.max(np.abs(stacked)))
+
+
+def test_rn_derivatives_shapes(s1):
+    space, m = s1
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(rn_derivatives(m, e0), [[4.0, 0.0, 0.0, 0.0]])
+    assert rn_derivatives(m, []).shape == (0, 4)
+    assert rn_derivatives(m, np.zeros((0, 4))).shape == (0, 4)
+    with pytest.raises(ValueError, match="dimension 4"):
+        rn_derivatives(m, np.ones(3))
+    with pytest.raises(ValueError, match="dimension 4"):
+        rn_derivatives(m, np.ones((2, 5)))
 
 
 def test_pairing_identity():
