@@ -29,17 +29,14 @@ All kinds also accept ``seed``, ``tolerance``, and ``exact_cutoff``.  Reports
 are deterministic for a fixed scenario and seed (the wall-time metadata field
 aside); floats are serialized with 17 significant digits so JSON round-trips
 exactly.  CSV output has one row per net level or sweep point with the
-documented per-experiment header.  Sweeps run on a thread pool bounded by
-the VML_THREADS environment variable, with results keyed by sweep index so
-pool size never affects output.
+documented per-experiment header.  Daugavet sweep points use the O(n)
+rank-one formula and run in sweep order on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +52,9 @@ from .approx_nets import (
     run_net,
 )
 from .daugavet import (
-    daugavet_defect,
     density_norm_identity,
     integration_operator,
+    rank_one_defect,
     rank_one_operator,
     series_approximation_gap,
 )
@@ -154,7 +151,7 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
     if kind == "random":
         _require_keys(section, {"kind", "seed"}, {"kind", "seed"}, where)
         gen = SplitMix64(int(section["seed"]))
-        atoms = np.array(gen.normals(space.n * X.dim)).reshape(space.n, X.dim)
+        atoms = gen.normals(space.n * X.dim).reshape(space.n, X.dim)
         return VectorMeasure(space, X, atoms)
     if kind == "matrix":
         _require_keys(section, {"kind", "rows"}, {"kind", "rows"}, where)
@@ -278,16 +275,6 @@ def load_scenario(path) -> Scenario:
     return build_scenario(data)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("VML_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _net_rows(report) -> list:
     return [
         [lv.index, lv.norm_gap, lv.deviation, lv.pointwise_gap, lv.weakstar_gap]
@@ -370,22 +357,13 @@ def _run_rn_net(sc: Scenario, exp: dict) -> dict:
     return {"columns": _NET_COLUMNS, "rows": _net_rows(report)}
 
 
-def _daugavet_point(args):
-    n, sign = args
-    space = MeasureSpace.uniform(n)
-    T = rank_one_operator(space, sign * np.ones(n), np.ones(n))
-    rep = daugavet_defect(T)
+def _daugavet_point(n: int, sign: float) -> list:
+    rep = rank_one_defect(MeasureSpace.uniform(n), sign * np.ones(n), np.ones(n))
     return [n, rep.norm_G, rep.norm_T, rep.norm_sum, rep.defect]
 
 
 def _run_daugavet(sc: Scenario, exp: dict) -> dict:
-    jobs = [(n, float(exp["sign"])) for n in exp["sweep"]]
-    workers = min(_worker_count(), len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_daugavet_point, jobs))
-    else:
-        rows = [_daugavet_point(job) for job in jobs]
+    rows = [_daugavet_point(n, float(exp["sign"])) for n in exp["sweep"]]
     return {"columns": ["n", "norm_id", "norm_T", "norm_sum", "defect"], "rows": rows}
 
 

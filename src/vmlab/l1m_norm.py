@@ -311,7 +311,7 @@ def _koethe_supergradient(m: VectorMeasure, g: SimpleFunction, seed: int = 0):
         return norm_best(m, SimpleFunction(m.space, vec)).value
 
     for _ in range(_ASCENT_RESTARTS):
-        f = np.array(gen.normals(n))
+        f = gen.normals(n)
         nrm = ball_norm(f)
         if nrm > 0.0:
             f /= nrm

@@ -132,7 +132,7 @@ def find_rybakov(m: VectorMeasure, attempts: int = 100, seed: int = 0, tol: floa
         return ones
     gen = SplitMix64(seed)
     for _ in range(attempts):
-        xstar = np.array(gen.normals(m.X.dim))
+        xstar = gen.normals(m.X.dim)
         if is_rybakov(m, xstar, tol):
             return xstar
     raise NoRybakovFound(f"no dominating functional in {attempts} random attempts")

@@ -21,9 +21,12 @@ from vmlab import (
     norm,
     norm_best,
     opnorm_from_l1,
+    rank_one_defect,
+    rank_one_measure,
     rank_one_operator,
     series_approximation_gap,
 )
+from vmlab.rng import SplitMix64
 
 
 def test_opnorm_examples():
@@ -84,6 +87,53 @@ def test_negative_rank_one_defect_on_general_weights():
         T = rank_one_operator(space, -np.ones(space.n), np.ones(space.n))
         rep = daugavet_defect(T)
         assert rep.defect == pytest.approx(2.0 * float(np.min(weights)), abs=1e-12)
+
+
+def _fields(rep):
+    return (rep.norm_G, rep.norm_T, rep.norm_sum, rep.defect)
+
+
+@pytest.mark.parametrize("n", [4, 64, 1024])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_rank_one_defect_is_bitwise_dense_on_uniform_sweeps(n, sign):
+    space = MeasureSpace.uniform(n)
+    g, h = sign * np.ones(n), np.ones(n)
+    dense = daugavet_defect(rank_one_operator(space, g, h))
+    assert _fields(rank_one_defect(space, g, h)) == _fields(dense)
+
+
+def test_rank_one_defect_matches_dense_on_random_instances():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        space = random_space(rng, int(rng.integers(1, 40)))
+        g = rng.normal(size=space.n) * rng.uniform(0.0, 3.0)
+        h = rng.normal(size=space.n) * rng.uniform(0.0, 3.0)
+        g[rng.random(space.n) < 0.3] = 0.0
+        h[rng.random(space.n) < 0.3] = 0.0
+        dense = daugavet_defect(rank_one_operator(space, g, h))
+        fast = rank_one_defect(space, g, h)
+        assert fast.norm_G == dense.norm_G == 1.0
+        assert fast.norm_T == pytest.approx(dense.norm_T, rel=1e-12, abs=0.0)
+        assert fast.norm_sum == pytest.approx(dense.norm_sum, rel=1e-12, abs=0.0)
+        assert fast.defect == pytest.approx(dense.defect, abs=1e-12 * dense.norm_sum)
+
+
+def test_rank_one_defect_at_a_million_atoms():
+    n = 10**6  # the dense operator would need 8 TB
+    space = MeasureSpace.uniform(n)
+    neg = rank_one_defect(space, -np.ones(n), np.ones(n))
+    assert neg.norm_G == 1.0
+    assert neg.norm_T == pytest.approx(1.0, abs=1e-12)
+    assert neg.defect == pytest.approx(2.0 / n, abs=1e-12)
+    assert rank_one_defect(space, np.ones(n), np.ones(n)).defect == pytest.approx(0.0, abs=1e-12)
+
+
+def test_rank_one_defect_rejects_wrong_lengths():
+    space = MeasureSpace.uniform(4)
+    with pytest.raises(ValueError, match="length 4"):
+        rank_one_defect(space, np.ones(3), np.ones(4))
+    with pytest.raises(ValueError, match="length 4"):
+        rank_one_defect(space, np.ones(4), np.ones((4, 1)))
 
 
 def test_daugavet_defect_requires_l1_endomorphism():
@@ -197,6 +247,87 @@ def test_series_gap_sampled_family_deterministic():
     # parts-only value and stays above the triangle-inequality floor
     assert a.c_estimate <= 1.0 - 2.0 / 6 + 1e-12
     assert a.c_estimate >= -1e-10
+
+
+def _dense_family(space, samples, seed):
+    """The sampled family as the dense implementation built it, one operator per sample."""
+    gen = SplitMix64(seed)
+    out = []
+    for _ in range(samples):
+        g = np.array(gen.normals(space.n))
+        h = np.array(gen.normals(space.n))
+        g /= l1_mu_norm(SimpleFunction(space, g))
+        h /= float(np.max(np.abs(h)))
+        out.append(rank_one_operator(space, g, h))
+    return out
+
+
+def _dense_series_gap(G, parts, family):
+    """Reference: every norm from ``opnorm_from_l1`` on dense matrices."""
+    total = np.zeros_like(G.entries)
+    for T in parts:
+        total = total + T.entries
+    gap_norm = opnorm_from_l1(OperatorMatrix(G.entries - total, G.domain, G.codomain)).value
+    c_estimate = np.inf
+    for T in list(parts) + list(family):
+        value = (
+            opnorm_from_l1(combine_operators(G, 1.0, T)).value
+            - opnorm_from_l1(T).value
+        )
+        c_estimate = min(c_estimate, value)
+    return gap_norm, float(c_estimate)
+
+
+def _l1_operators(rng, space):
+    n = space.n
+    l1 = NormSpec.l1_of_mu(space)
+    return {
+        "identity": identity_operator(space),
+        "rank_one": integration_operator(rank_one_measure(space, rng.normal(size=n))),
+        "random": OperatorMatrix(rng.normal(size=(n, n)), space, l1),
+        # one nonzero per column but not the identity
+        "permutation": OperatorMatrix(np.eye(n)[::-1], space, l1),
+        "scaled_diagonal": OperatorMatrix(np.diag(np.r_[2.0, np.ones(n - 1)]), space, l1),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["identity", "rank_one", "random", "permutation", "scaled_diagonal"]
+)
+def test_series_gap_sampled_family_matches_dense_loop(kind):
+    rng = np.random.default_rng(12)
+    for space in (MeasureSpace.uniform(24), random_space(rng, 17)):
+        G = _l1_operators(rng, space)[kind]
+        parts = [rank_one_operator(space, -np.ones(space.n), np.ones(space.n))]
+        for samples, seed in ((16, 0), (5, 2**64 - 1)):
+            gap_norm, c_estimate = _dense_series_gap(
+                G, parts, _dense_family(space, samples, seed)
+            )
+            rep = series_approximation_gap(G, parts, samples=samples, seed=seed)
+            assert rep.gap_norm == gap_norm
+            assert rep.c_estimate == pytest.approx(c_estimate, rel=1e-12)
+            # the sampled family alone, so the parts cannot mask its minimum
+            _, family_only = _dense_series_gap(G, [], _dense_family(space, samples, seed))
+            rep = series_approximation_gap(G, [], samples=samples, seed=seed)
+            assert rep.c_estimate == pytest.approx(family_only, rel=1e-12)
+
+
+def test_series_gap_explicit_family_is_the_dense_result():
+    rng = np.random.default_rng(13)
+    space = random_space(rng, 12)
+    parts = [rank_one_operator(space, np.ones(space.n), rng.normal(size=space.n))]
+    family = _dense_family(space, 6, 4)
+    for G in _l1_operators(rng, space).values():
+        rep = series_approximation_gap(G, parts, family=family)
+        assert (rep.gap_norm, rep.c_estimate) == _dense_series_gap(G, parts, family)
+
+
+def test_series_gap_sampled_family_needs_l1_of_mu_codomain():
+    space = MeasureSpace.uniform(3)
+    G = OperatorMatrix(np.eye(3), space, NormSpec.l1(3))
+    with pytest.raises(ValueError):
+        series_approximation_gap(G, [], samples=2)
+    assert series_approximation_gap(G, [], samples=0).c_estimate == np.inf
 
 
 def test_canonical_pair_isometry():
