@@ -29,6 +29,7 @@ from vmlab import (
     rank_one_measure,
     refine,
     rn_derivative,
+    rn_derivatives,
     rn_operator,
     run_net,
     weakstar_gap,
@@ -324,6 +325,28 @@ def test_run_net_weakstar_column_is_bitwise_the_per_probe_loop(kind):
             expected = [_reference_weakstar_gap(m, lv, probes, tests) for lv in net]
             assert report.column("weakstar_gap") == expected, (kind, n, name)
             assert any(v > 0.0 for v in expected), (kind, n, name)
+
+
+def test_run_net_default_probes_have_the_product_bits():
+    # run_net gathers the coordinate densities instead of multiplying by
+    # np.eye(d); the bytes, signed zeros included, must be the product's
+    from vmlab.approx_nets import _coordinate_densities
+
+    rng = np.random.default_rng(13)
+    for n, d in [(1, 1), (5, 3), (7, 12), (128, 128)]:
+        space = random_space(rng, n)
+        atoms = rng.normal(size=(n, d))
+        atoms[rng.random(size=(n, d)) < 0.3] = -0.0
+        atoms[rng.random(size=(n, d)) < 0.2] = 0.0
+        m = VectorMeasure(space, random_norm_spec(rng, d), atoms)
+        got = _coordinate_densities(m)
+        assert got.tobytes() == rn_derivatives(m, np.eye(d)).tobytes()
+        assert got.tobytes() == ((np.eye(d) @ m.atoms.T) / space.weights).tobytes()
+        assert got.flags.c_contiguous and not np.shares_memory(got, m.atoms)
+        f = random_function(rng, space)
+        net = basis_net(m)
+        explicit = run_net(m, net, f, probes=np.eye(d), restarts=1)
+        assert run_net(m, net, f, restarts=1) == explicit
 
 
 def test_weakstar_gap_stack_matches_per_probe_loop_on_dense_probes():
