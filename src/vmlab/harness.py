@@ -45,6 +45,7 @@ from . import __version__
 from .approx_nets import (
     associated_measure,
     basis_net,
+    basis_truncated_measure,
     coordinate_family,
     expectation_family,
     martingale_net,
@@ -165,10 +166,16 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
         k = section["k"]
         if not isinstance(k, int) or not 1 <= k <= X.dim:
             raise ValidationError("composed truncation rank k must be in 1..d")
-        atoms = base.atoms.copy()
-        atoms[:, k:] = 0.0
-        return VectorMeasure(space, X, atoms)
+        return basis_truncated_measure(base, k)
     raise ValidationError(f"unknown measure kind {kind!r}")
+
+
+def _check_levels(exp: dict, space: MeasureSpace, what: str):
+    levels = exp.get("levels")
+    if not isinstance(levels, int) or levels < 0:
+        raise ValidationError(f"{what} needs integer levels >= 0")
+    if space.n % (1 << levels) != 0:
+        raise ValidationError(f"n={space.n} is not divisible by 2**{levels}")
 
 
 def _build_experiment(section, scenario_ctx) -> dict:
@@ -189,21 +196,13 @@ def _build_experiment(section, scenario_ctx) -> dict:
     if kind == "norm":
         exp.setdefault("restarts", 8)
     elif kind == "martingale":
-        levels = exp.get("levels")
-        if not isinstance(levels, int) or levels < 0:
-            raise ValidationError("martingale experiment needs integer levels >= 0")
-        if space.n % (1 << levels) != 0:
-            raise ValidationError(f"n={space.n} is not divisible by 2**{levels}")
+        _check_levels(exp, space, "martingale experiment")
     elif kind == "rn_net":
         exp.setdefault("family", "coordinate")
         if exp["family"] not in ("coordinate", "expectation"):
             raise ValidationError("rn_net family must be coordinate or expectation")
         if exp["family"] == "expectation":
-            levels = exp.get("levels")
-            if not isinstance(levels, int) or levels < 0:
-                raise ValidationError("rn_net expectation family needs integer levels >= 0")
-            if space.n % (1 << levels) != 0:
-                raise ValidationError(f"n={space.n} is not divisible by 2**{levels}")
+            _check_levels(exp, space, "rn_net expectation family")
             if X.dim != space.n:
                 raise ValidationError("expectation family needs value_space dimension equal to n")
     elif kind == "daugavet":
@@ -275,12 +274,6 @@ def load_scenario(path) -> Scenario:
     return build_scenario(data)
 
 
-def _net_rows(report) -> list:
-    return [
-        [lv.index, lv.norm_gap, lv.deviation, lv.pointwise_gap, lv.weakstar_gap]
-        for lv in report.levels
-    ]
-
 _NET_COLUMNS = ["level", "norm_gap", "deviation", "pointwise_gap", "weakstar_gap"]
 
 
@@ -305,47 +298,8 @@ def _run_norm(sc: Scenario, exp: dict) -> dict:
     return {"columns": ["f_index", "value", "method", "heuristic"], "rows": rows}
 
 
-def _run_martingale(sc: Scenario, exp: dict) -> dict:
-    chain = dyadic_chain(exp["levels"], sc.space)
-    net = martingale_net(sc.measure, chain)
-    report = run_net(
-        sc.measure,
-        net,
-        sc.functions[0],
-        tests=_default_tests(sc, finest=chain[-1]),
-        exact_cutoff=exp["exact_cutoff"],
-        seed=exp["seed"],
-    )
-    return {"columns": _NET_COLUMNS, "rows": _net_rows(report)}
-
-
-def _run_basis(sc: Scenario, exp: dict) -> dict:
-    net = basis_net(sc.measure)
-    report = run_net(
-        sc.measure,
-        net,
-        sc.functions[0],
-        tests=_default_tests(sc),
-        exact_cutoff=exp["exact_cutoff"],
-        seed=exp["seed"],
-    )
-    return {"columns": _NET_COLUMNS, "rows": _net_rows(report)}
-
-
-def _run_rn_net(sc: Scenario, exp: dict) -> dict:
-    if exp["family"] == "coordinate":
-        net = []
-        for k in range(1, sc.X.dim + 1):
-            xs, vs = coordinate_family(sc.measure, k)
-            net.append(associated_measure(rn_operator(sc.measure, xs, vs), sc.space))
-        tests = _default_tests(sc)
-    else:
-        chain = dyadic_chain(exp["levels"], sc.space)
-        net = []
-        for p in chain:
-            xs, vs = expectation_family(sc.measure, p)
-            net.append(associated_measure(rn_operator(sc.measure, xs, vs), sc.space))
-        tests = _default_tests(sc, finest=chain[-1])
+def _net_table(sc: Scenario, exp: dict, net: list, tests: list) -> dict:
+    """One row per level of the net run on the first function."""
     report = run_net(
         sc.measure,
         net,
@@ -354,7 +308,33 @@ def _run_rn_net(sc: Scenario, exp: dict) -> dict:
         exact_cutoff=exp["exact_cutoff"],
         seed=exp["seed"],
     )
-    return {"columns": _NET_COLUMNS, "rows": _net_rows(report)}
+    rows = [
+        [lv.index, lv.norm_gap, lv.deviation, lv.pointwise_gap, lv.weakstar_gap]
+        for lv in report.levels
+    ]
+    return {"columns": _NET_COLUMNS, "rows": rows}
+
+
+def _run_martingale(sc: Scenario, exp: dict) -> dict:
+    chain = dyadic_chain(exp["levels"], sc.space)
+    net = martingale_net(sc.measure, chain)
+    return _net_table(sc, exp, net, _default_tests(sc, finest=chain[-1]))
+
+
+def _run_basis(sc: Scenario, exp: dict) -> dict:
+    return _net_table(sc, exp, basis_net(sc.measure), _default_tests(sc))
+
+
+def _run_rn_net(sc: Scenario, exp: dict) -> dict:
+    if exp["family"] == "coordinate":
+        families = [coordinate_family(sc.measure, k) for k in range(1, sc.X.dim + 1)]
+        tests = _default_tests(sc)
+    else:
+        chain = dyadic_chain(exp["levels"], sc.space)
+        families = [expectation_family(sc.measure, p) for p in chain]
+        tests = _default_tests(sc, finest=chain[-1])
+    net = [associated_measure(rn_operator(sc.measure, xs, vs), sc.space) for xs, vs in families]
+    return _net_table(sc, exp, net, tests)
 
 
 def _daugavet_point(n: int, sign: float) -> list:

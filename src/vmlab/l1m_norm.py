@@ -109,9 +109,10 @@ def norm_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
     """Maximum of sum_i |f_i| |<m_i, x*>| over the dual ball's extreme points.
 
     Requires a polyhedral value norm.  Sup-type norms need only the 2d
-    coordinate functionals; l1-type norms need the 2^d corners, except that
-    sign-consistent atom rows make the all-plus corner provably maximal and
-    the enumeration collapses to a single evaluation.
+    coordinate functionals; l1-type norms need the 2^(d-1) corners with a
+    fixed sign in the last coordinate (a corner and its negative score alike),
+    except that sign-consistent atom rows make the all-plus corner provably
+    maximal and the enumeration collapses to a single evaluation.
     """
     if m.X.kind == L2:
         raise NotPolyhedral("no finite dual extreme-point set for an L2-type value norm")
@@ -134,18 +135,11 @@ def norm_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
             f"2^{d} dual corners exceed the enumeration limit (d <= {L1_EXTREME_LIMIT})"
         )
     weighted = absf[:, None] * m.atoms  # (n, d)
-    best_value = -np.inf
-    best_corner = None
-    chunk = 1 << 12
-    for start in range(0, 1 << d, chunk):
-        t = np.arange(start, min(start + chunk, 1 << d), dtype=np.int64)
-        signs = 1.0 - 2.0 * ((t[:, None] >> np.arange(d)) & 1)
-        corners = signs * w
-        values = np.abs(weighted @ corners.T).sum(axis=0)
-        i = int(np.argmax(values))
-        if values[i] > best_value:
-            best_value = float(values[i])
-            best_corner = corners[i].copy()
+    # a corner and its negative score alike, so the pinned half suffices;
+    # reversed rows give code bit j to coordinate j
+    axes = np.diag(w)[::-1]
+    pattern, best_value = best_sign_pattern(axes, lambda c: np.abs(weighted @ c.T).sum(axis=0))
+    best_corner = pattern[::-1] * w
     mask = f.coeffs * (m.atoms @ best_corner) >= 0.0
     return NormResult(best_value, MeasurableSet(f.space, mask), CLOSED_FORM)
 

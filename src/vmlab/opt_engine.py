@@ -2,15 +2,18 @@
 
 Three small deterministic tools back the norm and dual-norm engines:
 
-  * a dense two-phase tableau simplex with Bland's anti-cycling rule,
+  * a dense two-phase tableau simplex with Bland's anti-cycling rule, whose
+    pivots (in both phases and in the drive-out of artificials) are one
+    vectorised row elimination, ``_pivot``,
   * exhaustive search over sign patterns (first component pinned to +1),
     scored in blocks of 2^12 patterns by one matrix product each,
   * steepest-ascent single-flip hill climbing with seeded random restarts,
     scoring all k flips of a pattern in one batched objective call.
 
 Problem sizes are desk scale (a few hundred variables, a few thousand
-constraints).  The sign kernels replace per-pattern Python loops by numpy
-blocks; their tie rules keep results bit-for-bit deterministic.
+constraints).  The simplex and the sign kernels replace per-row and
+per-pattern Python loops by numpy arrays; their tie rules keep results
+bit-for-bit deterministic.
 """
 
 from __future__ import annotations
@@ -69,39 +72,58 @@ class LPSolution:
     value: Optional[float]
 
 
-def _bland_simplex(T, basis, cost, ncols, tol=_PIVOT_TOL):
-    """Maximize cost over the tableau in place. Returns 'optimal' or 'unbounded'."""
-    m = T.shape[0]
+def _pivot(T, basis, i, j):
+    """Make column j basic in row i; rows with a zero in column j are untouched."""
+    T[i] /= T[i, j]
+    rows = np.flatnonzero(T[:, j])
+    rows = rows[rows != i]
+    T[rows] -= np.outer(T[rows, j], T[i])
+    basis[i] = j
+
+
+def _bland_simplex(T, basis, cost):
+    """Maximize cost over the tableau in place. Returns 'optimal' or 'unbounded'.
+
+    Bland's rule: the first improving column enters; the leaving row has the
+    minimum ratio, ties going to the smallest basic variable.
+    """
     while True:
-        cb = cost[basis]
-        reduced = cost[:ncols] - cb @ T[:, :ncols]
+        reduced = cost - cost[basis] @ T[:, :-1]
         reduced[basis] = 0.0
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] > tol:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(reduced > _PIVOT_TOL)
+        if improving.size == 0:
             return OPTIMAL
-        col = T[:, entering]
-        leaving = -1
-        best_ratio = np.inf
-        for i in range(m):
-            if col[i] > tol:
-                ratio = T[i, -1] / col[i]
-                if ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leaving]
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
+        j = improving[0]
+        rows = np.flatnonzero(T[:, j] > _PIVOT_TOL)
+        if rows.size == 0:
             return UNBOUNDED
-        piv = T[leaving, entering]
-        T[leaving] /= piv
-        for i in range(m):
-            if i != leaving and T[i, entering] != 0.0:
-                T[i] -= T[i, entering] * T[leaving]
-        basis[leaving] = entering
+        ratios = T[rows, -1] / T[rows, j]
+        ties = rows[ratios == ratios.min()]
+        _pivot(T, basis, ties[np.argmin(basis[ties])], j)
+
+
+def _standard_columns(bounds):
+    """Column map of the standard form, in which every column is >= 0.
+
+    A variable bounded below is lo + y, one bounded only above is hi - y and
+    a free one is y+ - y-.  Returns the map ``(orig, sign, shifted, offset)``
+    (per column its variable and sign; the shifted variables and their lo,
+    else hi) and the (column, hi - lo) range rows of two-sided bounds.
+    """
+    orig, sign, shifted, offset, ranged = [], [], [], [], []
+    for j, (lo, hi) in enumerate(bounds):
+        if lo is None and hi is None:
+            orig += [j, j]
+            sign += [1.0, -1.0]
+            continue
+        orig.append(j)
+        sign.append(1.0 if lo is not None else -1.0)
+        shifted.append(j)
+        offset.append(float(lo if lo is not None else hi))
+        if lo is not None and hi is not None:
+            ranged.append((len(orig) - 1, float(hi) - float(lo)))
+    cols = (np.array(orig, dtype=int), np.array(sign), np.array(shifted, dtype=int), offset)
+    return cols, ranged
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
@@ -109,157 +131,84 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     c = lp.objective
     nvars = c.size
     bounds = list(lp.bounds) if lp.bounds is not None else [(0.0, None)] * nvars
+    cols, ranged = _standard_columns(bounds)
+    orig, sign, shifted, offset = cols
+    nstd = orig.size
 
-    # Standard form: every column variable >= 0.  Each original variable
-    # becomes one or two columns plus an optional range row.
-    cols = []          # (orig index, coeff sign, shift) per column
-    extra_rows = []    # (column index, upper bound) for two-sided bounds
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is None and hi is None:
-            cols.append((j, 1.0, 0.0))
-            cols.append((j, -1.0, 0.0))
-        elif lo is not None:
-            cols.append((j, 1.0, float(lo)))
-            if hi is not None:
-                extra_rows.append((len(cols) - 1, float(hi) - float(lo)))
-        else:
-            cols.append((j, -1.0, float(hi)))
+    A = np.array([np.asarray(a, dtype=float) for a, _, _ in lp.constraints])
+    A = A.reshape(len(lp.constraints), nvars)
+    # the affine shifts of bounded variables move into the right-hand side
+    shift = np.zeros(A.shape[0])
+    for j, off in zip(shifted, offset):
+        shift += A[:, j] * off
+    ranges = np.zeros((len(ranged), nstd))
+    ranges[np.arange(len(ranged)), [k for k, _ in ranged]] = 1.0
+    R = np.vstack([0.0 + sign * A[:, orig], ranges])
+    rhs = np.concatenate([[float(b) for _, _, b in lp.constraints] - shift, [ub for _, ub in ranged]])
+    rels = np.array([rel for _, rel, _ in lp.constraints] + ["<="] * len(ranged), dtype=object)
+    cstd = 0.0 + sign * c[orig]
 
-    nstd = len(cols)
-    rows = []
-    for a, rel, b in lp.constraints:
-        a = np.asarray(a, dtype=float)
-        row = np.zeros(nstd)
-        for k, (j, sgn, _off) in enumerate(cols):
-            row[k] += sgn * a[j]
-        # the affine shifts of bounded variables move into the right-hand side
-        shift = 0.0
-        for j, (lo, hi) in enumerate(bounds):
-            if lo is not None:
-                shift += a[j] * float(lo)
-            elif hi is not None:
-                shift += a[j] * float(hi)
-        rows.append((row, rel, float(b) - shift))
-    for k, ub in extra_rows:
-        row = np.zeros(nstd)
-        row[k] = 1.0
-        rows.append((row, "<=", ub))
-
-    cstd = np.zeros(nstd)
-    const = 0.0
-    for k, (j, sgn, off) in enumerate(cols):
-        cstd[k] += sgn * c[j]
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            const += c[j] * float(lo)
-        elif hi is not None:
-            const += c[j] * float(hi)
-
-    m = len(rows)
+    m = R.shape[0]
     if m == 0:
         # unconstrained over the nonnegative orthant
         if np.any(cstd > _PIVOT_TOL):
             return LPSolution(UNBOUNDED, None, None)
-        x = _recover(np.zeros(nstd), cols, bounds, nvars)
+        x = _recover(np.zeros(nstd), cols, nvars)
         return LPSolution(OPTIMAL, x, float(c @ x))
 
-    nslack = sum(1 for _, rel, _ in rows if rel != "=")
-    A = np.zeros((m, nstd + nslack))
-    b = np.zeros(m)
-    needs_artificial = []
-    si = 0
-    for i, (row, rel, bi) in enumerate(rows):
-        if rel == ">=":
-            row, rel, bi = -row, "<=", -bi
-        if rel == "<=":
-            if bi >= 0:
-                A[i, :nstd] = row
-                A[i, nstd + si] = 1.0
-                b[i] = bi
-                needs_artificial.append(False)
-            else:
-                A[i, :nstd] = -row
-                A[i, nstd + si] = -1.0
-                b[i] = -bi
-                needs_artificial.append(True)
-            si += 1
-        else:
-            if bi >= 0:
-                A[i, :nstd] = row
-                b[i] = bi
-            else:
-                A[i, :nstd] = -row
-                b[i] = -bi
-            needs_artificial.append(True)
-
-    nart = sum(needs_artificial)
+    # rows become <= or =, then get a nonnegative right-hand side; a slack
+    # whose sign flips with its row, or an equality, needs an artificial
+    ge = rels == ">="
+    R[ge], rhs[ge] = -R[ge], -rhs[ge]
+    flip = ~(rhs >= 0)
+    R[flip], rhs[flip] = -R[flip], -rhs[flip]
+    slack_rows = np.flatnonzero(rels != "=")
+    art_rows = np.flatnonzero(flip | (rels == "="))
+    nslack, nart = slack_rows.size, art_rows.size
     ncols = nstd + nslack + nart
     T = np.zeros((m, ncols + 1))
-    T[:, : nstd + nslack] = A
-    T[:, -1] = b
+    T[:, :nstd] = R
+    T[slack_rows, nstd + np.arange(nslack)] = np.where(flip[slack_rows], -1.0, 1.0)
+    T[art_rows, nstd + nslack + np.arange(nart)] = 1.0
+    T[:, -1] = rhs
     basis = np.empty(m, dtype=int)
-    ai = 0
-    si = 0
-    for i, (row, rel, bi) in enumerate(rows):
-        if needs_artificial[i]:
-            T[i, nstd + nslack + ai] = 1.0
-            basis[i] = nstd + nslack + ai
-            ai += 1
-        else:
-            basis[i] = nstd + si
-        if rel != "=":
-            si += 1
+    basis[slack_rows] = nstd + np.arange(nslack)
+    basis[art_rows] = nstd + nslack + np.arange(nart)
 
     if nart > 0:
         cost1 = np.zeros(ncols)
         cost1[nstd + nslack :] = -1.0
-        _bland_simplex(T, basis, cost1, ncols)
+        _bland_simplex(T, basis, cost1)
         if cost1[basis] @ T[:, -1] < -1e-7:
             return LPSolution(INFEASIBLE, None, None)
         # pivot remaining artificials out of the basis, or drop redundant rows
         keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= nstd + nslack:
-                pivoted = False
-                for j in range(nstd + nslack):
-                    if abs(T[i, j]) > _PIVOT_TOL:
-                        piv = T[i, j]
-                        T[i] /= piv
-                        for r in range(m):
-                            if r != i and T[r, j] != 0.0:
-                                T[r] -= T[r, j] * T[i]
-                        basis[i] = j
-                        pivoted = True
-                        break
-                if not pivoted:
-                    keep[i] = False
+        for i in np.flatnonzero(basis >= nstd + nslack):
+            candidates = np.flatnonzero(np.abs(T[i, : nstd + nslack]) > _PIVOT_TOL)
+            if candidates.size:
+                _pivot(T, basis, i, candidates[0])
+            else:
+                keep[i] = False
         T = T[keep]
         basis = basis[keep]
-        m = T.shape[0]
 
     T = np.hstack([T[:, : nstd + nslack], T[:, -1:]])
-    ncols = nstd + nslack
-    cost2 = np.zeros(ncols)
+    cost2 = np.zeros(nstd + nslack)
     cost2[:nstd] = cstd
-    status = _bland_simplex(T, basis, cost2, ncols)
-    if status == UNBOUNDED:
+    if _bland_simplex(T, basis, cost2) == UNBOUNDED:
         return LPSolution(UNBOUNDED, None, None)
 
-    xstd = np.zeros(ncols)
+    xstd = np.zeros(nstd + nslack)
     xstd[basis] = T[:, -1]
-    x = _recover(xstd[:nstd], cols, bounds, nvars)
+    x = _recover(xstd[:nstd], cols, nvars)
     return LPSolution(OPTIMAL, x, float(c @ x))
 
 
-def _recover(xstd, cols, bounds, nvars):
+def _recover(xstd, cols, nvars):
+    orig, sign, shifted, offset = cols
     x = np.zeros(nvars)
-    for k, (j, sgn, off) in enumerate(cols):
-        x[j] += sgn * xstd[k]
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            x[j] += float(lo)
-        elif hi is not None:
-            x[j] += float(hi)
+    np.add.at(x, orig, sign * xstd)  # in column order: a free variable sums y+, then -y-
+    x[shifted] += offset
     return x
 
 

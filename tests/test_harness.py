@@ -129,7 +129,7 @@ def test_csv_header_only_for_empty_table():
     assert dumps_csv(report).strip() == "f_index,value,method,heuristic"
 
 
-def test_determinism_byte_identical(monkeypatch):
+def test_determinism_byte_identical():
     def strip(report):
         clone = copy.deepcopy(report)
         del clone["metadata"]["wall_time_s"]
@@ -139,12 +139,17 @@ def test_determinism_byte_identical(monkeypatch):
         a = strip(run(preset_scenario(name), seed=123))
         b = strip(run(preset_scenario(name), seed=123))
         assert a == b, name
-    # pool size must not influence the sweep output
-    monkeypatch.setenv("VML_THREADS", "1")
-    serial = strip(run(preset_scenario("daugavet-sweep")))
-    monkeypatch.setenv("VML_THREADS", "4")
-    pooled = strip(run(preset_scenario("daugavet-sweep")))
-    assert serial == pooled
+
+    # a sweep reports its points in sweep order, each as a one-point sweep would
+    def sweep_rows(sizes):
+        data = _preset("daugavet-sweep")
+        data["experiment"]["sweep"] = sizes
+        return run(build_scenario(data))["results"]["rows"]
+
+    rows = sweep_rows([1024, 4, 64])
+    assert [row[0] for row in rows] == [1024, 4, 64]
+    for row in rows:
+        assert repr(sweep_rows([row[0]])) == repr([row])
 
 
 def test_error_section_preserves_report():

@@ -223,6 +223,45 @@ def test_closed_form_sign_consistent_fast_path():
         norm_closed_form(mixed, f)
 
 
+def _corner_loop(m, f):
+    """Every one of the 2^d corners, in blocks of 2^12 codes; code bit j is the
+    sign of coordinate j, and ties go to the smallest code."""
+    w, d = m.X.scale, m.X.dim
+    weighted = np.abs(f.coeffs)[:, None] * m.atoms
+    best_value, best_corner = -np.inf, None
+    for start in range(0, 1 << d, 1 << 12):
+        t = np.arange(start, min(start + (1 << 12), 1 << d), dtype=np.int64)
+        corners = (1.0 - 2.0 * ((t[:, None] >> np.arange(d)) & 1)) * w
+        values = np.abs(weighted @ corners.T).sum(axis=0)
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_value, best_corner = float(values[i]), corners[i].copy()
+    return best_value, f.coeffs * (m.atoms @ best_corner) >= 0.0
+
+
+def test_closed_form_l1_is_bitwise_the_full_corner_loop():
+    rng = np.random.default_rng(21)
+    for trial in range(600):
+        n, d = int(rng.integers(1, 10)), int(rng.integers(2, 15))
+        space = random_space(rng, n)
+        if trial % 2:  # integer data: many tied corners
+            X = NormSpec("L1", d, rng.integers(1, 3, size=d).astype(float))
+            atoms = rng.integers(-2, 3, size=(n, d)).astype(float)
+            coeffs = rng.integers(-2, 3, size=n).astype(float)
+        else:
+            X = random_norm_spec(rng, d, "L1")
+            atoms = rng.normal(size=(n, d))
+            coeffs = rng.normal(size=n)
+        if trial % 3 == 0:
+            atoms[n // 2 :] = atoms[: n - n // 2]  # repeated rows
+        atoms[0, :2], coeffs[0] = (1.0, -1.0), 1.0  # one mixed-sign row: no fast path
+        m, f = VectorMeasure(space, X, atoms), SimpleFunction(space, coeffs)
+        res = norm_closed_form(m, f)
+        value, members = _corner_loop(m, f)
+        assert repr(res.value) == repr(value)
+        assert np.array_equal(res.witness_set.members, members)
+
+
 def test_heuristic_examples(s1, f1):
     _, m = s1
     res = norm_heuristic(m, f1, restarts=8, seed=0)

@@ -15,7 +15,10 @@ from vmlab import (
     norm,
     solve_lp,
 )
+from vmlab.opt_engine import _pivot
 from vmlab.rng import SplitMix64
+
+from helpers import loop_solve_lp
 
 
 def test_lp_trivial_examples():
@@ -108,6 +111,78 @@ def test_lp_invariant_under_row_and_variable_reordering():
             [lp.bounds[i] for i in vperm],
         )
         assert solve_lp(reordered).value == pytest.approx(base, abs=1e-8)
+
+
+def _mixed_lp(rng):
+    """A small LP of every kind: all four bound kinds, <=, >= and = rows,
+    integer data with tied ratios, and redundant (scaled duplicate) rows.
+    Half of them have a box around a point that satisfies every row."""
+    nvars = int(rng.integers(1, 9))
+    integer = rng.random() < 0.5
+
+    def draw(size):
+        return rng.integers(-3, 4, size=size).astype(float) if integer else rng.normal(size=size)
+
+    feasible = rng.random() < 0.5
+    lows, highs = np.sort(draw((2, nvars)), axis=0)
+    highs += 1.0
+    kinds = np.zeros(nvars, dtype=int) if feasible else rng.integers(4, size=nvars)
+    bounds = [
+        [(lo, hi), (lo, None), (None, hi), (None, None)][kind]
+        for lo, hi, kind in zip(lows.tolist(), highs.tolist(), kinds)
+    ]
+    x0 = lows + (rng.integers(0, 2, nvars) if integer else rng.random(nvars))
+    rows = []
+    for _ in range(int(rng.integers(0, 9))):
+        rel = ("<=", ">=", "=")[rng.choice(3, p=[0.5, 0.3, 0.2])]
+        a = draw(nvars)
+        if feasible:
+            slack = abs(float(draw(1)[0]))
+            b = float(a @ x0) + {"<=": slack, ">=": -slack, "=": 0.0}[rel]
+        else:
+            b = float(draw(1)[0])
+        rows.append((a, rel, b))
+    if rows and rng.random() < 0.3:
+        a, rel, b = rows[rng.integers(len(rows))]
+        t = float(rng.integers(1, 3))
+        rows.append((t * a, rel, t * b))
+    return LinearProgram(draw(nvars), rows, bounds)
+
+
+def test_pivot_is_bitwise_the_row_loop_and_keeps_signed_zeros():
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        T = rng.integers(-2, 3, size=(6, 8)).astype(float)
+        T[rng.random(T.shape) < 0.3] = -0.0
+        i, j = int(rng.integers(6)), int(rng.integers(7))
+        T[i, j] = float(rng.choice([-3.0, 2.0]))
+        want = T.copy()
+        want[i] /= want[i, j]
+        for r in range(6):
+            if r != i and want[r, j] != 0.0:
+                want[r] -= want[r, j] * want[i]
+        basis = np.arange(6)
+        _pivot(T, basis, i, j)
+        assert T.tobytes() == want.tobytes()
+        assert basis[i] == j
+
+
+def test_solve_lp_is_bitwise_the_loop_simplex():
+    rng = np.random.default_rng(20)
+    statuses = []
+    for _ in range(1200):
+        lp = _mixed_lp(rng)
+        got, want = solve_lp(lp), loop_solve_lp(lp)
+        assert got.status == want.status
+        assert repr(got.value) == repr(want.value)
+        if want.point is None:
+            assert got.point is None
+        else:
+            assert got.point.tobytes() == want.point.tobytes()
+        statuses.append(want.status)
+    counts = {s: statuses.count(s) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)}
+    assert counts[OPTIMAL] >= len(statuses) // 3
+    assert min(counts.values()) >= 100
 
 
 def _all_patterns(k):
