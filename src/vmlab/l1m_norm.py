@@ -289,33 +289,53 @@ _ASCENT_RESTARTS = 32
 _ASCENT_STEPS = 48
 
 
+def _ball_norms(m: VectorMeasure, F: np.ndarray) -> np.ndarray:
+    """``norm_best`` of each row of F, bitwise.
+
+    Rows without a zero share one stacked exact sign search when the value
+    norm is not polyhedral and n is within the exact cutoff; every other row
+    (a shrunken support, a closed form or the heuristic) takes ``norm_best``
+    alone.
+    """
+    n = F.shape[1]
+    stacked = np.all(F != 0.0, axis=1) & (not m.X.is_polyhedral and n <= DEFAULT_EXACT_CUTOFF)
+    out = np.empty(F.shape[0])
+    for r in (~stacked).nonzero()[0]:
+        out[r] = norm_best(m, SimpleFunction(m.space, F[r])).value
+    if stacked.any():
+        a = np.abs(F[stacked])[:, :, None] * m.atoms
+        pattern, _ = best_sign_pattern(a, lambda sums: norm_rows(m.X, sums))
+        out[stacked] = x_norm(m.X, np.matmul(pattern[:, None, :], a)[:, 0])
+    return out
+
+
 def _koethe_supergradient(m: VectorMeasure, g: SimpleFunction, seed: int = 0):
-    """Projected supergradient ascent of the linear objective over the unit ball."""
+    """Projected supergradient ascent of the linear objective over the unit ball.
+
+    All restarts advance together as the rows of one array.  The best value
+    is the first maximum in restart-major, step-minor order, kept only when
+    it is positive.
+    """
     n = m.space.n
     c = g.coeffs * m.space.weights
     cn = float(np.sqrt(np.sum(c * c)))
     if cn == 0.0:
         return 0.0, SimpleFunction.zeros(m.space)
     direction = c / cn
-    gen = SplitMix64(seed)
-    best = 0.0
-    best_f = np.zeros(n)
-
-    def ball_norm(vec):
-        return norm_best(m, SimpleFunction(m.space, vec)).value
-
-    for _ in range(_ASCENT_RESTARTS):
-        f = gen.normals(n)
-        nrm = ball_norm(f)
-        if nrm > 0.0:
-            f /= nrm
-        for t in range(_ASCENT_STEPS):
-            f = f + (1.0 / np.sqrt(t + 1.0)) * direction
-            nrm = ball_norm(f)
-            if nrm > 1.0:
-                f /= nrm
-            value = abs(float(c @ f))
-            if value > best:
-                best = value
-                best_f = f.copy()
-    return best, SimpleFunction(m.space, best_f)
+    F = SplitMix64(seed).normals(_ASCENT_RESTARTS * n).reshape(_ASCENT_RESTARTS, n)
+    nrm = _ball_norms(m, F)
+    np.divide(F, nrm[:, None], out=F, where=(nrm > 0.0)[:, None])
+    best = np.zeros(_ASCENT_RESTARTS)
+    best_F = np.zeros_like(F)
+    for t in range(_ASCENT_STEPS):
+        F += (1.0 / np.sqrt(t + 1.0)) * direction
+        nrm = _ball_norms(m, F)
+        np.divide(F, nrm[:, None], out=F, where=(nrm > 1.0)[:, None])
+        value = np.abs(np.matmul(F[:, None, :], c)[:, 0])  # each row bitwise c @ f
+        better = value > best
+        best[better] = value[better]
+        best_F[better] = F[better]
+    r = int(np.argmax(best))
+    if not best[r] > 0.0:
+        return 0.0, SimpleFunction.zeros(m.space)
+    return float(best[r]), SimpleFunction(m.space, best_F[r])

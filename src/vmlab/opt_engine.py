@@ -4,9 +4,12 @@ Three small deterministic tools back the norm and dual-norm engines:
 
   * a dense two-phase tableau simplex with Bland's anti-cycling rule, whose
     pivots (in both phases and in the drive-out of artificials) are one
-    vectorised row elimination, ``_pivot``,
+    vectorised row elimination, ``_pivot``, over only the rows with a
+    nonzero in the pivot column and the columns with a nonzero in the
+    pivot row,
   * exhaustive search over sign patterns (first component pinned to +1),
-    scored in blocks of 2^12 patterns by one matrix product each,
+    scored in blocks of 2^12 patterns by one matrix product each, for one
+    problem or a stack of them,
   * steepest-ascent single-flip hill climbing with seeded random restarts,
     scoring all k flips of a pattern in one batched objective call.
 
@@ -73,11 +76,17 @@ class LPSolution:
 
 
 def _pivot(T, basis, i, j):
-    """Make column j basic in row i; rows with a zero in column j are untouched."""
+    """Make column j basic in row i.
+
+    Only the rows with a nonzero in column j and the columns with a nonzero
+    in row i change; every other entry keeps its bits, which differ from a
+    full row elimination at most in the sign of a zero.
+    """
     T[i] /= T[i, j]
-    rows = np.flatnonzero(T[:, j])
+    rows = T[:, j].nonzero()[0]
     rows = rows[rows != i]
-    T[rows] -= np.outer(T[rows, j], T[i])
+    cols = T[i].nonzero()[0]
+    T[rows[:, None], cols] -= T[rows, j][:, None] * T[i, cols]
     basis[i] = j
 
 
@@ -90,11 +99,11 @@ def _bland_simplex(T, basis, cost):
     while True:
         reduced = cost - cost[basis] @ T[:, :-1]
         reduced[basis] = 0.0
-        improving = np.flatnonzero(reduced > _PIVOT_TOL)
+        improving = (reduced > _PIVOT_TOL).nonzero()[0]
         if improving.size == 0:
             return OPTIMAL
         j = improving[0]
-        rows = np.flatnonzero(T[:, j] > _PIVOT_TOL)
+        rows = (T[:, j] > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return UNBOUNDED
         ratios = T[rows, -1] / T[rows, j]
@@ -214,7 +223,7 @@ def _recover(xstd, cols, nvars):
 
 def best_sign_pattern(
     a: np.ndarray, score: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Exhaustive maximum of ``score(eps @ a)`` over sign vectors with eps_0 = +1.
 
     ``a`` has one row per position and ``score`` maps an (N, d) array of sums
@@ -223,25 +232,33 @@ def best_sign_pattern(
     block of sums and the higher bits shift that block; ties in the maximum
     go to the smallest code (``argmax`` within a block, strict ``>`` across
     blocks in ascending code order).
+
+    A stack ``a`` of shape (..., k, d) is searched slice by slice in one
+    pass: ``score`` then maps (..., N, d) to (..., N), and the result is a
+    (..., k) array of patterns with a (...) array of values, each slice
+    bitwise its own 2-D call.
     """
-    k = a.shape[0]
+    k = a.shape[-2]
     if k < 1:
         raise ValueError("need at least one position")
     if k > SIGN_ENUM_LIMIT:
         raise CapacityExceeded(f"2^{k - 1} sign patterns exceed the limit (k <= {SIGN_ENUM_LIMIT})")
-    rev = a[::-1]  # rev[b] is the row of code bit b
+    rev = a[..., ::-1, :]  # rev[..., b, :] is the row of code bit b
     low = min(k - 1, _BLOCK_BITS)
     high = k - 1 - low
-    block = _LOW_SIGNS[: 1 << low, :low] @ rev[:low]
-    heads = _LOW_SIGNS[: 1 << high, :high] @ rev[low : k - 1] + a[0]
-    best_code, best_value = 0, -np.inf
-    for h, head in enumerate(heads):
-        values = score(block + head)
-        i = int(np.argmax(values))
-        if values[i] > best_value:
-            best_code, best_value = (h << low) + i, float(values[i])
-    pattern = 1.0 - 2.0 * ((best_code >> np.arange(k - 1, -1, -1)) & 1)
-    return pattern, best_value
+    block = _LOW_SIGNS[: 1 << low, :low] @ rev[..., :low, :]
+    heads = _LOW_SIGNS[: 1 << high, :high] @ rev[..., low : k - 1, :] + a[..., :1, :]
+    for h in range(1 << high):
+        values = score(block + heads[..., h : h + 1, :])
+        i, top = values.argmax(axis=-1), values.max(axis=-1)
+        if h == 0:
+            best_code, best_value = i, top
+        else:
+            better = top > best_value
+            best_code = np.where(better, (h << low) + i, best_code)
+            best_value = np.where(better, top, best_value)
+    pattern = 1.0 - 2.0 * ((best_code[..., None] >> np.arange(k - 1, -1, -1)) & 1)
+    return pattern, (float(best_value) if a.ndim == 2 else best_value)
 
 
 def hill_climb(

@@ -4,7 +4,9 @@ The oracles deliberately avoid every shortcut the engines use: the norm
 oracle enumerates all 2^n sign vectors with itertools (no blocks, no
 support skipping, no pinning), and the LP oracle is scipy's HiGHS solver.
 ``loop_solve_lp`` keeps the simplex with one Python loop per row and per
-column, the reference that the array simplex must equal bit for bit.
+column, the reference that the array simplex must equal bit for bit, and
+``loop_koethe_supergradient`` runs the L2 Köthe ascent one restart at a time
+with one ``norm_best`` call per iterate, the reference for the stacked ascent.
 """
 
 import itertools
@@ -286,3 +288,42 @@ def _loop_recover(xstd, cols, bounds, nvars):
         elif hi is not None:
             x[j] += float(hi)
     return x
+
+
+# ---------------------------------------------------------------------------
+# reference ascent: one restart at a time, one norm_best call per iterate
+
+
+def loop_koethe_supergradient(m, g, seed=0, restarts=32, steps=48):
+    """The per-restart supergradient ascent that the L2 Köthe dual norm must equal bitwise."""
+    from vmlab import norm_best
+    from vmlab.rng import SplitMix64
+
+    n = m.space.n
+    c = g.coeffs * m.space.weights
+    cn = float(np.sqrt(np.sum(c * c)))
+    if cn == 0.0:
+        return 0.0, SimpleFunction.zeros(m.space)
+    direction = c / cn
+    gen = SplitMix64(seed)
+    best = 0.0
+    best_f = np.zeros(n)
+
+    def ball_norm(vec):
+        return norm_best(m, SimpleFunction(m.space, vec)).value
+
+    for _ in range(restarts):
+        f = gen.normals(n)
+        nrm = ball_norm(f)
+        if nrm > 0.0:
+            f /= nrm
+        for t in range(steps):
+            f = f + (1.0 / np.sqrt(t + 1.0)) * direction
+            nrm = ball_norm(f)
+            if nrm > 1.0:
+                f /= nrm
+            value = abs(float(c @ f))
+            if value > best:
+                best = value
+                best_f = f.copy()
+    return best, SimpleFunction(m.space, best_f)

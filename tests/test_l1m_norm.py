@@ -6,6 +6,7 @@ from helpers import (
     brute_deviation,
     brute_norm,
     koethe_scipy,
+    loop_koethe_supergradient,
     random_function,
     random_measure,
     random_norm_spec,
@@ -39,6 +40,7 @@ from vmlab import (
     set_value,
     sign_function,
 )
+from vmlab import l1m_norm
 
 
 def _reproduce(m, f, result):
@@ -440,3 +442,61 @@ def test_koethe_corner_gate():
     m = random_measure(rng, space, X)
     with pytest.raises(CapacityExceeded):
         koethe_dual_norm(m, SimpleFunction(space, rng.normal(size=4)))
+
+
+def _ascent_instance(rng, n, d):
+    """An L2 measure with null and repeated atoms mixed in, and a g that may vanish."""
+    space = random_space(rng, n)
+    X = NormSpec.l2(d, rng.uniform(0.5, 2.0, size=d))
+    atoms = rng.normal(size=(n, d))
+    atoms[rng.random(n) < 0.2] = 0.0  # null atoms
+    if n > 1 and rng.random() < 0.4:  # repeated atoms, possibly negated
+        i, j = rng.choice(n, size=2, replace=False)
+        atoms[j] = atoms[i] * rng.choice([-1.0, 1.0])
+    m = VectorMeasure(space, X, atoms)
+    g = SimpleFunction.zeros(space) if rng.random() < 0.05 else random_function(rng, space)
+    return m, g
+
+
+def _assert_ascent_is_the_loop(m, g, seed, restarts, steps):
+    info = koethe_dual_norm_info(m, g, seed=seed)
+    value, fstar = loop_koethe_supergradient(m, g, seed=seed, restarts=restarts, steps=steps)
+    assert info.method == HEURISTIC
+    assert repr(info.value) == repr(value)
+    assert info.maximizer.coeffs.tobytes() == fstar.coeffs.tobytes()
+
+
+def test_koethe_l2_ascent_is_bitwise_the_restart_loop(monkeypatch):
+    rng = np.random.default_rng(31)
+    # the production sizes, on a few small instances
+    for n in (1, 3, 6):
+        m, g = _ascent_instance(rng, n, int(rng.integers(1, 7)))
+        _assert_ascent_is_the_loop(m, g, int(rng.integers(1 << 30)), 32, 48)
+    # many instances with fewer restarts and steps; the loop is the bottleneck
+    monkeypatch.setattr(l1m_norm, "_ASCENT_RESTARTS", 5)
+    monkeypatch.setattr(l1m_norm, "_ASCENT_STEPS", 6)
+    zero_g = 0
+    for _ in range(320):
+        m, g = _ascent_instance(rng, int(rng.integers(1, 11)), int(rng.integers(1, 7)))
+        zero_g += not np.any(g.coeffs)
+        _assert_ascent_is_the_loop(m, g, int(rng.integers(1 << 30)), 5, 6)
+    assert zero_g >= 5
+    # above the exact cutoff every row norm is norm_best's heuristic fallback
+    m, g = _ascent_instance(rng, 17, 3)
+    _assert_ascent_is_the_loop(m, random_function(rng, m.space), 5, 5, 6)
+
+
+def test_ball_norms_are_norm_best_per_row():
+    rng = np.random.default_rng(32)
+    for trial in range(60):
+        n = 17 if trial % 10 == 9 else int(rng.integers(1, 11))
+        d = int(rng.integers(1, 6))
+        X = NormSpec(KINDS[trial % 3], d, rng.uniform(0.5, 2.0, size=d))
+        m = random_measure(rng, random_space(rng, n), X)
+        F = rng.normal(size=(7, n))
+        F[rng.random(F.shape) < 0.15] = 0.0  # rows with zeros shrink the support
+        F[0] = 0.0
+        F[1] = np.abs(F[1]) + 1.0  # at least one row without a zero
+        got = l1m_norm._ball_norms(m, F)
+        want = [norm_best(m, SimpleFunction(m.space, row)).value for row in F]
+        assert got.tobytes() == np.array(want).tobytes()

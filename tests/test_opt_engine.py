@@ -159,8 +159,11 @@ def test_pivot_is_bitwise_the_row_loop_and_keeps_signed_zeros():
         want = T.copy()
         want[i] /= want[i, j]
         for r in range(6):
-            if r != i and want[r, j] != 0.0:
-                want[r] -= want[r, j] * want[i]
+            factor = want[r, j]
+            if r != i and factor != 0.0:
+                for col in range(8):
+                    if want[i, col] != 0.0:  # a zero in the pivot row changes nothing
+                        want[r, col] -= factor * want[i, col]
         basis = np.arange(6)
         _pivot(T, basis, i, j)
         assert T.tobytes() == want.tobytes()
@@ -183,6 +186,32 @@ def test_solve_lp_is_bitwise_the_loop_simplex():
     counts = {s: statuses.count(s) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)}
     assert counts[OPTIMAL] >= len(statuses) // 3
     assert min(counts.values()) >= 100
+
+
+def test_solve_lp_is_bitwise_the_loop_simplex_on_koethe_programs(monkeypatch):
+    from vmlab import MeasureSpace, SimpleFunction, VectorMeasure, koethe_dual_norm_info
+    from vmlab import l1m_norm
+
+    programs = []
+
+    def capture(lp):
+        programs.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(l1m_norm, "solve_lp", capture)
+    rng = np.random.default_rng(24)
+    for kind in ("L1", "LINF"):
+        for _ in range(3):
+            space = MeasureSpace(rng.uniform(0.2, 1.5, size=12))
+            X = NormSpec(kind, 8, rng.uniform(0.5, 2.0, size=8))
+            m = VectorMeasure(space, X, rng.normal(size=(12, 8)))
+            koethe_dual_norm_info(m, SimpleFunction(space, rng.normal(size=12)))
+    assert len(programs) == 6
+    for lp in programs:
+        got, want = solve_lp(lp), loop_solve_lp(lp)
+        assert got.status == want.status == OPTIMAL
+        assert repr(got.value) == repr(want.value)
+        assert got.point.tobytes() == want.point.tobytes()
 
 
 def _all_patterns(k):
@@ -225,6 +254,27 @@ def test_best_sign_pattern_takes_smallest_code_on_ties():
     expected = np.ones(15)
     expected[1] = -1.0
     assert np.array_equal(pattern, expected)
+
+
+def test_best_sign_pattern_stack_is_bitwise_each_slice():
+    rng = np.random.default_rng(23)
+    for k in (1, 2, 12, 13, 14, 17):
+        for trial in range(3):
+            d = int(rng.integers(1, 4))
+            X = NormSpec(("L1", "L2", "LINF")[trial], d, rng.uniform(0.5, 2.0, d))
+            a = rng.normal(size=(4, k, d))
+            if k > 2:  # ties: null rows and a repeated row in some slices
+                a[1, 1::3] = 0.0
+                a[2, k - 1] = a[2, 1]
+                a[3] = np.round(a[3])
+            patterns, values = best_sign_pattern(a, lambda sums: norm(X, sums))
+            assert patterns.shape == (4, k) and values.shape == (4,)
+            for b in range(4):
+                pattern, value = best_sign_pattern(a[b], lambda sums: norm(X, sums))
+                assert patterns[b].tobytes() == pattern.tobytes()
+                assert repr(float(values[b])) == repr(value)
+            if k > 2:  # a null row flips to no effect, so the smallest code keeps it +1
+                assert np.all(patterns[1, 1::3] == 1.0)
 
 
 def _reference_ascent(k, value_of, restarts, seed):
