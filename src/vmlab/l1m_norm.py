@@ -297,8 +297,8 @@ def _ball_norms(m: VectorMeasure, F: np.ndarray) -> np.ndarray:
     (a shrunken support, a closed form or the heuristic) takes ``norm_best``
     alone.
     """
-    n = F.shape[1]
-    stacked = np.all(F != 0.0, axis=1) & (not m.X.is_polyhedral and n <= DEFAULT_EXACT_CUTOFF)
+    exact = not m.X.is_polyhedral and F.shape[1] <= DEFAULT_EXACT_CUTOFF
+    stacked = np.all(F != 0.0, axis=1) & exact
     out = np.empty(F.shape[0])
     for r in (~stacked).nonzero()[0]:
         out[r] = norm_best(m, SimpleFunction(m.space, F[r])).value
