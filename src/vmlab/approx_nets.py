@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .l1m_norm import deviation as deviation_seminorm
-from .l1m_norm import integrate, norm_best
+from .l1m_norm import DEFAULT_EXACT_CUTOFF, integrate, norm_best
 from .measure_core import MeasureSpace, Partition, SimpleFunction, same_space
 from .normed_space import NormSpec, norm as x_norm
 from .vector_measure import VectorMeasure, rn_derivatives, same_setting
@@ -252,7 +252,7 @@ def run_net(
     f: SimpleFunction,
     probes: Optional[Sequence] = None,
     tests: Optional[Sequence[SimpleFunction]] = None,
-    exact_cutoff: int = 16,
+    exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
     restarts: int = 8,
     seed: int = 0,
 ) -> NetReport:

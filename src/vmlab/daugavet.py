@@ -39,8 +39,11 @@ _COLUMN_CHUNK = 512
 
 
 def _frozen_matrix(a) -> np.ndarray:
-    """Read-only float matrix; already-frozen float arrays pass through uncopied."""
-    if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable:
+    """Read-only float matrix; float arrays read-only down to their data's owner pass uncopied."""
+    owner = a
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable and owner.base is not None:
+        owner = owner.base
+    if isinstance(owner, np.ndarray) and not owner.flags.writeable and a.dtype == np.float64:
         return a
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
@@ -51,9 +54,9 @@ def _frozen_matrix(a) -> np.ndarray:
 class OperatorMatrix:
     """Dense operator from the discretized L1(mu) into a normed value space.
 
-    Writeable input arrays are copied; arrays already marked read-only are
-    adopted as-is (the internal builders freeze what they own, so operator
-    algebra at large n never duplicates the entries).
+    Input arrays are copied unless they and every array they view are
+    read-only; those are adopted as-is (the internal builders freeze what
+    they own, so operator algebra at large n never duplicates the entries).
     """
 
     entries: np.ndarray  # (codomain.dim, domain.n)

@@ -60,7 +60,7 @@ from .daugavet import (
     series_approximation_gap,
 )
 from .errors import ParseError, ValidationError, VmlabError
-from .l1m_norm import HEURISTIC, norm_best, norm_heuristic
+from .l1m_norm import DEFAULT_EXACT_CUTOFF, HEURISTIC, norm_best, norm_heuristic
 from .measure_core import MeasurableSet, MeasureSpace, SimpleFunction, dyadic_chain
 from .normed_space import NormSpec, same_norm
 from .rng import SplitMix64
@@ -101,11 +101,18 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
         raise ValidationError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _check_number(value, what: str, low=None, real: bool = False):
+    """Reject bools, non-numbers (non-integers unless ``real``) and values below ``low``."""
+    number = not isinstance(value, bool) and isinstance(value, (int, float) if real else int)
+    if not number or (low is not None and not value >= low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValidationError(f"{what} must be {'a real number' if real else 'an integer'}{bound}")
+
+
 def _build_space(section) -> MeasureSpace:
     _require_keys(section, {"n", "weights"}, {"n", "weights"}, "space")
     n = section["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError("space.n must be a positive integer")
+    _check_number(n, "space.n", 1)
     weights = section["weights"]
     if weights == "uniform":
         return MeasureSpace.uniform(n)
@@ -126,8 +133,7 @@ def _build_value_space(section, space: MeasureSpace) -> NormSpec:
     if kind not in ("L1", "L2", "LINF"):
         raise ValidationError("value_space.kind must be L1, L2, LINF, or l1-of-mu")
     d = section["d"]
-    if not isinstance(d, int) or d < 1:
-        raise ValidationError("value_space.d must be a positive integer")
+    _check_number(d, "value_space.d", 1)
     scale = section.get("scale", 1.0)
     try:
         return NormSpec(kind, d, scale)
@@ -151,7 +157,8 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
         return VectorMeasure(space, X, space.weights[:, None] * g[None, :])
     if kind == "random":
         _require_keys(section, {"kind", "seed"}, {"kind", "seed"}, where)
-        gen = SplitMix64(int(section["seed"]))
+        _check_number(section["seed"], f"{where}.seed")
+        gen = SplitMix64(section["seed"])
         atoms = gen.normals(space.n * X.dim).reshape(space.n, X.dim)
         return VectorMeasure(space, X, atoms)
     if kind == "matrix":
@@ -172,8 +179,7 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
 
 def _check_levels(exp: dict, space: MeasureSpace, what: str):
     levels = exp.get("levels")
-    if not isinstance(levels, int) or levels < 0:
-        raise ValidationError(f"{what} needs integer levels >= 0")
+    _check_number(levels, f"{what} levels", 0)
     if space.n % (1 << levels) != 0:
         raise ValidationError(f"n={space.n} is not divisible by 2**{levels}")
 
@@ -188,13 +194,17 @@ def _build_experiment(section, scenario_ctx) -> dict:
     exp = dict(section)
     exp.setdefault("seed", 0)
     exp.setdefault("tolerance", 1e-10)
-    exp.setdefault("exact_cutoff", 16)
+    exp.setdefault("exact_cutoff", DEFAULT_EXACT_CUTOFF)
+    _check_number(exp["seed"], "experiment seed")
+    _check_number(exp["exact_cutoff"], "experiment exact_cutoff", 0)
+    _check_number(exp["tolerance"], "experiment tolerance", 0, real=True)
     space, X, functions = scenario_ctx
     needs_function = kind in ("martingale", "basis", "rn_net")
     if needs_function and not functions:
         raise ValidationError(f"experiment {kind} needs at least one function")
     if kind == "norm":
         exp.setdefault("restarts", 8)
+        _check_number(exp["restarts"], "norm restarts", 1)
     elif kind == "martingale":
         _check_levels(exp, space, "martingale experiment")
     elif kind == "rn_net":
@@ -218,13 +228,13 @@ def _build_experiment(section, scenario_ctx) -> dict:
     elif kind == "identity":
         exp.setdefault("lambda", 1.0)
         exp.setdefault("other", {"kind": "indicator"})
-        if not isinstance(exp["lambda"], (int, float)):
-            raise ValidationError("identity lambda must be a number")
+        _check_number(exp["lambda"], "identity lambda", real=True)
         if not X.is_polyhedral:
             raise ValidationError("identity experiment needs a polyhedral value_space")
     elif kind == "series_gap":
         exp.setdefault("sign", -1)
         exp.setdefault("samples", 64)
+        _check_number(exp["samples"], "series_gap samples", 0)
         if exp["sign"] not in (-1, 1):
             raise ValidationError("series_gap sign must be -1 or 1")
         if not same_norm(X, NormSpec.l1_of_mu(space)):

@@ -20,8 +20,8 @@ the extreme points of the dual ball.  Three engines realize this:
 
 ``koethe_dual_norm`` evaluates the associated dual function norm
 ``sup { |sum_i f_i g_i mu_i| : ||f|| <= 1 }`` by linear programming on
-polyhedral value spaces (the ball becomes finitely many inequalities through
-the lift u_i >= |f_i|), and by projected supergradient ascent otherwise.
+polyhedral value spaces (finitely many ball inequalities over u = |f| >= 0,
+with f = sign(g)*u), and by projected supergradient ascent otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import CapacityExceeded, LPInfeasible, NotPolyhedral
 from .measure_core import MeasurableSet, SimpleFunction
-from .normed_space import L1_EXTREME_LIMIT, L2, LINF, norm as x_norm, norm_rows
+from .normed_space import L1, L1_EXTREME_LIMIT, L2, LINF, dual_extreme_points, norm_rows
+from .normed_space import norm as x_norm
 from .opt_engine import LinearProgram, OPTIMAL, UNBOUNDED, best_sign_pattern, hill_climb, solve_lp
 from .rng import SplitMix64
 from .vector_measure import VectorMeasure, combine
@@ -220,20 +221,14 @@ class KoetheDualResult:
 
 
 def _koethe_ball_rows(m: VectorMeasure) -> np.ndarray:
-    """|<m_i, x*>| for a maximal-value half of the dual extreme points, one row per x*."""
-    if m.X.kind == LINF:
-        return (m.X.scale[:, None] * np.abs(m.atoms.T))  # rows +w_j e_j
-    d = m.X.dim
-    if d > KOETHE_CORNER_LIMIT:
+    """|<m_i, x*>| for one of each pair +-x* of dual extreme points, one row per x*."""
+    if m.X.kind == L1 and m.X.dim > KOETHE_CORNER_LIMIT:
         raise CapacityExceeded(
-            f"2^{d - 1} ball constraints exceed the limit (d <= {KOETHE_CORNER_LIMIT})"
+            f"2^{m.X.dim - 1} ball constraints exceed the limit (d <= {KOETHE_CORNER_LIMIT})"
         )
-    t = np.arange(1 << (d - 1), dtype=np.int64)
-    signs = np.ones((t.size, d))
-    if d > 1:
-        signs[:, 1:] = 1.0 - 2.0 * ((t[:, None] >> np.arange(d - 1)) & 1)
-    corners = signs * m.X.scale
-    return np.abs(corners @ m.atoms.T)
+    pts = dual_extreme_points(m.X)
+    half = pts[::2] if m.X.kind == LINF else pts[: len(pts) // 2]
+    return np.abs(half @ m.atoms.T)
 
 
 def koethe_dual_norm_info(
@@ -243,31 +238,20 @@ def koethe_dual_norm_info(
     seed: int = 0,
 ) -> KoetheDualResult:
     """Dual function norm of g with the engine and maximizer reported."""
-    n = m.space.n
     if m.X.kind == L2:
         value, fstar = _koethe_supergradient(m, g, seed=seed)
         return KoetheDualResult(value, HEURISTIC, fstar)
-    if n > lp_cutoff:
-        raise CapacityExceeded(f"{n} atoms exceed the dual-norm LP cutoff {lp_cutoff}")
+    if m.space.n > lp_cutoff:
+        raise CapacityExceeded(f"{m.space.n} atoms exceed the dual-norm LP cutoff {lp_cutoff}")
 
-    rows = _koethe_ball_rows(m)
-    # variables (f_1..f_n, u_1..u_n): maximize sum f_i g_i mu_i
-    # s.t. f_i - u_i <= 0, -f_i - u_i <= 0, rows @ u <= 1
-    c = np.concatenate([g.coeffs * m.space.weights, np.zeros(n)])
-    constraints = []
-    eye = np.eye(n)
-    for i in range(n):
-        constraints.append((np.concatenate([eye[i], -eye[i]]), "<=", 0.0))
-        constraints.append((np.concatenate([-eye[i], -eye[i]]), "<=", 0.0))
-    for row in rows:
-        constraints.append((np.concatenate([np.zeros(n), row]), "<=", 1.0))
-    bounds = [(None, None)] * n + [(0.0, None)] * n
-    sol = solve_lp(LinearProgram(c, constraints, bounds))
+    # the ball norm depends on |f| alone: an LP over u = |f| >= 0, with f = sign(g)*u
+    c = g.coeffs * m.space.weights
+    sol = solve_lp(LinearProgram(np.abs(c), [(row, "<=", 1.0) for row in _koethe_ball_rows(m)]))
     if sol.status == UNBOUNDED:
         return KoetheDualResult(float("inf"), EXACT, None)
     if sol.status != OPTIMAL:
         raise LPInfeasible("the dual-norm ball always contains zero; solver reported otherwise")
-    fstar = SimpleFunction(m.space, sol.point[:n])
+    fstar = SimpleFunction(m.space, np.sign(c) * sol.point)
     return KoetheDualResult(max(float(sol.value), 0.0), EXACT, fstar)
 
 

@@ -124,15 +124,17 @@ def dual_norm(X: NormSpec, xstar) -> float:
 def dual_extreme_points(X: NormSpec) -> np.ndarray:
     """Extreme points of the dual unit ball, one per row.
 
+    Row order: LINF rows 2j, 2j + 1 are +-w_j e_j; L1 row t has -w_j where bit
+    j of t is set, else +w_j, so its first half pins + in the last coordinate.
+
     Only the polyhedral kinds have finitely many; L2 raises NotPolyhedral and
     callers must switch to an optimization route.
     """
     d = X.dim
     if X.kind == LINF:
-        pts = np.zeros((2 * d, d))
-        for j in range(d):
-            pts[2 * j, j] = X.scale[j]
-            pts[2 * j + 1, j] = -X.scale[j]
+        pts = np.empty((2 * d, d))
+        pts[0::2] = np.diag(X.scale)
+        pts[1::2] = np.diag(-X.scale)  # not -np.diag(...), which puts -0.0 off the diagonal
         return pts
     if X.kind == L1:
         if d > L1_EXTREME_LIMIT:

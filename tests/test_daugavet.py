@@ -39,6 +39,26 @@ def test_opnorm_examples():
     assert opnorm_from_l1(doubled).value == 2.0
 
 
+def test_operator_copies_a_read_only_view_of_a_writeable_array():
+    space = MeasureSpace.uniform(3)
+    a = np.eye(3)
+    v = a.view()
+    v.setflags(write=False)
+    op = OperatorMatrix(v, space, NormSpec.l1_of_mu(space))
+    a[0, 0] = 5.0
+    assert not np.shares_memory(op.entries, a)
+    assert opnorm_from_l1(op).value == 1.0
+
+
+def test_operator_adopts_frozen_arrays_and_their_views():
+    rng = np.random.default_rng(7)
+    space = random_space(rng, 6)
+    m = random_measure(rng, space, random_norm_spec(rng, 4))
+    assert np.shares_memory(integration_operator(m).entries, m.atoms)
+    ident = identity_operator(space)
+    assert OperatorMatrix(ident.entries, space, ident.codomain).entries is ident.entries
+
+
 def test_opnorm_dominates_sampled_ratios_and_witness_attains():
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -248,6 +248,40 @@ def test_identity_cli_lambda(tmp_path):
     assert row[1] == pytest.approx(1.0, abs=1e-12)  # the rank-one map alone has norm 1
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("experiment", "seed", "abc"),
+        ("experiment", "seed", 1.5),
+        ("experiment", "seed", True),
+        ("measure", "seed", "abc"),
+        ("measure", "seed", False),
+        ("experiment", "restarts", 0),
+        ("experiment", "restarts", True),
+        ("experiment", "exact_cutoff", "x"),
+        ("experiment", "exact_cutoff", -1),
+        ("experiment", "tolerance", "x"),
+        ("experiment", "tolerance", -1e-10),
+        ("experiment", "tolerance", True),
+        ("experiment", "samples", "x"),
+        ("experiment", "samples", -1),
+    ],
+)
+def test_invalid_numeric_parameters_are_validation_errors(tmp_path, capsys, section, key, value):
+    data = _preset("random-measure")
+    if key == "samples":
+        data = _preset("canonical-l1")
+        data["experiment"] = {"kind": "series_gap"}
+    data[section][key] = value
+    with pytest.raises(ValidationError, match=key):
+        build_scenario(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["report", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_composed_measure_kind():
     data = _preset("schauder")
     data["measure"] = {"kind": "composed", "base": {"kind": "random", "seed": 11}, "k": 2}

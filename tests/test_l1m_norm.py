@@ -444,6 +444,40 @@ def test_koethe_corner_gate():
         koethe_dual_norm(m, SimpleFunction(space, rng.normal(size=4)))
 
 
+def _polyhedral_koethe_instance(rng, kind, n, d):
+    """A polyhedral measure with null and repeated atoms mixed in, and zeros in g."""
+    space = random_space(rng, n)
+    X = random_norm_spec(rng, d, kind)
+    atoms = rng.normal(size=(n, d))
+    if n > 1 and rng.random() < 0.4:  # repeated atoms, possibly negated
+        i, j = rng.choice(n, size=2, replace=False)
+        atoms[j] = atoms[i] * rng.choice([-1.0, 1.0])
+    if rng.random() < 0.3:
+        atoms[rng.integers(n)] = 0.0  # a null atom
+    return VectorMeasure(space, X, atoms), random_function(rng, space, zero_prob=0.3)
+
+
+def test_koethe_lp_over_abs_f_matches_the_lifted_scipy_lp():
+    rng = np.random.default_rng(33)
+    unbounded = 0
+    for trial in range(400):
+        n, d = int(rng.integers(1, 13)), int(rng.integers(1, 11))
+        m, g = _polyhedral_koethe_instance(rng, ("L1", "LINF")[trial % 2], n, d)
+        info = koethe_dual_norm_info(m, g)
+        assert info.method == EXACT
+        if np.any(np.all(m.atoms == 0.0, axis=1) & (g.coeffs != 0.0)):
+            assert info.value == np.inf and info.maximizer is None
+            unbounded += 1
+            continue
+        assert info.value == pytest.approx(koethe_scipy(m, g), rel=1e-9, abs=1e-12)
+        fstar = info.maximizer.coeffs
+        assert np.all(fstar[g.coeffs == 0.0] == 0.0)
+        assert norm_closed_form(m, info.maximizer).value <= 1.0 + 1e-12
+        attained = abs(np.sum(fstar * g.coeffs * m.space.weights))
+        assert attained == pytest.approx(info.value, rel=1e-12, abs=1e-12)
+    assert 40 <= unbounded <= 120
+
+
 def _ascent_instance(rng, n, d):
     """An L2 measure with null and repeated atoms mixed in, and a g that may vanish."""
     space = random_space(rng, n)

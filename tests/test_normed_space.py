@@ -58,6 +58,40 @@ def test_dual_extreme_points_examples():
         dual_extreme_points(NormSpec.l1(21))
 
 
+def _linf_extreme_points_loop(X):
+    d = X.dim
+    pts = np.zeros((2 * d, d))
+    for j in range(d):
+        pts[2 * j, j] = X.scale[j]
+        pts[2 * j + 1, j] = -X.scale[j]
+    return pts
+
+
+def test_linf_extreme_points_are_bitwise_the_loop():
+    rng = np.random.default_rng(5)
+    for d in range(1, 9):
+        X = random_norm_spec(rng, d, "LINF")
+        assert dual_extreme_points(X).tobytes() == _linf_extreme_points_loop(X).tobytes()
+
+
+def test_dual_extreme_point_row_order():
+    rng = np.random.default_rng(6)
+    for d in range(1, 9):
+        X = random_norm_spec(rng, d, "LINF")
+        pts = dual_extreme_points(X)
+        w = np.diag(X.scale)
+        assert np.array_equal(pts[0::2], w) and np.array_equal(pts[1::2], -w)
+
+        X = random_norm_spec(rng, d, "L1")
+        pts = dual_extreme_points(X)
+        half = len(pts) // 2
+        assert len(pts) == 1 << d
+        assert np.all(pts[:half, -1] > 0.0) and np.array_equal(pts[half:], -pts[half - 1 :: -1])
+        for t, row in enumerate(pts):
+            bits = [(t >> j) & 1 for j in range(d)]
+            assert np.array_equal(row, np.where(bits, -X.scale, X.scale))
+
+
 def test_extreme_points_lie_on_dual_sphere():
     rng = np.random.default_rng(1)
     for kind in ("L1", "LINF"):
