@@ -15,7 +15,10 @@ measures
     sup-norm of the combined derivative densities,
   * an empirical gap bound for approximating an operator by a finite sum:
     whenever ||G + T|| >= C + ||T|| over a family, any sum T_hat from that
-    family keeps ||G - T_hat|| >= C.
+    family keeps ||G - T_hat|| >= C.  The integration maps of the indicator
+    and the rank-one measure are ``FactoredOperator``s delta Id + g mu^T;
+    on them the gap, the parts and the sampled family cost O(samples * n)
+    with no n x n array, since every column norm has a closed form.
 
 The canonical measure pair (indicator measure, rank-one measure mu(A) * g)
 realizes the same function space twice with integration maps of a completely
@@ -97,6 +100,42 @@ def rank_one_operator(space: MeasureSpace, g, h) -> OperatorMatrix:
     entries = np.outer(g, h * space.weights)
     entries.setflags(write=False)
     return OperatorMatrix(entries, space, NormSpec.l1_of_mu(space))
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredOperator:
+    """delta * Id + g mu^T on the discretized L1(mu), kept as delta and g.
+
+    Column j is delta e_j + mu_j g.  ``identity`` and ``rank_one`` are the
+    integration maps of ``indicator_measure`` and ``rank_one_measure``;
+    sums and differences of such maps keep the form.  ``g`` is copied and
+    frozen.
+    """
+
+    domain: MeasureSpace
+    delta: float
+    g: np.ndarray
+
+    def __post_init__(self):
+        g = np.array(self.g, dtype=float)
+        if g.shape != (self.domain.n,):
+            raise ValueError(f"g must have length {self.domain.n}, got shape {g.shape}")
+        g.setflags(write=False)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "delta", float(self.delta))
+
+    @property
+    def codomain(self) -> NormSpec:
+        return NormSpec.l1_of_mu(self.domain)
+
+    @classmethod
+    def identity(cls, space: MeasureSpace) -> "FactoredOperator":
+        return cls(space, 1.0, np.zeros(space.n))
+
+    @classmethod
+    def rank_one(cls, space: MeasureSpace, g) -> "FactoredOperator":
+        """f |-> (sum_i f_i mu_i) * g, the integration map of ``rank_one_measure(space, g)``."""
+        return cls(space, 0.0, g)
 
 
 def combine_operators(a: OperatorMatrix, lam: float, b: OperatorMatrix) -> OperatorMatrix:
@@ -249,7 +288,7 @@ class SeriesGapReport:
 
 
 def _sampled_rank_ones(space: MeasureSpace, samples: int, seed: int):
-    """Rows g_s, t_s = h_s mu of ``samples`` seeded rank-one operators g_s t_s^T.
+    """Rows g_s, h_s of ``samples`` seeded rank-one operators g_s (h_s mu)^T.
 
     Each sample draws n normals for g, then n for h; g is scaled to unit
     L1(mu) norm and h to unit sup norm, so every operator has norm one.
@@ -258,26 +297,44 @@ def _sampled_rank_ones(space: MeasureSpace, samples: int, seed: int):
     g, h = draws[:, 0], draws[:, 1]
     g /= np.sum(np.abs(g) * space.weights, axis=1, keepdims=True)
     h /= np.max(np.abs(h), axis=1, keepdims=True)
-    return g, h * space.weights
+    return g, h
 
 
-def _is_identity(G: OperatorMatrix) -> bool:
-    e = G.entries
-    return np.count_nonzero(e) == G.domain.n and bool(np.all(np.diagonal(e) == 1.0))
+def _factored_norm(mu: np.ndarray, delta: float, g: np.ndarray) -> float:
+    """||delta Id + g mu^T|| = |delta| ||Id + (g / delta) mu^T|| by ``_rank_one_norms``."""
+    if delta == 0.0:
+        return float(_rank_one_norms(mu, g, mu)[0])
+    return abs(delta) * float(_rank_one_norms(mu, g / delta, mu)[1])
 
 
-def _sampled_center_values(G: OperatorMatrix, samples: int, seed: int) -> np.ndarray:
+def _sampled_center_values(G, samples: int, seed: int) -> np.ndarray:
     """||G + T_s|| - ||T_s|| over the default sampled family, without operator copies.
 
-    The identity is recognised from its entries (n nonzeros, unit diagonal).
+    For a factored G = g mu^T, column j of G + g_s (h_s mu)^T is
+    mu_j (g + h_sj g_s), whose norm over mu_j is the convex function
+    phi_s(r) = sum_i mu_i |g_i + r g_si| at r = h_sj; its largest value over j
+    sits at the smallest or the largest h_sj, so two columns per sample
+    suffice.  For G = delta Id the columns of ``_rank_one_norms`` apply.  A
+    dense G pays one n x n temporary per sample.
     """
     if not same_norm(G.codomain, NormSpec.l1_of_mu(G.domain)):
         raise ValueError("operators have different domains or codomains")
+    factored = isinstance(G, FactoredOperator)
+    if factored and G.delta != 0.0 and np.any(G.g):
+        raise ValueError("the sampled family needs a factored G with delta = 0 or g = 0")
     mu = G.domain.weights
-    g, t = _sampled_rank_ones(G.domain, samples, seed)
-    norm_t, norm_id_sum = _rank_one_norms(mu, g, t)
-    if _is_identity(G):
-        return norm_id_sum - norm_t
+    g, h = _sampled_rank_ones(G.domain, samples, seed)
+    t = h * mu
+    if factored and G.delta != 0.0:
+        norm_t, norm_sum = _rank_one_norms(mu, g / G.delta, t)
+        return abs(G.delta) * (norm_sum - norm_t)
+    norm_t = _rank_one_norms(mu, g, t)[0]
+    if factored:
+        ends = np.stack([np.min(h, axis=1), np.max(h, axis=1)], axis=1)
+        columns = ends[:, :, None] * g[:, None, :]  # (samples, 2, n)
+        columns += G.g
+        np.abs(columns, out=columns)
+        return np.max(columns @ mu, axis=1) - norm_t
     columns = np.ascontiguousarray(G.entries.T)  # row j is column j of G
     norm_sum = np.empty(samples)
     for s in range(samples):
@@ -288,10 +345,41 @@ def _sampled_center_values(G: OperatorMatrix, samples: int, seed: int) -> np.nda
     return norm_sum - norm_t
 
 
+def _factored_gap(G: FactoredOperator, parts, candidates):
+    """(||G - sum(parts)||, min ||G + T|| - ||T|| over the candidates), all O(n)."""
+    mu = G.domain.weights
+    delta, g = G.delta, G.g
+    for T in parts:
+        delta, g = delta - T.delta, g - T.g
+    c_estimate = np.inf
+    for T in candidates:
+        norm_sum = _factored_norm(mu, G.delta + T.delta, G.g + T.g)
+        c_estimate = min(c_estimate, norm_sum - _factored_norm(mu, T.delta, T.g))
+    return _factored_norm(mu, delta, g), c_estimate
+
+
+def _dense_gap(G: OperatorMatrix, parts, candidates):
+    """The same two numbers from ``opnorm_from_l1`` on dense sums."""
+    total = np.zeros_like(G.entries)
+    for T in parts:
+        total = total + T.entries
+    residual = G.entries - total
+    residual.setflags(write=False)
+    gap_norm = opnorm_from_l1(OperatorMatrix(residual, G.domain, G.codomain)).value
+    c_estimate = np.inf
+    for T in candidates:
+        value = (
+            opnorm_from_l1(combine_operators(G, 1.0, T)).value
+            - opnorm_from_l1(T).value
+        )
+        c_estimate = min(c_estimate, value)
+    return gap_norm, c_estimate
+
+
 def series_approximation_gap(
-    G: OperatorMatrix,
-    parts: Sequence[OperatorMatrix],
-    family: Optional[Sequence[OperatorMatrix]] = None,
+    G,
+    parts: Sequence,
+    family: Optional[Sequence] = None,
     samples: int = 64,
     seed: int = 0,
 ) -> SeriesGapReport:
@@ -304,28 +392,20 @@ def series_approximation_gap(
     n the bound only holds approximately, so both numbers are reported and
     nothing is asserted.
 
-    The default family never becomes ``OperatorMatrix`` objects: its norms
-    come from the O(n) rank-one column formula when G is the identity, and
-    from the column sums of |G + T_s| otherwise.  The parts and an explicit
-    ``family`` go through ``opnorm_from_l1`` on dense matrices.
+    G, the parts and an explicit ``family`` are all ``OperatorMatrix`` or all
+    ``FactoredOperator``.  Dense operators go through ``opnorm_from_l1``.
+    Factored ones never become matrices: the residual and every sum are
+    again delta Id + g mu^T, with column norms over mu_j equal to
+    ||g|| + |delta + mu_j g_j| - |mu_j g_j|, so the whole call costs
+    O(samples * n).  The default family is never built as operators either;
+    on a factored G it needs delta = 0 or g = 0 (``ValueError`` otherwise).
     """
-    for T in parts:
-        if not _same_shape(G, T):
-            raise ValueError("operators have different domains or codomains")
-    total = np.zeros_like(G.entries)
-    for T in parts:
-        total = total + T.entries
-    residual = G.entries - total
-    residual.setflags(write=False)
-    gap_norm = opnorm_from_l1(OperatorMatrix(residual, G.domain, G.codomain)).value
     candidates = list(parts) + (list(family) if family is not None else [])
-    c_estimate = np.inf
     for T in candidates:
-        value = (
-            opnorm_from_l1(combine_operators(G, 1.0, T)).value
-            - opnorm_from_l1(T).value
-        )
-        c_estimate = min(c_estimate, value)
+        if type(T) is not type(G) or not _same_shape(G, T):
+            raise ValueError("operators have different domains, codomains or forms")
+    gap = _factored_gap if isinstance(G, FactoredOperator) else _dense_gap
+    gap_norm, c_estimate = gap(G, parts, candidates)
     if family is None and samples > 0:
         c_estimate = min(c_estimate, float(np.min(_sampled_center_values(G, samples, seed))))
     return SeriesGapReport(gap_norm, float(c_estimate))

@@ -30,7 +30,9 @@ are deterministic for a fixed scenario and seed (the wall-time metadata field
 aside); floats are serialized with 17 significant digits so JSON round-trips
 exactly.  CSV output has one row per net level or sweep point with the
 documented per-experiment header.  Daugavet sweep points use the O(n)
-rank-one formula and run in sweep order on the calling thread.
+rank-one formula and run in sweep order on the calling thread; series_gap
+on an indicator or rank_one measure runs on factored operators in
+O(samples * n), and on the other measure kinds on dense n x n matrices.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .approx_nets import (
     run_net,
 )
 from .daugavet import (
+    FactoredOperator,
     density_norm_identity,
     integration_operator,
     rank_one_defect,
@@ -107,6 +110,18 @@ def _check_number(value, what: str, low=None, real: bool = False):
     if not number or (low is not None and not value >= low):
         bound = "" if low is None else f" >= {low}"
         raise ValidationError(f"{what} must be {'a real number' if real else 'an integer'}{bound}")
+
+
+def _check_sign(value, what: str):
+    if isinstance(value, bool) or value not in (-1, 1):
+        raise ValidationError(f"{what} must be -1 or 1")
+
+
+def _check_common(exp: dict):
+    """The parameters every experiment kind accepts, also after ``run`` overrides them."""
+    _check_number(exp["seed"], "experiment seed")
+    _check_number(exp["exact_cutoff"], "experiment exact_cutoff", 0)
+    _check_number(exp["tolerance"], "experiment tolerance", 0, real=True)
 
 
 def _build_space(section) -> MeasureSpace:
@@ -171,7 +186,7 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
         _require_keys(section, {"kind", "base", "k"}, {"kind", "base", "k"}, where)
         base = _build_measure(section["base"], space, X, where=f"{where}.base")
         k = section["k"]
-        if not isinstance(k, int) or not 1 <= k <= X.dim:
+        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= X.dim:
             raise ValidationError("composed truncation rank k must be in 1..d")
         return basis_truncated_measure(base, k)
     raise ValidationError(f"unknown measure kind {kind!r}")
@@ -195,9 +210,7 @@ def _build_experiment(section, scenario_ctx) -> dict:
     exp.setdefault("seed", 0)
     exp.setdefault("tolerance", 1e-10)
     exp.setdefault("exact_cutoff", DEFAULT_EXACT_CUTOFF)
-    _check_number(exp["seed"], "experiment seed")
-    _check_number(exp["exact_cutoff"], "experiment exact_cutoff", 0)
-    _check_number(exp["tolerance"], "experiment tolerance", 0, real=True)
+    _check_common(exp)
     space, X, functions = scenario_ctx
     needs_function = kind in ("martingale", "basis", "rn_net")
     if needs_function and not functions:
@@ -220,11 +233,10 @@ def _build_experiment(section, scenario_ctx) -> dict:
         exp.setdefault("sign", -1)
         sweep = exp["sweep"]
         if not isinstance(sweep, list) or not sweep or not all(
-            isinstance(v, int) and v >= 1 for v in sweep
+            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sweep
         ):
             raise ValidationError("daugavet sweep must be a nonempty list of positive integers")
-        if exp["sign"] not in (-1, 1):
-            raise ValidationError("daugavet sign must be -1 or 1")
+        _check_sign(exp["sign"], "daugavet sign")
     elif kind == "identity":
         exp.setdefault("lambda", 1.0)
         exp.setdefault("other", {"kind": "indicator"})
@@ -235,8 +247,7 @@ def _build_experiment(section, scenario_ctx) -> dict:
         exp.setdefault("sign", -1)
         exp.setdefault("samples", 64)
         _check_number(exp["samples"], "series_gap samples", 0)
-        if exp["sign"] not in (-1, 1):
-            raise ValidationError("series_gap sign must be -1 or 1")
+        _check_sign(exp["sign"], "series_gap sign")
         if not same_norm(X, NormSpec.l1_of_mu(space)):
             raise ValidationError("series_gap needs value_space l1-of-mu")
     return exp
@@ -382,9 +393,20 @@ def _run_identity(sc: Scenario, exp: dict) -> dict:
 
 
 def _run_series_gap(sc: Scenario, exp: dict) -> dict:
-    G = integration_operator(sc.measure)
+    """G is the measure's integration map; the part is sign * 1 mu^T."""
+    space, measure = sc.space, sc.raw["measure"]
+    ones = np.ones(space.n)
     sign = float(exp["sign"])
-    part = rank_one_operator(sc.space, sign * np.ones(sc.space.n), np.ones(sc.space.n))
+    if measure["kind"] == "indicator":
+        G = FactoredOperator.identity(space)
+    elif measure["kind"] == "rank_one":
+        G = FactoredOperator.rank_one(space, measure["g"])
+    else:
+        G = integration_operator(sc.measure)
+    if isinstance(G, FactoredOperator):
+        part = FactoredOperator.rank_one(space, sign * ones)
+    else:
+        part = rank_one_operator(space, sign * ones, ones)
     rep = series_approximation_gap(G, [part], samples=exp["samples"], seed=exp["seed"])
     return {"columns": ["gap_norm", "c_estimate"], "rows": [[rep.gap_norm, rep.c_estimate]]}
 
@@ -403,16 +425,14 @@ _RUNNERS = {
 def run(scenario: Scenario, seed=None, exact_cutoff=None, tolerance=None) -> dict:
     """Execute the scenario's experiment and assemble the report.
 
-    Package errors raised while running are recorded in the report's error
-    section instead of propagating, so partial results survive.
+    The overrides pass the scenario's checks (``ValidationError``).  Package
+    errors raised while running are recorded in the report's error section
+    instead of propagating, so partial results survive.
     """
     exp = dict(scenario.experiment)
-    if seed is not None:
-        exp["seed"] = int(seed)
-    if exact_cutoff is not None:
-        exp["exact_cutoff"] = int(exact_cutoff)
-    if tolerance is not None:
-        exp["tolerance"] = float(tolerance)
+    overrides = {"seed": seed, "exact_cutoff": exact_cutoff, "tolerance": tolerance}
+    exp.update((key, value) for key, value in overrides.items() if value is not None)
+    _check_common(exp)
     started = time.perf_counter()
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -3,11 +3,13 @@ import pytest
 
 from helpers import random_function, random_measure, random_norm_spec, random_space
 from vmlab import (
+    FactoredOperator,
     MeasureSpace,
     NormSpec,
     NotNormalized,
     NotPolyhedral,
     OperatorMatrix,
+    SeriesGapReport,
     SimpleFunction,
     VectorMeasure,
     canonical_pair,
@@ -26,6 +28,7 @@ from vmlab import (
     rank_one_operator,
     series_approximation_gap,
 )
+from vmlab import daugavet
 from vmlab.rng import SplitMix64
 
 
@@ -348,6 +351,113 @@ def test_series_gap_sampled_family_needs_l1_of_mu_codomain():
     with pytest.raises(ValueError):
         series_approximation_gap(G, [], samples=2)
     assert series_approximation_gap(G, [], samples=0).c_estimate == np.inf
+
+
+def _dense(F):
+    """The n x n matrix of a factored operator."""
+    space = F.domain
+    entries = F.delta * np.eye(space.n) + np.outer(F.g, space.weights)
+    return OperatorMatrix(entries, space, F.codomain)
+
+
+def _tied_draws(rng, space, samples):
+    """Stand-in sampled rows whose h_s take five values, so min and max are tied."""
+    g = rng.normal(size=(samples, space.n))
+    g[rng.random(g.shape) < 0.2] = 0.0
+    g /= np.maximum(np.sum(np.abs(g) * space.weights, axis=1, keepdims=True), 1e-300)
+    h = rng.integers(-2, 3, size=(samples, space.n)).astype(float)
+    h[:, 0] = 2.0  # unit sup norm after scaling
+    return g, h / 2.0
+
+
+def test_factored_series_gap_matches_dense_reference(monkeypatch):
+    rng = np.random.default_rng(21)
+    for trial in range(300):
+        n = int(rng.integers(1, 41))
+        space = MeasureSpace.uniform(n) if trial % 2 else random_space(rng, n)
+        sign = float(rng.choice([-1.0, 1.0]))
+        g = rng.normal(size=n) * rng.uniform(0.1, 3.0)
+        g[rng.random(n) < 0.3] = 0.0
+        samples = int(rng.integers(0, 21))
+        seed = int(rng.integers(0, 2**63))
+        if trial % 3 == 0:
+            G = FactoredOperator.identity(space)
+        elif trial % 3 == 1:  # gap and parts only: no family is sampled on delta = 1, g != 0
+            G, samples = FactoredOperator(space, 1.0, g), 0
+        else:
+            G = FactoredOperator.rank_one(space, g)
+        parts = [FactoredOperator.rank_one(space, sign * np.ones(n))]
+        if trial % 5 == 0:
+            parts.append(FactoredOperator(space, float(rng.integers(0, 2)), rng.normal(size=n)))
+        if trial % 4 == 3:
+            g_s, h_s = _tied_draws(rng, space, samples)
+            monkeypatch.setattr(daugavet, "_sampled_rank_ones", lambda *_: (g_s, h_s))
+            family = [rank_one_operator(space, a, b) for a, b in zip(g_s, h_s)]
+        else:
+            monkeypatch.undo()
+            family = _dense_family(space, samples, seed)
+        dense_parts = [_dense(T) for T in parts]
+        gap_norm, c_estimate = _dense_series_gap(_dense(G), dense_parts, family)
+        rep = series_approximation_gap(G, parts, samples=samples, seed=seed)
+        assert rep.gap_norm == pytest.approx(gap_norm, rel=1e-12, abs=0.0)
+        # c is a difference of norms: relative to those norms, not to itself
+        scale = opnorm_from_l1(_dense(G)).value + max(
+            [1.0] + [opnorm_from_l1(T).value for T in dense_parts]
+        )
+        assert rep.c_estimate == pytest.approx(c_estimate, rel=1e-12, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 512])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_factored_indicator_is_bitwise_the_dense_path(n, sign):
+    space = MeasureSpace.uniform(n)
+    factored = (FactoredOperator.identity(space), [FactoredOperator.rank_one(space, sign * np.ones(n))])
+    dense = (identity_operator(space), [rank_one_operator(space, sign * np.ones(n), np.ones(n))])
+    # gap and part: every column norm is an exact dyadic number
+    assert repr(series_approximation_gap(*factored, family=[])) == repr(
+        series_approximation_gap(*dense, family=[])
+    )
+    # default family: the per-sample O(n) defects of the same draws
+    samples, seed = 64, n + 1
+    g, h = daugavet._sampled_rank_ones(space, samples, seed)
+    defects = [rank_one_defect(space, a, b) for a, b in zip(g, h)]
+    sampled = min(rep.norm_sum - rep.norm_T for rep in defects)
+    part_only = series_approximation_gap(*dense, family=[])
+    expect = SeriesGapReport(part_only.gap_norm, min(part_only.c_estimate, sampled))
+    assert repr(series_approximation_gap(*factored, samples=samples, seed=seed)) == repr(expect)
+
+
+def test_factored_series_gap_at_a_million_atoms():
+    n = 10**6  # a dense operator would need 8 TB
+    space = MeasureSpace.uniform(n)
+    g = np.random.default_rng(23).normal(size=n)
+    G = FactoredOperator.rank_one(space, g)
+    part = FactoredOperator.rank_one(space, -np.ones(n))
+    rep = series_approximation_gap(G, [part], samples=1, seed=3)
+    norm_g = float(np.mean(np.abs(g)))
+    assert rep.gap_norm == pytest.approx(float(np.mean(np.abs(g + 1.0))), rel=1e-12)
+    # the part's value ||G + P|| - ||P|| bounds the estimate above, the
+    # triangle inequality -||G|| below
+    assert -norm_g - 1e-12 <= rep.c_estimate <= float(np.mean(np.abs(g - 1.0))) - 1.0 + 1e-12
+    rep = series_approximation_gap(FactoredOperator.identity(space), [part], samples=1, seed=3)
+    assert rep.gap_norm == pytest.approx(2.0, rel=1e-12)
+    assert rep.c_estimate == pytest.approx(1.0 - 2.0 / n, abs=1e-9)
+
+
+def test_factored_series_gap_refusals():
+    space = MeasureSpace.uniform(4)
+    G = FactoredOperator(space, 1.0, np.ones(4))
+    with pytest.raises(ValueError, match="sampled family"):
+        series_approximation_gap(G, [], samples=1)
+    # column j / mu_j: ||g|| + |1 + mu_j g_j| - |mu_j g_j| = 1 + 1.25 - 0.25
+    assert series_approximation_gap(G, [], samples=0).gap_norm == 2.0
+    dense_part = rank_one_operator(space, np.ones(4), np.ones(4))
+    with pytest.raises(ValueError, match="forms"):
+        series_approximation_gap(G, [dense_part], samples=0)
+    with pytest.raises(ValueError, match="forms"):
+        series_approximation_gap(_dense(G), [FactoredOperator.identity(space)], samples=0)
+    with pytest.raises(ValueError, match="length 4"):
+        FactoredOperator(space, 0.0, np.ones(3))
 
 
 def test_canonical_pair_isometry():

@@ -265,6 +265,11 @@ def test_identity_cli_lambda(tmp_path):
         ("experiment", "tolerance", True),
         ("experiment", "samples", "x"),
         ("experiment", "samples", -1),
+        # True == 1, so bools must be refused before any range check
+        ("daugavet", "sign", True),
+        ("daugavet", "sweep", [4, True]),
+        ("series_gap", "sign", True),
+        ("measure", "k", True),
     ],
 )
 def test_invalid_numeric_parameters_are_validation_errors(tmp_path, capsys, section, key, value):
@@ -272,6 +277,12 @@ def test_invalid_numeric_parameters_are_validation_errors(tmp_path, capsys, sect
     if key == "samples":
         data = _preset("canonical-l1")
         data["experiment"] = {"kind": "series_gap"}
+    if section in ("daugavet", "series_gap"):
+        data = _preset("canonical-l1")
+        data["experiment"] = {"kind": section}
+        section = "experiment"
+    if key == "k":
+        data["measure"] = {"kind": "composed", "base": {"kind": "random", "seed": 7}, "k": 2}
     data[section][key] = value
     with pytest.raises(ValidationError, match=key):
         build_scenario(data)
@@ -280,6 +291,22 @@ def test_invalid_numeric_parameters_are_validation_errors(tmp_path, capsys, sect
     assert cli_main(["report", "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [("--exact-cutoff", "-1"), ("--tolerance", "-1e-10")])
+def test_cli_overrides_are_validation_errors(capsys, flag, value):
+    # flag=value, since argparse reads a lone -1e-10 as an option
+    assert cli_main(["report", "--scenario", "canonical-l1", f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize(
+    "override", [{"seed": 1.5}, {"exact_cutoff": -1}, {"tolerance": -1e-10}, {"tolerance": True}]
+)
+def test_run_overrides_are_validated(override):
+    with pytest.raises(ValidationError, match=next(iter(override))):
+        run(preset_scenario("canonical-l1"), **override)
 
 
 def test_composed_measure_kind():
