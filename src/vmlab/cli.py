@@ -9,8 +9,8 @@
     vmlab preset      NAME [--out PATH]       dump a builtin scenario as JSON
 
 Common flags: --scenario (path or preset name), --out, --format {json,csv},
---seed, --exact-cutoff, --tolerance.  Exit codes: 0 success, 1 validation or
-parse error, 2 capacity error.
+--seed, --exact-cutoff, --tolerance.  Exit codes: 0 success, 1 validation,
+parse or usage error, 2 capacity error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,25 @@ from .errors import CapacityExceeded, ParseError, ValidationError
 from .harness import PRESETS, Scenario, build_scenario, emit, load_scenario, preset_scenario, run
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as parse errors do; 2 is kept for capacity errors.
+
+    Subparsers are built from the same class, so they inherit this.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _atom_counts(text: str) -> list:
+    """The --sweep value; harness validation judges the counts themselves."""
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--scenario", required=True, help="scenario file or preset name")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -33,7 +52,7 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="vmlab", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="vmlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("norm", help="norm table for every scenario function")
@@ -48,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("daugavet", help="rank-one Daugavet defect sweep")
     _add_common(p)
-    p.add_argument("--sweep", default=None, help="comma-separated atom counts")
+    p.add_argument("--sweep", type=_atom_counts, default=None, help="comma-separated atom counts")
     p.add_argument("--sign", type=int, choices=(-1, 1), default=None)
 
     p = sub.add_parser("identity", help="combined-norm density identity check")
@@ -56,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lambda",
         "--lam",
-        dest="lam",
+        dest="lambda",
         type=float,
         default=None,
         help="coefficient of the second map",
@@ -83,43 +102,21 @@ def _load(name_or_path: str) -> Scenario:
 
 
 def _experiment_override(args) -> dict | None:
-    """Experiment section implied by the subcommand, or None to keep the scenario's."""
-    cmd = args.command
-    if cmd == "report":
+    """Experiment section implied by the subcommand, or None to keep the scenario's.
+
+    Every flag given is copied; harness validation rejects the ones the kind
+    does not take.
+    """
+    if args.command == "report":
         return None
-    if cmd == "norm":
-        exp = {"kind": "norm"}
-        if args.restarts is not None:
-            exp["restarts"] = args.restarts
-        return exp
-    if cmd == "converge":
-        kind = {"martingale": "martingale", "basis": "basis", "rn": "rn_net"}[args.net]
-        exp = {"kind": kind}
-        if args.levels is not None:
-            exp["levels"] = args.levels
-        if kind == "rn_net" and args.family is not None:
-            exp["family"] = args.family
-        return exp
-    if cmd == "daugavet":
-        exp = {"kind": "daugavet"}
-        if args.sweep is not None:
-            exp["sweep"] = [int(v) for v in args.sweep.split(",") if v]
-        if args.sign is not None:
-            exp["sign"] = args.sign
-        return exp
-    if cmd == "identity":
-        exp = {"kind": "identity"}
-        if args.lam is not None:
-            exp["lambda"] = args.lam
-        return exp
-    if cmd == "series-gap":
-        exp = {"kind": "series_gap"}
-        if args.sign is not None:
-            exp["sign"] = args.sign
-        if args.samples is not None:
-            exp["samples"] = args.samples
-        return exp
-    raise AssertionError(cmd)
+    kind = args.command.replace("-", "_")
+    if kind == "converge":
+        kind = "rn_net" if args.net == "rn" else args.net
+    exp = {"kind": kind}
+    for key in ("restarts", "levels", "family", "sweep", "sign", "lambda", "samples"):
+        if getattr(args, key, None) is not None:
+            exp[key] = getattr(args, key)
+    return exp
 
 
 def main(argv=None) -> int:

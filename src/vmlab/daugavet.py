@@ -2,23 +2,24 @@
 
 The unit ball of the discretized L1(mu) has extreme points +-chi_i/mu_i, so
 the norm of any operator with that domain is the maximum of the codomain
-norms of its weighted columns.  On top of that column formula the module
-measures
+norms of its weighted columns.  Operators come in two forms: a dense
+``OperatorMatrix`` and a ``FactoredOperator`` delta Id + g mu^T, the form of
+the integration maps of the indicator and the rank-one measure.  Sums of
+factored operators stay factored and their column norms have a closed form,
+so they cost O(n) with no n x n array.  On either form the module measures
 
   * the Daugavet defect  ||Id|| + ||T|| - ||Id + T||  (zero iff the Daugavet
-    equation holds for T); for a rank-one T = g (h mu)^T the columns of
-    Id + T have the closed-form norms of ``rank_one_defect``, so that case
-    takes O(n) time and memory instead of dense n x n matrices,
+    equation holds for T); ``rank_one_defect`` is the O(n) case
+    T = g (h mu)^T for any h,
   * the center defect    ||G|| + ||T|| - ||G + T||,
-  * the identity between the operator norm of a combined integration map
-    I_m + lambda I_m1 on L1(mu) and the sup over dual extreme points of the
-    sup-norm of the combined derivative densities,
   * an empirical gap bound for approximating an operator by a finite sum:
     whenever ||G + T|| >= C + ||T|| over a family, any sum T_hat from that
-    family keeps ||G - T_hat|| >= C.  The integration maps of the indicator
-    and the rank-one measure are ``FactoredOperator``s delta Id + g mu^T;
-    on them the gap, the parts and the sampled family cost O(samples * n)
-    with no n x n array, since every column norm has a closed form.
+    family keeps ||G - T_hat|| >= C; on factored operators the gap, the
+    parts and the sampled family cost O(samples * n),
+
+and, on dense integration maps, the identity between the operator norm of
+a combined map I_m + lambda I_m1 on L1(mu) and the sup over dual extreme
+points of the sup-norm of the combined derivative densities.
 
 The canonical measure pair (indicator measure, rank-one measure mu(A) * g)
 realizes the same function space twice with integration maps of a completely
@@ -197,10 +198,11 @@ def _require_l1_endomorphism(T: OperatorMatrix):
         raise ValueError("operator must map the discretized L1(mu) to itself")
 
 
-def daugavet_defect(T: OperatorMatrix) -> DefectReport:
-    """||Id|| + ||T|| - ||Id + T|| with every norm computed, none assumed."""
+def daugavet_defect(T) -> DefectReport:
+    """||Id|| + ||T|| - ||Id + T|| with every norm computed, Id in the form of T."""
     _require_l1_endomorphism(T)
-    ident = identity_operator(T.domain)
+    factored = isinstance(T, FactoredOperator)
+    ident = FactoredOperator.identity(T.domain) if factored else identity_operator(T.domain)
     return center_defect(ident, T)
 
 
@@ -218,11 +220,34 @@ def _rank_one_norms(mu: np.ndarray, g: np.ndarray, t: np.ndarray):
     return np.max(cols / mu, axis=-1), np.max(sums / mu, axis=-1)
 
 
+def _opnorm(S) -> float:
+    """||S||: the column formula on a dense S, the closed form on a factored one.
+
+    ||delta Id + g mu^T|| = |delta| ||Id + (g / delta) mu^T|| by ``_rank_one_norms``.
+    """
+    if isinstance(S, OperatorMatrix):
+        return opnorm_from_l1(S).value
+    mu = S.domain.weights
+    if S.delta == 0.0:
+        return float(_rank_one_norms(mu, S.g, mu)[0])
+    return abs(S.delta) * float(_rank_one_norms(mu, S.g / S.delta, mu)[1])
+
+
+def _plus(a, lam: float, b):
+    """a + lam * b; both dense (``combine_operators``) or both factored."""
+    if type(a) is not type(b) or not _same_shape(a, b):
+        raise ValueError("operators have different domains, codomains or forms")
+    if isinstance(a, OperatorMatrix):
+        return combine_operators(a, lam, b)
+    return FactoredOperator(a.domain, a.delta + lam * b.delta, a.g + lam * b.g)
+
+
 def rank_one_defect(space: MeasureSpace, g, h) -> DefectReport:
     """``daugavet_defect(rank_one_operator(space, g, h))`` in O(n), no matrix built.
 
     At power-of-two uniform sizes with g = +-1 and h = 1 the result is
-    bitwise the dense one; elsewhere the two differ in the last bits.
+    bitwise the dense one; elsewhere the two differ in the last bits.  With
+    h = 1 it is bitwise ``daugavet_defect(FactoredOperator.rank_one(space, g))``.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -232,14 +257,10 @@ def rank_one_defect(space: MeasureSpace, g, h) -> DefectReport:
     return DefectReport(1.0, float(norm_t), float(norm_sum))
 
 
-def center_defect(G: OperatorMatrix, T: OperatorMatrix) -> DefectReport:
-    """||G|| + ||T|| - ||G + T||; zero iff G and T add their norms."""
-    if not _same_shape(G, T):
-        raise ValueError("operators have different domains or codomains")
-    norm_g = opnorm_from_l1(G).value
-    norm_t = opnorm_from_l1(T).value
-    norm_sum = opnorm_from_l1(combine_operators(G, 1.0, T)).value
-    return DefectReport(norm_g, norm_t, norm_sum)
+def center_defect(G, T) -> DefectReport:
+    """||G|| + ||T|| - ||G + T||, G and T both dense or both factored; zero iff they add norms."""
+    total = _plus(G, 1.0, T)
+    return DefectReport(_opnorm(G), _opnorm(T), _opnorm(total))
 
 
 @dataclass(frozen=True)
@@ -300,13 +321,6 @@ def _sampled_rank_ones(space: MeasureSpace, samples: int, seed: int):
     return g, h
 
 
-def _factored_norm(mu: np.ndarray, delta: float, g: np.ndarray) -> float:
-    """||delta Id + g mu^T|| = |delta| ||Id + (g / delta) mu^T|| by ``_rank_one_norms``."""
-    if delta == 0.0:
-        return float(_rank_one_norms(mu, g, mu)[0])
-    return abs(delta) * float(_rank_one_norms(mu, g / delta, mu)[1])
-
-
 def _sampled_center_values(G, samples: int, seed: int) -> np.ndarray:
     """||G + T_s|| - ||T_s|| over the default sampled family, without operator copies.
 
@@ -345,37 +359,6 @@ def _sampled_center_values(G, samples: int, seed: int) -> np.ndarray:
     return norm_sum - norm_t
 
 
-def _factored_gap(G: FactoredOperator, parts, candidates):
-    """(||G - sum(parts)||, min ||G + T|| - ||T|| over the candidates), all O(n)."""
-    mu = G.domain.weights
-    delta, g = G.delta, G.g
-    for T in parts:
-        delta, g = delta - T.delta, g - T.g
-    c_estimate = np.inf
-    for T in candidates:
-        norm_sum = _factored_norm(mu, G.delta + T.delta, G.g + T.g)
-        c_estimate = min(c_estimate, norm_sum - _factored_norm(mu, T.delta, T.g))
-    return _factored_norm(mu, delta, g), c_estimate
-
-
-def _dense_gap(G: OperatorMatrix, parts, candidates):
-    """The same two numbers from ``opnorm_from_l1`` on dense sums."""
-    total = np.zeros_like(G.entries)
-    for T in parts:
-        total = total + T.entries
-    residual = G.entries - total
-    residual.setflags(write=False)
-    gap_norm = opnorm_from_l1(OperatorMatrix(residual, G.domain, G.codomain)).value
-    c_estimate = np.inf
-    for T in candidates:
-        value = (
-            opnorm_from_l1(combine_operators(G, 1.0, T)).value
-            - opnorm_from_l1(T).value
-        )
-        c_estimate = min(c_estimate, value)
-    return gap_norm, c_estimate
-
-
 def series_approximation_gap(
     G,
     parts: Sequence,
@@ -393,19 +376,20 @@ def series_approximation_gap(
     nothing is asserted.
 
     G, the parts and an explicit ``family`` are all ``OperatorMatrix`` or all
-    ``FactoredOperator``.  Dense operators go through ``opnorm_from_l1``.
-    Factored ones never become matrices: the residual and every sum are
-    again delta Id + g mu^T, with column norms over mu_j equal to
-    ||g|| + |delta + mu_j g_j| - |mu_j g_j|, so the whole call costs
+    ``FactoredOperator`` (``ValueError`` otherwise); the parts are subtracted
+    one at a time.  Factored operators never become matrices: the residual
+    and every sum are again delta Id + g mu^T, with column norms over mu_j
+    equal to ||g|| + |delta + mu_j g_j| - |mu_j g_j|, so the whole call costs
     O(samples * n).  The default family is never built as operators either;
     on a factored G it needs delta = 0 or g = 0 (``ValueError`` otherwise).
     """
-    candidates = list(parts) + (list(family) if family is not None else [])
-    for T in candidates:
-        if type(T) is not type(G) or not _same_shape(G, T):
-            raise ValueError("operators have different domains, codomains or forms")
-    gap = _factored_gap if isinstance(G, FactoredOperator) else _dense_gap
-    gap_norm, c_estimate = gap(G, parts, candidates)
+    residual = G
+    for T in parts:
+        residual = _plus(residual, -1.0, T)
+    gap_norm = _opnorm(residual)
+    c_estimate = np.inf
+    for T in list(parts) + (list(family) if family is not None else []):
+        c_estimate = min(c_estimate, _opnorm(_plus(G, 1.0, T)) - _opnorm(T))
     if family is None and samples > 0:
         c_estimate = min(c_estimate, float(np.min(_sampled_center_values(G, samples, seed))))
     return SeriesGapReport(gap_norm, float(c_estimate))

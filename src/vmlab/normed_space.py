@@ -102,14 +102,11 @@ def norm(X: NormSpec, v) -> float | np.ndarray:
 def norm_rows(X: NormSpec, V) -> np.ndarray:
     """Norms of the rows of an (N, d) array; the L1 kind sums by a matrix
     product, so its last bits can differ from ``norm``."""
+    if X.kind != L1:
+        return norm(X, V)
     V = np.asarray(V, dtype=float)
     _check_dim(X, V)
-    if X.kind == L1:
-        return np.abs(V) @ X.scale  # scale > 0, so |v * w| sums as |v| @ w
-    S = V * X.scale
-    if X.kind == L2:
-        return np.sqrt(np.sum(S * S, axis=-1))
-    return np.max(np.abs(S), axis=-1)
+    return np.abs(V) @ X.scale  # scale > 0, so |v * w| sums as |v| @ w
 
 
 def dual_spec(X: NormSpec) -> NormSpec:

@@ -460,6 +460,75 @@ def test_factored_series_gap_refusals():
         FactoredOperator(space, 0.0, np.ones(3))
 
 
+@pytest.mark.parametrize("n", [1, 8, 64, 512])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_factored_defects_are_bitwise_dense_on_uniform_sizes(n, sign):
+    space = MeasureSpace.uniform(n)
+    ident = FactoredOperator.identity(space)
+    T = FactoredOperator.rank_one(space, sign * np.ones(n))
+    for G, S in ((ident, ident), (ident, T), (T, ident), (T, T)):
+        assert _fields(center_defect(G, S)) == _fields(center_defect(_dense(G), _dense(S)))
+    assert _fields(daugavet_defect(T)) == _fields(daugavet_defect(_dense(T)))
+    assert _fields(daugavet_defect(ident)) == _fields(daugavet_defect(_dense(ident)))
+
+
+def test_factored_defects_match_dense_on_random_instances():
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        space = random_space(rng, int(rng.integers(1, 30)))
+        G, T = (
+            FactoredOperator(space, rng.choice([0.0, 1.0, -1.0, 2.5]), rng.normal(size=space.n))
+            for _ in range(2)
+        )
+        for fast, dense in (
+            (center_defect(G, T), center_defect(_dense(G), _dense(T))),
+            (daugavet_defect(T), daugavet_defect(_dense(T))),
+        ):
+            assert fast.norm_G == pytest.approx(dense.norm_G, rel=1e-12, abs=0.0)
+            assert fast.norm_T == pytest.approx(dense.norm_T, rel=1e-12, abs=0.0)
+            assert fast.norm_sum == pytest.approx(dense.norm_sum, rel=1e-12, abs=0.0)
+            scale = dense.norm_G + dense.norm_T
+            assert fast.defect == pytest.approx(dense.defect, abs=1e-12 * scale)
+
+
+def test_factored_daugavet_defect_is_rank_one_defect():
+    rng = np.random.default_rng(25)
+    for _ in range(100):
+        space = random_space(rng, int(rng.integers(1, 40)))
+        g = rng.normal(size=space.n) * rng.uniform(0.0, 3.0)
+        g[rng.random(space.n) < 0.3] = 0.0
+        fast = rank_one_defect(space, g, np.ones(space.n))
+        assert _fields(daugavet_defect(FactoredOperator.rank_one(space, g))) == _fields(fast)
+
+
+def test_defects_refuse_mixed_forms():
+    space = MeasureSpace.uniform(4)
+    factored = FactoredOperator.rank_one(space, np.ones(4))
+    with pytest.raises(ValueError, match="forms"):
+        center_defect(identity_operator(space), factored)
+    with pytest.raises(ValueError, match="forms"):
+        center_defect(factored, _dense(factored))
+
+
+def test_dense_series_gap_with_two_parts_matches_reference():
+    # the parts are subtracted one at a time, (G - T1) - T2, while the
+    # reference forms G - (T1 + T2): equal up to rounding
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        space = random_space(rng, int(rng.integers(2, 20)))
+        n = space.n
+        parts = [
+            rank_one_operator(space, rng.normal(size=n), rng.normal(size=n)),
+            OperatorMatrix(rng.normal(size=(n, n)), space, NormSpec.l1_of_mu(space)),
+        ]
+        family = _dense_family(space, 4, int(rng.integers(0, 2**63)))
+        for G in _l1_operators(rng, space).values():
+            gap_norm, c_estimate = _dense_series_gap(G, parts, family)
+            rep = series_approximation_gap(G, parts, family=family)
+            assert rep.gap_norm == pytest.approx(gap_norm, rel=1e-12, abs=0.0)
+            assert rep.c_estimate == c_estimate  # the same sums G + T
+
+
 def test_canonical_pair_isometry():
     rng = np.random.default_rng(6)
     for n in (4, 8):

@@ -302,6 +302,33 @@ def test_cli_overrides_are_validation_errors(capsys, flag, value):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["daugavet", "--scenario", "canonical-l1", "--sign", "0"],
+        ["norm", "--scenario", "canonical-l1", "--restarts", "x"],
+        ["daugavet", "--scenario", "canonical-l1", "--sweep", "4,x"],
+        ["converge", "rn", "--scenario", "canonical-l1", "--family", "none"],
+        ["report"],
+    ],
+)
+def test_cli_usage_errors_exit_1(capsys, argv):
+    # 2 is the capacity-error code, so argparse's own exit code is not used
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("net", ["martingale", "basis"])
+def test_cli_flags_the_experiment_does_not_take_are_validation_errors(capsys, net):
+    argv = ["converge", net, "--scenario", "canonical-l1", "--family", "expectation"]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "family" in err
+
+
+@pytest.mark.parametrize(
     "override", [{"seed": 1.5}, {"exact_cutoff": -1}, {"tolerance": -1e-10}, {"tolerance": True}]
 )
 def test_run_overrides_are_validated(override):
