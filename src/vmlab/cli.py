@@ -20,7 +20,7 @@ import json
 import sys
 
 from .errors import CapacityExceeded, ParseError, ValidationError
-from .harness import PRESETS, Scenario, build_scenario, emit, load_scenario, preset_scenario, run
+from .harness import PRESETS, build_scenario, emit, read_scenario, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,12 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(name_or_path: str) -> Scenario:
-    if name_or_path in PRESETS:
-        return preset_scenario(name_or_path)
-    return load_scenario(name_or_path)
-
-
 def _experiment_override(args) -> dict | None:
     """Experiment section implied by the subcommand, or None to keep the scenario's.
 
@@ -131,20 +125,16 @@ def main(argv=None) -> int:
                     fh.write(text)
             return 0
 
-        scenario = _load(args.scenario)
+        raw = PRESETS.get(args.scenario) or read_scenario(args.scenario)
         override = _experiment_override(args)
-        if override is not None:
-            # keep the scenario's carried defaults (defaulting is re-validated)
-            merged = dict(scenario.raw)
-            base = {
-                k: v
-                for k, v in scenario.raw["experiment"].items()
-                if k in ("seed", "tolerance", "exact_cutoff")
-            }
-            merged["experiment"] = {**base, **override}
-            scenario = build_scenario(merged)
+        if override is not None and isinstance(raw, dict):
+            # the subcommand replaces the experiment, keeping only its carried defaults
+            exp = raw.get("experiment")
+            exp = exp if isinstance(exp, dict) else {}
+            carried = {k: v for k, v in exp.items() if k in ("seed", "tolerance", "exact_cutoff")}
+            raw = {**raw, "experiment": {**carried, **override}}
         report = run(
-            scenario,
+            build_scenario(raw),
             seed=args.seed,
             exact_cutoff=args.exact_cutoff,
             tolerance=args.tolerance,

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NotNormalized
 from .measure_core import MeasureSpace, SimpleFunction, l1_mu_norm, same_space
-from .normed_space import L1, NormSpec, dual_extreme_points, norm_rows, same_norm
+from .normed_space import L1, NormSpec, dual_extreme_half, norm_rows, same_norm
 from .rng import SplitMix64
 from .vector_measure import VectorMeasure, indicator_measure, rank_one_measure, same_setting
 
@@ -180,7 +180,7 @@ class DefectReport:
     norm_sum: float
 
     def __post_init__(self):
-        if self.defect < -1e-10:
+        if self.defect < -1e-10 * max(1.0, self.norm_G + self.norm_T):
             raise ValueError("triangle inequality violated; norms are inconsistent")
 
     @property
@@ -292,7 +292,7 @@ def density_norm_identity(
     operator_side = opnorm_from_l1(combined).value
 
     mu = m.space.weights
-    pts = dual_extreme_points(m.X)  # NotPolyhedral for L2-type value norms
+    pts = dual_extreme_half(m.X)  # one of each +-x*; NotPolyhedral for L2-type value norms
     densities = np.abs((m.atoms + lam * m1.atoms) @ pts.T) / mu[:, None]
     density_side = float(np.max(densities))
 

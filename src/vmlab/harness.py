@@ -13,19 +13,21 @@ everywhere; ``schema_version`` is currently 1):
                  {"kind": "composed", "base": {..}, "k": int}   coordinate
                                                          truncation of base
     functions    [[..], ..] coefficient vectors of length n
-    experiment   {"kind": .., ..parameters}, see EXPERIMENT_PARAMS
+    experiment   {"kind": .., ..parameters}, see EXPERIMENTS
 
-Experiment kinds and their specific parameters:
+``EXPERIMENTS`` maps each experiment kind to its runner and to its own
+parameters with their defaults (``None``: no default):
 
     norm         restarts      per-function norm table
     martingale   levels        dyadic-chain martingale net on functions[0]
     basis        -             coordinate truncation net on functions[0]
-    rn_net       family ("coordinate" | "expectation"), levels
+    rn_net       family ("coordinate" | "expectation"), levels (expectation only)
     daugavet     sweep [n..], sign (+-1)   rank-one defect per uniform size
     identity     lambda, other <measure>   combined-norm density identity
     series_gap   sign, samples             distance of G to a partial sum
 
-All kinds also accept ``seed``, ``tolerance``, and ``exact_cutoff``.  Reports
+All kinds also accept ``seed``, ``tolerance``, and ``exact_cutoff``
+(``_COMMON_PARAMS`` holds their defaults).  Reports
 are deterministic for a fixed scenario and seed (the wall-time metadata field
 aside); floats are serialized with 17 significant digits so JSON round-trips
 exactly.  CSV output has one row per net level or sweep point with the
@@ -71,16 +73,7 @@ from .vector_measure import VectorMeasure
 
 SCHEMA_VERSION = 1
 
-EXPERIMENT_PARAMS = {
-    "norm": {"restarts"},
-    "martingale": {"levels"},
-    "basis": set(),
-    "rn_net": {"family", "levels"},
-    "daugavet": {"sweep", "sign"},
-    "identity": {"lambda", "other"},
-    "series_gap": {"sign", "samples"},
-}
-_COMMON_PARAMS = {"kind", "seed", "tolerance", "exact_cutoff"}
+_COMMON_PARAMS = {"seed": 0, "tolerance": 1e-10, "exact_cutoff": DEFAULT_EXACT_CUTOFF}
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,34 +196,32 @@ def _build_experiment(section, scenario_ctx) -> dict:
     if not isinstance(section, dict) or "kind" not in section:
         raise ValidationError("experiment must be an object with a kind")
     kind = section["kind"]
-    if kind not in EXPERIMENT_PARAMS:
+    if not isinstance(kind, str) or kind not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment kind {kind!r}")
-    _require_keys(section, _COMMON_PARAMS | EXPERIMENT_PARAMS[kind], {"kind"}, "experiment")
-    exp = dict(section)
-    exp.setdefault("seed", 0)
-    exp.setdefault("tolerance", 1e-10)
-    exp.setdefault("exact_cutoff", DEFAULT_EXACT_CUTOFF)
+    params = EXPERIMENTS[kind][1]
+    _require_keys(section, {"kind", *_COMMON_PARAMS, *params}, {"kind"}, "experiment")
+    defaults = {key: value for key, value in params.items() if value is not None}
+    exp = {**_COMMON_PARAMS, **defaults, **section}
     _check_common(exp)
     space, X, functions = scenario_ctx
     needs_function = kind in ("martingale", "basis", "rn_net")
     if needs_function and not functions:
         raise ValidationError(f"experiment {kind} needs at least one function")
     if kind == "norm":
-        exp.setdefault("restarts", 8)
         _check_number(exp["restarts"], "norm restarts", 1)
     elif kind == "martingale":
         _check_levels(exp, space, "martingale experiment")
     elif kind == "rn_net":
-        exp.setdefault("family", "coordinate")
         if exp["family"] not in ("coordinate", "expectation"):
             raise ValidationError("rn_net family must be coordinate or expectation")
+        if exp["family"] == "coordinate" and "levels" in exp:
+            raise ValidationError("rn_net levels apply to the expectation family only")
         if exp["family"] == "expectation":
             _check_levels(exp, space, "rn_net expectation family")
             if X.dim != space.n:
                 raise ValidationError("expectation family needs value_space dimension equal to n")
     elif kind == "daugavet":
         exp.setdefault("sweep", [space.n])
-        exp.setdefault("sign", -1)
         sweep = exp["sweep"]
         if not isinstance(sweep, list) or not sweep or not all(
             isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sweep
@@ -238,14 +229,11 @@ def _build_experiment(section, scenario_ctx) -> dict:
             raise ValidationError("daugavet sweep must be a nonempty list of positive integers")
         _check_sign(exp["sign"], "daugavet sign")
     elif kind == "identity":
-        exp.setdefault("lambda", 1.0)
-        exp.setdefault("other", {"kind": "indicator"})
         _check_number(exp["lambda"], "identity lambda", real=True)
         if not X.is_polyhedral:
             raise ValidationError("identity experiment needs a polyhedral value_space")
+        exp["other"] = _build_measure(exp["other"], space, X, where="experiment.other")
     elif kind == "series_gap":
-        exp.setdefault("sign", -1)
-        exp.setdefault("samples", 64)
         _check_number(exp["samples"], "series_gap samples", 0)
         _check_sign(exp["sign"], "series_gap sign")
         if not same_norm(X, NormSpec.l1_of_mu(space)):
@@ -279,8 +267,8 @@ def build_scenario(data: dict) -> Scenario:
     return Scenario(data, space, X, measure, functions, experiment)
 
 
-def load_scenario(path) -> Scenario:
-    """Read, parse, and validate a scenario file."""
+def read_scenario(path):
+    """Read and parse a scenario file; ``build_scenario`` validates it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -292,7 +280,12 @@ def load_scenario(path) -> Scenario:
         raise ParseError(
             f"scenario {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
-    return build_scenario(data)
+    return data
+
+
+def load_scenario(path) -> Scenario:
+    """Read, parse, and validate a scenario file."""
+    return build_scenario(read_scenario(path))
 
 
 _NET_COLUMNS = ["level", "norm_gap", "deviation", "pointwise_gap", "weakstar_gap"]
@@ -369,8 +362,7 @@ def _run_daugavet(sc: Scenario, exp: dict) -> dict:
 
 
 def _run_identity(sc: Scenario, exp: dict) -> dict:
-    other = _build_measure(exp["other"], sc.space, sc.X, where="experiment.other")
-    rep = density_norm_identity(sc.measure, other, float(exp["lambda"]))
+    rep = density_norm_identity(sc.measure, exp["other"], float(exp["lambda"]))
     row = [
         float(exp["lambda"]),
         rep.operator_side,
@@ -411,14 +403,14 @@ def _run_series_gap(sc: Scenario, exp: dict) -> dict:
     return {"columns": ["gap_norm", "c_estimate"], "rows": [[rep.gap_norm, rep.c_estimate]]}
 
 
-_RUNNERS = {
-    "norm": _run_norm,
-    "martingale": _run_martingale,
-    "basis": _run_basis,
-    "rn_net": _run_rn_net,
-    "daugavet": _run_daugavet,
-    "identity": _run_identity,
-    "series_gap": _run_series_gap,
+EXPERIMENTS = {
+    "norm": (_run_norm, {"restarts": 8}),
+    "martingale": (_run_martingale, {"levels": None}),
+    "basis": (_run_basis, {}),
+    "rn_net": (_run_rn_net, {"family": "coordinate", "levels": None}),
+    "daugavet": (_run_daugavet, {"sweep": None, "sign": -1}),  # sweep defaults to [n]
+    "identity": (_run_identity, {"lambda": 1.0, "other": {"kind": "indicator"}}),
+    "series_gap": (_run_series_gap, {"sign": -1, "samples": 64}),
 }
 
 
@@ -445,7 +437,7 @@ def run(scenario: Scenario, seed=None, exact_cutoff=None, tolerance=None) -> dic
         },
     }
     try:
-        report["results"].update(_RUNNERS[exp["kind"]](scenario, exp))
+        report["results"].update(EXPERIMENTS[exp["kind"]][0](scenario, exp))
     except VmlabError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
     report["metadata"]["wall_time_s"] = time.perf_counter() - started
@@ -495,13 +487,7 @@ def dumps_report(report: dict) -> str:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    return value if isinstance(value, str) else _canon(value, 0)
 
 
 def dumps_csv(report: dict) -> str:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, LPInfeasible, NotPolyhedral
 from .measure_core import MeasurableSet, SimpleFunction
-from .normed_space import L1, L1_EXTREME_LIMIT, L2, LINF, dual_extreme_points, norm_rows
+from .normed_space import L1, L1_EXTREME_LIMIT, L2, LINF, dual_extreme_half, norm_rows
 from .normed_space import norm as x_norm
 from .opt_engine import LinearProgram, OPTIMAL, UNBOUNDED, best_sign_pattern, hill_climb, solve_lp
 from .rng import SplitMix64
@@ -226,9 +226,7 @@ def _koethe_ball_rows(m: VectorMeasure) -> np.ndarray:
         raise CapacityExceeded(
             f"2^{m.X.dim - 1} ball constraints exceed the limit (d <= {KOETHE_CORNER_LIMIT})"
         )
-    pts = dual_extreme_points(m.X)
-    half = pts[::2] if m.X.kind == LINF else pts[: len(pts) // 2]
-    return np.abs(half @ m.atoms.T)
+    return np.abs(dual_extreme_half(m.X) @ m.atoms.T)
 
 
 def koethe_dual_norm_info(

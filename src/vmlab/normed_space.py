@@ -142,3 +142,10 @@ def dual_extreme_points(X: NormSpec) -> np.ndarray:
         bits = (t[:, None] >> np.arange(d)) & 1
         return (1.0 - 2.0 * bits) * X.scale
     raise NotPolyhedral("the L2 unit ball has no finite extreme-point set")
+
+
+def dual_extreme_half(X: NormSpec) -> np.ndarray:
+    """One of each pair +-x* of ``dual_extreme_points``, in their row order:
+    the +w_j e_j rows for LINF, the first half (+ in the last coordinate) for L1."""
+    pts = dual_extreme_points(X)
+    return pts[::2] if X.kind == LINF else pts[: len(pts) // 2]

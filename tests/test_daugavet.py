@@ -3,6 +3,7 @@ import pytest
 
 from helpers import random_function, random_measure, random_norm_spec, random_space
 from vmlab import (
+    DefectReport,
     FactoredOperator,
     MeasureSpace,
     NormSpec,
@@ -29,6 +30,7 @@ from vmlab import (
     series_approximation_gap,
 )
 from vmlab import daugavet
+from vmlab.normed_space import dual_extreme_points
 from vmlab.rng import SplitMix64
 
 
@@ -186,6 +188,24 @@ def test_center_defect_is_nonnegative():
         assert center_defect(G, T).defect >= -1e-10
 
 
+def test_center_defect_bound_scales_with_the_norms():
+    # at N(0, 1e7) entries the three norms agree only to about 1e-9 absolute;
+    # an absolute -1e-10 bound refused about a quarter of these instances
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        n = int(rng.integers(2, 30))
+        space = random_space(rng, n)
+        A = OperatorMatrix(rng.normal(scale=1e7, size=(n, n)), space, NormSpec.l1_of_mu(space))
+        rep = center_defect(A, OperatorMatrix(0.3 * A.entries, space, A.codomain))
+        assert abs(rep.defect) <= 1e-10 * (rep.norm_G + rep.norm_T)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e7])
+def test_defect_report_refuses_a_relative_excess(scale):
+    with pytest.raises(ValueError, match="triangle inequality"):
+        DefectReport(scale, scale, 2.0 * scale * (1.0 + 1e-6))
+
+
 def test_center_defect_decays_under_refinement():
     # composing the identity with a negative rank-one map: defect 2/n -> 0
     defects = []
@@ -234,6 +254,20 @@ def test_density_identity_random_polyhedral():
         rep = density_norm_identity(m, m1, lam)
         assert rep.gap <= 1e-10
         assert rep.operator_side == pytest.approx(rep.atom_side, abs=1e-10)
+
+
+def test_density_side_is_bitwise_the_full_enumeration():
+    # density_norm_identity scores one of each +-x*; |<v, -x*>| is |<v, x*>|
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = int(rng.integers(1, 17))
+        space = random_space(rng, n)
+        X = random_norm_spec(rng, int(rng.integers(1, 9)), ("L1", "LINF")[trial % 2])
+        m, m1 = random_measure(rng, space, X), random_measure(rng, space, X)
+        lam = float(rng.normal())
+        combined = m.atoms + lam * m1.atoms
+        full = np.abs(combined @ dual_extreme_points(X).T) / space.weights[:, None]
+        assert density_norm_identity(m, m1, lam).density_side == float(np.max(full))
 
 
 def test_density_identity_requires_polyhedral():

@@ -320,12 +320,20 @@ def test_cli_usage_errors_exit_1(capsys, argv):
     assert "error: " in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("net", ["martingale", "basis"])
-def test_cli_flags_the_experiment_does_not_take_are_validation_errors(capsys, net):
-    argv = ["converge", net, "--scenario", "canonical-l1", "--family", "expectation"]
+@pytest.mark.parametrize(
+    "net, flag, value",
+    [
+        ("martingale", "--family", "expectation"),
+        ("basis", "--family", "expectation"),
+        ("rn", "--levels", "7"),  # levels apply to the expectation family only
+    ],
+    ids=["martingale", "basis", "rn-levels"],
+)
+def test_cli_flags_the_experiment_does_not_take_are_validation_errors(capsys, net, flag, value):
+    argv = ["converge", net, "--scenario", "canonical-l1", flag, value]
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "family" in err
+    assert err.startswith("error: ") and flag[2:] in err
 
 
 @pytest.mark.parametrize(
@@ -406,3 +414,102 @@ def test_presets_complete_quickly():
         report = run(preset_scenario(name))
         assert "error" not in report, name
         assert time.perf_counter() - started < 10.0, name
+
+
+@pytest.mark.parametrize(
+    "preset, sections, message",
+    [
+        ("canonical-l1", {"experiment": {"levels": 2}}, "experiment must be an object with a kind"),
+        ("canonical-l1", {"experiment": {"kind": "bogus"}}, "unknown experiment kind 'bogus'"),
+        ("canonical-l1", {"experiment": {"kind": ["norm"]}}, "unknown experiment kind"),
+        ("canonical-l1", {"functions": []}, "experiment martingale needs at least one function"),
+        (
+            "canonical-l1",
+            {"experiment": {"kind": "rn_net", "family": "x"}},
+            "rn_net family must be coordinate or expectation",
+        ),
+        (
+            "canonical-l1",
+            {"experiment": {"kind": "rn_net", "levels": "x"}},
+            "rn_net levels apply to the expectation family only",
+        ),
+        (
+            "random-measure",
+            {"experiment": {"kind": "rn_net", "family": "expectation", "levels": 1}},
+            "expectation family needs value_space dimension equal to n",
+        ),
+        (
+            "random-measure",
+            {"value_space": {"kind": "L2", "d": 3}, "experiment": {"kind": "identity"}},
+            "identity experiment needs a polyhedral value_space",
+        ),
+        (
+            "rank-one",
+            {"experiment": {"kind": "identity", "other": {"kind": "bogus"}}},
+            "unknown measure kind 'bogus'",
+        ),
+        ("random-measure", {"experiment": {"kind": "series_gap"}}, "series_gap needs value_space l1-of-mu"),
+        ("canonical-l1", {"schema_version": 2}, "unsupported schema_version 2"),
+        ("canonical-l1", {"functions": {}}, "functions must be a list"),
+        ("canonical-l1", {"measure": {"kind": "bogus"}}, "unknown measure kind 'bogus'"),
+        ("canonical-l1", {"measure": {"kind": "matrix", "rows": [[1.0]]}}, "matrix measure needs n rows"),
+        ("canonical-l1", {"measure": {"kind": "rank_one", "g": [1.0]}}, "rank_one density g must have"),
+    ],
+)
+def test_validation_errors_fail_the_build_and_the_cli(tmp_path, capsys, preset, sections, message):
+    data = _preset(preset)
+    data.update(sections)
+    with pytest.raises(ValidationError, match=message):
+        build_scenario(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["report", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_identity_builds_its_other_measure_with_the_scenario():
+    sc = preset_scenario("rank-one")
+    other = sc.experiment["other"]
+    assert other.space is sc.space and np.array_equal(other.atoms, np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--scenario", "canonical-l1"],
+        ["report", "--scenario", "FILE", "--seed", "3"],
+        ["norm", "--scenario", "FILE"],
+        ["converge", "rn", "--scenario", "canonical-l1", "--family", "expectation", "--levels", "2"],
+        ["identity", "--scenario", "rank-one", "--lambda", "0.5"],
+    ],
+)
+def test_cli_builds_each_scenario_once(tmp_path, monkeypatch, capsys, argv):
+    import vmlab.cli
+    import vmlab.harness
+
+    builds = []
+
+    def counted(data, _build=vmlab.harness.build_scenario):
+        builds.append(data)
+        return _build(data)
+
+    monkeypatch.setattr(vmlab.harness, "build_scenario", counted)
+    monkeypatch.setattr(vmlab.cli, "build_scenario", counted)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_preset("random-measure")))
+    assert cli_main([str(path) if arg == "FILE" else arg for arg in argv]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+def test_cli_subcommand_replaces_an_invalid_experiment(tmp_path, capsys):
+    data = _preset("random-measure")
+    data["experiment"] = {"kind": "bogus", "seed": 3}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["norm", "--scenario", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["scenario"]["experiment"] == {"kind": "norm", "seed": 3}
+    assert report["metadata"]["seed"] == 3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import KINDS, random_norm_spec
+from vmlab.normed_space import dual_extreme_half
 from vmlab import (
     CapacityExceeded,
     NormSpec,
@@ -90,6 +91,20 @@ def test_dual_extreme_point_row_order():
         for t, row in enumerate(pts):
             bits = [(t >> j) & 1 for j in range(d)]
             assert np.array_equal(row, np.where(bits, -X.scale, X.scale))
+
+
+def test_dual_extreme_half_takes_one_of_each_pair_in_row_order():
+    rng = np.random.default_rng(7)
+    for kind in ("L1", "LINF"):
+        for d in range(1, 9):
+            X = random_norm_spec(rng, d, kind)
+            pts, half = dual_extreme_points(X), dual_extreme_half(X)
+            both = sorted(map(tuple, np.vstack([half, -half])))
+            assert 2 * len(half) == len(pts) and both == sorted(map(tuple, pts))
+            rows = [next(t for t, p in enumerate(pts) if np.array_equal(p, h)) for h in half]
+            assert rows == sorted(rows)
+    with pytest.raises(NotPolyhedral):
+        dual_extreme_half(NormSpec.l2(2))
 
 
 def test_extreme_points_lie_on_dual_sphere():
