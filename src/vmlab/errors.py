@@ -21,10 +21,6 @@ class NoRybakovFound(VmlabError):
     """The randomized search for a dominating scalarization functional failed."""
 
 
-class LPInfeasible(VmlabError):
-    """An LP that is feasible by construction reported infeasibility (internal bug)."""
-
-
 class ParseError(VmlabError):
     """A scenario file is not syntactically valid JSON."""
 

@@ -98,11 +98,22 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
 
 
 def _check_number(value, what: str, low=None, real: bool = False):
-    """Reject bools, non-numbers (non-integers unless ``real``) and values below ``low``."""
+    """Reject bools, non-numbers (non-integers unless ``real``), NaN, infinities and values < ``low``."""
     number = not isinstance(value, bool) and isinstance(value, (int, float) if real else int)
-    if not number or (low is not None and not value >= low):
+    if not number or not -np.inf < value < np.inf or (low is not None and not value >= low):
         bound = "" if low is None else f" >= {low}"
-        raise ValidationError(f"{what} must be {'a real number' if real else 'an integer'}{bound}")
+        raise ValidationError(f"{what} must be {'a finite real number' if real else 'an integer'}{bound}")
+
+
+def _finite_array(value, shape: tuple, message: str) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with finite entries, else ValidationError(message)."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(message) from None
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise ValidationError(message)
+    return arr
 
 
 def _check_sign(value, what: str):
@@ -124,10 +135,8 @@ def _build_space(section) -> MeasureSpace:
     weights = section["weights"]
     if weights == "uniform":
         return MeasureSpace.uniform(n)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n,):
-        raise ValidationError("weights must list one value per atom")
-    if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
+    weights = _finite_array(weights, (n,), "weights must list one value per atom, all finite")
+    if np.any(weights <= 0.0):
         raise ValidationError("weights must be positive")
     return MeasureSpace(weights)
 
@@ -159,9 +168,8 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
         return VectorMeasure(space, X, np.eye(space.n))
     if kind == "rank_one":
         _require_keys(section, {"kind", "g"}, {"kind", "g"}, where)
-        g = np.asarray(section["g"], dtype=float)
-        if g.shape != (X.dim,):
-            raise ValidationError("rank_one density g must have value_space dimension")
+        message = "rank_one density g must have value_space dimension, all finite"
+        g = _finite_array(section["g"], (X.dim,), message)
         return VectorMeasure(space, X, space.weights[:, None] * g[None, :])
     if kind == "random":
         _require_keys(section, {"kind", "seed"}, {"kind", "seed"}, where)
@@ -171,9 +179,8 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
         return VectorMeasure(space, X, atoms)
     if kind == "matrix":
         _require_keys(section, {"kind", "rows"}, {"kind", "rows"}, where)
-        atoms = np.asarray(section["rows"], dtype=float)
-        if atoms.shape != (space.n, X.dim):
-            raise ValidationError("matrix measure needs n rows of value_space dimension")
+        message = "matrix measure needs n rows of value_space dimension, all finite"
+        atoms = _finite_array(section["rows"], (space.n, X.dim), message)
         return VectorMeasure(space, X, atoms)
     if kind == "composed":
         _require_keys(section, {"kind", "base", "k"}, {"kind", "base", "k"}, where)
@@ -259,10 +266,8 @@ def build_scenario(data: dict) -> Scenario:
         raise ValidationError("functions must be a list of coefficient vectors")
     functions = []
     for idx, coeffs in enumerate(functions_raw):
-        arr = np.asarray(coeffs, dtype=float)
-        if arr.shape != (space.n,):
-            raise ValidationError(f"functions[{idx}] must have one coefficient per atom")
-        functions.append(SimpleFunction(space, arr))
+        message = f"functions[{idx}] must have one coefficient per atom, all finite"
+        functions.append(SimpleFunction(space, _finite_array(coeffs, (space.n,), message)))
     experiment = _build_experiment(data["experiment"], (space, X, functions))
     return Scenario(data, space, X, measure, functions, experiment)
 

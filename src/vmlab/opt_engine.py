@@ -2,9 +2,9 @@
 
 Three small deterministic tools back the norm and dual-norm engines:
 
-  * a dense two-phase tableau simplex with Bland's anti-cycling rule, whose
-    pivots (in both phases and in the drive-out of artificials) are one
-    vectorised row elimination, ``_pivot``, over only the rows with a
+  * a dense one-phase tableau simplex from the slack basis over x >= 0,
+    rows <= b with b >= 0, with Bland's anti-cycling rule, whose pivots are
+    one vectorised row elimination, ``_pivot``, over only the rows with a
     nonzero in the pivot column and the columns with a nonzero in the
     pivot row,
   * exhaustive search over sign patterns (first component pinned to +1),
@@ -30,7 +30,6 @@ from .errors import CapacityExceeded
 from .rng import SplitMix64
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
@@ -44,10 +43,10 @@ _BATCH_RTOL = 1e-9  # batch values this close to the batch maximum are scored ag
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize objective @ x subject to rows (a, rel, b), rel in {"<=", ">=", "="}.
+    """Maximize objective @ x over x >= 0 subject to rows (a, "<=", b) with b >= 0.
 
-    ``bounds`` gives one (lower, upper) pair per variable with None meaning
-    unbounded on that side; omitted bounds default to (0, None).
+    The origin is feasible, so the slack basis starts the simplex.  ``bounds``
+    must stay None: every variable is bounded below by 0 alone.
     """
 
     objective: np.ndarray
@@ -59,13 +58,15 @@ class LinearProgram:
         if c.ndim != 1:
             raise ValueError("objective must be a vector")
         object.__setattr__(self, "objective", c)
-        for a, rel, _ in self.constraints:
-            if rel not in ("<=", ">=", "="):
-                raise ValueError(f"unknown relation {rel!r}")
+        for a, rel, b in self.constraints:
+            if rel != "<=":
+                raise ValueError(f"unsupported relation {rel!r}; rows are a @ x <= b")
+            if not b >= 0:
+                raise ValueError(f"right-hand side {b!r} must be >= 0")
             if np.asarray(a, dtype=float).shape != c.shape:
                 raise ValueError("constraint row length mismatch")
-        if self.bounds is not None and len(self.bounds) != c.size:
-            raise ValueError("need one bound pair per variable")
+        if self.bounds is not None:
+            raise ValueError("bounds must be None; variables are x >= 0")
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class LPSolution:
 
 
 def _pivot(T, basis, i, j):
-    """Make column j basic in row i.
+    """Make column j basic in row i: one pivot of the one-phase simplex.
 
     Only the rows with a nonzero in column j and the columns with a nonzero
     in row i change; every other entry keeps its bits, which differ from a
@@ -111,114 +112,27 @@ def _bland_simplex(T, basis, cost):
         _pivot(T, basis, ties[np.argmin(basis[ties])], j)
 
 
-def _standard_columns(bounds):
-    """Column map of the standard form, in which every column is >= 0.
-
-    A variable bounded below is lo + y, one bounded only above is hi - y and
-    a free one is y+ - y-.  Returns the map ``(orig, sign, shifted, offset)``
-    (per column its variable and sign; the shifted variables and their lo,
-    else hi) and the (column, hi - lo) range rows of two-sided bounds.
-    """
-    orig, sign, shifted, offset, ranged = [], [], [], [], []
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is None and hi is None:
-            orig += [j, j]
-            sign += [1.0, -1.0]
-            continue
-        orig.append(j)
-        sign.append(1.0 if lo is not None else -1.0)
-        shifted.append(j)
-        offset.append(float(lo if lo is not None else hi))
-        if lo is not None and hi is not None:
-            ranged.append((len(orig) - 1, float(hi) - float(lo)))
-    cols = (np.array(orig, dtype=int), np.array(sign), np.array(shifted, dtype=int), offset)
-    return cols, ranged
-
-
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Two-phase dense simplex; deterministic, never raises on well-formed input."""
+    """One-phase dense simplex from the slack basis over x >= 0, rows <= b with b >= 0.
+
+    Deterministic; the only statuses are OPTIMAL and UNBOUNDED.  Zeros enter
+    the tableau, and leave it in the point, as +0.0.
+    """
     c = lp.objective
-    nvars = c.size
-    bounds = list(lp.bounds) if lp.bounds is not None else [(0.0, None)] * nvars
-    cols, ranged = _standard_columns(bounds)
-    orig, sign, shifted, offset = cols
-    nstd = orig.size
-
-    A = np.array([np.asarray(a, dtype=float) for a, _, _ in lp.constraints])
-    A = A.reshape(len(lp.constraints), nvars)
-    # the affine shifts of bounded variables move into the right-hand side
-    shift = np.zeros(A.shape[0])
-    for j, off in zip(shifted, offset):
-        shift += A[:, j] * off
-    ranges = np.zeros((len(ranged), nstd))
-    ranges[np.arange(len(ranged)), [k for k, _ in ranged]] = 1.0
-    R = np.vstack([0.0 + sign * A[:, orig], ranges])
-    rhs = np.concatenate([[float(b) for _, _, b in lp.constraints] - shift, [ub for _, ub in ranged]])
-    rels = np.array([rel for _, rel, _ in lp.constraints] + ["<="] * len(ranged), dtype=object)
-    cstd = 0.0 + sign * c[orig]
-
-    m = R.shape[0]
-    if m == 0:
-        # unconstrained over the nonnegative orthant
-        if np.any(cstd > _PIVOT_TOL):
-            return LPSolution(UNBOUNDED, None, None)
-        x = _recover(np.zeros(nstd), cols, nvars)
-        return LPSolution(OPTIMAL, x, float(c @ x))
-
-    # rows become <= or =, then get a nonnegative right-hand side; a slack
-    # whose sign flips with its row, or an equality, needs an artificial
-    ge = rels == ">="
-    R[ge], rhs[ge] = -R[ge], -rhs[ge]
-    flip = ~(rhs >= 0)
-    R[flip], rhs[flip] = -R[flip], -rhs[flip]
-    slack_rows = np.flatnonzero(rels != "=")
-    art_rows = np.flatnonzero(flip | (rels == "="))
-    nslack, nart = slack_rows.size, art_rows.size
-    ncols = nstd + nslack + nart
-    T = np.zeros((m, ncols + 1))
-    T[:, :nstd] = R
-    T[slack_rows, nstd + np.arange(nslack)] = np.where(flip[slack_rows], -1.0, 1.0)
-    T[art_rows, nstd + nslack + np.arange(nart)] = 1.0
-    T[:, -1] = rhs
-    basis = np.empty(m, dtype=int)
-    basis[slack_rows] = nstd + np.arange(nslack)
-    basis[art_rows] = nstd + nslack + np.arange(nart)
-
-    if nart > 0:
-        cost1 = np.zeros(ncols)
-        cost1[nstd + nslack :] = -1.0
-        _bland_simplex(T, basis, cost1)
-        if cost1[basis] @ T[:, -1] < -1e-7:
-            return LPSolution(INFEASIBLE, None, None)
-        # pivot remaining artificials out of the basis, or drop redundant rows
-        keep = np.ones(m, dtype=bool)
-        for i in np.flatnonzero(basis >= nstd + nslack):
-            candidates = np.flatnonzero(np.abs(T[i, : nstd + nslack]) > _PIVOT_TOL)
-            if candidates.size:
-                _pivot(T, basis, i, candidates[0])
-            else:
-                keep[i] = False
-        T = T[keep]
-        basis = basis[keep]
-
-    T = np.hstack([T[:, : nstd + nslack], T[:, -1:]])
-    cost2 = np.zeros(nstd + nslack)
-    cost2[:nstd] = cstd
-    if _bland_simplex(T, basis, cost2) == UNBOUNDED:
+    n, m = c.size, len(lp.constraints)
+    T = np.zeros((m, n + m + 1))
+    T[:, :n] = 0.0 + np.array([a for a, _, _ in lp.constraints], dtype=float).reshape(m, n)
+    T[np.arange(m), n + np.arange(m)] = 1.0
+    T[:, -1] = [b for _, _, b in lp.constraints]
+    basis = n + np.arange(m)
+    cost = np.zeros(n + m)
+    cost[:n] = 0.0 + c
+    if _bland_simplex(T, basis, cost) == UNBOUNDED:
         return LPSolution(UNBOUNDED, None, None)
-
-    xstd = np.zeros(nstd + nslack)
-    xstd[basis] = T[:, -1]
-    x = _recover(xstd[:nstd], cols, nvars)
+    x = np.zeros(n + m)
+    x[basis] = T[:, -1]
+    x = x[:n] + 0.0
     return LPSolution(OPTIMAL, x, float(c @ x))
-
-
-def _recover(xstd, cols, nvars):
-    orig, sign, shifted, offset = cols
-    x = np.zeros(nvars)
-    np.add.at(x, orig, sign * xstd)  # in column order: a free variable sums y+, then -y-
-    x[shifted] += offset
-    return x
 
 
 def best_sign_pattern(

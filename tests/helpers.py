@@ -3,10 +3,12 @@
 The oracles deliberately avoid every shortcut the engines use: the norm
 oracle enumerates all 2^n sign vectors with itertools (no blocks, no
 support skipping, no pinning), and the LP oracle is scipy's HiGHS solver.
-``loop_solve_lp`` keeps the simplex with one Python loop per row and per
-column, the reference that the array simplex must equal bit for bit, and
-``loop_koethe_supergradient`` runs the L2 Köthe ascent one restart at a time
-with one ``norm_best`` call per iterate, the reference for the stacked ascent.
+``loop_solve_lp`` keeps a general two-phase simplex with one Python loop
+per row and per column; on the programs ``solve_lp`` takes (x >= 0, rows
+<= b with b >= 0) the one-phase simplex from the slack basis must equal it
+bit for bit.  ``loop_koethe_supergradient`` runs the L2 Köthe ascent one
+restart at a time with one ``norm_best`` call per iterate, the reference
+for the stacked ascent.
 """
 
 import itertools
@@ -14,7 +16,6 @@ import itertools
 import numpy as np
 
 from vmlab import (
-    INFEASIBLE,
     L1,
     L2,
     LINF,
@@ -100,6 +101,7 @@ def koethe_scipy(m, g):
 # reference simplex: one Python loop per row and per column, with Bland's rule
 
 _PIVOT_TOL = 1e-9
+INFEASIBLE = "infeasible"  # a status of this general reference only
 
 
 def _loop_bland_simplex(T, basis, cost, ncols, tol=_PIVOT_TOL):

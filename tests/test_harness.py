@@ -416,6 +416,9 @@ def test_presets_complete_quickly():
         assert time.perf_counter() - started < 10.0, name
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize(
     "preset, sections, message",
     [
@@ -454,6 +457,26 @@ def test_presets_complete_quickly():
         ("canonical-l1", {"measure": {"kind": "bogus"}}, "unknown measure kind 'bogus'"),
         ("canonical-l1", {"measure": {"kind": "matrix", "rows": [[1.0]]}}, "matrix measure needs n rows"),
         ("canonical-l1", {"measure": {"kind": "rank_one", "g": [1.0]}}, "rank_one density g must have"),
+        # json writes and reads NaN and Infinity; every number must be finite
+        (
+            "canonical-l1",
+            {"measure": {"kind": "matrix", "rows": [[NAN, 0, 0, 0]] + np.eye(4)[1:].tolist()}},
+            "matrix measure needs n rows of value_space dimension, all finite",
+        ),
+        (
+            "rank-one",
+            {"measure": {"kind": "rank_one", "g": [1.0, INF, 0.0, 0.0]}},
+            "rank_one density g must have value_space dimension, all finite",
+        ),
+        ("random-measure", {"functions": [[1.0, NAN, 0, 0, 0, 0]]}, "one coefficient per atom, all finite"),
+        ("rank-one", {"experiment": {"kind": "identity", "lambda": NAN}}, "lambda must be a finite real"),
+        ("rank-one", {"experiment": {"kind": "identity", "lambda": INF}}, "lambda must be a finite real"),
+        ("random-measure", {"experiment": {"kind": "norm", "tolerance": INF}}, "tolerance must be a finite"),
+        (
+            "rank-one",
+            {"experiment": {"kind": "identity", "other": {"kind": "matrix", "rows": [[NAN] * 4] * 4}}},
+            "matrix measure needs n rows of value_space dimension, all finite",
+        ),
     ],
 )
 def test_validation_errors_fail_the_build_and_the_cli(tmp_path, capsys, preset, sections, message):
