@@ -19,7 +19,6 @@ from .measure_core import (
     SimpleFunction,
     dyadic_chain,
     l1_mu_norm,
-    mu_integral,
     refine,
     sign_function,
 )

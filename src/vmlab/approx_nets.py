@@ -63,10 +63,6 @@ class FiniteRankOperator:
         object.__setattr__(self, "functionals", g)
         object.__setattr__(self, "vectors", x)
 
-    @property
-    def rank_bound(self) -> int:
-        return self.functionals.shape[0]
-
     def apply(self, f: SimpleFunction) -> np.ndarray:
         if not same_space(f.space, self.space):
             raise ValueError("function lives on a different space")

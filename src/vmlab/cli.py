@@ -9,18 +9,20 @@
     vmlab preset      NAME [--out PATH]       dump a builtin scenario as JSON
 
 Common flags: --scenario (path or preset name), --out, --format {json,csv},
---seed, --exact-cutoff, --tolerance.  Exit codes: 0 success, 1 validation,
-parse or usage error, 2 capacity error.
+--seed, --exact-cutoff, --tolerance.  Every flag given goes into the experiment
+section before the one build, and ``harness.run`` takes only the scenario, so
+the report's echoed scenario reruns it.  Exit codes: 0 success; 1 validation,
+parse, usage or write error, or a report error section (such as a
+floating-point overflow); 2 capacity error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import CapacityExceeded, ParseError, ValidationError
-from .harness import PRESETS, build_scenario, emit, read_scenario, run
+from .harness import _COMMON_PARAMS, EXPERIMENTS, PRESETS, build_scenario, emit, read_scenario, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,7 +48,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--scenario", required=True, help="scenario file or preset name")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", default="json", choices=("json", "csv"))
-    parser.add_argument("--seed", type=int, default=None, help="override the experiment seed")
+    parser.add_argument("--seed", type=int, default=None, help="experiment seed")
     parser.add_argument("--exact-cutoff", type=int, default=None, dest="exact_cutoff")
     parser.add_argument("--tolerance", type=float, default=None)
 
@@ -95,57 +97,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_override(args) -> dict | None:
-    """Experiment section implied by the subcommand, or None to keep the scenario's.
+def _experiment(args, raw: dict) -> dict:
+    """The experiment section a run records, every flag given copied in.
 
-    Every flag given is copied; harness validation rejects the ones the kind
-    does not take.
+    ``report`` keeps the scenario's section; another subcommand replaces it,
+    keeping only the parameters every kind accepts.  Harness validation
+    rejects flags the kind does not take.
     """
-    if args.command == "report":
-        return None
-    kind = args.command.replace("-", "_")
-    if kind == "converge":
-        kind = "rn_net" if args.net == "rn" else args.net
-    exp = {"kind": kind}
-    for key in ("restarts", "levels", "family", "sweep", "sign", "lambda", "samples"):
-        if getattr(args, key, None) is not None:
-            exp[key] = getattr(args, key)
-    return exp
+    exp = raw.get("experiment")
+    exp = exp if isinstance(exp, dict) else {}
+    if args.command != "report":
+        kind = args.command.replace("-", "_")
+        if kind == "converge":
+            kind = "rn_net" if args.net == "rn" else args.net
+        exp = {**{k: v for k, v in exp.items() if k in _COMMON_PARAMS}, "kind": kind}
+    keys = {*_COMMON_PARAMS, *(key for _, params in EXPERIMENTS.values() for key in params)}
+    return {**exp, **{k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "preset":
-            text = json.dumps(PRESETS[args.name], indent=2, sort_keys=True) + "\n"
-            if args.out is None:
-                sys.stdout.write(text)
-            else:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+            emit(PRESETS[args.name], "json", args.out)
             return 0
-
         raw = PRESETS.get(args.scenario) or read_scenario(args.scenario)
-        override = _experiment_override(args)
-        if override is not None and isinstance(raw, dict):
-            # the subcommand replaces the experiment, keeping only its carried defaults
-            exp = raw.get("experiment")
-            exp = exp if isinstance(exp, dict) else {}
-            carried = {k: v for k, v in exp.items() if k in ("seed", "tolerance", "exact_cutoff")}
-            raw = {**raw, "experiment": {**carried, **override}}
-        report = run(
-            build_scenario(raw),
-            seed=args.seed,
-            exact_cutoff=args.exact_cutoff,
-            tolerance=args.tolerance,
-        )
+        if isinstance(raw, dict):
+            raw = {**raw, "experiment": _experiment(args, raw)}
+        report = run(build_scenario(raw))
         emit(report, args.format, args.out)
         if "error" in report:
-            if report["error"]["type"] == "CapacityExceeded":
-                return 2
-            return 1
+            return 2 if report["error"]["type"] == "CapacityExceeded" else 1
         return 0
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapacityExceeded as exc:

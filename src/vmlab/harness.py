@@ -27,8 +27,10 @@ parameters with their defaults (``None``: no default):
     series_gap   sign, samples             distance of G to a partial sum
 
 All kinds also accept ``seed``, ``tolerance``, and ``exact_cutoff``
-(``_COMMON_PARAMS`` holds their defaults).  Reports
-are deterministic for a fixed scenario and seed (the wall-time metadata field
+(``_COMMON_PARAMS`` holds their defaults).  ``run`` takes the scenario
+alone, so a report's echoed scenario reruns it, and records a floating-point
+overflow or invalid operation in the report's error section.  Reports are
+deterministic for a fixed scenario and seed (the wall-time metadata field
 aside); floats are serialized with 17 significant digits so JSON round-trips
 exactly.  CSV output has one row per net level or sweep point with the
 documented per-experiment header.  Daugavet sweep points use the O(n)
@@ -121,13 +123,6 @@ def _check_sign(value, what: str):
         raise ValidationError(f"{what} must be -1 or 1")
 
 
-def _check_common(exp: dict):
-    """The parameters every experiment kind accepts, also after ``run`` overrides them."""
-    _check_number(exp["seed"], "experiment seed")
-    _check_number(exp["exact_cutoff"], "experiment exact_cutoff", 0)
-    _check_number(exp["tolerance"], "experiment tolerance", 0, real=True)
-
-
 def _build_space(section) -> MeasureSpace:
     _require_keys(section, {"n", "weights"}, {"n", "weights"}, "space")
     n = section["n"]
@@ -209,7 +204,9 @@ def _build_experiment(section, scenario_ctx) -> dict:
     _require_keys(section, {"kind", *_COMMON_PARAMS, *params}, {"kind"}, "experiment")
     defaults = {key: value for key, value in params.items() if value is not None}
     exp = {**_COMMON_PARAMS, **defaults, **section}
-    _check_common(exp)
+    _check_number(exp["seed"], "experiment seed")
+    _check_number(exp["exact_cutoff"], "experiment exact_cutoff", 0)
+    _check_number(exp["tolerance"], "experiment tolerance", 0, real=True)
     space, X, functions = scenario_ctx
     needs_function = kind in ("martingale", "basis", "rn_net")
     if needs_function and not functions:
@@ -419,17 +416,15 @@ EXPERIMENTS = {
 }
 
 
-def run(scenario: Scenario, seed=None, exact_cutoff=None, tolerance=None) -> dict:
+def run(scenario: Scenario) -> dict:
     """Execute the scenario's experiment and assemble the report.
 
-    The overrides pass the scenario's checks (``ValidationError``).  Package
-    errors raised while running are recorded in the report's error section
-    instead of propagating, so partial results survive.
+    The scenario is the only input, so its echo reruns the experiment.  Package
+    errors, and floating-point overflow or invalid operations (raised under
+    ``np.errstate``), are recorded in the report's error section instead of
+    propagating, so partial results survive.
     """
-    exp = dict(scenario.experiment)
-    overrides = {"seed": seed, "exact_cutoff": exact_cutoff, "tolerance": tolerance}
-    exp.update((key, value) for key, value in overrides.items() if value is not None)
-    _check_common(exp)
+    exp = scenario.experiment
     started = time.perf_counter()
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -442,8 +437,9 @@ def run(scenario: Scenario, seed=None, exact_cutoff=None, tolerance=None) -> dic
         },
     }
     try:
-        report["results"].update(EXPERIMENTS[exp["kind"]][0](scenario, exp))
-    except VmlabError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            report["results"].update(EXPERIMENTS[exp["kind"]][0](scenario, exp))
+    except (VmlabError, FloatingPointError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
     report["metadata"]["wall_time_s"] = time.perf_counter() - started
     return report
@@ -506,7 +502,8 @@ def dumps_csv(report: dict) -> str:
 
 
 def emit(report: dict, fmt: str, path=None) -> None:
-    """Write the report as canonical JSON or as the per-experiment CSV table."""
+    """Write the report as canonical JSON or as the per-experiment CSV table:
+    the command line's one writer, presets included; ``OSError`` names the path."""
     if fmt == "json":
         text = dumps_report(report)
     elif fmt == "csv":
@@ -520,7 +517,7 @@ def emit(report: dict, fmt: str, path=None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

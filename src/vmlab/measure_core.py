@@ -107,11 +107,6 @@ class SimpleFunction:
         return cls(A.space, A.members.astype(float))
 
 
-def mu_integral(f: SimpleFunction) -> float:
-    """Integral of f against the atom weights."""
-    return float(np.sum(f.coeffs * f.space.weights))
-
-
 def l1_mu_norm(f: SimpleFunction) -> float:
     """Scalar L1(mu) norm, sum of mu_i |f_i|."""
     return float(np.sum(np.abs(f.coeffs) * f.space.weights))

@@ -21,6 +21,7 @@ bit-for-bit deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -190,7 +191,9 @@ def hill_climb(
     values.  Deterministic for a fixed seed: restarts start from
     SplitMix64(seed) draws, each ascent applies the best strictly improving
     flip (smallest index on ties) until none remains, and the best restart
-    wins (first one on exact ties).
+    wins (first one on exact ties).  A batch maximum of +inf is matched
+    exactly, so the ascent stops at the first +inf value; a NaN value raises
+    ``ValueError``.
     """
     if k < 1:
         raise ValueError("need at least one position")
@@ -206,7 +209,10 @@ def hill_climb(
         while True:
             batch = objective(flips * eps)
             top = batch.max()
-            near = np.flatnonzero(batch >= top - _BATCH_RTOL * abs(top))
+            if math.isnan(top) or math.isnan(value):
+                raise ValueError("hill_climb objective returned NaN")
+            slack = _BATCH_RTOL * abs(top) if top < np.inf else 0.0  # inf - inf is NaN
+            near = np.flatnonzero(batch >= top - slack)
             values = [float(objective(flips[j : j + 1] * eps)[0]) for j in near]
             i = int(np.argmax(values))
             if not values[i] > value:

@@ -136,8 +136,10 @@ def test_determinism_byte_identical():
         return dumps_report(clone)
 
     for name in PRESETS:
-        a = strip(run(preset_scenario(name), seed=123))
-        b = strip(run(preset_scenario(name), seed=123))
+        data = _preset(name)
+        data["experiment"]["seed"] = 123
+        a = strip(run(build_scenario(data)))
+        b = strip(run(build_scenario(data)))
         assert a == b, name
 
     # a sweep reports its points in sweep order, each as a one-point sweep would
@@ -336,14 +338,6 @@ def test_cli_flags_the_experiment_does_not_take_are_validation_errors(capsys, ne
     assert err.startswith("error: ") and flag[2:] in err
 
 
-@pytest.mark.parametrize(
-    "override", [{"seed": 1.5}, {"exact_cutoff": -1}, {"tolerance": -1e-10}, {"tolerance": True}]
-)
-def test_run_overrides_are_validated(override):
-    with pytest.raises(ValidationError, match=next(iter(override))):
-        run(preset_scenario("canonical-l1"), **override)
-
-
 def test_composed_measure_kind():
     data = _preset("schauder")
     data["measure"] = {"kind": "composed", "base": {"kind": "random", "seed": 11}, "k": 2}
@@ -368,7 +362,8 @@ def test_norm_table_fallback_uses_experiment_seed_and_restarts():
         "experiment": {"kind": "norm", "restarts": 1},
     }
     for seed in (3, 4):
-        (row,) = run(build_scenario(data), seed=seed)["results"]["rows"]
+        data["experiment"]["seed"] = seed
+        (row,) = run(build_scenario(data))["results"]["rows"]
         assert row[2] == "heuristic"
         assert row[1] == row[3]
 
@@ -536,3 +531,66 @@ def test_cli_subcommand_replaces_an_invalid_experiment(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["scenario"]["experiment"] == {"kind": "norm", "seed": 3}
     assert report["metadata"]["seed"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, edit",
+    [
+        # the sums of f = (1e308, -1e308, 1e308, 1, 1, 1) overflow the LINF norm engines
+        (["report", "--scenario", "FILE"], ("random-measure", {"functions": [[1e308, -1e308, 1e308, 1, 1, 1]]})),
+        (
+            ["report", "--scenario", "FILE"],
+            (
+                "rank-one",
+                {
+                    "experiment": {
+                        "kind": "identity",
+                        "lambda": 1e308,
+                        "other": {"kind": "rank_one", "g": [4, 4, 4, 4]},
+                    }
+                },
+            ),
+        ),
+        (["report", "--scenario", "canonical-l1", "--out", "MISSING"], None),
+        (["preset", "canonical-l1", "--out", "MISSING"], None),
+    ],
+    ids=["linf-norm-overflow", "identity-overflow", "report-out-unwritable", "preset-out-unwritable"],
+)
+def test_cli_failures_exit_1_without_a_traceback(tmp_path, capsys, argv, edit):
+    path = tmp_path / "scenario.json"
+    if edit is not None:
+        data = _preset(edit[0])
+        data.update(edit[1])
+        path.write_text(json.dumps(data))
+    paths = {"FILE": str(path), "MISSING": str(tmp_path / "missing" / "x.json")}
+    assert cli_main([paths.get(arg, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if edit is None:
+        assert captured.out == "" and captured.err.startswith("error: ")
+        return
+    report = json.loads(captured.out, parse_constant=lambda name: pytest.fail(f"{name} in report"))
+    assert report["error"]["type"] == "FloatingPointError"
+    assert "overflow" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--scenario", "canonical-l1", "--seed", "5", "--exact-cutoff", "12", "--tolerance", "1e-8"],
+        ["norm", "--scenario", "random-measure", "--seed", "9", "--restarts", "3"],
+    ],
+    ids=["report", "norm"],
+)
+def test_cli_echoed_scenario_reproduces_the_report(tmp_path, capsys, argv):
+    def without_wall_time(text):
+        return [line for line in text.splitlines() if '"wall_time_s":' not in line]
+
+    assert cli_main(argv) == 0
+    first = capsys.readouterr().out
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(json.loads(first)["scenario"]))
+    assert cli_main(["report", "--scenario", str(path)]) == 0
+    second = capsys.readouterr().out
+    assert without_wall_time(second) == without_wall_time(first)
+    assert len(without_wall_time(first)) == len(first.splitlines()) - 1

@@ -299,6 +299,21 @@ def test_hill_climb_constant_objective():
     assert pattern.shape == (6,)
 
 
+def test_hill_climb_stops_at_an_infinite_objective():
+    def objective(patterns):
+        values = patterns.sum(axis=-1)
+        return np.where(values == 6, np.inf, values)
+
+    pattern, value = hill_climb(6, objective, restarts=3, seed=1)
+    assert value == np.inf
+    assert np.array_equal(pattern, np.ones(6))
+
+
+def test_hill_climb_nan_objective_is_named():
+    with pytest.raises(ValueError, match="objective returned NaN"):
+        hill_climb(6, lambda patterns: np.full(len(patterns), np.nan), restarts=3, seed=1)
+
+
 def test_hill_climb_is_lower_bound_of_enumeration():
     rng = np.random.default_rng(10)
     for _ in range(25):

@@ -7,7 +7,7 @@ SEEDS = [0, 1, 2**63 + 7, 2**64 - 1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("k", [0, 1, 7, 4096])
+@pytest.mark.parametrize("k", [0, 1, 7, 4096, 65535, 65536, 65537, 2**17 + 3])
 def test_normals_is_bitwise_the_scalar_stream(seed, k):
     batched, scalar = SplitMix64(seed), SplitMix64(seed)
     out = batched.normals(k)
