@@ -338,6 +338,17 @@ def test_cli_flags_the_experiment_does_not_take_are_validation_errors(capsys, ne
     assert err.startswith("error: ") and flag[2:] in err
 
 
+@pytest.mark.parametrize(
+    "override", [{"seed": 1.5}, {"exact_cutoff": -1}, {"tolerance": -1e-10}, {"tolerance": True}]
+)
+def test_run_overrides_are_validated(override):
+    # run() takes only the scenario: an override goes into its experiment section
+    data = _preset("canonical-l1")
+    data["experiment"] = {**data["experiment"], **override}
+    with pytest.raises(ValidationError, match=next(iter(override))):
+        run(build_scenario(data))
+
+
 def test_composed_measure_kind():
     data = _preset("schauder")
     data["measure"] = {"kind": "composed", "base": {"kind": "random", "seed": 11}, "k": 2}
