@@ -11,9 +11,10 @@
 Common flags: --scenario (path or preset name), --out, --format {json,csv},
 --seed, --exact-cutoff, --tolerance.  Every flag given goes into the experiment
 section before the one build, and ``harness.run`` takes only the scenario, so
-the report's echoed scenario reruns it.  Exit codes: 0 success; 1 validation,
+the report's echoed scenario reruns it; a flag the kind does not take
+(``daugavet --seed``) fails validation.  Exit codes: 0 success; 1 validation,
 parse, usage or write error, or a report error section (such as a
-floating-point overflow); 2 capacity error.
+floating-point overflow); 2 capacity error (recorded in the report).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CapacityExceeded, ParseError, ValidationError
-from .harness import _COMMON_PARAMS, EXPERIMENTS, PRESETS, build_scenario, emit, read_scenario, run
+from .errors import ParseError, ValidationError
+from .harness import EXPERIMENTS, PRESETS, build_scenario, emit, read_scenario, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,8 +102,9 @@ def _experiment(args, raw: dict) -> dict:
     """The experiment section a run records, every flag given copied in.
 
     ``report`` keeps the scenario's section; another subcommand replaces it,
-    keeping only the parameters every kind accepts.  Harness validation
-    rejects flags the kind does not take.
+    keeping those of the file's ``seed``, ``exact_cutoff`` and ``tolerance``
+    that the new kind takes.  Harness validation rejects flags the kind does
+    not take.
     """
     exp = raw.get("experiment")
     exp = exp if isinstance(exp, dict) else {}
@@ -110,8 +112,9 @@ def _experiment(args, raw: dict) -> dict:
         kind = args.command.replace("-", "_")
         if kind == "converge":
             kind = "rn_net" if args.net == "rn" else args.net
-        exp = {**{k: v for k, v in exp.items() if k in _COMMON_PARAMS}, "kind": kind}
-    keys = {*_COMMON_PARAMS, *(key for _, params in EXPERIMENTS.values() for key in params)}
+        kept = {"seed", "exact_cutoff", "tolerance"} & EXPERIMENTS[kind][1].keys()
+        exp = {**{k: v for k, v in exp.items() if k in kept}, "kind": kind}
+    keys = {key for _, params in EXPERIMENTS.values() for key in params}
     return {**exp, **{k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}}
 
 
@@ -132,9 +135,6 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CapacityExceeded as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

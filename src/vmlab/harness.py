@@ -15,22 +15,24 @@ everywhere; ``schema_version`` is currently 1):
     functions    [[..], ..] coefficient vectors of length n
     experiment   {"kind": .., ..parameters}, see EXPERIMENTS
 
-``EXPERIMENTS`` maps each experiment kind to its runner and to its own
-parameters with their defaults (``None``: no default):
+``EXPERIMENTS`` maps each experiment kind to its runner and to exactly the
+parameters it reads, with their defaults (``None``: no default); any other
+key is a validation error.  ``seed`` and ``exact_cutoff`` go to the norm
+engines, ``seed`` of series_gap to its sampled family:
 
-    norm         restarts      per-function norm table
-    martingale   levels        dyadic-chain martingale net on functions[0]
-    basis        -             coordinate truncation net on functions[0]
-    rn_net       family ("coordinate" | "expectation"), levels (expectation only)
-    daugavet     sweep [n..], sign (+-1)   rank-one defect per uniform size
-    identity     lambda, other <measure>   combined-norm density identity
-    series_gap   sign, samples             distance of G to a partial sum
+    norm         seed, exact_cutoff, restarts      per-function norm table
+    martingale   seed, exact_cutoff, levels        martingale net on functions[0]
+    basis        seed, exact_cutoff                truncation net on functions[0]
+    rn_net       seed, exact_cutoff, family ("coordinate" | "expectation"), levels
+    daugavet     sweep [n..], sign (+-1)           rank-one defect per uniform size
+    identity     tolerance, lambda, other <measure>   combined-norm density identity
+    series_gap   seed, sign, samples               distance of G to a partial sum
 
-All kinds also accept ``seed``, ``tolerance``, and ``exact_cutoff``
-(``_COMMON_PARAMS`` holds their defaults).  ``run`` takes the scenario
-alone, so a report's echoed scenario reruns it, and records a floating-point
-overflow or invalid operation in the report's error section.  Reports are
-deterministic for a fixed scenario and seed (the wall-time metadata field
+``_CHECKS`` checks each numeric or sign parameter for every kind that takes
+it.  ``run`` takes the scenario alone, so a report's echoed scenario reruns
+it, records ``metadata.seed`` only for kinds that take one, and records a
+floating-point overflow or invalid operation in the report's error section.
+Reports are deterministic for a fixed scenario (the wall-time metadata field
 aside); floats are serialized with 17 significant digits so JSON round-trips
 exactly.  CSV output has one row per net level or sweep point with the
 documented per-experiment header.  Daugavet sweep points use the O(n)
@@ -42,8 +44,10 @@ O(samples * n), and on the other measure kinds on dense n x n matrices.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,8 +78,6 @@ from .rng import SplitMix64
 from .vector_measure import VectorMeasure
 
 SCHEMA_VERSION = 1
-
-_COMMON_PARAMS = {"seed": 0, "tolerance": 1e-10, "exact_cutoff": DEFAULT_EXACT_CUTOFF}
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +133,8 @@ def _build_space(section) -> MeasureSpace:
     if weights == "uniform":
         return MeasureSpace.uniform(n)
     weights = _finite_array(weights, (n,), "weights must list one value per atom, all finite")
-    if np.any(weights <= 0.0):
-        raise ValidationError("weights must be positive")
+    if np.any(weights <= 0.0) or not math.isfinite(1.0 / float(weights.min())):
+        raise ValidationError("weights must be positive, each with a finite reciprocal")
     return MeasureSpace(weights)
 
 
@@ -165,6 +167,8 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
         _require_keys(section, {"kind", "g"}, {"kind", "g"}, where)
         message = "rank_one density g must have value_space dimension, all finite"
         g = _finite_array(section["g"], (X.dim,), message)
+        if not math.isfinite(float(space.weights.max()) * float(np.abs(g).max())):
+            raise ValidationError(f"{where} rank_one atoms mu_i * g overflow")
         return VectorMeasure(space, X, space.weights[:, None] * g[None, :])
     if kind == "random":
         _require_keys(section, {"kind", "seed"}, {"kind", "seed"}, where)
@@ -201,19 +205,16 @@ def _build_experiment(section, scenario_ctx) -> dict:
     if not isinstance(kind, str) or kind not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment kind {kind!r}")
     params = EXPERIMENTS[kind][1]
-    _require_keys(section, {"kind", *_COMMON_PARAMS, *params}, {"kind"}, "experiment")
-    defaults = {key: value for key, value in params.items() if value is not None}
-    exp = {**_COMMON_PARAMS, **defaults, **section}
-    _check_number(exp["seed"], "experiment seed")
-    _check_number(exp["exact_cutoff"], "experiment exact_cutoff", 0)
-    _check_number(exp["tolerance"], "experiment tolerance", 0, real=True)
+    _require_keys(section, {"kind", *params}, {"kind"}, "experiment")
+    exp = {**{key: value for key, value in params.items() if value is not None}, **section}
+    for key, check in _CHECKS.items():
+        if key in params:
+            check(exp[key], f"{kind} {key}")
     space, X, functions = scenario_ctx
     needs_function = kind in ("martingale", "basis", "rn_net")
     if needs_function and not functions:
         raise ValidationError(f"experiment {kind} needs at least one function")
-    if kind == "norm":
-        _check_number(exp["restarts"], "norm restarts", 1)
-    elif kind == "martingale":
+    if kind == "martingale":
         _check_levels(exp, space, "martingale experiment")
     elif kind == "rn_net":
         if exp["family"] not in ("coordinate", "expectation"):
@@ -231,15 +232,11 @@ def _build_experiment(section, scenario_ctx) -> dict:
             isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sweep
         ):
             raise ValidationError("daugavet sweep must be a nonempty list of positive integers")
-        _check_sign(exp["sign"], "daugavet sign")
     elif kind == "identity":
-        _check_number(exp["lambda"], "identity lambda", real=True)
         if not X.is_polyhedral:
             raise ValidationError("identity experiment needs a polyhedral value_space")
         exp["other"] = _build_measure(exp["other"], space, X, where="experiment.other")
     elif kind == "series_gap":
-        _check_number(exp["samples"], "series_gap samples", 0)
-        _check_sign(exp["sign"], "series_gap sign")
         if not same_norm(X, NormSpec.l1_of_mu(space)):
             raise ValidationError("series_gap needs value_space l1-of-mu")
     return exp
@@ -364,26 +361,12 @@ def _run_daugavet(sc: Scenario, exp: dict) -> dict:
 
 
 def _run_identity(sc: Scenario, exp: dict) -> dict:
-    rep = density_norm_identity(sc.measure, exp["other"], float(exp["lambda"]))
-    row = [
-        float(exp["lambda"]),
-        rep.operator_side,
-        rep.density_side,
-        rep.atom_side,
-        rep.gap,
-        bool(rep.gap <= exp["tolerance"]),
-    ]
-    return {
-        "columns": [
-            "lambda",
-            "operator_side",
-            "density_side",
-            "atom_side",
-            "gap",
-            "within_tolerance",
-        ],
-        "rows": [row],
-    }
+    lam = float(exp["lambda"])
+    rep = density_norm_identity(sc.measure, exp["other"], lam)
+    within = bool(rep.gap <= exp["tolerance"])
+    columns = ["lambda", "operator_side", "density_side", "atom_side", "gap", "within_tolerance"]
+    rows = [[lam, rep.operator_side, rep.density_side, rep.atom_side, rep.gap, within]]
+    return {"columns": columns, "rows": rows}
 
 
 def _run_series_gap(sc: Scenario, exp: dict) -> dict:
@@ -405,14 +388,26 @@ def _run_series_gap(sc: Scenario, exp: dict) -> dict:
     return {"columns": ["gap_norm", "c_estimate"], "rows": [[rep.gap_norm, rep.c_estimate]]}
 
 
+_ENGINE = {"seed": 0, "exact_cutoff": DEFAULT_EXACT_CUTOFF}  # what the norm engines read
+
 EXPERIMENTS = {
-    "norm": (_run_norm, {"restarts": 8}),
-    "martingale": (_run_martingale, {"levels": None}),
-    "basis": (_run_basis, {}),
-    "rn_net": (_run_rn_net, {"family": "coordinate", "levels": None}),
+    "norm": (_run_norm, {**_ENGINE, "restarts": 8}),
+    "martingale": (_run_martingale, {**_ENGINE, "levels": None}),
+    "basis": (_run_basis, dict(_ENGINE)),
+    "rn_net": (_run_rn_net, {**_ENGINE, "family": "coordinate", "levels": None}),
     "daugavet": (_run_daugavet, {"sweep": None, "sign": -1}),  # sweep defaults to [n]
-    "identity": (_run_identity, {"lambda": 1.0, "other": {"kind": "indicator"}}),
-    "series_gap": (_run_series_gap, {"sign": -1, "samples": 64}),
+    "identity": (_run_identity, {"tolerance": 1e-10, "lambda": 1.0, "other": {"kind": "indicator"}}),
+    "series_gap": (_run_series_gap, {"seed": 0, "sign": -1, "samples": 64}),
+}
+
+_CHECKS = {
+    "seed": _check_number,
+    "exact_cutoff": partial(_check_number, low=0),
+    "tolerance": partial(_check_number, low=0, real=True),
+    "restarts": partial(_check_number, low=1),
+    "samples": partial(_check_number, low=0),
+    "lambda": partial(_check_number, real=True),
+    "sign": _check_sign,
 }
 
 
@@ -430,12 +425,10 @@ def run(scenario: Scenario) -> dict:
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario.raw,
         "results": {"experiment": exp["kind"]},
-        "metadata": {
-            "package": "vmlab",
-            "version": __version__,
-            "seed": exp["seed"],
-        },
+        "metadata": {"package": "vmlab", "version": __version__},
     }
+    if "seed" in exp:
+        report["metadata"]["seed"] = exp["seed"]
     try:
         with np.errstate(over="raise", invalid="raise"):
             report["results"].update(EXPERIMENTS[exp["kind"]][0](scenario, exp))

@@ -1,13 +1,21 @@
 import copy
-import numpy as np
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vmlab import ParseError, ValidationError
+from vmlab import MeasureSpace, NormSpec, ParseError, ValidationError, VectorMeasure
 from vmlab.cli import main as cli_main
+from vmlab.daugavet import (
+    FactoredOperator,
+    integration_operator,
+    rank_one_operator,
+    series_approximation_gap,
+)
 from vmlab.harness import (
+    EXPERIMENTS,
     PRESETS,
     build_scenario,
     dumps_csv,
@@ -17,6 +25,7 @@ from vmlab.harness import (
     preset_scenario,
     run,
 )
+from vmlab.rng import SplitMix64
 
 
 def _preset(name):
@@ -137,7 +146,8 @@ def test_determinism_byte_identical():
 
     for name in PRESETS:
         data = _preset(name)
-        data["experiment"]["seed"] = 123
+        if "seed" in EXPERIMENTS[data["experiment"]["kind"]][1]:
+            data["experiment"]["seed"] = 123
         a = strip(run(build_scenario(data)))
         b = strip(run(build_scenario(data)))
         assert a == b, name
@@ -162,7 +172,7 @@ def test_error_section_preserves_report():
     data["functions"] = [[1.0] * 22]
     report = run(build_scenario(data))  # 2^22 dual corners: over capacity
     assert report["error"]["type"] == "CapacityExceeded"
-    assert report["metadata"]["seed"] == 0
+    assert "seed" not in report["metadata"]  # identity takes no seed
 
 
 def test_cli_report_and_exit_codes(tmp_path, capsys):
@@ -275,7 +285,7 @@ def test_identity_cli_lambda(tmp_path):
     ],
 )
 def test_invalid_numeric_parameters_are_validation_errors(tmp_path, capsys, section, key, value):
-    data = _preset("random-measure")
+    data = _preset("rank-one" if key == "tolerance" else "random-measure")
     if key == "samples":
         data = _preset("canonical-l1")
         data["experiment"] = {"kind": "series_gap"}
@@ -297,10 +307,12 @@ def test_invalid_numeric_parameters_are_validation_errors(tmp_path, capsys, sect
 
 @pytest.mark.parametrize("flag, value", [("--exact-cutoff", "-1"), ("--tolerance", "-1e-10")])
 def test_cli_overrides_are_validation_errors(capsys, flag, value):
-    # flag=value, since argparse reads a lone -1e-10 as an option
-    assert cli_main(["report", "--scenario", "canonical-l1", f"{flag}={value}"]) == 1
+    # flag=value, since argparse reads a lone -1e-10 as an option; identity takes the tolerance
+    preset = "rank-one" if flag == "--tolerance" else "canonical-l1"
+    assert cli_main(["report", "--scenario", preset, f"{flag}={value}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+    assert "unknown key" not in err  # the kind takes the flag; its value is refused
 
 
 @pytest.mark.parametrize(
@@ -343,9 +355,9 @@ def test_cli_flags_the_experiment_does_not_take_are_validation_errors(capsys, ne
 )
 def test_run_overrides_are_validated(override):
     # run() takes only the scenario: an override goes into its experiment section
-    data = _preset("canonical-l1")
+    data = _preset("rank-one" if "tolerance" in override else "canonical-l1")
     data["experiment"] = {**data["experiment"], **override}
-    with pytest.raises(ValidationError, match=next(iter(override))):
+    with pytest.raises(ValidationError, match=f"{next(iter(override))} must be"):
         run(build_scenario(data))
 
 
@@ -477,11 +489,37 @@ NAN, INF = float("nan"), float("inf")
         ("random-measure", {"functions": [[1.0, NAN, 0, 0, 0, 0]]}, "one coefficient per atom, all finite"),
         ("rank-one", {"experiment": {"kind": "identity", "lambda": NAN}}, "lambda must be a finite real"),
         ("rank-one", {"experiment": {"kind": "identity", "lambda": INF}}, "lambda must be a finite real"),
-        ("random-measure", {"experiment": {"kind": "norm", "tolerance": INF}}, "tolerance must be a finite"),
+        (
+            "random-measure",
+            {"experiment": {"kind": "identity", "other": {"kind": "random", "seed": 3}, "tolerance": INF}},
+            "tolerance must be a finite",
+        ),
         (
             "rank-one",
             {"experiment": {"kind": "identity", "other": {"kind": "matrix", "rows": [[NAN] * 4] * 4}}},
             "matrix measure needs n rows of value_space dimension, all finite",
+        ),
+        # 1 / 1e-320 overflows, and so do the rank-one atoms 1e300 * 1e300
+        (
+            "canonical-l1",
+            {"space": {"n": 4, "weights": [1e-320, 1, 1, 1]}},
+            "weights must be positive, each with a finite reciprocal",
+        ),
+        (
+            "rank-one",
+            {
+                "space": {"n": 4, "weights": [1e300, 1, 1, 1]},
+                "measure": {"kind": "rank_one", "g": [1e300, 1, 1, 1]},
+            },
+            r"measure rank_one atoms mu_i \* g overflow",
+        ),
+        (
+            "rank-one",
+            {
+                "space": {"n": 4, "weights": [1e300, 1, 1, 1]},
+                "experiment": {"kind": "identity", "other": {"kind": "rank_one", "g": [1e300, 1, 1, 1]}},
+            },
+            r"experiment.other rank_one atoms mu_i \* g overflow",
         ),
     ],
 )
@@ -545,6 +583,26 @@ def test_cli_subcommand_replaces_an_invalid_experiment(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, kept",
+    [
+        (["daugavet"], {}),
+        (["series-gap"], {"seed": 3}),
+        (["converge", "basis"], {"seed": 3, "exact_cutoff": 12}),
+        (["identity"], {"tolerance": 1e-8}),
+    ],
+    ids=["daugavet", "series-gap", "basis", "identity"],
+)
+def test_cli_subcommand_keeps_the_settings_the_new_kind_takes(tmp_path, capsys, argv, kept):
+    data = _preset("canonical-l1")
+    data["experiment"] = {"kind": "bogus", "seed": 3, "exact_cutoff": 12, "tolerance": 1e-8, "levels": 2}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main([*argv, "--scenario", str(path)]) == 0
+    experiment = json.loads(capsys.readouterr().out)["scenario"]["experiment"]
+    assert experiment == {"kind": argv[-1].replace("-", "_"), **kept}
+
+
+@pytest.mark.parametrize(
     "argv, edit",
     [
         # the sums of f = (1e308, -1e308, 1e308, 1, 1, 1) overflow the LINF norm engines
@@ -588,10 +646,11 @@ def test_cli_failures_exit_1_without_a_traceback(tmp_path, capsys, argv, edit):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["report", "--scenario", "canonical-l1", "--seed", "5", "--exact-cutoff", "12", "--tolerance", "1e-8"],
+        ["report", "--scenario", "canonical-l1", "--seed", "5", "--exact-cutoff", "12"],
         ["norm", "--scenario", "random-measure", "--seed", "9", "--restarts", "3"],
+        ["report", "--scenario", "rank-one", "--tolerance", "1e-8"],
     ],
-    ids=["report", "norm"],
+    ids=["report", "norm", "report-tolerance"],
 )
 def test_cli_echoed_scenario_reproduces_the_report(tmp_path, capsys, argv):
     def without_wall_time(text):
@@ -605,3 +664,98 @@ def test_cli_echoed_scenario_reproduces_the_report(tmp_path, capsys, argv):
     second = capsys.readouterr().out
     assert without_wall_time(second) == without_wall_time(first)
     assert len(without_wall_time(first)) == len(first.splitlines()) - 1
+
+
+# the parameters each kind reads; the norm engines read seed and exact_cutoff
+_PARAMETERS = {
+    "norm": {"seed", "exact_cutoff", "restarts"},
+    "martingale": {"seed", "exact_cutoff", "levels"},
+    "basis": {"seed", "exact_cutoff"},
+    "rn_net": {"seed", "exact_cutoff", "family", "levels"},
+    "daugavet": {"sweep", "sign"},
+    "identity": {"tolerance", "lambda", "other"},
+    "series_gap": {"seed", "sign", "samples"},
+}
+_KIND_PRESETS = {
+    "norm": ("random-measure", None),
+    "martingale": ("canonical-l1", None),
+    "basis": ("schauder", None),
+    "rn_net": ("canonical-l1", {"kind": "rn_net"}),
+    "daugavet": ("daugavet-sweep", None),
+    "identity": ("rank-one", None),
+    "series_gap": ("canonical-l1", {"kind": "series_gap"}),
+}
+_SETTINGS = {"seed": 5, "exact_cutoff": 12, "tolerance": 1e-8}
+
+
+def _kind_scenario(kind):
+    name, experiment = _KIND_PRESETS[kind]
+    data = _preset(name)
+    if experiment is not None:
+        data["experiment"] = dict(experiment)
+    return data
+
+
+def test_each_kind_takes_exactly_its_parameters():
+    assert {kind: set(params) for kind, (_, params) in EXPERIMENTS.items()} == _PARAMETERS
+
+
+@pytest.mark.parametrize(
+    "kind, setting",
+    [(kind, setting) for kind, params in _PARAMETERS.items() for setting in _SETTINGS if setting not in params],
+)
+def test_a_setting_the_kind_does_not_read_is_a_validation_error(tmp_path, capsys, kind, setting):
+    data = _kind_scenario(kind)
+    assert data["experiment"]["kind"] == kind
+    report = run(build_scenario(data))
+    assert "error" not in report
+    assert ("seed" in report["metadata"]) == ("seed" in _PARAMETERS[kind])
+    data["experiment"][setting] = _SETTINGS[setting]
+    with pytest.raises(ValidationError, match=re.escape(f"unknown key(s) ['{setting}'] in experiment")):
+        build_scenario(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["report", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and setting in captured.err
+
+
+@pytest.mark.parametrize(
+    "weights, measure",
+    [
+        ([0.1, 0.2, 0.3, 0.4], {"kind": "rank_one", "g": [1.0, -2.0, 0.5, 3.0]}),
+        ("uniform", {"kind": "matrix", "rows": [[1, 2, 0, -1], [0.5, 0, 3, 1], [-2, 1, 1, 0], [0, 0, -1, 4]]}),
+        ([0.4, 0.3, 0.2, 0.1], {"kind": "random", "seed": 7}),
+    ],
+    ids=["weights-rank-one", "matrix", "weights-random"],
+)
+def test_series_gap_runner_matches_the_library_call(weights, measure):
+    data = _preset("canonical-l1")
+    data["space"]["weights"] = weights
+    data["measure"] = measure
+    data["experiment"] = {"kind": "series_gap", "sign": -1, "samples": 8, "seed": 3}
+    sc = build_scenario(data)
+    space = MeasureSpace.uniform(4) if weights == "uniform" else MeasureSpace(np.array(weights))
+    ones = np.ones(4)
+    if measure["kind"] == "rank_one":
+        G = FactoredOperator.rank_one(space, measure["g"])
+        part = FactoredOperator.rank_one(space, -ones)
+    else:
+        atoms = SplitMix64(7).normals(16).reshape(4, 4) if measure["kind"] == "random" else measure["rows"]
+        G = integration_operator(VectorMeasure(space, NormSpec.l1_of_mu(space), atoms))
+        part = rank_one_operator(space, -ones, ones)
+    rep = series_approximation_gap(G, [part], samples=8, seed=3)
+    assert repr(run(sc)["results"]["rows"]) == repr([[rep.gap_norm, rep.c_estimate]])
+
+
+def test_readme_experiment_table_lists_each_kinds_parameters():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("Experiment kinds and parameters", 1)[1].split("\n\n")[1]
+    rows = dict(re.match(r"\| `(\w+)` +\|(.*)", line).groups() for line in table.splitlines()[2:])
+    assert rows.keys() == EXPERIMENTS.keys()
+    for kind, (_, params) in EXPERIMENTS.items():
+        for key in params:
+            assert f"`{key}`" in rows[kind], (kind, key)
+        for key in {"seed", "exact_cutoff", "tolerance"} - params.keys():
+            assert f"`{key}`" not in rows[kind], (kind, key)
