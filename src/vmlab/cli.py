@@ -8,11 +8,11 @@
     vmlab report      --scenario ...          run the scenario's own experiment
     vmlab preset      NAME [--out PATH]       dump a builtin scenario as JSON
 
-Common flags: --scenario (path or preset name), --out, --format {json,csv},
---seed, --exact-cutoff, --tolerance.  Every flag given goes into the experiment
-section before the one build, and ``harness.run`` takes only the scenario, so
-the report's echoed scenario reruns it; a flag the kind does not take
-(``daugavet --seed``) fails validation.  Exit codes: 0 success; 1 validation,
+Common flags: --scenario (path or preset name), --out, --format {json,csv};
+--seed, --exact-cutoff, --tolerance only where the kind takes them (all on
+report).  Every flag given goes into the experiment section before the one
+build, and ``harness.run`` takes only the scenario, so the report's echoed
+scenario reruns it.  Exit codes: 0 success; 1 validation,
 parse, usage or write error, or a report error section (such as a
 floating-point overflow); 2 capacity error (recorded in the report).
 """
@@ -36,6 +36,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # an unknown flag is an error of the subcommand that was given it
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _atom_counts(text: str) -> list:
     """The --sweep value; harness validation judges the counts themselves."""
@@ -45,13 +52,14 @@ def _atom_counts(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, *kinds: str):
+    """The flags every subcommand has, and each setting one of ``kinds`` takes."""
     parser.add_argument("--scenario", required=True, help="scenario file or preset name")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", default="json", choices=("json", "csv"))
-    parser.add_argument("--seed", type=int, default=None, help="experiment seed")
-    parser.add_argument("--exact-cutoff", type=int, default=None, dest="exact_cutoff")
-    parser.add_argument("--tolerance", type=float, default=None)
+    for key, type_ in (("seed", int), ("exact_cutoff", int), ("tolerance", float)):
+        if any(key in EXPERIMENTS[kind][1] for kind in kinds):
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, type=type_, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,22 +67,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("norm", help="norm table for every scenario function")
-    _add_common(p)
+    _add_common(p, "norm")
     p.add_argument("--restarts", type=int, default=None)
 
     p = sub.add_parser("converge", help="net convergence diagnostics")
     p.add_argument("net", choices=("martingale", "basis", "rn"))
-    _add_common(p)
+    _add_common(p, "martingale", "basis", "rn_net")
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--family", choices=("coordinate", "expectation"), default=None)
 
     p = sub.add_parser("daugavet", help="rank-one Daugavet defect sweep")
-    _add_common(p)
+    _add_common(p, "daugavet")
     p.add_argument("--sweep", type=_atom_counts, default=None, help="comma-separated atom counts")
     p.add_argument("--sign", type=int, choices=(-1, 1), default=None)
 
     p = sub.add_parser("identity", help="combined-norm density identity check")
-    _add_common(p)
+    _add_common(p, "identity")
     p.add_argument(
         "--lambda",
         "--lam",
@@ -85,12 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("series-gap", help="distance of the map to a partial operator sum")
-    _add_common(p)
+    _add_common(p, "series_gap")
     p.add_argument("--sign", type=int, choices=(-1, 1), default=None)
     p.add_argument("--samples", type=int, default=None)
 
     p = sub.add_parser("report", help="run the experiment stored in the scenario")
-    _add_common(p)
+    _add_common(p, *EXPERIMENTS)
 
     p = sub.add_parser("preset", help="dump a builtin scenario as JSON")
     p.add_argument("name", choices=sorted(PRESETS))

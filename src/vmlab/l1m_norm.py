@@ -152,15 +152,11 @@ def norm_heuristic(
     if restarts < 1:
         raise ValueError("need at least one restart")
     support = _support(f)
-    k = support.size
-    if k == 0:
+    if support.size == 0:
         return NormResult(0.0, MeasurableSet.full(f.space), HEURISTIC)
     a = np.abs(f.coeffs[support])[:, None] * m.atoms[support]
-
-    def objective(patterns):  # on one pattern exactly x_norm(m.X, delta @ a), the reported value
-        return x_norm(m.X, patterns @ a)
-
-    delta, value = hill_climb(k, objective, restarts=restarts, seed=seed)
+    # the value is x_norm(m.X, delta @ a) bitwise, the one a caller recomputes
+    delta, value = hill_climb(a, lambda sums: x_norm(m.X, sums), restarts=restarts, seed=seed)
     return NormResult(value, _witness_from_pattern(f, support, delta), HEURISTIC)
 
 

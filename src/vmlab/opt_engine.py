@@ -10,8 +10,10 @@ Three small deterministic tools back the norm and dual-norm engines:
   * exhaustive search over sign patterns (first component pinned to +1),
     scored in blocks of 2^12 patterns by one matrix product each, for one
     problem or a stack of them,
-  * steepest-ascent single-flip hill climbing with seeded random restarts,
-    scoring all k flips of a pattern in one batched objective call.
+  * steepest-ascent single-flip hill climbing with seeded random restarts
+    that ascend in lockstep as the rows of one array; the k flips of every
+    live restart are scored from its running sums, in blocks of 2^14 sum
+    entries, and the near-best flips again by one stacked product.
 
 Problem sizes are desk scale (a few hundred variables, a few thousand
 constraints).  The simplex and the sign kernels replace per-row and
@@ -21,7 +23,6 @@ bit-for-bit deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -40,6 +41,7 @@ _BLOCK_BITS = 12
 _LOW_SIGNS = 1.0 - 2.0 * ((np.arange(1 << _BLOCK_BITS)[:, None] >> np.arange(_BLOCK_BITS)) & 1)
 _LOW_SIGNS.setflags(write=False)
 _BATCH_RTOL = 1e-9  # batch values this close to the batch maximum are scored again
+_FLIP_BLOCK = 1 << 14  # flip sum entries per hill_climb objective call
 
 
 @dataclass(frozen=True)
@@ -177,49 +179,53 @@ def best_sign_pattern(
 
 
 def hill_climb(
-    k: int,
+    a: np.ndarray,
     objective: Callable[[np.ndarray], np.ndarray],
     restarts: int = 8,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
-    """Steepest-ascent single-flip local search over sign vectors.
+    """Steepest-ascent single-flip local search for the maximum of ``objective(eps @ a)``.
 
-    ``objective`` maps an (N, k) array of patterns to N values; one call
-    scores all k flips of the current pattern.  A batch may round unlike a
-    single pattern, so flips within a relative 1e-9 of the best are scored
-    again alone, and every decision and the returned value use single-pattern
-    values.  Deterministic for a fixed seed: restarts start from
-    SplitMix64(seed) draws, each ascent applies the best strictly improving
-    flip (smallest index on ties) until none remains, and the best restart
-    wins (first one on exact ties).  A batch maximum of +inf is matched
-    exactly, so the ascent stops at the first +inf value; a NaN value raises
-    ``ValueError``.
+    ``objective`` maps an (..., d) array of sums to (...) values, each row as
+    if alone.  The restarts take their starts restart-major from one
+    SplitMix64(seed) draw and ascend in lockstep as one array: each step scores
+    all k flips of every live restart from its running sums S as
+    S - 2 eps_j a_j, ``_FLIP_BLOCK`` sum entries per objective call at most,
+    and flips within a relative 1e-9 of a restart's batch maximum again by
+    one stacked product, bitwise the single-pattern ``eps @ a``.  A restart
+    applies its best strictly improving flip (smallest index on ties) until
+    none remains; the first best restart wins.  A batch maximum of +inf is
+    matched exactly, so an ascent stops at its first +inf; NaN raises.
     """
+    k, d = a.shape
     if k < 1:
         raise ValueError("need at least one position")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    gen = SplitMix64(seed)
-    flips = 1.0 - 2.0 * np.eye(k)  # row j flips position j
-    best_pattern = None
-    best_value = -np.inf
-    for _ in range(restarts):
-        eps = np.array(gen.signs(k))
-        value = float(objective(eps[None])[0])
-        while True:
-            batch = objective(flips * eps)
-            top = batch.max()
-            if math.isnan(top) or math.isnan(value):
-                raise ValueError("hill_climb objective returned NaN")
-            slack = _BATCH_RTOL * abs(top) if top < np.inf else 0.0  # inf - inf is NaN
-            near = np.flatnonzero(batch >= top - slack)
-            values = [float(objective(flips[j : j + 1] * eps)[0]) for j in near]
-            i = int(np.argmax(values))
-            if not values[i] > value:
-                break
-            eps[near[i]] = -eps[near[i]]
-            value = values[i]
-        if value > best_value:
-            best_value = value
-            best_pattern = eps.copy()
-    return best_pattern, best_value
+    eps = SplitMix64(seed).signs(restarts * k).reshape(restarts, k)
+    sums = np.matmul(eps[:, None, :], a)[:, 0]
+    value = np.array(objective(sums), dtype=float)
+    per_call = max(1, _FLIP_BLOCK // max(1, k * d))  # restarts scored per objective call
+    live = np.arange(restarts)
+    while live.size:
+        blocks = [live[i : i + per_call] for i in range(0, live.size, per_call)]
+        batch = np.concatenate([objective(sums[r, None] - 2 * eps[r, :, None] * a) for r in blocks])
+        top, current = batch.max(axis=1), value[live]
+        if np.isnan(top).any() or np.isnan(current).any():
+            raise ValueError("hill_climb objective returned NaN")
+        slack = np.where(top < np.inf, _BATCH_RTOL * np.abs(top), 0.0)  # inf - inf is NaN
+        near = batch >= (top - slack)[:, None]
+        rows, cols = near.nonzero()
+        flipped = eps[live[rows]]
+        flipped[np.arange(rows.size), cols] *= -1.0
+        scored = np.full(near.shape, -np.inf)
+        scored[rows, cols] = objective(np.matmul(flipped[:, None, :], a)[:, 0])
+        j = scored.argmax(axis=1)  # first maximum: the smallest flip index on ties
+        gain = scored[np.arange(live.size), j]
+        up = gain > current
+        live, j = live[up], j[up]
+        eps[live, j] *= -1.0
+        sums[live] = np.matmul(eps[live, None], a)[:, 0]
+        value[live] = gain[up]
+    w = int(value.argmax())
+    return eps[w].copy(), float(value[w])

@@ -12,10 +12,12 @@ numpy's generator versioning:
 
 Derived draws (documented because reports depend on them):
   * ``random()``   uniform in [0, 1): top 53 bits of the next output.
-  * ``signs(k)``   one output per entry, +1 when the low bit is 0.
+  * ``signs(k)``   k signs as a float64 array, bitwise k ``sign()`` calls:
+                   entry i is +1 when the low bit of the mix of
+                   ``state + (i + 1) * GAMMA mod 2**64`` is 0.
   * ``normal()``   Box-Muller from two uniforms, cosine branch only.
   * ``normals(k)`` k normals as a float64 array, bitwise k ``normal()`` calls:
-                   output i is the mix of ``state + i * GAMMA mod 2**64``, so
+                   output i is the mix of ``state + (i + 1) * GAMMA``, so
                    the outputs come from numpy uint64 arithmetic; log and
                    cos stay per element on ``math``, whose last bits numpy's
                    versions do not always match.  Both go in slices of
@@ -55,8 +57,18 @@ class SplitMix64:
     def sign(self) -> float:
         return 1.0 if (self.next_u64() & 1) == 0 else -1.0
 
-    def signs(self, k: int) -> list[float]:
-        return [self.sign() for _ in range(k)]
+    def _outputs(self, skip: int, count: int) -> np.ndarray:
+        """Outputs skip+1 .. skip+count from the current state, as uint64, state unchanged."""
+        steps = np.arange(skip + 1, skip + count + 1, dtype=np.uint64)
+        z = steps * np.uint64(_GAMMA) + np.uint64(self._state)  # wraps mod 2**64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
+
+    def signs(self, k: int) -> np.ndarray:
+        out = 1.0 - 2.0 * (self._outputs(0, k) & np.uint64(1)).astype(np.float64)
+        self._state = (self._state + k * _GAMMA) & _MASK
+        return out
 
     def normal(self) -> float:
         # (0,1] uniform avoids log(0); the sine mate of the pair is discarded.
@@ -68,11 +80,7 @@ class SplitMix64:
         out = np.empty(k)
         for start in range(0, k, _NORMALS_SLICE):
             m = min(_NORMALS_SLICE, k - start)
-            steps = np.arange(2 * start + 1, 2 * (start + m) + 1, dtype=np.uint64)
-            z = steps * np.uint64(_GAMMA) + np.uint64(self._state)  # wraps mod 2**64
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z ^= z >> np.uint64(31)
+            z = self._outputs(2 * start, 2 * m)
             top = (z >> np.uint64(11)).astype(np.float64).reshape(m, 2)  # exact below 2**53
             u1 = (top[:, 0] + 1.0) * 2.0**-53
             u2 = top[:, 1] * 2.0**-53

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vmlab import MeasureSpace, NormSpec, ParseError, ValidationError, VectorMeasure
+from vmlab.cli import _build_parser
 from vmlab.cli import main as cli_main
 from vmlab.daugavet import (
     FactoredOperator,
@@ -719,6 +720,34 @@ def test_a_setting_the_kind_does_not_read_is_a_validation_error(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and setting in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        (["norm"], "norm"),
+        (["converge", "martingale"], "martingale"),
+        (["converge", "basis"], "basis"),
+        (["converge", "rn"], "rn_net"),
+        (["daugavet"], "daugavet"),
+        (["identity"], "identity"),
+        (["series-gap"], "series_gap"),
+        (["report"], None),
+    ],
+)
+@pytest.mark.parametrize("setting", sorted(_SETTINGS))
+def test_a_subcommand_has_a_setting_flag_only_if_its_kind_takes_it(capsys, command, kind, setting):
+    flag = "--" + setting.replace("_", "-")
+    argv = command + ["--scenario", "canonical-l1", f"{flag}={_SETTINGS[setting]}"]
+    if kind is None or setting in _PARAMETERS[kind]:  # report runs any kind, so it has every flag
+        args = _build_parser().parse_args(argv)
+        assert getattr(args, setting) == _SETTINGS[setting]
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"vmlab {command[0]}: error: unrecognized arguments: {argv[-1]}"
 
 
 @pytest.mark.parametrize(

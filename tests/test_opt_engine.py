@@ -14,7 +14,7 @@ from vmlab import (
     norm,
     solve_lp,
 )
-from vmlab.opt_engine import _pivot
+from vmlab.opt_engine import _FLIP_BLOCK, _pivot
 from vmlab.rng import SplitMix64
 
 from helpers import loop_solve_lp
@@ -253,18 +253,19 @@ def test_best_sign_pattern_stack_is_bitwise_each_slice():
                 assert np.all(patterns[1, 1::3] == 1.0)
 
 
-def _reference_ascent(k, value_of, restarts, seed):
-    """The single-pattern ascent: one objective call per flip."""
+def _reference_ascent(a, value_of, restarts, seed):
+    """The single-pattern ascent: one objective call per flip, restart by restart."""
+    k = a.shape[0]
     gen = SplitMix64(seed)
     best_pattern, best_value = None, -np.inf
     for _ in range(restarts):
-        eps = np.array(gen.signs(k))
-        value = value_of(eps)
+        eps = np.array([gen.sign() for _ in range(k)])
+        value = value_of(eps @ a)
         while True:
             flip, flip_value = -1, value
             for j in range(k):
                 eps[j] = -eps[j]
-                v = value_of(eps)
+                v = value_of(eps @ a)
                 eps[j] = -eps[j]
                 if v > flip_value:
                     flip, flip_value = j, v
@@ -277,6 +278,12 @@ def _reference_ascent(k, value_of, restarts, seed):
     return best_pattern, best_value
 
 
+def _tied_rows(rng, a):
+    """Repeat, negate and zero the second half of the rows in place: exact ties between flips."""
+    k = a.shape[0]
+    a[k // 2 :] = a[: k - k // 2] * rng.choice([-1.0, 0.0, 1.0], size=(k - k // 2, 1))
+
+
 def test_hill_climb_matches_single_pattern_ascent():
     rng = np.random.default_rng(13)
     for trial in range(30):
@@ -284,34 +291,87 @@ def test_hill_climb_matches_single_pattern_ascent():
         d = int(rng.integers(1, 7))
         X = NormSpec(("L1", "L2", "LINF")[trial % 3], d, rng.uniform(0.5, 2.0, d))
         a = rng.normal(size=(k, d))
-        if trial % 2:  # repeated, negated and zero rows make exact ties between flips
-            a[k // 2 :] = a[: k - k // 2] * rng.choice([-1.0, 0.0, 1.0], size=(k - k // 2, 1))
+        if trial % 2:
+            _tied_rows(rng, a)
         seed = int(rng.integers(1 << 30))
-        got = hill_climb(k, lambda patterns: norm(X, patterns @ a), restarts=4, seed=seed)
-        want = _reference_ascent(k, lambda eps: norm(X, eps @ a), restarts=4, seed=seed)
+        got = hill_climb(a, lambda sums: norm(X, sums), restarts=4, seed=seed)
+        want = _reference_ascent(a, lambda sums: norm(X, sums), restarts=4, seed=seed)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
 
 
+def test_hill_climb_is_bitwise_the_single_pattern_ascent_across_flip_blocks():
+    rng = np.random.default_rng(14)
+    spans_blocks = 0
+    for trial in range(300):
+        if trial % 20 == 1:  # large enough that most climbs span several flip blocks
+            k, d = int(rng.integers(32, 129)), int(rng.integers(64, 129))
+        else:
+            k, d = int(rng.integers(1, 33)), int(rng.integers(1, 9))
+        restarts = (1, 3, 8)[trial // 3 % 3]
+        X = NormSpec(("L1", "L2", "LINF")[trial % 3], d, rng.uniform(0.5, 2.0, d))
+        a = rng.normal(size=(k, d))
+        if trial % 2:
+            _tied_rows(rng, a)
+        spans_blocks += restarts * k * d > _FLIP_BLOCK
+        seed = int(rng.integers(1 << 62))
+        pattern, value = hill_climb(a, lambda sums: norm(X, sums), restarts=restarts, seed=seed)
+        want = _reference_ascent(a, lambda sums: norm(X, sums), restarts=restarts, seed=seed)
+        assert pattern.tobytes() == want[0].tobytes()
+        assert repr(value) == repr(want[1])
+    assert spans_blocks >= 5
+
+
+@pytest.mark.parametrize(
+    "kind, tenths, seed",
+    [
+        ("L1", [9, 8, 9, -8], 127924246),
+        ("LINF", [9, 7, -9, 7], 671676234),
+        ("L2", [5, 5, 3, 2, -5, 5, 3, -2], 948626797),
+    ],
+)
+def test_hill_climb_rescores_flips_tied_up_to_rounding(kind, tenths, seed):
+    # a negated row ties two flips up to the last bits of S - 2 eps_j a_j; scoring
+    # only the flips equal to the batch maximum again would take the wrong one
+    X = NormSpec(kind, 1, np.ones(1))
+    a = np.array(tenths, dtype=float)[:, None] / 10.0
+    pattern, value = hill_climb(a, lambda sums: norm(X, sums), restarts=1, seed=seed)
+    want = _reference_ascent(a, lambda sums: norm(X, sums), restarts=1, seed=seed)
+    assert pattern.tobytes() == want[0].tobytes()
+    assert repr(value) == repr(want[1])
+
+
+def test_stacked_single_row_products_are_bitwise_the_single_products():
+    rng = np.random.default_rng(15)
+    for k, d, rows in [(1, 1, 1), (3, 2, 5), (24, 6, 8), (96, 6, 40), (128, 128, 9), (17, 128, 3)]:
+        a = rng.normal(size=(k, d))
+        P = rng.choice([-1.0, 1.0], size=(rows, k))
+        stacked = np.matmul(P[:, None, :], a)[:, 0]
+        for i in range(rows):
+            assert stacked[i].tobytes() == (P[i] @ a).tobytes()
+
+
 def test_hill_climb_constant_objective():
-    pattern, value = hill_climb(6, lambda patterns: np.full(len(patterns), 2.5), restarts=3, seed=1)
+    pattern, value = hill_climb(
+        np.eye(6), lambda sums: np.full(sums.shape[:-1], 2.5), restarts=3, seed=1
+    )
     assert value == 2.5
     assert pattern.shape == (6,)
 
 
 def test_hill_climb_stops_at_an_infinite_objective():
-    def objective(patterns):
-        values = patterns.sum(axis=-1)
+    def objective(sums):
+        values = sums.sum(axis=-1)
         return np.where(values == 6, np.inf, values)
 
-    pattern, value = hill_climb(6, objective, restarts=3, seed=1)
+    pattern, value = hill_climb(np.eye(6), objective, restarts=3, seed=1)
     assert value == np.inf
     assert np.array_equal(pattern, np.ones(6))
 
 
 def test_hill_climb_nan_objective_is_named():
     with pytest.raises(ValueError, match="objective returned NaN"):
-        hill_climb(6, lambda patterns: np.full(len(patterns), np.nan), restarts=3, seed=1)
+        hill_climb(np.eye(6), lambda sums: np.full(sums.shape[:-1], np.nan), restarts=3, seed=1)
 
 
 def test_hill_climb_is_lower_bound_of_enumeration():
@@ -320,11 +380,11 @@ def test_hill_climb_is_lower_bound_of_enumeration():
         k = int(rng.integers(2, 9))
         a = rng.normal(size=(k, 3))
 
-        def objective(patterns):
-            return np.abs(patterns @ a).sum(axis=-1)
+        def objective(sums):
+            return np.abs(sums).sum(axis=-1)
 
         best = max(float(np.abs(eps @ a).sum()) for eps in _all_patterns(k))
-        _, value = hill_climb(k, objective, restarts=4, seed=int(rng.integers(1 << 30)))
+        _, value = hill_climb(a, objective, restarts=4, seed=int(rng.integers(1 << 30)))
         assert value <= best + 1e-12
 
 
@@ -332,10 +392,10 @@ def test_hill_climb_deterministic():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(8, 2))
 
-    def objective(patterns):
-        return np.abs(patterns @ a).sum(axis=-1)
+    def objective(sums):
+        return np.abs(sums).sum(axis=-1)
 
-    first = hill_climb(8, objective, restarts=8, seed=42)
-    second = hill_climb(8, objective, restarts=8, seed=42)
+    first = hill_climb(a, objective, restarts=8, seed=42)
+    second = hill_climb(a, objective, restarts=8, seed=42)
     assert first[1] == second[1]
     assert np.array_equal(first[0], second[0])
