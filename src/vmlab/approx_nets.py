@@ -4,7 +4,11 @@ Two concrete net generators are provided:
 
   * martingale nets: averaging a measure over the blocks of a partition,
     m_p on atom i equals (mu_i / mu(B(i))) * m(B(i)); its integration map
-    factors through the conditional-expectation projection of the partition;
+    factors through the conditional-expectation projection of the partition.
+    The average of the indicator measure is recorded as A |-> E_p chi_A, so
+    where enumeration stops, the deviation of each level comes from the
+    block closed form of ``l1m_norm`` (exact at any size on L1(mu) with one
+    weight per block) rather than from hill climbing;
   * basis-projection nets: truncating the value-space coordinates, which
     compose the measure with a norm-one projection.
 
@@ -35,7 +39,7 @@ from .l1m_norm import deviation as deviation_seminorm
 from .l1m_norm import DEFAULT_EXACT_CUTOFF, integrate, norm_best
 from .measure_core import MeasureSpace, Partition, SimpleFunction, same_space
 from .normed_space import NormSpec, norm as x_norm
-from .vector_measure import VectorMeasure, rn_derivatives, same_setting
+from .vector_measure import EXPECTATION, INDICATOR, VectorMeasure, rn_derivatives, same_setting
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,14 +97,21 @@ def conditional_expectation(space: MeasureSpace, p: Partition) -> FiniteRankOper
 
 
 def martingale_measure(m: VectorMeasure, p: Partition) -> VectorMeasure:
-    """Average m over the blocks of p: atom i carries (mu_i / mu(B(i))) m(B(i))."""
+    """Average m over the blocks of p: atom i carries (mu_i / mu(B(i))) m(B(i)).
+
+    The average of the indicator measure is recorded as the measure
+    A |-> E_p chi_A (kind EXPECTATION, partition p).
+    """
     if not same_space(m.space, p.space):
         raise ValueError("partition lives on a different space")
     masses = p.block_masses()
     block_values = np.zeros((p.n_blocks, m.X.dim))
     np.add.at(block_values, p.block_of, m.atoms)
     scale = m.space.weights / masses[p.block_of]
-    return VectorMeasure(m.space, m.X, scale[:, None] * block_values[p.block_of])
+    atoms = scale[:, None] * block_values[p.block_of]
+    if m.kind == INDICATOR:
+        return VectorMeasure(m.space, m.X, atoms, kind=EXPECTATION, partition=p)
+    return VectorMeasure(m.space, m.X, atoms)
 
 
 def integrate_martingale(m: VectorMeasure, p: Partition, f: SimpleFunction) -> np.ndarray:

@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -75,7 +75,7 @@ from .l1m_norm import DEFAULT_EXACT_CUTOFF, HEURISTIC, norm_best, norm_heuristic
 from .measure_core import MeasurableSet, MeasureSpace, SimpleFunction, dyadic_chain
 from .normed_space import NormSpec, same_norm
 from .rng import SplitMix64
-from .vector_measure import VectorMeasure
+from .vector_measure import EXPECTATION, INDICATOR, VectorMeasure, indicator_measure
 
 SCHEMA_VERSION = 1
 
@@ -161,11 +161,11 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
     if kind == "indicator":
         _require_keys(section, {"kind"}, {"kind"}, where)
         if X.dim != space.n:
-            raise ValidationError("indicator measure needs value_space dimension equal to n")
-        return VectorMeasure(space, X, np.eye(space.n))
+            raise ValidationError(f"{where}: indicator measure needs value_space dimension equal to n")
+        return indicator_measure(space, X)
     if kind == "rank_one":
         _require_keys(section, {"kind", "g"}, {"kind", "g"}, where)
-        message = "rank_one density g must have value_space dimension, all finite"
+        message = f"{where}: rank_one density g must have value_space dimension, all finite"
         g = _finite_array(section["g"], (X.dim,), message)
         if not math.isfinite(float(space.weights.max()) * float(np.abs(g).max())):
             raise ValidationError(f"{where} rank_one atoms mu_i * g overflow")
@@ -178,7 +178,7 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
         return VectorMeasure(space, X, atoms)
     if kind == "matrix":
         _require_keys(section, {"kind", "rows"}, {"kind", "rows"}, where)
-        message = "matrix measure needs n rows of value_space dimension, all finite"
+        message = f"{where}: matrix measure needs n rows of value_space dimension, all finite"
         atoms = _finite_array(section["rows"], (space.n, X.dim), message)
         return VectorMeasure(space, X, atoms)
     if kind == "composed":
@@ -186,9 +186,9 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
         base = _build_measure(section["base"], space, X, where=f"{where}.base")
         k = section["k"]
         if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= X.dim:
-            raise ValidationError("composed truncation rank k must be in 1..d")
+            raise ValidationError(f"{where}: composed truncation rank k must be in 1..d")
         return basis_truncated_measure(base, k)
-    raise ValidationError(f"unknown measure kind {kind!r}")
+    raise ValidationError(f"{where}: unknown measure kind {kind!r}")
 
 
 def _check_levels(exp: dict, space: MeasureSpace, what: str):
@@ -347,6 +347,9 @@ def _run_rn_net(sc: Scenario, exp: dict) -> dict:
         families = [expectation_family(sc.measure, p) for p in chain]
         tests = _default_tests(sc, finest=chain[-1])
     net = [associated_measure(rn_operator(sc.measure, xs, vs), sc.space) for xs, vs in families]
+    if exp["family"] == "expectation" and sc.measure.kind == INDICATOR:
+        # on the indicator measure the level of p is A |-> E_p chi_A
+        net = [replace(level, kind=EXPECTATION, partition=p) for level, p in zip(net, chain)]
     return _net_table(sc, exp, net, tests)
 
 

@@ -6,7 +6,7 @@ For a simple function f the norm equals both
     sup over the dual ball of  sum_i |f_i| |<m_i, x*>|,
 
 which at finite n reduces to a maximum over sign patterns, respectively over
-the extreme points of the dual ball.  Three engines realize this:
+the extreme points of the dual ball.  Four engines realize this:
 
   * ``norm_exact``        exhaustive enumeration of sign patterns against the
                           entrywise absolute value of f, scored in blocks of
@@ -16,7 +16,16 @@ the extreme points of the dual ball.  Three engines realize this:
   * ``norm_closed_form``  enumeration of dual extreme points for polyhedral
                           value norms, with O(n d) fast paths for sup-type
                           norms and for sign-consistent atom matrices,
+  * a block closed form   for the martingale difference A |-> chi_A - E_p chi_A
+                          into L1(mu) with one weight per block of p: one sort
+                          per block, O(n log n), exact at any size; it runs
+                          where the measure records that kind, which
+                          ``deviation`` does for the indicator measure against
+                          its average over p,
   * ``norm_heuristic``    seeded steepest-ascent hill climbing, a lower bound.
+
+``norm_best`` tries them in that order, the heuristic only when no exact
+engine applies.
 
 ``koethe_dual_norm`` evaluates the associated dual function norm
 ``sup { |sum_i f_i g_i mu_i| : ||f|| <= 1 }`` by linear programming on
@@ -26,7 +35,7 @@ with f = sign(g)*u), and by projected supergradient ascent otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -34,10 +43,11 @@ import numpy as np
 from .errors import CapacityExceeded, NotPolyhedral
 from .measure_core import MeasurableSet, SimpleFunction
 from .normed_space import L1, L1_EXTREME_LIMIT, L2, LINF, dual_extreme_half, norm_rows
+from .normed_space import NormSpec, same_norm
 from .normed_space import norm as x_norm
 from .opt_engine import LinearProgram, UNBOUNDED, best_sign_pattern, hill_climb, solve_lp
 from .rng import SplitMix64
-from .vector_measure import VectorMeasure, combine
+from .vector_measure import EXPECTATION, INDICATOR, MARTINGALE_DIFFERENCE, VectorMeasure, combine
 
 EXACT = "exact"
 CLOSED_FORM = "closed_form"
@@ -103,7 +113,12 @@ def _closed_form_linf(m: VectorMeasure, f: SimpleFunction) -> NormResult:
 
 
 def _rows_sign_consistent(rows: np.ndarray) -> bool:
-    return bool(np.all((rows.min(axis=1) >= 0.0) | (rows.max(axis=1) <= 0.0)))
+    """No row has both a positive and a negative entry (zeros of either sign are neither)."""
+    negative = rows < 0.0
+    if not negative.any():
+        return True
+    mixed = np.logical_or.reduce(negative, axis=1) & np.logical_or.reduce(rows > 0.0, axis=1)
+    return not mixed.any()
 
 
 def norm_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
@@ -160,6 +175,51 @@ def norm_heuristic(
     return NormResult(value, _witness_from_pattern(f, support, delta), HEURISTIC)
 
 
+def _has_block_closed_form(m: VectorMeasure) -> bool:
+    """m is A |-> chi_A - E_p chi_A into L1(mu), every block of p of one weight."""
+    if m.kind != MARTINGALE_DIFFERENCE or not same_norm(m.X, NormSpec.l1_of_mu(m.space)):
+        return False
+    w, block_of = m.space.weights, m.partition.block_of
+    block_weight = np.empty(m.partition.n_blocks)
+    block_weight[block_of] = w
+    return bool(np.array_equal(block_weight[block_of], w))
+
+
+def _norm_block_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
+    """The norm over A |-> chi_A - E_p chi_A into L1(mu), blocks of equal weight.
+
+    On a block B of b atoms of weight w_B, with c = |f| and x = eps * c, the
+    integral of f h_A has coordinates x_j - mean(x), so B adds
+    w_B sum_j |x_j - mean(x)|.  Over the signs that is
+    (2/b) max_q [(b - 2q) S_q + q T]: T is the sum of c over B, q the number
+    of minus signs and S_q the sum of the q largest c.  The value is
+    symmetric under q -> b - q, so q <= b/2 suffices.  Blocks of one size
+    are sorted and summed as the rows of one array; the witness puts the
+    minus signs on the q largest c of each block.
+    """
+    p = m.partition
+    c = np.abs(f.coeffs)
+    sizes = np.bincount(p.block_of, minlength=p.n_blocks)
+    members = np.argsort(p.block_of, kind="stable")  # the atoms block by block
+    starts = np.cumsum(sizes) - sizes
+    block_values = np.zeros(p.n_blocks)
+    delta = np.ones(f.space.n)
+    for b in np.unique(sizes):
+        blocks = np.flatnonzero(sizes == b)
+        ids = members[starts[blocks, None] + np.arange(b)]
+        ids = np.take_along_axis(ids, np.argsort(-c[ids], axis=1, kind="stable"), axis=1)
+        prefix = np.zeros((blocks.size, b + 1))
+        np.cumsum(c[ids], axis=1, out=prefix[:, 1:])  # prefix[:, q] is S_q, prefix[:, b] is T
+        q = np.arange(b // 2 + 1)
+        scores = (b - 2 * q) * prefix[:, q] + q * prefix[:, -1:]
+        best = scores.argmax(axis=1)
+        block_values[blocks] = (2.0 / b) * m.space.weights[ids[:, 0]] * scores.max(axis=1)
+        delta[ids[np.arange(b) < best[:, None]]] = -1.0
+    support = _support(f)
+    witness = _witness_from_pattern(f, support, delta[support])
+    return NormResult(float(block_values.sum()), witness, CLOSED_FORM)
+
+
 def norm_best(
     m: VectorMeasure,
     f: SimpleFunction,
@@ -167,7 +227,12 @@ def norm_best(
     restarts: int = 8,
     seed: int = 0,
 ) -> NormResult:
-    """Cheapest sound engine for the instance; heuristic only as a last resort."""
+    """Cheapest sound engine for the instance; heuristic only as a last resort.
+
+    The order is the closed form (polyhedral value norms), exhaustive
+    enumeration, the closed form of martingale differences of the indicator
+    measure over blocks of equal weight, and hill climbing.
+    """
     if m.X.is_polyhedral:
         try:
             return norm_closed_form(m, f)
@@ -176,6 +241,8 @@ def norm_best(
     try:
         return norm_exact(m, f, exact_cutoff=exact_cutoff)
     except CapacityExceeded:
+        if _has_block_closed_form(m):
+            return _norm_block_closed_form(m, f)
         return norm_heuristic(m, f, restarts=restarts, seed=seed)
 
 
@@ -189,10 +256,18 @@ def deviation(
 ) -> float:
     """sup over A of || integral of f h_A d(m - m1) ||, the deviation seminorm.
 
-    Exact engines are used whenever capacity allows; the value bounds the
-    difference of the two function-space norms of f.
+    The value is ``norm_best`` of f over m - m1, so exact engines are used
+    whenever capacity allows; it bounds the difference of the two
+    function-space norms of f.  When the constructors recorded m as the
+    indicator measure and m1 as its average over a partition p (kinds
+    INDICATOR and EXPECTATION), m - m1 is recorded as the martingale
+    difference A |-> chi_A - E_p chi_A.  On L1(mu) with blocks of equal
+    weight its norm then has a closed form, exact at any size, which takes
+    over where enumeration stops.
     """
     diff = combine(m, -1.0, m1)
+    if m.kind == INDICATOR and m1.kind == EXPECTATION:
+        diff = replace(diff, kind=MARTINGALE_DIFFERENCE, partition=m1.partition)
     return norm_best(diff, f, exact_cutoff=exact_cutoff, restarts=restarts, seed=seed).value
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, NotPolyhedral
 from .measure_core import MeasureSpace
+from .opt_engine import sign_table
 
 L1 = "L1"
 L2 = "L2"
@@ -118,11 +119,20 @@ def dual_norm(X: NormSpec, xstar) -> float:
     return norm(dual_spec(X), xstar)
 
 
+def _check_corner_limit(d: int):
+    if d > L1_EXTREME_LIMIT:
+        raise CapacityExceeded(
+            f"2^{d} dual extreme points exceed the enumeration limit (d <= {L1_EXTREME_LIMIT})"
+        )
+
+
 def dual_extreme_points(X: NormSpec) -> np.ndarray:
     """Extreme points of the dual unit ball, one per row.
 
     Row order: LINF rows 2j, 2j + 1 are +-w_j e_j; L1 row t has -w_j where bit
     j of t is set, else +w_j, so its first half pins + in the last coordinate.
+    The L1 table is built by doubling (``sign_table``): every entry is exactly
+    +-w_j.
 
     Only the polyhedral kinds have finitely many; L2 raises NotPolyhedral and
     callers must switch to an optimization route.
@@ -134,18 +144,20 @@ def dual_extreme_points(X: NormSpec) -> np.ndarray:
         pts[1::2] = np.diag(-X.scale)  # not -np.diag(...), which puts -0.0 off the diagonal
         return pts
     if X.kind == L1:
-        if d > L1_EXTREME_LIMIT:
-            raise CapacityExceeded(
-                f"2^{d} dual extreme points exceed the enumeration limit (d <= {L1_EXTREME_LIMIT})"
-            )
-        t = np.arange(1 << d, dtype=np.int64)
-        bits = (t[:, None] >> np.arange(d)) & 1
-        return (1.0 - 2.0 * bits) * X.scale
+        _check_corner_limit(d)
+        return sign_table(X.scale, d)
     raise NotPolyhedral("the L2 unit ball has no finite extreme-point set")
 
 
 def dual_extreme_half(X: NormSpec) -> np.ndarray:
     """One of each pair +-x* of ``dual_extreme_points``, in their row order:
-    the +w_j e_j rows for LINF, the first half (+ in the last coordinate) for L1."""
-    pts = dual_extreme_points(X)
-    return pts[::2] if X.kind == LINF else pts[: len(pts) // 2]
+    the +w_j e_j rows for LINF, the first half (+ in the last coordinate) for L1.
+
+    Only these rows are built; the capacity limit is that of the full set.
+    """
+    if X.kind == LINF:
+        return np.diag(X.scale)
+    if X.kind == L1:
+        _check_corner_limit(X.dim)
+        return sign_table(X.scale, X.dim - 1)
+    raise NotPolyhedral("the L2 unit ball has no finite extreme-point set")

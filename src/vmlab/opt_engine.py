@@ -37,11 +37,30 @@ UNBOUNDED = "unbounded"
 _PIVOT_TOL = 1e-9
 SIGN_ENUM_LIMIT = 24
 _BLOCK_BITS = 12
-# row t holds the signs of the low code bits of t: -1 where bit b of t is set
-_LOW_SIGNS = 1.0 - 2.0 * ((np.arange(1 << _BLOCK_BITS)[:, None] >> np.arange(_BLOCK_BITS)) & 1)
-_LOW_SIGNS.setflags(write=False)
 _BATCH_RTOL = 1e-9  # batch values this close to the batch maximum are scored again
 _FLIP_BLOCK = 1 << 14  # flip sum entries per hill_climb objective call
+
+
+def sign_table(scale, bits: int) -> np.ndarray:
+    """The (2^bits, len(scale)) table whose row t is -scale_j where bit j of t
+    is set and +scale_j otherwise; columns from ``bits`` on keep +scale_j.
+
+    Built by doubling: rows [0, 2^j) are copied to [2^j, 2^(j+1)) and column j
+    of the copy is set to -scale_j, so every entry is exactly +-scale_j.
+    """
+    scale = np.asarray(scale, dtype=float)
+    table = np.empty((1 << bits, scale.size))
+    table[0] = scale
+    for j in range(bits):
+        h = 1 << j
+        table[h : 2 * h] = table[:h]
+        table[h : 2 * h, j] = -scale[j]  # the rows below 2h with bit j set
+    return table
+
+
+# row t holds the signs of the low code bits of t: -1 where bit b of t is set
+_LOW_SIGNS = sign_table(np.ones(_BLOCK_BITS), _BLOCK_BITS)
+_LOW_SIGNS.setflags(write=False)
 
 
 @dataclass(frozen=True)

@@ -14,22 +14,44 @@ integration map sends a coefficient vector f to sum_i f_i m_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import NoRybakovFound
-from .measure_core import MeasurableSet, MeasureSpace, SimpleFunction, same_space
+from .measure_core import MeasurableSet, MeasureSpace, Partition, SimpleFunction, same_space
 from .normed_space import NormSpec, same_norm
 from .rng import SplitMix64
 
 
+ATOMS = "atoms"
+INDICATOR = "indicator"
+EXPECTATION = "expectation"
+MARTINGALE_DIFFERENCE = "martingale_difference"
+_PARTITIONED = (EXPECTATION, MARTINGALE_DIFFERENCE)
+
+
 @dataclass(frozen=True, eq=False)
 class VectorMeasure:
-    """Assignment of a value-space vector to each atom; additive on sets."""
+    """Assignment of a value-space vector to each atom; additive on sets.
+
+    ``kind`` records what the constructor knows the measure to be; engines
+    read it, never the atom entries, to pick a closed form:
+
+      ATOMS                  nothing beyond the atom matrix (the default),
+      INDICATOR              A |-> chi_A, atom i |-> e_i (``indicator_measure``),
+      EXPECTATION            A |-> E_p chi_A, the indicator measure averaged
+                             over the blocks of ``partition``,
+      MARTINGALE_DIFFERENCE  A |-> chi_A - E_p chi_A.
+
+    ``partition`` is set exactly for the last two kinds.
+    """
 
     space: MeasureSpace
     X: NormSpec
     atoms: np.ndarray
+    kind: str = ATOMS
+    partition: Optional[Partition] = None
 
     def __post_init__(self):
         a = np.array(self.atoms, dtype=float, copy=True)
@@ -39,6 +61,12 @@ class VectorMeasure:
             )
         if not np.all(np.isfinite(a)):
             raise ValueError("atom values must be finite")
+        if self.kind not in (ATOMS, INDICATOR, *_PARTITIONED):
+            raise ValueError(f"unknown measure kind {self.kind!r}")
+        if (self.partition is not None) != (self.kind in _PARTITIONED):
+            raise ValueError(f"a partition goes with the kinds {_PARTITIONED} only")
+        if self.partition is not None and not same_space(self.partition.space, self.space):
+            raise ValueError("partition lives on a different space")
         a.setflags(write=False)
         object.__setattr__(self, "atoms", a)
 
@@ -47,9 +75,11 @@ def same_setting(m: VectorMeasure, m1: VectorMeasure) -> bool:
     return same_space(m.space, m1.space) and same_norm(m.X, m1.X)
 
 
-def indicator_measure(space: MeasureSpace) -> VectorMeasure:
-    """A |-> chi_A into the discretized L1(mu); its integration map is the identity."""
-    return VectorMeasure(space, NormSpec.l1_of_mu(space), np.eye(space.n))
+def indicator_measure(space: MeasureSpace, X: Optional[NormSpec] = None) -> VectorMeasure:
+    """A |-> chi_A, atom i |-> e_i, into X (default the discretized L1(mu), where
+    its integration map is the identity); X must have dimension n."""
+    X = NormSpec.l1_of_mu(space) if X is None else X
+    return VectorMeasure(space, X, np.eye(space.n), kind=INDICATOR)
 
 
 def rank_one_measure(space: MeasureSpace, g) -> VectorMeasure:

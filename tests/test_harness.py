@@ -788,3 +788,42 @@ def test_readme_experiment_table_lists_each_kinds_parameters():
             assert f"`{key}`" in rows[kind], (kind, key)
         for key in {"seed", "exact_cutoff", "tolerance"} - params.keys():
             assert f"`{key}`" not in rows[kind], (kind, key)
+
+
+@pytest.mark.parametrize(
+    "sections, where",
+    [
+        # the default other measure is the indicator, which needs d = n
+        ({"value_space": {"kind": "L1", "d": 21}, "measure": {"kind": "random", "seed": 1}}, "experiment.other"),
+        ({"value_space": {"kind": "L1", "d": 3}, "measure": {"kind": "indicator"}}, "measure"),
+        ({"measure": {"kind": "composed", "base": {"kind": "matrix", "rows": [[1.0]]}, "k": 1}}, "measure.base"),
+        ({"measure": {"kind": "composed", "base": {"kind": "indicator"}, "k": 9}}, "measure"),
+        ({"measure": {"kind": "rank_one", "g": [1.0]}}, "measure"),
+        ({"experiment": {"kind": "identity", "other": {"kind": "bogus"}}}, "experiment.other"),
+    ],
+)
+def test_measure_validation_messages_name_their_section(sections, where):
+    data = _preset("canonical-l1")
+    data.update({"experiment": {"kind": "identity"}, **sections})
+    with pytest.raises(ValidationError) as info:
+        build_scenario(data)
+    assert str(info.value).startswith(f"{where}: ")
+
+
+def test_rn_net_expectation_levels_of_the_indicator_are_recorded(monkeypatch):
+    from vmlab import harness
+    from vmlab.vector_measure import EXPECTATION
+
+    data = _preset("canonical-l1")
+    data["experiment"] = {"kind": "rn_net", "family": "expectation", "levels": 2}
+    seen = []
+    table = harness._net_table
+
+    def spy(sc, exp, net, tests):
+        seen.extend(net)
+        return table(sc, exp, net, tests)
+
+    monkeypatch.setattr(harness, "_net_table", spy)
+    run(build_scenario(data))
+    assert [level.kind for level in seen] == [EXPECTATION] * 3
+    assert [level.partition.n_blocks for level in seen] == [1, 2, 4]

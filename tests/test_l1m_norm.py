@@ -24,6 +24,7 @@ from vmlab import (
     Partition,
     SimpleFunction,
     VectorMeasure,
+    combine,
     deviation,
     indicator_measure,
     integrate,
@@ -41,6 +42,7 @@ from vmlab import (
     sign_function,
 )
 from vmlab import l1m_norm
+from vmlab.vector_measure import EXPECTATION, MARTINGALE_DIFFERENCE
 
 
 def _reproduce(m, f, result):
@@ -534,3 +536,159 @@ def test_ball_norms_are_norm_best_per_row():
         got = l1m_norm._ball_norms(m, F)
         want = [norm_best(m, SimpleFunction(m.space, row)).value for row in F]
         assert got.tobytes() == np.array(want).tobytes()
+
+
+def _martingale_difference(m, p):
+    """m - E_p m as ``deviation`` records it, for the indicator measure m."""
+    m1 = martingale_measure(m, p)
+    diff = VectorMeasure(m.space, m.X, m.atoms - m1.atoms, kind=MARTINGALE_DIFFERENCE, partition=p)
+    return m1, diff
+
+
+def _block_instance(rng, block_sizes, block_weights, trial):
+    n = sum(block_sizes)
+    block_of = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    rng.shuffle(block_of)  # blocks need not be contiguous
+    space = MeasureSpace(np.asarray(block_weights)[block_of])
+    p = Partition(space, block_of, len(block_sizes))
+    if trial % 3 == 0:  # small integers: zeros, repeats and ties
+        coeffs = rng.integers(-2, 3, size=n).astype(float)
+    else:
+        coeffs = rng.normal(size=n)
+        coeffs[rng.random(n) < 0.2] = 0.0
+        coeffs[rng.random(n) < 0.2] = coeffs[0]
+    return indicator_measure(space), p, SimpleFunction(space, coeffs)
+
+
+def test_block_closed_form_matches_the_itertools_oracle():
+    rng = np.random.default_rng(41)
+    instances = []
+    for b in range(1, 15):  # one block, of every size up to 14 atoms
+        instances.append(([b], [float(rng.uniform(0.2, 1.5))]))
+        instances.append(([b], [1.0 / b]))
+    for _ in range(40):  # several blocks: weights constant per block, unequal across blocks
+        sizes = [int(s) for s in rng.integers(1, 5, size=int(rng.integers(2, 5)))]
+        instances.append((sizes, rng.uniform(0.2, 1.5, size=len(sizes)).tolist()))
+    for trial, (sizes, weights) in enumerate(instances):
+        m, p, f = _block_instance(rng, sizes, weights, trial)
+        m1, diff = _martingale_difference(m, p)
+        res = l1m_norm._norm_block_closed_form(diff, f)
+        want = brute_deviation(m, m1, f)
+        assert res.method == CLOSED_FORM
+        assert res.value == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert _reproduce(diff, f, res) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def _indicator_net_scenario(experiment, n, levels, seed):
+    rng = np.random.default_rng(seed)
+    if experiment == "martingale":
+        exp = {"kind": "martingale", "levels": levels, "seed": seed}
+    else:
+        exp = {"kind": "rn_net", "family": "expectation", "levels": levels, "seed": seed}
+    return {
+        "schema_version": 1,
+        "space": {"n": n, "weights": "uniform"},
+        "value_space": {"kind": "l1-of-mu"},
+        "measure": {"kind": "indicator"},
+        "functions": [rng.normal(size=n).tolist()],
+        "experiment": exp,
+    }
+
+
+@pytest.mark.parametrize("experiment", ["martingale", "expectation"])
+@pytest.mark.parametrize("n, levels", [(32, 5), (64, 3)])
+def test_indicator_nets_take_no_hill_climb(monkeypatch, experiment, n, levels):
+    from vmlab import harness
+    from vmlab.approx_nets import associated_measure, expectation_family, martingale_net, rn_operator
+    from vmlab.measure_core import dyadic_chain
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hill_climb called")
+
+    data = _indicator_net_scenario(experiment, n, levels, seed=n + levels)
+    sc = harness.build_scenario(data)
+    monkeypatch.setattr(l1m_norm, "hill_climb", refuse)
+    report = harness.run(sc)
+    monkeypatch.undo()
+    assert "error" not in report
+    rows = report["results"]["rows"]
+    m, f = sc.measure, sc.functions[0]
+    chain = dyadic_chain(levels, sc.space)
+    if experiment == "martingale":
+        net = martingale_net(m, chain)
+    else:
+        families = [expectation_family(m, p) for p in chain]
+        net = [associated_measure(rn_operator(m, xs, vs), sc.space) for xs, vs in families]
+    assert len(rows) == len(net) == levels + 1
+    for row, level in zip(rows, net):
+        heuristic = norm_heuristic(combine(m, -1.0, level), f, seed=data["experiment"]["seed"]).value
+        assert row[2] >= heuristic * (1.0 - 1e-12)
+        assert row[1] <= row[2] + 1e-12  # the deviation dominates the norm gap
+
+
+def _count_hill_climbs(monkeypatch):
+    calls = []
+    climb = l1m_norm.hill_climb
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return climb(*args, **kwargs)
+
+    monkeypatch.setattr(l1m_norm, "hill_climb", counted)
+    return calls
+
+
+def test_unequal_block_weights_and_other_value_spaces_keep_the_heuristic(monkeypatch):
+    rng = np.random.default_rng(42)
+    n = 32
+    p = Partition(MeasureSpace.uniform(n), np.arange(n) // 8, 4)
+    f_coeffs = rng.normal(size=n)
+    unequal = MeasureSpace(rng.uniform(0.5, 1.5, size=n))
+    uniform = MeasureSpace.uniform(n)
+    cases = [
+        indicator_measure(unequal),  # weights vary inside each block
+        indicator_measure(uniform, NormSpec.l2(n)),  # an L2 value space with d = n
+        indicator_measure(uniform, NormSpec.l1(n)),  # L1 without the atom weights as scale
+    ]
+    calls = _count_hill_climbs(monkeypatch)
+    for m in cases:
+        part = Partition(m.space, p.block_of, p.n_blocks)
+        m1 = martingale_measure(m, part)
+        assert m1.kind == EXPECTATION
+        f = SimpleFunction(m.space, f_coeffs)
+        before = len(calls)
+        value = deviation(m, m1, f, seed=3)
+        assert len(calls) == before + 1
+        plain = VectorMeasure(m.space, m.X, m.atoms - m1.atoms)  # no record
+        assert repr(value) == repr(norm_best(plain, f, seed=3).value)
+
+
+def test_exact_deviations_keep_their_engine():
+    # within the closed form's corner limit the L1 corner search still runs first
+    rng = np.random.default_rng(43)
+    for n in (4, 8, 16):
+        space = MeasureSpace.uniform(n)
+        m = indicator_measure(space)
+        f = SimpleFunction(space, rng.normal(size=n))
+        for levels in range(n.bit_length()):
+            p = Partition(space, np.arange(n) // (n >> levels), 1 << levels)
+            m1 = martingale_measure(m, p)
+            plain = VectorMeasure(space, m.X, m.atoms - m1.atoms)
+            assert repr(deviation(m, m1, f)) == repr(norm_closed_form(plain, f).value)
+
+
+def _min_max_rule(rows):
+    return bool(np.all((rows.min(axis=1) >= 0.0) | (rows.max(axis=1) <= 0.0)))
+
+
+def test_sign_consistency_is_the_min_max_rule():
+    rng = np.random.default_rng(44)
+    for trial in range(2000):
+        k, d = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        rows = rng.integers(-1, 2, size=(k, d)).astype(float) * rng.uniform(0.5, 2.0, size=(k, d))
+        if trial % 2:  # mostly one sign per row, so both answers occur
+            rows = np.abs(rows) * rng.choice([-1.0, 1.0], size=(k, 1))
+            rows[rng.random((k, d)) < 0.05] *= -1.0
+        rows[rng.random((k, d)) < 0.2] = -0.0
+        rows[rng.random(k) < 0.2] = 0.0  # all-zero rows
+        assert l1m_norm._rows_sign_consistent(rows) == _min_max_rule(rows)

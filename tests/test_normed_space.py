@@ -158,3 +158,27 @@ def test_norm_axioms_numerically():
             assert norm(X, c * u) == pytest.approx(abs(c) * norm(X, u), rel=1e-12)
         assert norm(X, np.zeros(4)) == 0.0
         assert norm(X, [1e-120, 0, 0, 0]) > 0.0
+
+
+def _shift_corners(X, bits):
+    """Rows t < 2^bits of the L1 corner table by shifts and masks."""
+    t = np.arange(1 << bits, dtype=np.int64)
+    signs = 1.0 - 2.0 * ((t[:, None] >> np.arange(X.dim)) & 1)
+    return signs * X.scale
+
+
+def test_corner_tables_are_bitwise_the_shift_construction():
+    from vmlab.opt_engine import _BLOCK_BITS, _LOW_SIGNS
+
+    rng = np.random.default_rng(8)
+    for d in range(1, 17):
+        X = random_norm_spec(rng, d, "L1")
+        assert dual_extreme_points(X).tobytes() == _shift_corners(X, d).tobytes()
+        assert dual_extreme_half(X).tobytes() == _shift_corners(X, d - 1).tobytes()
+        Y = random_norm_spec(rng, d, "LINF")
+        assert dual_extreme_half(Y).tobytes() == _linf_extreme_points_loop(Y)[::2].tobytes()
+    assert _LOW_SIGNS.tobytes() == _shift_corners(NormSpec.l1(_BLOCK_BITS), _BLOCK_BITS).tobytes()
+    message = r"^2\^21 dual extreme points exceed the enumeration limit \(d <= 20\)$"
+    for build in (dual_extreme_points, dual_extreme_half):
+        with pytest.raises(CapacityExceeded, match=message):
+            build(NormSpec.l1(21))

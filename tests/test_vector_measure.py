@@ -236,3 +236,28 @@ def test_nonunique_derivative_pair():
     )
     full = indicator_measure(space)
     assert nonunique_derivative_pair(full) is None
+
+
+def test_constructors_record_the_measure_kind():
+    from vmlab import Partition, basis_truncated_measure, martingale_measure, rank_one_measure
+    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, MARTINGALE_DIFFERENCE
+
+    space = MeasureSpace.uniform(4)
+    p = Partition(space, np.array([0, 0, 1, 1]), 2)
+    m = indicator_measure(space)
+    assert m.kind == INDICATOR and m.partition is None
+    assert indicator_measure(space, NormSpec.l2(4)).kind == INDICATOR
+    averaged = martingale_measure(m, p)
+    assert averaged.kind == EXPECTATION and averaged.partition is p
+    for other in (rank_one_measure(space, np.ones(4)), basis_truncated_measure(m, 2), averaged):
+        assert other.kind == ATOMS or other is averaged
+        assert martingale_measure(other, p).kind == ATOMS  # only the indicator's average is recorded
+    assert combine(m, -1.0, averaged).kind == ATOMS
+    with pytest.raises(ValueError, match="unknown measure kind"):
+        VectorMeasure(space, m.X, m.atoms, kind="bogus")
+    for kind, partition in ((EXPECTATION, None), (MARTINGALE_DIFFERENCE, None), (INDICATOR, p)):
+        with pytest.raises(ValueError, match="partition goes with"):
+            VectorMeasure(space, m.X, m.atoms, kind=kind, partition=partition)
+    elsewhere = Partition.one_block(MeasureSpace.uniform(4, total=2.0))
+    with pytest.raises(ValueError, match="different space"):
+        VectorMeasure(space, m.X, m.atoms, kind=EXPECTATION, partition=elsewhere)
