@@ -233,10 +233,8 @@ def martingale_net(m: VectorMeasure, partitions: Sequence[Partition]) -> list[Ve
     return [martingale_measure(m, p) for p in partitions]
 
 
-def basis_net(m: VectorMeasure, ks: Optional[Sequence[int]] = None) -> list[VectorMeasure]:
-    if ks is None:
-        ks = range(1, m.X.dim + 1)
-    return [basis_truncated_measure(m, k) for k in ks]
+def basis_net(m: VectorMeasure) -> list[VectorMeasure]:
+    return [basis_truncated_measure(m, k) for k in range(1, m.X.dim + 1)]
 
 
 def _coordinate_densities(m: VectorMeasure) -> np.ndarray:

@@ -24,8 +24,9 @@ the extreme points of the dual ball.  Four engines realize this:
                           its average over p,
   * ``norm_heuristic``    seeded steepest-ascent hill climbing, a lower bound.
 
-``norm_best`` tries them in that order, the heuristic only when no exact
-engine applies.
+``ENGINES`` holds (label, refusal, run) for each, closed form first; refusals
+decide from sizes, records and the support's sign pattern.  ``norm_best`` runs
+the first engine that does not refuse; ``NormResult.refused`` has the reasons.
 
 ``koethe_dual_norm`` evaluates the associated dual function norm
 ``sup { |sum_i f_i g_i mu_i| : ||f|| <= 1 }`` by linear programming on
@@ -40,12 +41,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityExceeded, NotPolyhedral
+from .errors import CapacityExceeded, NotPolyhedral, VmlabError
 from .measure_core import MeasurableSet, SimpleFunction
-from .normed_space import L1, L1_EXTREME_LIMIT, L2, LINF, dual_extreme_half, norm_rows
-from .normed_space import NormSpec, same_norm
-from .normed_space import norm as x_norm
-from .opt_engine import LinearProgram, UNBOUNDED, best_sign_pattern, hill_climb, solve_lp
+from .normed_space import L1, L1_EXTREME_LIMIT, L2, LINF, NormSpec, dual_extreme_half, norm_rows
+from .normed_space import norm as x_norm, same_norm
+from .opt_engine import SIGN_ENUM_LIMIT, LinearProgram, UNBOUNDED, best_sign_pattern, hill_climb
+from .opt_engine import solve_lp
 from .rng import SplitMix64
 from .vector_measure import EXPECTATION, INDICATOR, MARTINGALE_DIFFERENCE, VectorMeasure, combine
 
@@ -61,11 +62,12 @@ KOETHE_CORNER_LIMIT = 14
 
 @dataclass(frozen=True, eq=False)
 class NormResult:
-    """A norm value together with the set attaining it and the engine used."""
+    """A norm value, the set attaining it, the engine used and the engines passed over."""
 
     value: float
     witness_set: MeasurableSet
     method: str
+    refused: tuple = ()
 
 
 def integrate(m: VectorMeasure, f: SimpleFunction) -> np.ndarray:
@@ -84,32 +86,30 @@ def _witness_from_pattern(f: SimpleFunction, support, delta) -> MeasurableSet:
     return MeasurableSet(f.space, mask)
 
 
+def _enumeration_refusal(m: VectorMeasure, f: SimpleFunction, exact_cutoff: int):
+    k, limit = np.count_nonzero(f.coeffs), min(exact_cutoff, SIGN_ENUM_LIMIT)
+    if k > limit:
+        return CapacityExceeded(f"support size {k} exceeds the enumeration limit {limit}")
+    return None
+
+
 def norm_exact(
     m: VectorMeasure, f: SimpleFunction, exact_cutoff: int = DEFAULT_EXACT_CUTOFF
 ) -> NormResult:
     """Exhaustive sign-pattern maximum of || sum_i eps_i |f_i| m_i ||_X.
 
     Atoms where f vanishes contribute nothing and are skipped, so the budget
-    is 2^(support size - 1) patterns, refused above ``exact_cutoff``.
+    is 2^(support size - 1) patterns, refused above min(exact_cutoff, SIGN_ENUM_LIMIT).
     """
+    if (refusal := _enumeration_refusal(m, f, exact_cutoff)) is not None:
+        raise refusal
     support = _support(f)
-    k = support.size
-    if k == 0:
+    if support.size == 0:
         return NormResult(0.0, MeasurableSet.full(f.space), EXACT)
-    if k > exact_cutoff:
-        raise CapacityExceeded(f"support size {k} exceeds the exact cutoff {exact_cutoff}")
     a = np.abs(f.coeffs[support])[:, None] * m.atoms[support]
     delta, _ = best_sign_pattern(a, lambda sums: norm_rows(m.X, sums))
     value = x_norm(m.X, delta @ a)  # the winner's value, free of block summation order
     return NormResult(value, _witness_from_pattern(f, support, delta), EXACT)
-
-
-def _closed_form_linf(m: VectorMeasure, f: SimpleFunction) -> NormResult:
-    absf = np.abs(f.coeffs)
-    per_coord = m.X.scale * (absf @ np.abs(m.atoms))
-    j = int(np.argmax(per_coord))
-    mask = f.coeffs * m.atoms[:, j] >= 0.0
-    return NormResult(float(per_coord[j]), MeasurableSet(f.space, mask), CLOSED_FORM)
 
 
 def _rows_sign_consistent(rows: np.ndarray) -> bool:
@@ -121,6 +121,16 @@ def _rows_sign_consistent(rows: np.ndarray) -> bool:
     return not mixed.any()
 
 
+def _closed_form_refusal(m: VectorMeasure, f: SimpleFunction, exact_cutoff=None):
+    if m.X.kind == L2:
+        return NotPolyhedral("no finite dual extreme-point set for an L2-type value norm")
+    d = m.X.dim
+    if m.X.kind == L1 and d > L1_EXTREME_LIMIT:
+        if not _rows_sign_consistent(m.atoms if np.all(f.coeffs) else m.atoms[_support(f)]):
+            return CapacityExceeded(f"2^{d} dual corners exceed the limit d <= {L1_EXTREME_LIMIT}")
+    return None
+
+
 def norm_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
     """Maximum of sum_i |f_i| |<m_i, x*>| over the dual ball's extreme points.
 
@@ -130,26 +140,23 @@ def norm_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
     except that sign-consistent atom rows make the all-plus corner provably
     maximal and the enumeration collapses to a single evaluation.
     """
-    if m.X.kind == L2:
-        raise NotPolyhedral("no finite dual extreme-point set for an L2-type value norm")
-    if m.X.kind == LINF:
-        return _closed_form_linf(m, f)
-
-    w = m.X.scale
+    if (refusal := _closed_form_refusal(m, f)) is not None:
+        raise refusal
     absf = np.abs(f.coeffs)
-    support = _support(f)
-    if support.size == 0 or _rows_sign_consistent(m.atoms[support]):
+    if m.X.kind == LINF:
+        per_coord = m.X.scale * (absf @ np.abs(m.atoms))
+        j = int(np.argmax(per_coord))
+        mask = f.coeffs * m.atoms[:, j] >= 0.0
+        return NormResult(float(per_coord[j]), MeasurableSet(f.space, mask), CLOSED_FORM)
+    w = m.X.scale
+    # past the refusal, rows beyond the corner limit are sign-consistent
+    if m.X.dim > L1_EXTREME_LIMIT or _rows_sign_consistent(m.atoms[_support(f)]):
         # |<m_i, sigma*w>| <= sum_j w_j |m_ij| for every corner, with equality
         # at the all-plus corner when each row has one sign
         value = float(absf @ (np.abs(m.atoms) @ w))
         mask = f.coeffs * (m.atoms @ w) >= 0.0
         return NormResult(value, MeasurableSet(f.space, mask), CLOSED_FORM)
 
-    d = m.X.dim
-    if d > L1_EXTREME_LIMIT:
-        raise CapacityExceeded(
-            f"2^{d} dual corners exceed the enumeration limit (d <= {L1_EXTREME_LIMIT})"
-        )
     weighted = absf[:, None] * m.atoms  # (n, d)
     # a corner and its negative score alike, so the pinned half suffices;
     # reversed rows give code bit j to coordinate j
@@ -175,14 +182,15 @@ def norm_heuristic(
     return NormResult(value, _witness_from_pattern(f, support, delta), HEURISTIC)
 
 
-def _has_block_closed_form(m: VectorMeasure) -> bool:
-    """m is A |-> chi_A - E_p chi_A into L1(mu), every block of p of one weight."""
+def _block_refusal(m: VectorMeasure, f: SimpleFunction, exact_cutoff: int):
+    """None when m is A |-> chi_A - E_p chi_A into L1(mu), every block of p of one weight."""
     if m.kind != MARTINGALE_DIFFERENCE or not same_norm(m.X, NormSpec.l1_of_mu(m.space)):
-        return False
+        return VmlabError("not a recorded martingale difference into L1(mu)")
     w, block_of = m.space.weights, m.partition.block_of
     block_weight = np.empty(m.partition.n_blocks)
     block_weight[block_of] = w
-    return bool(np.array_equal(block_weight[block_of], w))
+    equal = np.array_equal(block_weight[block_of], w)
+    return None if equal else VmlabError("the atom weights vary inside a block")
 
 
 def _norm_block_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
@@ -220,6 +228,15 @@ def _norm_block_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
     return NormResult(float(block_values.sum()), witness, CLOSED_FORM)
 
 
+# each run looks its engine up at call time, so wrappers of the module names see the calls
+ENGINES = (
+    ("closed_form", _closed_form_refusal, lambda m, f, *_: norm_closed_form(m, f)),
+    ("enumeration", _enumeration_refusal, lambda m, f, cutoff, *_: norm_exact(m, f, cutoff)),
+    ("block_closed_form", _block_refusal, lambda m, f, *_: _norm_block_closed_form(m, f)),
+    ("hill_climbing", lambda *_: None, lambda m, f, _, r, s: norm_heuristic(m, f, r, s)),
+)
+
+
 def norm_best(
     m: VectorMeasure,
     f: SimpleFunction,
@@ -229,21 +246,16 @@ def norm_best(
 ) -> NormResult:
     """Cheapest sound engine for the instance; heuristic only as a last resort.
 
-    The order is the closed form (polyhedral value norms), exhaustive
-    enumeration, the closed form of martingale differences of the indicator
-    measure over blocks of equal weight, and hill climbing.
+    Walks ``ENGINES`` (closed form, enumeration, block closed form, hill
+    climbing), runs the first engine that does not refuse, and lists the
+    (label, reason) pairs of those before it in ``refused``.
     """
-    if m.X.is_polyhedral:
-        try:
-            return norm_closed_form(m, f)
-        except CapacityExceeded:
-            pass
-    try:
-        return norm_exact(m, f, exact_cutoff=exact_cutoff)
-    except CapacityExceeded:
-        if _has_block_closed_form(m):
-            return _norm_block_closed_form(m, f)
-        return norm_heuristic(m, f, restarts=restarts, seed=seed)
+    refused = []
+    for label, refusal, run in ENGINES:
+        if (reason := refusal(m, f, exact_cutoff)) is None:
+            result = run(m, f, exact_cutoff, restarts, seed)
+            return replace(result, refused=tuple(refused)) if refused else result
+        refused.append((label, str(reason)))
 
 
 def deviation(
@@ -300,18 +312,13 @@ def _koethe_ball_rows(m: VectorMeasure) -> np.ndarray:
     return np.abs(dual_extreme_half(m.X) @ m.atoms.T)
 
 
-def koethe_dual_norm_info(
-    m: VectorMeasure,
-    g: SimpleFunction,
-    lp_cutoff: int = DEFAULT_LP_CUTOFF,
-    seed: int = 0,
-) -> KoetheDualResult:
+def koethe_dual_norm_info(m: VectorMeasure, g: SimpleFunction, seed: int = 0) -> KoetheDualResult:
     """Dual function norm of g with the engine and maximizer reported."""
     if m.X.kind == L2:
         value, fstar = _koethe_supergradient(m, g, seed=seed)
         return KoetheDualResult(value, HEURISTIC, fstar)
-    if m.space.n > lp_cutoff:
-        raise CapacityExceeded(f"{m.space.n} atoms exceed the dual-norm LP cutoff {lp_cutoff}")
+    if m.space.n > DEFAULT_LP_CUTOFF:
+        raise CapacityExceeded(f"{m.space.n} atoms exceed the LP cutoff {DEFAULT_LP_CUTOFF}")
 
     # the ball norm depends on |f| alone: an LP over u = |f| >= 0, with f = sign(g)*u
     c = g.coeffs * m.space.weights
@@ -322,34 +329,28 @@ def koethe_dual_norm_info(
     return KoetheDualResult(max(float(sol.value), 0.0), EXACT, fstar)
 
 
-def koethe_dual_norm(
-    m: VectorMeasure,
-    g: SimpleFunction,
-    lp_cutoff: int = DEFAULT_LP_CUTOFF,
-    seed: int = 0,
-) -> float:
+def koethe_dual_norm(m: VectorMeasure, g: SimpleFunction, seed: int = 0) -> float:
     """sup { |sum_i f_i g_i mu_i| : ||f|| <= 1 }.
 
     LP-exact for polyhedral value norms; for L2-type norms the value is a
     supergradient-ascent lower bound (see ``koethe_dual_norm_info``).
     """
-    return koethe_dual_norm_info(m, g, lp_cutoff=lp_cutoff, seed=seed).value
+    return koethe_dual_norm_info(m, g, seed=seed).value
 
 
 _ASCENT_RESTARTS = 32
 _ASCENT_STEPS = 48
 
 
-def _ball_norms(m: VectorMeasure, F: np.ndarray) -> np.ndarray:
+def _ball_norms(m: VectorMeasure, F: np.ndarray, full: SimpleFunction) -> np.ndarray:
     """``norm_best`` of each row of F, bitwise.
 
-    Rows without a zero share one stacked exact sign search when the value
-    norm is not polyhedral and n is within the exact cutoff; every other row
-    (a shrunken support, a closed form or the heuristic) takes ``norm_best``
-    alone.
+    Rows without a zero share one stacked exact sign search when ``ENGINES``
+    gives ``full`` (any function without a zero) to enumeration; every other
+    row (a shrunken support, a closed form or the heuristic) takes norm_best alone.
     """
-    exact = not m.X.is_polyhedral and F.shape[1] <= DEFAULT_EXACT_CUTOFF
-    stacked = np.all(F != 0.0, axis=1) & exact
+    takes = [label for label, refusal, _ in ENGINES if not refusal(m, full, DEFAULT_EXACT_CUTOFF)]
+    stacked = np.all(F != 0.0, axis=1) & (takes[0] == "enumeration")
     out = np.empty(F.shape[0])
     for r in (~stacked).nonzero()[0]:
         out[r] = norm_best(m, SimpleFunction(m.space, F[r])).value
@@ -374,13 +375,14 @@ def _koethe_supergradient(m: VectorMeasure, g: SimpleFunction, seed: int = 0):
         return 0.0, SimpleFunction.zeros(m.space)
     direction = c / cn
     F = SplitMix64(seed).normals(_ASCENT_RESTARTS * n).reshape(_ASCENT_RESTARTS, n)
-    nrm = _ball_norms(m, F)
+    full = SimpleFunction(m.space, np.ones(n))
+    nrm = _ball_norms(m, F, full)
     np.divide(F, nrm[:, None], out=F, where=(nrm > 0.0)[:, None])
     best = np.zeros(_ASCENT_RESTARTS)
     best_F = np.zeros_like(F)
     for t in range(_ASCENT_STEPS):
         F += (1.0 / np.sqrt(t + 1.0)) * direction
-        nrm = _ball_norms(m, F)
+        nrm = _ball_norms(m, F, full)
         np.divide(F, nrm[:, None], out=F, where=(nrm > 1.0)[:, None])
         value = np.abs(np.matmul(F[:, None, :], c)[:, 0])  # each row bitwise c @ f
         better = value > best

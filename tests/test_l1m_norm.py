@@ -533,7 +533,7 @@ def test_ball_norms_are_norm_best_per_row():
         F[rng.random(F.shape) < 0.15] = 0.0  # rows with zeros shrink the support
         F[0] = 0.0
         F[1] = np.abs(F[1]) + 1.0  # at least one row without a zero
-        got = l1m_norm._ball_norms(m, F)
+        got = l1m_norm._ball_norms(m, F, SimpleFunction(m.space, np.ones(n)))
         want = [norm_best(m, SimpleFunction(m.space, row)).value for row in F]
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -692,3 +692,157 @@ def test_sign_consistency_is_the_min_max_rule():
         rows[rng.random((k, d)) < 0.2] = -0.0
         rows[rng.random(k) < 0.2] = 0.0  # all-zero rows
         assert l1m_norm._rows_sign_consistent(rows) == _min_max_rule(rows)
+
+
+ENGINE_LABELS = ["closed_form", "enumeration", "block_closed_form", "hill_climbing"]
+
+
+def _refused_labels(result):
+    return [label for label, _ in result.refused]
+
+
+def test_engine_table_order():
+    assert [label for label, _, _ in l1m_norm.ENGINES] == ENGINE_LABELS
+
+
+def test_enumeration_refuses_support_17_at_the_default_cutoff():
+    rng = np.random.default_rng(51)
+    space = random_space(rng, 17)
+    m = random_measure(rng, space, NormSpec.l2(3))
+    f = SimpleFunction(space, rng.normal(size=17))
+    with pytest.raises(CapacityExceeded, match="support size 17 exceeds the enumeration limit 16"):
+        norm_exact(m, f)
+    res = norm_best(m, f)
+    assert res.method == HEURISTIC
+    assert dict(res.refused)["enumeration"] == "support size 17 exceeds the enumeration limit 16"
+    # one atom less is enumerated
+    g = SimpleFunction(space, np.where(np.arange(17) == 0, 0.0, f.coeffs))
+    assert norm_best(m, g).method == EXACT and norm_best(m, g).refused[0][0] == "closed_form"
+
+
+def test_enumeration_stops_at_support_25_whatever_the_cutoff():
+    from vmlab.harness import build_scenario, run
+
+    rng = np.random.default_rng(52)
+    data = {
+        "schema_version": 1,
+        "space": {"n": 25, "weights": "uniform"},
+        "value_space": {"kind": "L2", "d": 3, "scale": 1.0},
+        "measure": {"kind": "matrix", "rows": rng.normal(size=(25, 3)).tolist()},
+        "functions": [rng.normal(size=25).tolist()],
+        "experiment": {"kind": "norm", "exact_cutoff": 30, "restarts": 2},
+    }
+    sc = build_scenario(data)
+    res = norm_best(sc.measure, sc.functions[0], exact_cutoff=30, restarts=2)
+    assert res.method == HEURISTIC
+    reason = dict(res.refused)["enumeration"]
+    assert reason == "support size 25 exceeds the enumeration limit 24"
+    with pytest.raises(CapacityExceeded, match="limit 24"):
+        norm_exact(sc.measure, sc.functions[0], exact_cutoff=30)
+    report = run(sc)
+    assert "error" not in report
+    assert report["results"]["rows"] == [[0, res.value, HEURISTIC, res.value]]
+
+
+def test_closed_form_refuses_mixed_sign_rows_beyond_20_coordinates():
+    rng = np.random.default_rng(53)
+    space = random_space(rng, 6)
+    X = NormSpec.l1(21)
+    f = SimpleFunction(space, rng.normal(size=6))
+    mixed = VectorMeasure(space, X, rng.normal(size=(6, 21)))
+    with pytest.raises(CapacityExceeded, match=r"2\^21 dual corners exceed the limit d <= 20"):
+        norm_closed_form(mixed, f)
+    res = norm_best(mixed, f)
+    assert res.method == EXACT
+    assert res.refused == (("closed_form", "2^21 dual corners exceed the limit d <= 20"),)
+    assert res.value == pytest.approx(brute_norm(mixed, f), rel=1e-12)
+    signs = rng.choice([-1.0, 1.0], size=(6, 1))
+    consistent = VectorMeasure(space, X, np.abs(rng.normal(size=(6, 21))) * signs)
+    res = norm_best(consistent, f)
+    assert res.method == CLOSED_FORM and res.refused == ()
+    assert res.value == norm_closed_form(consistent, f).value
+
+
+def test_closed_form_refuses_l2():
+    rng = np.random.default_rng(54)
+    space = random_space(rng, 5)
+    m = random_measure(rng, space, NormSpec.l2(2))
+    f = random_function(rng, space)
+    with pytest.raises(NotPolyhedral):
+        norm_closed_form(m, f)
+    res = norm_best(m, f)
+    assert res.method == EXACT
+    assert _refused_labels(res) == ["closed_form"]
+    assert "L2" in res.refused[0][1]
+
+
+def test_block_form_refuses_unequal_weights_inside_a_block():
+    rng = np.random.default_rng(55)
+    n = 24
+    f = SimpleFunction(MeasureSpace.uniform(n), rng.normal(size=n))
+    for weights, engine in ((np.full(n, 0.5), CLOSED_FORM), (rng.uniform(0.5, 1.5, n), HEURISTIC)):
+        space = MeasureSpace(weights)
+        p = Partition(space, np.arange(n) // 6, 4)
+        _, diff = _martingale_difference(indicator_measure(space), p)
+        g = SimpleFunction(space, f.coeffs)
+        res = norm_best(diff, g)
+        assert res.method == engine
+        if engine == HEURISTIC:
+            assert _refused_labels(res) == ENGINE_LABELS[:3]
+            assert res.refused[2] == ("block_closed_form", "the atom weights vary inside a block")
+        else:
+            assert _refused_labels(res) == ENGINE_LABELS[:2]
+            assert res.value == l1m_norm._norm_block_closed_form(diff, g).value
+
+
+def test_a_heuristic_row_lists_three_refusals_in_table_order():
+    rng = np.random.default_rng(56)
+    space = random_space(rng, 20)
+    m = random_measure(rng, space, NormSpec.l2(3))
+    res = norm_best(m, SimpleFunction(space, rng.normal(size=20)))
+    assert res.method == HEURISTIC
+    assert _refused_labels(res) == ENGINE_LABELS[:3]
+    assert res.refused[1][1] == "support size 20 exceeds the enumeration limit 16"
+    assert res.refused[2][1] == "not a recorded martingale difference into L1(mu)"
+
+
+def _recording(monkeypatch, name):
+    calls = []
+    engine = getattr(l1m_norm, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(l1m_norm, name, recorded)
+    return calls
+
+
+def test_engines_are_looked_up_at_call_time(monkeypatch):
+    exact_calls = _recording(monkeypatch, "norm_exact")
+    heuristic_calls = _recording(monkeypatch, "norm_heuristic")
+    rng = np.random.default_rng(57)
+    small, large = random_space(rng, 6), random_space(rng, 17)
+    m_small = random_measure(rng, small, NormSpec.l2(3))
+    m_large = random_measure(rng, large, NormSpec.l2(3))
+    assert norm_best(m_small, SimpleFunction(small, rng.normal(size=6))).method == EXACT
+    assert norm_best(m_large, SimpleFunction(large, rng.normal(size=17))).method == HEURISTIC
+    assert (len(exact_calls), len(heuristic_calls)) == (1, 1)
+    F = rng.normal(size=(3, 6))
+    F[0, 2] = 0.0  # a shrunken support takes norm_best, and so norm_exact, alone
+    l1m_norm._ball_norms(m_small, F, SimpleFunction(small, np.ones(6)))
+    l1m_norm._ball_norms(m_large, rng.normal(size=(2, 17)), SimpleFunction(large, np.ones(17)))
+    assert (len(exact_calls), len(heuristic_calls)) == (2, 3)
+
+
+def test_ball_norms_ask_the_table_beyond_the_corner_limit():
+    # L1 with d = 21 and mixed rows: the closed form refuses, so full-support
+    # rows share the stacked enumeration
+    rng = np.random.default_rng(58)
+    space = random_space(rng, 8)
+    m = random_measure(rng, space, NormSpec(KINDS[0], 21, rng.uniform(0.5, 2.0, size=21)))
+    F = rng.normal(size=(5, 8))
+    F[1, 3] = 0.0
+    got = l1m_norm._ball_norms(m, F, SimpleFunction(space, np.ones(8)))
+    want = [norm_best(m, SimpleFunction(space, row)).value for row in F]
+    assert got.tobytes() == np.array(want).tobytes()
