@@ -1,6 +1,7 @@
 """Approximation nets for integration maps and their convergence diagnostics.
 
-Two concrete net generators are provided:
+Three net generators yield their levels one at a time, so ``run_net`` keeps
+one level alive rather than the whole net:
 
   * martingale nets: averaging a measure over the blocks of a partition,
     m_p on atom i equals (mu_i / mu(B(i))) * m(B(i)); its integration map
@@ -10,28 +11,26 @@ Two concrete net generators are provided:
     block closed form of ``l1m_norm`` (exact at any size on L1(mu) with one
     weight per block) rather than from hill climbing;
   * basis-projection nets: truncating the value-space coordinates, which
-    compose the measure with a norm-one projection.
+    compose the measure with a norm-one projection;
+  * rn nets: the measures of finite-rank operators built from derivative
+    densities (one density and one value vector per term) of the coordinate
+    or expectation families, the latter recorded as the martingale levels.
 
-Finite-rank operators built from derivative densities (one density and one
-value vector per term) cover both conditional expectations and coordinate
-projections; ``run_net`` reports, per net level, the norm gap, the deviation
-seminorm, the pointwise integration gap, and a weak* gap over probe
+``run_net`` reports, per net level, the norm gap, the deviation seminorm,
+the pointwise integration gap, and a weak* gap over the coordinate probe
 functionals, which together witness or refute convergence of the net.
 
-Derivative densities are computed for the whole stack of probes (or of
-family functionals) with one matrix product per measure, via
-``rn_derivatives``.  For coordinate probes, the default, that product is
-exact and every pairing has the bits of a one-probe-at-a-time computation;
-``run_net`` then skips the product and transposes the atoms, with the same
-bits.  A stack of general dense probes may round differently in the last
-bits.
+Derivative densities of a stack of dual vectors come from one matrix
+product per measure (``rn_derivatives``); general dense probes of
+``weakstar_gap`` may round differently in the last bits from one-at-a-time
+calls.  ``run_net`` gathers the coordinate densities by transposing the
+atoms, with the bits of the (exact) product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -170,15 +169,9 @@ def expectation_family(m: VectorMeasure, p: Partition):
     """
     if m.X.dim != m.space.n:
         raise ValueError("expectation family needs the value space indexed by the atoms")
-    masses = p.block_masses()
-    mu = m.space.weights
-    xstars = []
-    values = []
-    for b in range(p.n_blocks):
-        members = (p.block_of == b).astype(float)
-        xstars.append(mu * members / masses[b])
-        values.append(members @ m.atoms)  # m(B)
-    return xstars, values
+    blocks = [(p.block_of == b).astype(float) for b in range(p.n_blocks)]
+    xstars = [m.space.weights * members / mass for members, mass in zip(blocks, p.block_masses())]
+    return xstars, [members @ m.atoms for members in blocks]  # the values m(B)
 
 
 def _max_pairing(
@@ -229,12 +222,27 @@ class NetReport:
         return [getattr(level, name) for level in self.levels]
 
 
-def martingale_net(m: VectorMeasure, partitions: Sequence[Partition]) -> list[VectorMeasure]:
-    return [martingale_measure(m, p) for p in partitions]
+def martingale_net(m: VectorMeasure, partitions: Iterable[Partition]) -> Iterator[VectorMeasure]:
+    return (martingale_measure(m, p) for p in partitions)
 
 
-def basis_net(m: VectorMeasure) -> list[VectorMeasure]:
-    return [basis_truncated_measure(m, k) for k in range(1, m.X.dim + 1)]
+def basis_net(m: VectorMeasure) -> Iterator[VectorMeasure]:
+    return (basis_truncated_measure(m, k) for k in range(1, m.X.dim + 1))
+
+
+def rn_net(m: VectorMeasure, partitions: Optional[Iterable[Partition]] = None) -> Iterator[VectorMeasure]:
+    """Levels A |-> R(chi_A) of the rn operators R of m's k-term coordinate families
+    (k = 1..d) or, given partitions, of their expectation families; on the
+    indicator measure the level of p is recorded as A |-> E_p chi_A."""
+    if partitions is None:
+        for k in range(1, m.X.dim + 1):
+            yield associated_measure(rn_operator(m, *coordinate_family(m, k)), m.space)
+        return
+    for p in partitions:
+        level = associated_measure(rn_operator(m, *expectation_family(m, p)), m.space)
+        if m.kind == INDICATOR:
+            level = VectorMeasure(m.space, m.X, level.atoms, kind=EXPECTATION, partition=p)
+        yield level
 
 
 def _coordinate_densities(m: VectorMeasure) -> np.ndarray:
@@ -253,9 +261,8 @@ def _coordinate_densities(m: VectorMeasure) -> np.ndarray:
 
 def run_net(
     m: VectorMeasure,
-    net: Sequence[VectorMeasure],
+    net: Iterable[VectorMeasure],
     f: SimpleFunction,
-    probes: Optional[Sequence] = None,
     tests: Optional[Sequence[SimpleFunction]] = None,
     exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
     restarts: int = 8,
@@ -265,17 +272,12 @@ def run_net(
 
     Per level: the norm gap | ||f||_level - ||f||_m |, the deviation
     seminorm (which always dominates the norm gap), the pointwise gap
-    || I_m f - I_level f ||_X, and the largest weak* gap over the probe
-    functionals evaluated on the test family (defaults to {f}).
-    The probes (coordinate vectors by default, whose densities are exact)
-    are one stack, rounded as in ``weakstar_gap``; the target's densities
-    are computed once per net.
+    || I_m f - I_level f ||_X, and the largest weak* gap over the coordinate
+    probe functionals evaluated on the test family (defaults to {f}).  The
+    net is read one level at a time; the target's densities are computed
+    once per net.
     """
-    if probes is None:
-        densities = _coordinate_densities
-    else:
-        densities = partial(rn_derivatives, xstars=np.asarray(probes, dtype=float))
-    phi = densities(m)
+    phi = _coordinate_densities(m)
     if tests is None:
         tests = [f]
     kw = dict(exact_cutoff=exact_cutoff, restarts=restarts, seed=seed)
@@ -288,7 +290,7 @@ def run_net(
         level_norm = norm_best(m_level, f, **kw).value
         dev = deviation_seminorm(m, m_level, f, **kw)
         pointwise = x_norm(m.X, target_value - integrate(m_level, f))
-        wsgap = _max_pairing(densities(m_level) - phi, m.space.weights, tests)
+        wsgap = _max_pairing(_coordinate_densities(m_level) - phi, m.space.weights, tests)
         levels.append(
             NetLevelStats(idx, abs(level_norm - target_norm), dev, pointwise, wsgap)
         )

@@ -36,9 +36,11 @@ Reports are deterministic for a fixed scenario (the wall-time metadata field
 aside); floats are serialized with 17 significant digits so JSON round-trips
 exactly.  CSV output has one row per net level or sweep point with the
 documented per-experiment header.  Daugavet sweep points use the O(n)
-rank-one formula and run in sweep order on the calling thread; series_gap
-on an indicator or rank_one measure runs on factored operators in
-O(samples * n), and on the other measure kinds on dense n x n matrices.
+rank-one formula and run in sweep order on the calling thread.  Each measure
+kind has one constructor, which records indicator as INDICATOR, rank_one as
+RANK_ONE with its density g, and the others as ATOMS.  Runners read these
+records, never ``raw`` (only echoed): series_gap on an INDICATOR or RANK_ONE
+measure runs on factored operators in O(samples * n), on others densely.
 """
 
 from __future__ import annotations
@@ -46,22 +48,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .approx_nets import (
-    associated_measure,
-    basis_net,
-    basis_truncated_measure,
-    coordinate_family,
-    expectation_family,
-    martingale_net,
-    rn_operator,
-    run_net,
-)
+from .approx_nets import basis_net, basis_truncated_measure, martingale_net, rn_net, run_net
 from .daugavet import (
     FactoredOperator,
     density_norm_identity,
@@ -75,7 +68,7 @@ from .l1m_norm import DEFAULT_EXACT_CUTOFF, HEURISTIC, norm_best, norm_heuristic
 from .measure_core import MeasurableSet, MeasureSpace, SimpleFunction, dyadic_chain
 from .normed_space import NormSpec, same_norm
 from .rng import SplitMix64
-from .vector_measure import EXPECTATION, INDICATOR, VectorMeasure, indicator_measure
+from .vector_measure import INDICATOR, RANK_ONE, VectorMeasure, indicator_measure, rank_one_measure
 
 SCHEMA_VERSION = 1
 
@@ -169,7 +162,7 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
         g = _finite_array(section["g"], (X.dim,), message)
         if not math.isfinite(float(space.weights.max()) * float(np.abs(g).max())):
             raise ValidationError(f"{where} rank_one atoms mu_i * g overflow")
-        return VectorMeasure(space, X, space.weights[:, None] * g[None, :])
+        return rank_one_measure(space, g, X)
     if kind == "random":
         _require_keys(section, {"kind", "seed"}, {"kind", "seed"}, where)
         _check_number(section["seed"], f"{where}.seed")
@@ -311,16 +304,10 @@ def _run_norm(sc: Scenario, exp: dict) -> dict:
     return {"columns": ["f_index", "value", "method", "heuristic"], "rows": rows}
 
 
-def _net_table(sc: Scenario, exp: dict, net: list, tests: list) -> dict:
-    """One row per level of the net run on the first function."""
-    report = run_net(
-        sc.measure,
-        net,
-        sc.functions[0],
-        tests=tests,
-        exact_cutoff=exp["exact_cutoff"],
-        seed=exp["seed"],
-    )
+def _net_table(sc: Scenario, exp: dict, net, tests: list) -> dict:
+    """One row per level of the net (any iterable) run on the first function."""
+    kw = dict(exact_cutoff=exp["exact_cutoff"], seed=exp["seed"])
+    report = run_net(sc.measure, net, sc.functions[0], tests=tests, **kw)
     rows = [
         [lv.index, lv.norm_gap, lv.deviation, lv.pointwise_gap, lv.weakstar_gap]
         for lv in report.levels
@@ -330,8 +317,7 @@ def _net_table(sc: Scenario, exp: dict, net: list, tests: list) -> dict:
 
 def _run_martingale(sc: Scenario, exp: dict) -> dict:
     chain = dyadic_chain(exp["levels"], sc.space)
-    net = martingale_net(sc.measure, chain)
-    return _net_table(sc, exp, net, _default_tests(sc, finest=chain[-1]))
+    return _net_table(sc, exp, martingale_net(sc.measure, chain), _default_tests(sc, finest=chain[-1]))
 
 
 def _run_basis(sc: Scenario, exp: dict) -> dict:
@@ -340,17 +326,9 @@ def _run_basis(sc: Scenario, exp: dict) -> dict:
 
 def _run_rn_net(sc: Scenario, exp: dict) -> dict:
     if exp["family"] == "coordinate":
-        families = [coordinate_family(sc.measure, k) for k in range(1, sc.X.dim + 1)]
-        tests = _default_tests(sc)
-    else:
-        chain = dyadic_chain(exp["levels"], sc.space)
-        families = [expectation_family(sc.measure, p) for p in chain]
-        tests = _default_tests(sc, finest=chain[-1])
-    net = [associated_measure(rn_operator(sc.measure, xs, vs), sc.space) for xs, vs in families]
-    if exp["family"] == "expectation" and sc.measure.kind == INDICATOR:
-        # on the indicator measure the level of p is A |-> E_p chi_A
-        net = [replace(level, kind=EXPECTATION, partition=p) for level, p in zip(net, chain)]
-    return _net_table(sc, exp, net, tests)
+        return _net_table(sc, exp, rn_net(sc.measure), _default_tests(sc))
+    chain = dyadic_chain(exp["levels"], sc.space)
+    return _net_table(sc, exp, rn_net(sc.measure, chain), _default_tests(sc, finest=chain[-1]))
 
 
 def _daugavet_point(n: int, sign: float) -> list:
@@ -373,20 +351,18 @@ def _run_identity(sc: Scenario, exp: dict) -> dict:
 
 
 def _run_series_gap(sc: Scenario, exp: dict) -> dict:
-    """G is the measure's integration map; the part is sign * 1 mu^T."""
-    space, measure = sc.space, sc.raw["measure"]
+    """G is the measure's integration map, factored where the measure's record
+    allows; the part is sign * 1 mu^T."""
+    space, m = sc.space, sc.measure
     ones = np.ones(space.n)
     sign = float(exp["sign"])
-    if measure["kind"] == "indicator":
+    part = FactoredOperator.rank_one(space, sign * ones)
+    if m.kind == INDICATOR:
         G = FactoredOperator.identity(space)
-    elif measure["kind"] == "rank_one":
-        G = FactoredOperator.rank_one(space, measure["g"])
+    elif m.kind == RANK_ONE:
+        G = FactoredOperator.rank_one(space, m.density)
     else:
-        G = integration_operator(sc.measure)
-    if isinstance(G, FactoredOperator):
-        part = FactoredOperator.rank_one(space, sign * ones)
-    else:
-        part = rank_one_operator(space, sign * ones, ones)
+        G, part = integration_operator(m), rank_one_operator(space, sign * ones, ones)
     rep = series_approximation_gap(G, [part], samples=exp["samples"], seed=exp["seed"])
     return {"columns": ["gap_norm", "c_estimate"], "rows": [[rep.gap_norm, rep.c_estimate]]}
 

@@ -19,9 +19,9 @@ the extreme points of the dual ball.  Four engines realize this:
   * a block closed form   for the martingale difference A |-> chi_A - E_p chi_A
                           into L1(mu) with one weight per block of p: one sort
                           per block, O(n log n), exact at any size; it runs
-                          where the measure records that kind, which
-                          ``deviation`` does for the indicator measure against
-                          its average over p,
+                          where the measure records that kind, as
+                          ``combine`` does for the indicator measure minus
+                          its average over p (``deviation``),
   * ``norm_heuristic``    seeded steepest-ascent hill climbing, a lower bound.
 
 ``ENGINES`` holds (label, refusal, run) for each, closed form first; refusals
@@ -48,7 +48,7 @@ from .normed_space import norm as x_norm, same_norm
 from .opt_engine import SIGN_ENUM_LIMIT, LinearProgram, UNBOUNDED, best_sign_pattern, hill_climb
 from .opt_engine import solve_lp
 from .rng import SplitMix64
-from .vector_measure import EXPECTATION, INDICATOR, MARTINGALE_DIFFERENCE, VectorMeasure, combine
+from .vector_measure import MARTINGALE_DIFFERENCE, VectorMeasure, combine
 
 EXACT = "exact"
 CLOSED_FORM = "closed_form"
@@ -268,18 +268,12 @@ def deviation(
 ) -> float:
     """sup over A of || integral of f h_A d(m - m1) ||, the deviation seminorm.
 
-    The value is ``norm_best`` of f over m - m1, so exact engines are used
-    whenever capacity allows; it bounds the difference of the two
-    function-space norms of f.  When the constructors recorded m as the
-    indicator measure and m1 as its average over a partition p (kinds
-    INDICATOR and EXPECTATION), m - m1 is recorded as the martingale
-    difference A |-> chi_A - E_p chi_A.  On L1(mu) with blocks of equal
-    weight its norm then has a closed form, exact at any size, which takes
-    over where enumeration stops.
+    The value is ``norm_best`` of f over ``combine(m, -1.0, m1)``, exact
+    whenever capacity allows; it bounds the difference of the two norms of f.
+    On the martingale difference that ``combine`` records, into L1(mu) with
+    blocks of equal weight, the block closed form is exact at any size.
     """
     diff = combine(m, -1.0, m1)
-    if m.kind == INDICATOR and m1.kind == EXPECTATION:
-        diff = replace(diff, kind=MARTINGALE_DIFFERENCE, partition=m1.partition)
     return norm_best(diff, f, exact_cutoff=exact_cutoff, restarts=restarts, seed=seed).value
 
 

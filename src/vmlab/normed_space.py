@@ -94,7 +94,7 @@ def norm(X: NormSpec, v) -> float | np.ndarray:
     if X.kind == L1:
         out = np.sum(np.abs(s), axis=-1)
     elif X.kind == L2:
-        out = np.sqrt(np.sum(s * s, axis=-1))
+        out = np.sqrt(np.sum(np.multiply(s, s, out=s), axis=-1))  # s is a fresh array
     else:
         out = np.max(np.abs(s), axis=-1)
     return float(out) if v.ndim == 1 else out

@@ -185,7 +185,9 @@ def best_sign_pattern(
     block = _LOW_SIGNS[: 1 << low, :low] @ rev[..., :low, :]
     heads = _LOW_SIGNS[: 1 << high, :high] @ rev[..., low : k - 1, :] + a[..., :1, :]
     for h in range(1 << high):
-        values = score(block + heads[..., h : h + 1, :])
+        # one block: add the head row in place, one (N, d) temporary fewer per search
+        sums = np.add(block, heads, out=block) if high == 0 else block + heads[..., h : h + 1, :]
+        values = score(sums)
         i, top = values.argmax(axis=-1), values.max(axis=-1)
         if h == 0:
             best_code, best_value = i, top

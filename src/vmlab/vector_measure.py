@@ -9,6 +9,10 @@ measure with atom masses <m_i, x*>, whose density against the atom weights
 is the discrete Radon-Nikodym derivative; ``rn_derivatives`` gives the
 densities of a whole stack of dual vectors with one matrix product.  The
 integration map sends a coefficient vector f to sum_i f_i m_i.
+
+Records (``kind``, with ``partition`` or ``density``) are written only by the
+constructors: ``indicator_measure``, ``rank_one_measure`` and ``combine``
+here, ``martingale_measure`` and ``rn_net`` in ``approx_nets``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ ATOMS = "atoms"
 INDICATOR = "indicator"
 EXPECTATION = "expectation"
 MARTINGALE_DIFFERENCE = "martingale_difference"
+RANK_ONE = "rank_one"
 _PARTITIONED = (EXPECTATION, MARTINGALE_DIFFERENCE)
 
 
@@ -42,9 +47,12 @@ class VectorMeasure:
       INDICATOR              A |-> chi_A, atom i |-> e_i (``indicator_measure``),
       EXPECTATION            A |-> E_p chi_A, the indicator measure averaged
                              over the blocks of ``partition``,
-      MARTINGALE_DIFFERENCE  A |-> chi_A - E_p chi_A.
+      MARTINGALE_DIFFERENCE  A |-> chi_A - E_p chi_A (``combine``),
+      RANK_ONE               A |-> mu(A) * g, g kept as ``density``
+                             (``rank_one_measure``).
 
-    ``partition`` is set exactly for the last two kinds.
+    ``partition`` is set exactly for EXPECTATION and MARTINGALE_DIFFERENCE,
+    ``density`` (frozen, shape (X.dim,)) exactly for RANK_ONE.
     """
 
     space: MeasureSpace
@@ -52,6 +60,7 @@ class VectorMeasure:
     atoms: np.ndarray
     kind: str = ATOMS
     partition: Optional[Partition] = None
+    density: Optional[np.ndarray] = None
 
     def __post_init__(self):
         a = np.array(self.atoms, dtype=float, copy=True)
@@ -61,12 +70,20 @@ class VectorMeasure:
             )
         if not np.all(np.isfinite(a)):
             raise ValueError("atom values must be finite")
-        if self.kind not in (ATOMS, INDICATOR, *_PARTITIONED):
+        if self.kind not in (ATOMS, INDICATOR, RANK_ONE, *_PARTITIONED):
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if (self.partition is not None) != (self.kind in _PARTITIONED):
             raise ValueError(f"a partition goes with the kinds {_PARTITIONED} only")
         if self.partition is not None and not same_space(self.partition.space, self.space):
             raise ValueError("partition lives on a different space")
+        if (self.density is not None) != (self.kind == RANK_ONE):
+            raise ValueError(f"a density goes with the kind {RANK_ONE!r} only")
+        if self.density is not None:
+            g = np.array(self.density, dtype=float, copy=True)
+            if g.shape != (self.X.dim,):
+                raise ValueError(f"density must have shape ({self.X.dim},), got {g.shape}")
+            g.setflags(write=False)
+            object.__setattr__(self, "density", g)
         a.setflags(write=False)
         object.__setattr__(self, "atoms", a)
 
@@ -82,10 +99,10 @@ def indicator_measure(space: MeasureSpace, X: Optional[NormSpec] = None) -> Vect
     return VectorMeasure(space, X, np.eye(space.n), kind=INDICATOR)
 
 
-def rank_one_measure(space: MeasureSpace, g) -> VectorMeasure:
-    """A |-> mu(A) * g into the discretized L1(mu)."""
-    g = np.asarray(g, dtype=float)
-    return VectorMeasure(space, NormSpec.l1_of_mu(space), space.weights[:, None] * g[None, :])
+def rank_one_measure(space: MeasureSpace, g, X: Optional[NormSpec] = None) -> VectorMeasure:
+    """A |-> mu(A) * g into X (default the discretized L1(mu)), recorded with density g."""
+    X = NormSpec.l1_of_mu(space) if X is None else X
+    return VectorMeasure(space, X, np.outer(space.weights, g), kind=RANK_ONE, density=g)
 
 
 def set_value(m: VectorMeasure, A: MeasurableSet) -> np.ndarray:
@@ -169,10 +186,14 @@ def find_rybakov(m: VectorMeasure, attempts: int = 100, seed: int = 0, tol: floa
 
 
 def combine(m: VectorMeasure, lam: float, m1: VectorMeasure) -> VectorMeasure:
-    """The vector measure m + lam * m1 (atomwise)."""
+    """m + lam * m1 atomwise; the indicator measure minus its average over p
+    (kinds INDICATOR and EXPECTATION, lam = -1) is recorded as chi_A - E_p chi_A."""
     if not same_setting(m, m1):
         raise ValueError("measures live on different spaces or value spaces")
-    return VectorMeasure(m.space, m.X, m.atoms + lam * m1.atoms)
+    atoms = m.atoms + lam * m1.atoms
+    if lam == -1.0 and m.kind == INDICATOR and m1.kind == EXPECTATION:
+        return VectorMeasure(m.space, m.X, atoms, kind=MARTINGALE_DIFFERENCE, partition=m1.partition)
+    return VectorMeasure(m.space, m.X, atoms)
 
 
 def nonunique_derivative_pair(m: VectorMeasure, tol: float = 1e-12):

@@ -30,6 +30,7 @@ from vmlab import (
     refine,
     rn_derivative,
     rn_derivatives,
+    rn_net,
     rn_operator,
     run_net,
     weakstar_gap,
@@ -292,18 +293,10 @@ def _block_tests(space, f, p):
 
 def _nets(m, chain):
     """basis, martingale and both rn_net families, as in the harness experiments."""
-    nets = {"basis": basis_net(m), "martingale": martingale_net(m, chain)}
-    coordinate = []
-    for k in range(1, m.X.dim + 1):
-        xs, vs = coordinate_family(m, k)
-        coordinate.append(associated_measure(rn_operator(m, xs, vs), m.space))
-    nets["rn_net/coordinate"] = coordinate
+    nets = {"basis": list(basis_net(m)), "martingale": list(martingale_net(m, chain))}
+    nets["rn_net/coordinate"] = list(rn_net(m))
     if m.X.dim == m.space.n:
-        expectation = []
-        for p in chain:
-            xs, vs = expectation_family(m, p)
-            expectation.append(associated_measure(rn_operator(m, xs, vs), m.space))
-        nets["rn_net/expectation"] = expectation
+        nets["rn_net/expectation"] = list(rn_net(m, chain))
     return nets
 
 
@@ -344,9 +337,9 @@ def test_run_net_default_probes_have_the_product_bits():
         assert got.tobytes() == ((np.eye(d) @ m.atoms.T) / space.weights).tobytes()
         assert got.flags.c_contiguous and not np.shares_memory(got, m.atoms)
         f = random_function(rng, space)
-        net = basis_net(m)
-        explicit = run_net(m, net, f, probes=np.eye(d), restarts=1)
-        assert run_net(m, net, f, restarts=1) == explicit
+        net = list(basis_net(m))
+        expected = [weakstar_gap(m, lv, np.eye(d), [f]) for lv in net]
+        assert run_net(m, net, f, restarts=1).column("weakstar_gap") == expected
 
 
 def test_weakstar_gap_stack_matches_per_probe_loop_on_dense_probes():
@@ -368,26 +361,24 @@ def test_weakstar_gap_stack_matches_per_probe_loop_on_dense_probes():
     [[], np.zeros((0, 4)), np.array([0.0, 1.0, 0.0, 0.0]), [np.array([0.5, -1.0, 2.0, 0.25])]],
     ids=["empty-list", "empty-stack", "single-1d", "single-dense"],
 )
-def test_run_net_probe_edge_cases(s1, f1, probes):
+def test_weakstar_gap_probe_edge_cases(s1, f1, probes):
     space, m = s1
-    net = martingale_net(m, dyadic_chain(2, space))
-    report = run_net(m, net, f1, probes=probes)
+    net = list(martingale_net(m, dyadic_chain(2, space)))
+    gaps = [weakstar_gap(m, lv, probes, [f1]) for lv in net]
     stack = np.asarray(probes, dtype=float).reshape(-1, 4)
-    assert report.column("weakstar_gap") == [
-        _reference_weakstar_gap(m, lv, stack, [f1]) for lv in net
-    ]
+    assert gaps == [_reference_weakstar_gap(m, lv, stack, [f1]) for lv in net]
     if len(stack) == 0:
-        assert report.column("weakstar_gap") == [0.0, 0.0, 0.0]
+        assert gaps == [0.0, 0.0, 0.0]
 
 
-def test_run_net_empty_tests_and_wrong_probe_length(s1, f1):
+def test_run_net_empty_tests_and_weakstar_gap_wrong_probe_length(s1, f1):
     space, m = s1
-    net = martingale_net(m, dyadic_chain(2, space))
+    net = list(martingale_net(m, dyadic_chain(2, space)))
     assert run_net(m, net, f1, tests=[]).column("weakstar_gap") == [0.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="dimension 4"):
-        run_net(m, net, f1, probes=[np.ones(3)])
+        weakstar_gap(m, net[0], [np.ones(3)], [f1])
     with pytest.raises(ValueError, match="dimension 4"):
-        run_net(m, net, f1, probes=np.ones(5))
+        weakstar_gap(m, net[0], np.ones(5), [f1])
 
 
 def test_rn_operator_functionals_are_bitwise_the_stacked_derivatives():
@@ -405,3 +396,58 @@ def test_rn_operator_functionals_are_bitwise_the_stacked_derivatives():
             xs, vs = expectation_family(ind, p)
             expected = np.stack([rn_derivative(ind, x).coeffs for x in xs])
             assert np.array_equal(rn_operator(ind, xs, vs).functionals, expected)
+
+
+def test_rn_net_levels_are_the_associated_measures_and_record_expectations():
+    from vmlab.vector_measure import ATOMS, EXPECTATION
+
+    rng = np.random.default_rng(14)
+    space = random_space(rng, 8)
+    chain = dyadic_chain(3, space)
+    for m in (indicator_measure(space), random_measure(rng, space, NormSpec.l1_of_mu(space))):
+        for family, levels in (("coordinate", rn_net(m)), ("expectation", rn_net(m, chain))):
+            if family == "coordinate":
+                expected = [coordinate_family(m, k) for k in range(1, m.X.dim + 1)]
+            else:
+                expected = [expectation_family(m, p) for p in chain]
+            levels = list(levels)
+            assert len(levels) == len(expected)
+            for k, (level, (xs, vs)) in enumerate(zip(levels, expected)):
+                plain = associated_measure(rn_operator(m, xs, vs), space)
+                assert level.atoms.tobytes() == plain.atoms.tobytes()
+                if family == "expectation" and m.kind == "indicator":
+                    assert level.kind == EXPECTATION and level.partition is chain[k]
+                else:
+                    assert level.kind == ATOMS and level.partition is None
+
+
+def test_net_generators_yield_one_level_at_a_time():
+    space = MeasureSpace.uniform(8)
+    m = indicator_measure(space)
+    chain = dyadic_chain(3, space)
+    for net, size in ((basis_net(m), 8), (martingale_net(m, chain), 4), (rn_net(m), 8), (rn_net(m, chain), 4)):
+        assert not isinstance(net, (list, tuple))
+        assert len(list(net)) == size and list(net) == []  # consumed
+
+
+def test_a_streamed_basis_net_run_keeps_few_levels_alive():
+    # n = 128: the 128 levels of 128 x 128 atoms take 16 MB when all are kept
+    import tracemalloc
+
+    space = MeasureSpace.uniform(128)
+    m = indicator_measure(space)
+    f = SimpleFunction(space, np.random.default_rng(15).normal(size=128))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = run_net(m, basis_net(m), f)
+        streamed = tracemalloc.get_traced_memory()[1] - base
+        del report
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kept = list(basis_net(m))
+        held = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 128 and held >= 16 * 2**20  # the tracer sees the level atoms
+    assert streamed < 4 * 2**20, streamed

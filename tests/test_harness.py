@@ -756,10 +756,17 @@ def test_a_subcommand_has_a_setting_flag_only_if_its_kind_takes_it(capsys, comma
         ([0.1, 0.2, 0.3, 0.4], {"kind": "rank_one", "g": [1.0, -2.0, 0.5, 3.0]}),
         ("uniform", {"kind": "matrix", "rows": [[1, 2, 0, -1], [0.5, 0, 3, 1], [-2, 1, 1, 0], [0, 0, -1, 4]]}),
         ([0.4, 0.3, 0.2, 0.1], {"kind": "random", "seed": 7}),
+        ([0.3, 0.1, 0.4, 0.2], {"kind": "indicator"}),
+        (
+            [0.1, 0.2, 0.3, 0.4],
+            {"kind": "composed", "base": {"kind": "rank_one", "g": [1.0, -2.0, 0.5, 3.0]}, "k": 2},
+        ),
     ],
-    ids=["weights-rank-one", "matrix", "weights-random"],
+    ids=["weights-rank-one", "matrix", "weights-random", "weights-indicator", "composed-rank-one"],
 )
-def test_series_gap_runner_matches_the_library_call(weights, measure):
+def test_series_gap_runner_matches_the_library_call(monkeypatch, weights, measure):
+    from vmlab import harness
+
     data = _preset("canonical-l1")
     data["space"]["weights"] = weights
     data["measure"] = measure
@@ -767,15 +774,60 @@ def test_series_gap_runner_matches_the_library_call(weights, measure):
     sc = build_scenario(data)
     space = MeasureSpace.uniform(4) if weights == "uniform" else MeasureSpace(np.array(weights))
     ones = np.ones(4)
-    if measure["kind"] == "rank_one":
-        G = FactoredOperator.rank_one(space, measure["g"])
+    if measure["kind"] in ("indicator", "rank_one"):
+        if measure["kind"] == "indicator":
+            G = FactoredOperator.identity(space)
+        else:
+            G = FactoredOperator.rank_one(space, measure["g"])
         part = FactoredOperator.rank_one(space, -ones)
     else:
-        atoms = SplitMix64(7).normals(16).reshape(4, 4) if measure["kind"] == "random" else measure["rows"]
+        if measure["kind"] == "composed":  # mu_i * g on the first k coordinates
+            atoms = space.weights[:, None] * np.array(measure["base"]["g"])[None, :]
+            atoms[:, measure["k"]:] = 0.0
+        else:
+            atoms = SplitMix64(7).normals(16).reshape(4, 4) if measure["kind"] == "random" else measure["rows"]
         G = integration_operator(VectorMeasure(space, NormSpec.l1_of_mu(space), atoms))
         part = rank_one_operator(space, -ones, ones)
     rep = series_approximation_gap(G, [part], samples=8, seed=3)
+    forms = []
+    gap = harness.series_approximation_gap
+    monkeypatch.setattr(
+        harness, "series_approximation_gap", lambda G, *a, **kw: forms.append(type(G)) or gap(G, *a, **kw)
+    )
     assert repr(run(sc)["results"]["rows"]) == repr([[rep.gap_norm, rep.c_estimate]])
+    assert forms == [type(G)]  # factored exactly for the indicator and rank_one records
+
+
+@pytest.mark.parametrize(
+    "measure, value_space, kind",
+    [
+        ({"kind": "indicator"}, {"kind": "l1-of-mu"}, "indicator"),
+        ({"kind": "indicator"}, {"kind": "L2", "d": 4}, "indicator"),
+        ({"kind": "rank_one", "g": [0.1, -2.0, 3.5]}, {"kind": "LINF", "d": 3}, "rank_one"),
+        ({"kind": "rank_one", "g": [1.0, -2.0, 0.5, 3.0]}, {"kind": "l1-of-mu"}, "rank_one"),
+        ({"kind": "random", "seed": 5}, {"kind": "L1", "d": 3}, "atoms"),
+        ({"kind": "matrix", "rows": [[1.0, 2.0], [0.0, -1.0], [3.0, 0.5], [1.0, 1.0]]}, {"kind": "L2", "d": 2}, "atoms"),
+        ({"kind": "composed", "base": {"kind": "indicator"}, "k": 2}, {"kind": "l1-of-mu"}, "atoms"),
+        ({"kind": "composed", "base": {"kind": "rank_one", "g": [1.0, 2.0, 3.0]}, "k": 3}, {"kind": "L1", "d": 3}, "atoms"),
+        ({"kind": "composed", "base": {"kind": "random", "seed": 2}, "k": 1}, {"kind": "LINF", "d": 3}, "atoms"),
+    ],
+)
+def test_each_scenario_measure_kind_gets_its_record(measure, value_space, kind):
+    data = _preset("canonical-l1")
+    data["space"]["weights"] = [0.1, 0.2, 0.3, 0.4]
+    data.update(measure=measure, value_space=value_space, experiment={"kind": "identity", "other": measure})
+    if value_space["kind"] not in ("l1-of-mu", "L1", "LINF"):
+        data["experiment"] = {"kind": "basis"}
+    sc = build_scenario(data)
+    built = [sc.measure] + ([sc.experiment["other"]] if "other" in sc.experiment else [])
+    for m in built:
+        assert m.kind == kind and m.partition is None
+        if kind == "rank_one":
+            g = np.array(measure["g"], dtype=float)
+            assert m.density.tobytes() == g.tobytes()
+            assert m.atoms.tobytes() == (sc.space.weights[:, None] * g[None, :]).tobytes()
+        else:
+            assert m.density is None
 
 
 def test_readme_experiment_table_lists_each_kinds_parameters():
@@ -820,6 +872,7 @@ def test_rn_net_expectation_levels_of_the_indicator_are_recorded(monkeypatch):
     table = harness._net_table
 
     def spy(sc, exp, net, tests):
+        net = list(net)
         seen.extend(net)
         return table(sc, exp, net, tests)
 

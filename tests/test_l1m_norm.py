@@ -615,7 +615,7 @@ def test_indicator_nets_take_no_hill_climb(monkeypatch, experiment, n, levels):
     m, f = sc.measure, sc.functions[0]
     chain = dyadic_chain(levels, sc.space)
     if experiment == "martingale":
-        net = martingale_net(m, chain)
+        net = list(martingale_net(m, chain))
     else:
         families = [expectation_family(m, p) for p in chain]
         net = [associated_measure(rn_operator(m, xs, vs), sc.space) for xs, vs in families]

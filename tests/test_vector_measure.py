@@ -240,19 +240,22 @@ def test_nonunique_derivative_pair():
 
 def test_constructors_record_the_measure_kind():
     from vmlab import Partition, basis_truncated_measure, martingale_measure, rank_one_measure
-    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, MARTINGALE_DIFFERENCE
+    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, MARTINGALE_DIFFERENCE, RANK_ONE
 
     space = MeasureSpace.uniform(4)
     p = Partition(space, np.array([0, 0, 1, 1]), 2)
     m = indicator_measure(space)
-    assert m.kind == INDICATOR and m.partition is None
+    assert m.kind == INDICATOR and m.partition is None and m.density is None
     assert indicator_measure(space, NormSpec.l2(4)).kind == INDICATOR
     averaged = martingale_measure(m, p)
     assert averaged.kind == EXPECTATION and averaged.partition is p
-    for other in (rank_one_measure(space, np.ones(4)), basis_truncated_measure(m, 2), averaged):
-        assert other.kind == ATOMS or other is averaged
+    r1 = rank_one_measure(space, np.ones(4))
+    assert r1.kind == RANK_ONE and r1.partition is None
+    assert basis_truncated_measure(m, 2).kind == ATOMS
+    for other in (r1, basis_truncated_measure(m, 2), averaged):
         assert martingale_measure(other, p).kind == ATOMS  # only the indicator's average is recorded
-    assert combine(m, -1.0, averaged).kind == ATOMS
+    difference = combine(m, -1.0, averaged)
+    assert difference.kind == MARTINGALE_DIFFERENCE and difference.partition is p
     with pytest.raises(ValueError, match="unknown measure kind"):
         VectorMeasure(space, m.X, m.atoms, kind="bogus")
     for kind, partition in ((EXPECTATION, None), (MARTINGALE_DIFFERENCE, None), (INDICATOR, p)):
@@ -261,3 +264,73 @@ def test_constructors_record_the_measure_kind():
     elsewhere = Partition.one_block(MeasureSpace.uniform(4, total=2.0))
     with pytest.raises(ValueError, match="different space"):
         VectorMeasure(space, m.X, m.atoms, kind=EXPECTATION, partition=elsewhere)
+
+
+def test_combine_records_the_martingale_difference_only_for_indicator_minus_expectation():
+    from vmlab import Partition, basis_truncated_measure, martingale_measure
+    from vmlab.vector_measure import ATOMS, MARTINGALE_DIFFERENCE
+
+    rng = np.random.default_rng(21)
+    space = random_space(rng, 8)
+    p = Partition(space, np.arange(8) // 4, 2)
+    for X in (NormSpec.l1_of_mu(space), NormSpec.l2(8)):
+        m = indicator_measure(space, X)
+        averaged = martingale_measure(m, p)
+        difference = combine(m, -1.0, averaged)
+        assert difference.kind == MARTINGALE_DIFFERENCE and difference.partition is p
+        assert difference.atoms.tobytes() == (m.atoms - averaged.atoms).tobytes()
+        g = rng.normal(size=8)
+        others = [
+            (m, lam, averaged) for lam in (1.0, -0.5, -2.0, 0.0)
+        ] + [
+            (averaged, -1.0, m),
+            (m, -1.0, m),
+            (averaged, -1.0, averaged),
+            (rank_one_measure(space, g, X), -1.0, averaged),
+            (basis_truncated_measure(m, 8), -1.0, averaged),
+            (m, -1.0, martingale_measure(rank_one_measure(space, g, X), p)),
+            (m, -1.0, difference),
+        ]
+        for a, lam, b in others:
+            combined = combine(a, lam, b)
+            assert combined.kind == ATOMS and combined.partition is None, (a.kind, lam, b.kind)
+            assert combined.atoms.tobytes() == (a.atoms + lam * b.atoms).tobytes()
+
+
+def test_rank_one_measure_records_its_density():
+    from vmlab.vector_measure import RANK_ONE
+
+    rng = np.random.default_rng(22)
+    space = random_space(rng, 5)
+    g = rng.normal(size=3)
+    X = random_norm_spec(rng, 3)
+    m = rank_one_measure(space, g, X)
+    assert m.kind == RANK_ONE and m.X is X and m.partition is None
+    assert m.density.tobytes() == g.tobytes() and m.density.shape == (3,)
+    assert not m.density.flags.writeable and not np.shares_memory(m.density, g)
+    assert m.atoms.tobytes() == (space.weights[:, None] * g[None, :]).tobytes()
+    g[0] += 1.0  # the record is a copy
+    assert m.density[0] != g[0]
+    default = rank_one_measure(space, rng.normal(size=5))
+    assert default.X.kind == NormSpec.l1_of_mu(space).kind and default.X.dim == 5
+    with pytest.raises(ValueError, match="atom matrix must be 5 x 4"):
+        rank_one_measure(space, g, NormSpec.l2(4))
+
+
+def test_a_density_goes_with_the_rank_one_kind_only():
+    from vmlab import Partition
+    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, MARTINGALE_DIFFERENCE, RANK_ONE
+
+    space = MeasureSpace.uniform(4)
+    m = indicator_measure(space)
+    p = Partition.one_block(space)
+    g = np.ones(4)
+    for kind, partition in ((ATOMS, None), (INDICATOR, None), (EXPECTATION, p), (MARTINGALE_DIFFERENCE, p)):
+        with pytest.raises(ValueError, match="density goes with"):
+            VectorMeasure(space, m.X, m.atoms, kind=kind, partition=partition, density=g)
+    with pytest.raises(ValueError, match="density goes with"):
+        VectorMeasure(space, m.X, m.atoms, kind=RANK_ONE)
+    with pytest.raises(ValueError, match="partition goes with"):
+        VectorMeasure(space, m.X, m.atoms, kind=RANK_ONE, partition=p, density=g)
+    with pytest.raises(ValueError, match="density must have shape"):
+        VectorMeasure(space, m.X, m.atoms, kind=RANK_ONE, density=np.ones(3))
