@@ -815,19 +815,15 @@ def test_series_gap_runner_matches_the_library_call(monkeypatch, weights, measur
 def test_each_scenario_measure_kind_gets_its_record(measure, value_space, kind):
     data = _preset("canonical-l1")
     data["space"]["weights"] = [0.1, 0.2, 0.3, 0.4]
-    data.update(measure=measure, value_space=value_space, experiment={"kind": "identity", "other": measure})
-    if value_space["kind"] not in ("l1-of-mu", "L1", "LINF"):
-        data["experiment"] = {"kind": "basis"}
-    sc = build_scenario(data)
-    built = [sc.measure] + ([sc.experiment["other"]] if "other" in sc.experiment else [])
-    for m in built:
-        assert m.kind == kind and m.partition is None
-        if kind == "rank_one":
-            g = np.array(measure["g"], dtype=float)
-            assert m.density.tobytes() == g.tobytes()
-            assert m.atoms.tobytes() == (sc.space.weights[:, None] * g[None, :]).tobytes()
-        else:
-            assert m.density is None
+    data.update(measure=measure, value_space=value_space, experiment={"kind": "basis"})
+    m = build_scenario(data).measure
+    assert m.kind == kind and m.partition is None
+    if kind == "rank_one":
+        g = np.array(measure["g"], dtype=float)
+        assert m.density.tobytes() == g.tobytes()
+        assert m.atoms.tobytes() == (m.space.weights[:, None] * g[None, :]).tobytes()
+    else:
+        assert m.density is None
 
 
 def test_readme_experiment_table_lists_each_kinds_parameters():
