@@ -11,14 +11,19 @@ one level alive rather than the whole net:
     block closed form of ``l1m_norm`` (exact at any size on L1(mu) with one
     weight per block) rather than from hill climbing;
   * basis-projection nets: truncating the value-space coordinates, which
-    compose the measure with a norm-one projection;
+    compose the measure with a norm-one projection; the truncations of the
+    indicator measure are recorded as A |-> P_k chi_A (kind TRUNCATION);
   * rn nets: the measures of finite-rank operators built from derivative
     densities (one density and one value vector per term) of the coordinate
-    or expectation families, the latter recorded as the martingale levels.
+    or expectation families; on the indicator measure the former are
+    recorded as its truncations, the latter as its martingale levels.
 
 ``run_net`` reports, per net level, the norm gap, the deviation seminorm,
 the pointwise integration gap, and a weak* gap over the coordinate probe
 functionals, which together witness or refute convergence of the net.
+Against the indicator measure into L1(mu), levels recorded as its
+truncations read their rows from suffix sums, O(n) per net and exact at any
+n, and no norm engine runs for them.
 
 Derivative densities of a stack of dual vectors come from one matrix
 product per measure (``rn_derivatives``); general dense probes of
@@ -37,8 +42,8 @@ import numpy as np
 from .l1m_norm import deviation as deviation_seminorm
 from .l1m_norm import DEFAULT_EXACT_CUTOFF, integrate, norm_best
 from .measure_core import MeasureSpace, Partition, SimpleFunction, same_space
-from .normed_space import NormSpec, norm as x_norm
-from .vector_measure import EXPECTATION, INDICATOR, VectorMeasure, rn_derivatives, same_setting
+from .normed_space import NormSpec, norm as x_norm, same_norm
+from .vector_measure import EXPECTATION, INDICATOR, TRUNCATION, VectorMeasure, rn_derivatives, same_setting
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,11 +132,14 @@ def integrate_martingale(m: VectorMeasure, p: Partition, f: SimpleFunction) -> n
 
 
 def basis_truncated_measure(m: VectorMeasure, k: int) -> VectorMeasure:
-    """Compose m with the projection onto the first k value-space coordinates."""
+    """Compose m with the projection onto the first k value-space coordinates;
+    the indicator measure's is recorded as A |-> P_k chi_A (kind TRUNCATION, rank k)."""
     if not 1 <= k <= m.X.dim:
         raise ValueError(f"truncation rank {k} out of range 1..{m.X.dim}")
     atoms = m.atoms.copy()
     atoms[:, k:] = 0.0
+    if m.kind == INDICATOR:
+        return VectorMeasure(m.space, m.X, atoms, kind=TRUNCATION, rank=k)
     return VectorMeasure(m.space, m.X, atoms)
 
 
@@ -144,12 +152,15 @@ def rn_operator(m: VectorMeasure, functionals: Sequence, vectors: Sequence) -> F
     return FiniteRankOperator(m.space, m.X, densities, vectors)
 
 
-def associated_measure(R: FiniteRankOperator, space: MeasureSpace) -> VectorMeasure:
-    """The measure A |-> R(chi_A); on atom i it is R applied to the i-th indicator."""
+def _associated_atoms(R: FiniteRankOperator, space: MeasureSpace) -> np.ndarray:
     if not same_space(space, R.space):
         raise ValueError("operator lives on a different space")
-    atoms = (R.functionals * space.weights[None, :]).T @ R.vectors
-    return VectorMeasure(space, R.codomain, atoms)
+    return (R.functionals * space.weights[None, :]).T @ R.vectors
+
+
+def associated_measure(R: FiniteRankOperator, space: MeasureSpace) -> VectorMeasure:
+    """The measure A |-> R(chi_A); on atom i it is R applied to the i-th indicator."""
+    return VectorMeasure(space, R.codomain, _associated_atoms(R, space))
 
 
 def coordinate_family(m: VectorMeasure, k: int):
@@ -232,17 +243,19 @@ def basis_net(m: VectorMeasure) -> Iterator[VectorMeasure]:
 
 def rn_net(m: VectorMeasure, partitions: Optional[Iterable[Partition]] = None) -> Iterator[VectorMeasure]:
     """Levels A |-> R(chi_A) of the rn operators R of m's k-term coordinate families
-    (k = 1..d) or, given partitions, of their expectation families; on the
-    indicator measure the level of p is recorded as A |-> E_p chi_A."""
+    (k = 1..d) or, given partitions, of their expectation families.  On the
+    indicator measure the level of k is recorded as A |-> P_k chi_A and the
+    level of p as A |-> E_p chi_A, with the associated measure's atoms."""
     if partitions is None:
-        for k in range(1, m.X.dim + 1):
-            yield associated_measure(rn_operator(m, *coordinate_family(m, k)), m.space)
-        return
-    for p in partitions:
-        level = associated_measure(rn_operator(m, *expectation_family(m, p)), m.space)
+        steps = ((coordinate_family(m, k), dict(kind=TRUNCATION, rank=k)) for k in range(1, m.X.dim + 1))
+    else:
+        steps = ((expectation_family(m, p), dict(kind=EXPECTATION, partition=p)) for p in partitions)
+    for family, record in steps:
+        R = rn_operator(m, *family)
         if m.kind == INDICATOR:
-            level = VectorMeasure(m.space, m.X, level.atoms, kind=EXPECTATION, partition=p)
-        yield level
+            yield VectorMeasure(m.space, m.X, _associated_atoms(R, m.space), **record)
+        else:
+            yield associated_measure(R, m.space)
 
 
 def _coordinate_densities(m: VectorMeasure) -> np.ndarray:
@@ -257,6 +270,20 @@ def _coordinate_densities(m: VectorMeasure) -> np.ndarray:
     densities += 0.0  # -0.0 -> +0.0, as the product's zero-started sums give
     densities /= m.space.weights
     return densities
+
+
+def _truncation_tails(w: np.ndarray, f: SimpleFunction, tests: Sequence[SimpleFunction]):
+    """Rows of the rank-k truncations of the indicator measure into L1(mu): the
+    three gaps are tail[k] = sum_{i >= k} |f_i| w_i, the weak* gap is wtail[k] =
+    max over tests t and j >= k of |(t_j (1/w_j)) w_j|, the one nonzero term of
+    a dense pairing row, with its bits; k = 0..n, both 0 at n."""
+    tail = np.zeros(w.size + 1)
+    tail[:-1] = np.cumsum((np.abs(f.coeffs) * w)[::-1])[::-1]
+    wtail = np.zeros(w.size + 1)
+    for t in tests:
+        np.maximum(wtail[:-1], np.abs(t.coeffs * (1.0 / w) * w), out=wtail[:-1])
+    wtail[:-1] = np.maximum.accumulate(wtail[-2::-1])[::-1]
+    return tail.tolist(), wtail.tolist()
 
 
 def run_net(
@@ -275,7 +302,8 @@ def run_net(
     || I_m f - I_level f ||_X, and the largest weak* gap over the coordinate
     probe functionals evaluated on the test family (defaults to {f}).  The
     net is read one level at a time; the target's densities are computed
-    once per net.
+    once per net.  Against the indicator measure into L1(mu), levels
+    recorded as its truncations read their rows from ``_truncation_tails``.
     """
     phi = _coordinate_densities(m)
     if tests is None:
@@ -283,10 +311,17 @@ def run_net(
     kw = dict(exact_cutoff=exact_cutoff, restarts=restarts, seed=seed)
     target_norm = norm_best(m, f, **kw).value
     target_value = integrate(m, f)
+    closed = m.kind == INDICATOR and same_norm(m.X, NormSpec.l1_of_mu(m.space))
+    if closed:
+        tail, wtail = _truncation_tails(m.space.weights, f, tests)
     levels = []
     for idx, m_level in enumerate(net):
         if not same_setting(m, m_level):
             raise ValueError("net member lives on a different space or value space")
+        if closed and m_level.kind == TRUNCATION:
+            k = m_level.rank
+            levels.append(NetLevelStats(idx, tail[k], tail[k], tail[k], wtail[k]))
+            continue
         level_norm = norm_best(m_level, f, **kw).value
         dev = deviation_seminorm(m, m_level, f, **kw)
         pointwise = x_norm(m.X, target_value - integrate(m_level, f))

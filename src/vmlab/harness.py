@@ -38,7 +38,8 @@ exactly.  CSV output has one row per net level or sweep point with the
 documented per-experiment header.  Daugavet sweep points use the O(n)
 rank-one formula and run in sweep order on the calling thread.  Each measure
 kind has one constructor, which records indicator as INDICATOR, rank_one as
-RANK_ONE with its density g, and the others as ATOMS.  Runners read these
+RANK_ONE with its density g, composed over an indicator base as TRUNCATION
+with its rank k, and the others as ATOMS.  Runners read these
 records, never ``raw`` (only echoed): series_gap on an INDICATOR or RANK_ONE
 measure runs on factored operators in O(samples * n), on others densely.
 """

@@ -10,9 +10,10 @@ is the discrete Radon-Nikodym derivative; ``rn_derivatives`` gives the
 densities of a whole stack of dual vectors with one matrix product.  The
 integration map sends a coefficient vector f to sum_i f_i m_i.
 
-Records (``kind``, with ``partition`` or ``density``) are written only by the
-constructors: ``indicator_measure``, ``rank_one_measure`` and ``combine``
-here, ``martingale_measure`` and ``rn_net`` in ``approx_nets``.
+Records (``kind``, with ``partition``, ``density`` or ``rank``) are written
+only by the constructors: ``indicator_measure``, ``rank_one_measure`` and
+``combine`` here, ``martingale_measure``, ``basis_truncated_measure`` and
+``rn_net`` in ``approx_nets``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ INDICATOR = "indicator"
 EXPECTATION = "expectation"
 MARTINGALE_DIFFERENCE = "martingale_difference"
 RANK_ONE = "rank_one"
+TRUNCATION = "truncation"
 _PARTITIONED = (EXPECTATION, MARTINGALE_DIFFERENCE)
 
 
@@ -49,10 +51,14 @@ class VectorMeasure:
                              over the blocks of ``partition``,
       MARTINGALE_DIFFERENCE  A |-> chi_A - E_p chi_A (``combine``),
       RANK_ONE               A |-> mu(A) * g, g kept as ``density``
-                             (``rank_one_measure``).
+                             (``rank_one_measure``),
+      TRUNCATION             A |-> P_k chi_A, coordinates k = ``rank`` on
+                             zeroed (``basis_truncated_measure``, ``rn_net``,
+                             whose atoms keep their operator's rounding).
 
     ``partition`` is set exactly for EXPECTATION and MARTINGALE_DIFFERENCE,
-    ``density`` (frozen, shape (X.dim,)) exactly for RANK_ONE.
+    ``density`` (frozen, shape (X.dim,)) exactly for RANK_ONE, and ``rank``
+    (an int in 1..X.dim) exactly for TRUNCATION.
     """
 
     space: MeasureSpace
@@ -61,6 +67,7 @@ class VectorMeasure:
     kind: str = ATOMS
     partition: Optional[Partition] = None
     density: Optional[np.ndarray] = None
+    rank: Optional[int] = None
 
     def __post_init__(self):
         a = np.array(self.atoms, dtype=float, copy=True)
@@ -70,7 +77,7 @@ class VectorMeasure:
             )
         if not np.all(np.isfinite(a)):
             raise ValueError("atom values must be finite")
-        if self.kind not in (ATOMS, INDICATOR, RANK_ONE, *_PARTITIONED):
+        if self.kind not in (ATOMS, INDICATOR, RANK_ONE, TRUNCATION, *_PARTITIONED):
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if (self.partition is not None) != (self.kind in _PARTITIONED):
             raise ValueError(f"a partition goes with the kinds {_PARTITIONED} only")
@@ -78,6 +85,10 @@ class VectorMeasure:
             raise ValueError("partition lives on a different space")
         if (self.density is not None) != (self.kind == RANK_ONE):
             raise ValueError(f"a density goes with the kind {RANK_ONE!r} only")
+        if (self.rank is not None) != (self.kind == TRUNCATION):
+            raise ValueError(f"a rank goes with the kind {TRUNCATION!r} only")
+        if self.rank is not None and not (type(self.rank) is int and 1 <= self.rank <= self.X.dim):
+            raise ValueError(f"rank must be an int in 1..{self.X.dim}, got {self.rank!r}")
         if self.density is not None:
             g = np.array(self.density, dtype=float, copy=True)
             if g.shape != (self.X.dim,):

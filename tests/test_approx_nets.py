@@ -6,6 +6,7 @@ from vmlab import (
     L2,
     MeasurableSet,
     MeasureSpace,
+    NetLevelStats,
     NormSpec,
     Partition,
     SimpleFunction,
@@ -399,7 +400,7 @@ def test_rn_operator_functionals_are_bitwise_the_stacked_derivatives():
 
 
 def test_rn_net_levels_are_the_associated_measures_and_record_expectations():
-    from vmlab.vector_measure import ATOMS, EXPECTATION
+    from vmlab.vector_measure import ATOMS, EXPECTATION, TRUNCATION
 
     rng = np.random.default_rng(14)
     space = random_space(rng, 8)
@@ -417,8 +418,10 @@ def test_rn_net_levels_are_the_associated_measures_and_record_expectations():
                 assert level.atoms.tobytes() == plain.atoms.tobytes()
                 if family == "expectation" and m.kind == "indicator":
                     assert level.kind == EXPECTATION and level.partition is chain[k]
+                elif m.kind == "indicator":
+                    assert level.kind == TRUNCATION and level.rank == k + 1 and level.partition is None
                 else:
-                    assert level.kind == ATOMS and level.partition is None
+                    assert level.kind == ATOMS and level.partition is None and level.rank is None
 
 
 def test_net_generators_yield_one_level_at_a_time():
@@ -451,3 +454,91 @@ def test_a_streamed_basis_net_run_keeps_few_levels_alive():
         tracemalloc.stop()
     assert len(kept) == 128 and held >= 16 * 2**20  # the tracer sees the level atoms
     assert streamed < 4 * 2**20, streamed
+
+
+def _dense_levels(m, net, f, tests):
+    """run_net over the same levels rebuilt without their records: every level takes the dense path."""
+    plain = [VectorMeasure(level.space, level.X, level.atoms) for level in net]
+    return run_net(m, plain, f, tests=tests, restarts=1).levels
+
+
+def _tied_function(rng, space):
+    """Gaussian coefficients with about a fifth zeroed and a fifth tied in absolute value."""
+    coeffs = rng.normal(size=space.n)
+    coeffs[rng.random(space.n) < 0.2] = 0.0
+    ties = rng.random(space.n) < 0.2
+    coeffs[ties] = rng.choice([-0.75, 0.75], size=int(ties.sum()))
+    return SimpleFunction(space, coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 100, 256])
+@pytest.mark.parametrize("weights", ["uniform", "random"])
+def test_truncation_rows_of_the_indicator_match_the_dense_path(n, weights):
+    rng = np.random.default_rng(n)
+    space = MeasureSpace.uniform(n) if weights == "uniform" else random_space(rng, n)
+    m = indicator_measure(space)
+    f = _tied_function(rng, space)
+    a = np.abs(f.coeffs) * space.weights
+    families = {"empty": [], "default": None, "several": [f, _tied_function(rng, space), random_function(rng, space)]}
+    # the coordinate net builds its levels by matrix products, O(n^4) in all,
+    # and a dense n = 256 reference takes about half a second
+    nets = {"basis": basis_net, "coordinate": rn_net}
+    if n == 256:
+        nets, families = {"basis": basis_net}, {"several": families["several"]}
+    for name, tests in families.items():
+        rows = {}
+        for net_name, make in nets.items():
+            closed = rows[net_name] = run_net(m, make(m), f, tests=tests).levels
+            dense = _dense_levels(m, make(m), f, tests)
+            for got, want in zip(closed, dense, strict=True):
+                assert got.weakstar_gap == want.weakstar_gap, (name, net_name, got.index)
+                for column in ("norm_gap", "deviation", "pointwise_gap"):
+                    error = abs(getattr(got, column) - getattr(want, column))
+                    assert error <= 1e-13 * dense[0].norm_gap, (name, net_name, column, got.index)
+        assert rows["basis"] == rows.get("coordinate", rows["basis"]), name
+        assert rows["basis"][-1] == NetLevelStats(n - 1, 0.0, 0.0, 0.0, 0.0)
+        for lv in rows["basis"]:
+            assert lv.norm_gap == lv.deviation == lv.pointwise_gap
+            assert abs(lv.norm_gap - a[lv.index + 1:].sum()) <= 1e-13 * a.sum()
+
+
+def test_the_truncation_record_keeps_other_rows_bitwise():
+    # an indicator into L2 (d = n) and a random measure into L1(mu) take the
+    # dense path on every level, recorded or not
+    rng = np.random.default_rng(24)
+    space = random_space(rng, 12)
+    f = _tied_function(rng, space)
+    chain = dyadic_chain(2, space)
+    for m in (indicator_measure(space, NormSpec.l2(12, rng.uniform(0.5, 2.0, size=12))),
+              random_measure(rng, space, NormSpec.l1_of_mu(space))):
+        for net in (list(basis_net(m)), list(rn_net(m)), list(martingale_net(m, chain))):
+            tests = _block_tests(space, f, chain[-1])
+            got = run_net(m, net, f, tests=tests, restarts=1).levels
+            assert got == _dense_levels(m, net, f, tests)
+
+
+def test_an_indicator_basis_run_net_calls_no_engine_per_level(monkeypatch):
+    import vmlab.approx_nets as approx_nets
+    import vmlab.l1m_norm as l1m_norm
+
+    calls = {}
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("norm_best", "deviation_seminorm", "integrate", "_coordinate_densities", "_max_pairing"):
+        spy(approx_nets, name)
+    spy(l1m_norm, "norm_best")  # deviation's own engine walk
+    space = MeasureSpace.uniform(64)
+    m = indicator_measure(space)
+    f = _tied_function(np.random.default_rng(25), space)
+    report = run_net(m, basis_net(m), f)
+    assert len(report.levels) == 64
+    # the target's norm, value and densities, once per net; nothing per level
+    assert calls == {"norm_best": 1, "integrate": 1, "_coordinate_densities": 1}

@@ -807,7 +807,7 @@ def test_series_gap_runner_matches_the_library_call(monkeypatch, weights, measur
         ({"kind": "rank_one", "g": [1.0, -2.0, 0.5, 3.0]}, {"kind": "l1-of-mu"}, "rank_one"),
         ({"kind": "random", "seed": 5}, {"kind": "L1", "d": 3}, "atoms"),
         ({"kind": "matrix", "rows": [[1.0, 2.0], [0.0, -1.0], [3.0, 0.5], [1.0, 1.0]]}, {"kind": "L2", "d": 2}, "atoms"),
-        ({"kind": "composed", "base": {"kind": "indicator"}, "k": 2}, {"kind": "l1-of-mu"}, "atoms"),
+        ({"kind": "composed", "base": {"kind": "indicator"}, "k": 2}, {"kind": "l1-of-mu"}, "truncation"),
         ({"kind": "composed", "base": {"kind": "rank_one", "g": [1.0, 2.0, 3.0]}, "k": 3}, {"kind": "L1", "d": 3}, "atoms"),
         ({"kind": "composed", "base": {"kind": "random", "seed": 2}, "k": 1}, {"kind": "LINF", "d": 3}, "atoms"),
     ],
@@ -818,6 +818,7 @@ def test_each_scenario_measure_kind_gets_its_record(measure, value_space, kind):
     data.update(measure=measure, value_space=value_space, experiment={"kind": "basis"})
     m = build_scenario(data).measure
     assert m.kind == kind and m.partition is None
+    assert m.rank == (measure["k"] if kind == "truncation" else None)
     if kind == "rank_one":
         g = np.array(measure["g"], dtype=float)
         assert m.density.tobytes() == g.tobytes()

@@ -240,7 +240,7 @@ def test_nonunique_derivative_pair():
 
 def test_constructors_record_the_measure_kind():
     from vmlab import Partition, basis_truncated_measure, martingale_measure, rank_one_measure
-    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, MARTINGALE_DIFFERENCE, RANK_ONE
+    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, MARTINGALE_DIFFERENCE, RANK_ONE, TRUNCATION
 
     space = MeasureSpace.uniform(4)
     p = Partition(space, np.array([0, 0, 1, 1]), 2)
@@ -251,8 +251,9 @@ def test_constructors_record_the_measure_kind():
     assert averaged.kind == EXPECTATION and averaged.partition is p
     r1 = rank_one_measure(space, np.ones(4))
     assert r1.kind == RANK_ONE and r1.partition is None
-    assert basis_truncated_measure(m, 2).kind == ATOMS
-    for other in (r1, basis_truncated_measure(m, 2), averaged):
+    truncated = basis_truncated_measure(m, 2)
+    assert truncated.kind == TRUNCATION and truncated.rank == 2 and truncated.partition is None
+    for other in (r1, truncated, averaged):
         assert martingale_measure(other, p).kind == ATOMS  # only the indicator's average is recorded
     difference = combine(m, -1.0, averaged)
     assert difference.kind == MARTINGALE_DIFFERENCE and difference.partition is p
@@ -334,3 +335,33 @@ def test_a_density_goes_with_the_rank_one_kind_only():
         VectorMeasure(space, m.X, m.atoms, kind=RANK_ONE, partition=p, density=g)
     with pytest.raises(ValueError, match="density must have shape"):
         VectorMeasure(space, m.X, m.atoms, kind=RANK_ONE, density=np.ones(3))
+
+
+def test_a_rank_goes_with_the_truncation_kind_only():
+    from vmlab import Partition, basis_truncated_measure
+    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, RANK_ONE, TRUNCATION
+
+    space = MeasureSpace.uniform(4)
+    m = indicator_measure(space)
+    p = Partition.one_block(space)
+    for rank in (1, 3, 4):
+        assert VectorMeasure(space, m.X, m.atoms, kind=TRUNCATION, rank=rank).rank == rank
+    with pytest.raises(ValueError, match="rank goes with"):
+        VectorMeasure(space, m.X, m.atoms, kind=TRUNCATION)
+    for kind, record in ((ATOMS, {}), (INDICATOR, {}), (EXPECTATION, {"partition": p}), (RANK_ONE, {"density": np.ones(4)})):
+        with pytest.raises(ValueError, match="rank goes with"):
+            VectorMeasure(space, m.X, m.atoms, kind=kind, rank=2, **record)
+    for rank in (0, 5, -1, True, False, 2.0, np.int64(2), "2"):
+        with pytest.raises(ValueError, match=r"rank must be an int in 1\.\.4"):
+            VectorMeasure(space, m.X, m.atoms, kind=TRUNCATION, rank=rank)
+    # the indicator's truncations are recorded into any value space; others stay atoms
+    rng = np.random.default_rng(23)
+    for X in (NormSpec.l1_of_mu(space), NormSpec.l2(4)):
+        truncated = basis_truncated_measure(indicator_measure(space, X), 3)
+        assert truncated.kind == TRUNCATION and truncated.rank == 3 and truncated.X is X
+        assert truncated.atoms.tobytes() == (np.eye(4) * (np.arange(4) < 3)).tobytes()
+        plain = basis_truncated_measure(random_measure(rng, space, X), 3)
+        assert plain.kind == ATOMS and plain.rank is None
+    assert basis_truncated_measure(truncated, 2).kind == ATOMS
+    with pytest.raises(ValueError, match="out of range"):
+        basis_truncated_measure(m, 0)
