@@ -16,14 +16,16 @@ one level alive rather than the whole net:
   * rn nets: the measures of finite-rank operators built from derivative
     densities (one density and one value vector per term) of the coordinate
     or expectation families; on the indicator measure the former are
-    recorded as its truncations, the latter as its martingale levels.
+    recorded as its truncations, and built directly with the operator's
+    bits, the latter as its martingale levels.
 
 ``run_net`` reports, per net level, the norm gap, the deviation seminorm,
 the pointwise integration gap, and a weak* gap over the coordinate probe
 functionals, which together witness or refute convergence of the net.
 Against the indicator measure into L1(mu), levels recorded as its
 truncations read their rows from suffix sums, O(n) per net and exact at any
-n, and no norm engine runs for them.
+n; its averages over blocks of one weight read theirs from block means,
+O(n + T n) per level for T test functions; no norm engine runs for either.
 
 Derivative densities of a stack of dual vectors come from one matrix
 product per measure (``rn_derivatives``); general dense probes of
@@ -41,6 +43,7 @@ import numpy as np
 
 from .l1m_norm import deviation as deviation_seminorm
 from .l1m_norm import DEFAULT_EXACT_CUTOFF, integrate, norm_best
+from .l1m_norm import _norm_block_closed_form, _one_weight_per_block
 from .measure_core import MeasureSpace, Partition, SimpleFunction, same_space
 from .normed_space import NormSpec, norm as x_norm, same_norm
 from .vector_measure import EXPECTATION, INDICATOR, TRUNCATION, VectorMeasure, rn_derivatives, same_setting
@@ -246,6 +249,13 @@ def rn_net(m: VectorMeasure, partitions: Optional[Iterable[Partition]] = None) -
     (k = 1..d) or, given partitions, of their expectation families.  On the
     indicator measure the level of k is recorded as A |-> P_k chi_A and the
     level of p as A |-> E_p chi_A, with the associated measure's atoms."""
+    if partitions is None and m.kind == INDICATOR:
+        # R's terms are e_j / mu_j and e_j, j < k: each atom is one nonzero product term
+        diagonal = (1.0 / m.space.weights) * m.space.weights
+        for k in range(1, m.X.dim + 1):
+            atoms = np.diag(np.where(np.arange(m.space.n) < k, diagonal, 0.0))
+            yield VectorMeasure(m.space, m.X, atoms, kind=TRUNCATION, rank=k)
+        return
     if partitions is None:
         steps = ((coordinate_family(m, k), dict(kind=TRUNCATION, rank=k)) for k in range(1, m.X.dim + 1))
     else:
@@ -286,6 +296,19 @@ def _truncation_tails(w: np.ndarray, f: SimpleFunction, tests: Sequence[SimpleFu
     return tail.tolist(), wtail.tolist()
 
 
+def _expectation_row(X: NormSpec, p: Partition, f: SimpleFunction, stack: np.ndarray):
+    """Deviation (the block closed form), pointwise gap || f - E_p f || and weak* gap
+    max_{t, j} |(E_p t)_j - t_j| of the level A |-> E_p chi_A, every block of one
+    weight; the rows of ``stack`` are f and the tests, their block means unweighted."""
+    rows, n_blocks = stack.shape[0], p.n_blocks
+    cells = (np.arange(rows)[:, None] * n_blocks + p.block_of).ravel()
+    sums = np.bincount(cells, weights=stack.ravel(), minlength=rows * n_blocks)
+    means = sums.reshape(rows, n_blocks) / np.bincount(p.block_of, minlength=n_blocks)
+    gaps = means[:, p.block_of] - stack  # exactly 0 on a singleton block
+    weakstar = float(np.max(np.abs(gaps[1:]), initial=0.0))
+    return _norm_block_closed_form(p, f).value, x_norm(X, gaps[0]), weakstar
+
+
 def run_net(
     m: VectorMeasure,
     net: Iterable[VectorMeasure],
@@ -303,7 +326,8 @@ def run_net(
     probe functionals evaluated on the test family (defaults to {f}).  The
     net is read one level at a time; the target's densities are computed
     once per net.  Against the indicator measure into L1(mu), levels
-    recorded as its truncations read their rows from ``_truncation_tails``.
+    recorded as its truncations read their rows from ``_truncation_tails``,
+    and its averages over blocks of one weight from ``_expectation_row``.
     """
     phi = _coordinate_densities(m)
     if tests is None:
@@ -314,6 +338,7 @@ def run_net(
     closed = m.kind == INDICATOR and same_norm(m.X, NormSpec.l1_of_mu(m.space))
     if closed:
         tail, wtail = _truncation_tails(m.space.weights, f, tests)
+        stack = np.array([f.coeffs, *(t.coeffs for t in tests)])
     levels = []
     for idx, m_level in enumerate(net):
         if not same_setting(m, m_level):
@@ -321,6 +346,10 @@ def run_net(
         if closed and m_level.kind == TRUNCATION:
             k = m_level.rank
             levels.append(NetLevelStats(idx, tail[k], tail[k], tail[k], wtail[k]))
+            continue
+        if closed and m_level.kind == EXPECTATION and _one_weight_per_block(m_level.partition):
+            # the level's atoms are nonnegative, so its norm of f is the target's
+            levels.append(NetLevelStats(idx, 0.0, *_expectation_row(m.X, m_level.partition, f, stack)))
             continue
         level_norm = norm_best(m_level, f, **kw).value
         dev = deviation_seminorm(m, m_level, f, **kw)

@@ -51,6 +51,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -421,37 +422,44 @@ def run(scenario: Scenario) -> dict:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError("cannot serialize a non-finite number")
+    return format(value, ".17g")
+
+
+# the plain scalars by exact type; numpy scalars and subclasses take the checks below
+_SCALAR_TEXT = {type(None): lambda _: "null", bool: lambda b: "true" if b else "false", int: int.__repr__,
+                float: _float_text, str: encode_basestring_ascii}  # the bytes of json.dumps(str)
+
+
 def _canon(obj, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
+    if isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not np.isfinite(value):
-            raise ValueError("cannot serialize a non-finite number")
-        return format(value, ".17g")
+        return _float_text(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
+    pad = "\n" + "  " * indent
+    inner = pad + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(inner + _canon(v, indent + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        parts = [_canon(v, indent + 1) for v in obj]
+        return "".join(["[", inner, ("," + inner).join(parts), pad, "]"])
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_canon(v, indent + 1)}"
-            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        keys = sorted(obj, key=str)  # stable: str-equal keys keep their insertion order
+        parts = [f"{encode_basestring_ascii(str(k))}: {_canon(obj[k], indent + 1)}" for k in keys]
+        return "".join(["{", inner, ("," + inner).join(parts), pad, "}"])
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapacityExceeded, NotPolyhedral, VmlabError
-from .measure_core import MeasurableSet, SimpleFunction
+from .measure_core import MeasurableSet, Partition, SimpleFunction
 from .normed_space import L1, L1_EXTREME_LIMIT, L2, LINF, NormSpec, dual_extreme_half, norm_rows
 from .normed_space import norm as x_norm, same_norm
 from .opt_engine import SIGN_ENUM_LIMIT, LinearProgram, UNBOUNDED, best_sign_pattern, hill_climb
@@ -182,18 +182,22 @@ def norm_heuristic(
     return NormResult(value, _witness_from_pattern(f, support, delta), HEURISTIC)
 
 
+def _one_weight_per_block(p: Partition) -> bool:
+    """True when the atom weights are constant on every block of p."""
+    block_weight = np.empty(p.n_blocks)
+    block_weight[p.block_of] = p.space.weights
+    return bool(np.array_equal(block_weight[p.block_of], p.space.weights))
+
+
 def _block_refusal(m: VectorMeasure, f: SimpleFunction, exact_cutoff: int):
     """None when m is A |-> chi_A - E_p chi_A into L1(mu), every block of p of one weight."""
     if m.kind != MARTINGALE_DIFFERENCE or not same_norm(m.X, NormSpec.l1_of_mu(m.space)):
         return VmlabError("not a recorded martingale difference into L1(mu)")
-    w, block_of = m.space.weights, m.partition.block_of
-    block_weight = np.empty(m.partition.n_blocks)
-    block_weight[block_of] = w
-    equal = np.array_equal(block_weight[block_of], w)
+    equal = _one_weight_per_block(m.partition)
     return None if equal else VmlabError("the atom weights vary inside a block")
 
 
-def _norm_block_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
+def _norm_block_closed_form(p: Partition, f: SimpleFunction) -> NormResult:
     """The norm over A |-> chi_A - E_p chi_A into L1(mu), blocks of equal weight.
 
     On a block B of b atoms of weight w_B, with c = |f| and x = eps * c, the
@@ -205,7 +209,6 @@ def _norm_block_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
     are sorted and summed as the rows of one array; the witness puts the
     minus signs on the q largest c of each block.
     """
-    p = m.partition
     c = np.abs(f.coeffs)
     sizes = np.bincount(p.block_of, minlength=p.n_blocks)
     members = np.argsort(p.block_of, kind="stable")  # the atoms block by block
@@ -221,7 +224,7 @@ def _norm_block_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
         q = np.arange(b // 2 + 1)
         scores = (b - 2 * q) * prefix[:, q] + q * prefix[:, -1:]
         best = scores.argmax(axis=1)
-        block_values[blocks] = (2.0 / b) * m.space.weights[ids[:, 0]] * scores.max(axis=1)
+        block_values[blocks] = (2.0 / b) * p.space.weights[ids[:, 0]] * scores.max(axis=1)
         delta[ids[np.arange(b) < best[:, None]]] = -1.0
     support = _support(f)
     witness = _witness_from_pattern(f, support, delta[support])
@@ -232,7 +235,7 @@ def _norm_block_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
 ENGINES = (
     ("closed_form", _closed_form_refusal, lambda m, f, *_: norm_closed_form(m, f)),
     ("enumeration", _enumeration_refusal, lambda m, f, cutoff, *_: norm_exact(m, f, cutoff)),
-    ("block_closed_form", _block_refusal, lambda m, f, *_: _norm_block_closed_form(m, f)),
+    ("block_closed_form", _block_refusal, lambda m, f, *_: _norm_block_closed_form(m.partition, f)),
     ("hill_climbing", lambda *_: None, lambda m, f, _, r, s: norm_heuristic(m, f, r, s)),
 )
 

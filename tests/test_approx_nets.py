@@ -517,28 +517,134 @@ def test_the_truncation_record_keeps_other_rows_bitwise():
             assert got == _dense_levels(m, net, f, tests)
 
 
-def test_an_indicator_basis_run_net_calls_no_engine_per_level(monkeypatch):
+def _spy(monkeypatch, calls, owner, name):
+    """Count the calls of owner.name into calls[name]."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _spy_engines(monkeypatch) -> dict:
+    """The dict that counts the calls of run_net's per-level engines from now on."""
     import vmlab.approx_nets as approx_nets
     import vmlab.l1m_norm as l1m_norm
 
     calls = {}
-
-    def spy(owner, name):
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
     for name in ("norm_best", "deviation_seminorm", "integrate", "_coordinate_densities", "_max_pairing"):
-        spy(approx_nets, name)
-    spy(l1m_norm, "norm_best")  # deviation's own engine walk
+        _spy(monkeypatch, calls, approx_nets, name)
+    _spy(monkeypatch, calls, l1m_norm, "norm_best")  # deviation's own engine walk
+    _spy(monkeypatch, calls, l1m_norm, "combine")
+    return calls
+
+
+def test_an_indicator_basis_run_net_calls_no_engine_per_level(monkeypatch):
     space = MeasureSpace.uniform(64)
     m = indicator_measure(space)
     f = _tied_function(np.random.default_rng(25), space)
+    calls = _spy_engines(monkeypatch)
     report = run_net(m, basis_net(m), f)
     assert len(report.levels) == 64
     # the target's norm, value and densities, once per net; nothing per level
     assert calls == {"norm_best": 1, "integrate": 1, "_coordinate_densities": 1}
+
+
+def _pair_weights(rng, n):
+    """Weights constant on the atom pairs {0, 1}, {2, 3}, ... and drawn per pair:
+    on a dyadic chain the levels of blocks of one or two atoms have one weight
+    per block, the coarser levels do not."""
+    return MeasureSpace(np.repeat(rng.uniform(0.5, 2.0, size=(n + 1) // 2), 2)[:n])
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
+@pytest.mark.parametrize("weights", ["uniform", "pairs"])
+def test_expectation_rows_of_the_indicator_match_the_dense_path(n, weights):
+    from vmlab.l1m_norm import _one_weight_per_block, norm_best
+    from vmlab.vector_measure import combine
+
+    rng = np.random.default_rng(200 + n)
+    space = MeasureSpace.uniform(n) if weights == "uniform" else _pair_weights(rng, n)
+    m = indicator_measure(space)
+    f = _tied_function(rng, space)
+    chain = dyadic_chain(n.bit_length() - 1, space)  # down to the singletons: it reaches m
+    families = {"empty": [], "default": None, "blocks": _block_tests(space, f, chain[-1])}
+    if n == 256:  # a dense reference over the 257 block tests takes about 2 s
+        families = {"default": None}
+    for name, tests in families.items():
+        rows = {}
+        for net_name, make in (("martingale", martingale_net), ("expectation", rn_net)):
+            levels = list(make(m, chain))
+            closed = rows[net_name] = run_net(m, levels, f, tests=tests, restarts=1).levels
+            dense = _dense_levels(m, levels, f, tests)
+            scale = max(dense[0].deviation, dense[0].pointwise_gap, dense[0].weakstar_gap)
+            for got, want, level in zip(closed, dense, levels, strict=True):
+                where = (name, net_name, got.index)
+                one_weight = _one_weight_per_block(level.partition)
+                assert one_weight == (weights == "uniform" or level.partition.n_blocks * 2 >= n)
+                for column in ("norm_gap", "pointwise_gap", "weakstar_gap"):
+                    error = abs(getattr(got, column) - getattr(want, column))
+                    assert error <= 1e-13 * scale, (where, column)
+                # the deviation of the recorded level, as the engine walk gives it
+                today = norm_best(combine(m, -1.0, level), f, restarts=1)
+                if not one_weight or [label for label, _ in today.refused] == ["closed_form", "enumeration"]:
+                    assert got.deviation == today.value, where
+                assert abs(got.deviation - today.value) <= 1e-13 * scale, where
+                if one_weight:
+                    assert got.norm_gap == 0.0, where
+            assert closed[-1].norm_gap == closed[-1].pointwise_gap == 0.0, (name, net_name)
+            assert closed[-1] == NetLevelStats(len(chain) - 1, 0.0, 0.0, 0.0, 0.0), (name, net_name)
+        if weights == "uniform":  # every level closed: the two nets read the same partitions
+            assert rows["martingale"] == rows["expectation"], name
+
+
+def test_an_indicator_expectation_run_net_calls_no_engine_per_level(monkeypatch):
+    space = MeasureSpace.uniform(64)
+    m = indicator_measure(space)
+    f = _tied_function(np.random.default_rng(26), space)
+    chain = dyadic_chain(6, space)
+    tests = _block_tests(space, f, chain[-1])
+    calls = _spy_engines(monkeypatch)
+    for net in (martingale_net(m, chain), rn_net(m, chain)):
+        calls.clear()
+        report = run_net(m, net, f, tests=tests)
+        assert len(report.levels) == 7
+        # the target's norm, value and densities, once per net; nothing per level
+        assert calls == {"norm_best": 1, "integrate": 1, "_coordinate_densities": 1}
+
+
+@pytest.mark.parametrize("n", [1, 5, 40, 128])
+@pytest.mark.parametrize("weights", ["uniform", "random"])
+def test_coordinate_levels_of_the_indicator_are_built_without_rn_operator(n, weights, monkeypatch):
+    import vmlab.approx_nets as approx_nets
+
+    rng = np.random.default_rng(300 + n)
+    space = MeasureSpace.uniform(n) if weights == "uniform" else random_space(rng, n)
+    for m in (indicator_measure(space), indicator_measure(space, NormSpec.l2(n, rng.uniform(0.5, 2.0, size=n)))):
+        expected = [associated_measure(rn_operator(m, *coordinate_family(m, k)), space) for k in range(1, n + 1)]
+        calls = {}
+        _spy(monkeypatch, calls, approx_nets, "rn_operator")
+        levels = list(rn_net(m))
+        monkeypatch.undo()
+        assert calls == {}
+        assert len(levels) == n
+        for k, (level, plain) in enumerate(zip(levels, expected), start=1):
+            assert level.atoms.tobytes() == plain.atoms.tobytes(), k
+            assert level.kind == "truncation" and level.rank == k
+
+
+def test_other_rn_levels_still_go_through_rn_operator(monkeypatch):
+    import vmlab.approx_nets as approx_nets
+
+    rng = np.random.default_rng(31)
+    space = random_space(rng, 8)
+    chain = dyadic_chain(3, space)
+    random = random_measure(rng, space, NormSpec.l1_of_mu(space))
+    for m, net, size in ((random, rn_net(random), 8), (indicator_measure(space), rn_net(indicator_measure(space), chain), 4)):
+        calls = {}
+        _spy(monkeypatch, calls, approx_nets, "rn_operator")
+        assert len(list(net)) == size
+        monkeypatch.undo()
+        assert calls == {"rn_operator": size}

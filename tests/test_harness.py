@@ -139,6 +139,90 @@ def test_csv_header_only_for_empty_table():
     assert dumps_csv(report).strip() == "f_index,value,method,heuristic"
 
 
+def _frozen_canon(obj, indent: int) -> str:
+    """The report writer as it was before its type dispatch, kept as the reference."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        if not np.isfinite(value):
+            raise ValueError("cannot serialize a non-finite number")
+        return format(value, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(inner + _frozen_canon(v, indent + 1) for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{json.dumps(str(k))}: {_frozen_canon(v, indent + 1)}"
+            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def test_the_writer_keeps_the_bytes_of_the_frozen_writer_on_every_preset(monkeypatch):
+    import vmlab.harness as harness
+
+    reports = [run(preset_scenario(name)) for name in sorted(PRESETS)]
+    indicator = _preset("canonical-l1")
+    indicator.update(space={"n": 16, "weights": "uniform"}, functions=[[(-1.0) ** i * i / 7 for i in range(16)]])
+    reports.append(run(build_scenario(indicator)))
+    json_texts = [dumps_report(report) for report in reports]
+    csv_texts = [dumps_csv(report) for report in reports]
+    monkeypatch.setattr(harness, "_canon", _frozen_canon)
+    assert json_texts == [_frozen_canon(report, 0) + "\n" for report in reports]
+    assert csv_texts == [dumps_csv(report) for report in reports]
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3, 2.0**53 + 2, 12345678901234567890,
+        True, False, 1, 0, -7, [True, 1, 1.0, False, 0, 0.0], (1, (2.5, ()), []),
+        [], (), {}, "", "x\"y\\z\n\u00e9\U0001f600", _Text("sub"),
+        np.float64(-0.0), np.float32(0.1), np.float16(3.5), np.int64(-3), np.uint8(200), np.bool_(True),
+        np.bool_(False), np.arange(6.0).reshape(2, 3), np.array([], dtype=float), np.array([True, False]),
+        {"b": 1, "a": [2, {"d": None, "c": 3.5}]},
+        {1: "int", "1": "str", 2.5: "float", None: "none", True: "bool", (1, 2): "tuple", "B": 0, "a": 1},
+        {"nested": {"empty_list": [], "empty_dict": {}, "tuple": (np.float64(1e-300),)}},
+    ],
+)
+def test_the_writer_keeps_the_bytes_of_the_frozen_writer(value):
+    assert dumps_report({"value": value, "list": [value]}) == _frozen_canon({"value": value, "list": [value]}, 0) + "\n"
+    assert dumps_report(value) == _frozen_canon(value, 0) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float32("inf"), [1.0, float("nan")],
+     {"x": -float("inf")},
+     object(), {1, 2}, b"bytes", 1j, np.array(1.0), np.complex128(1j), [object()]],
+)
+def test_the_writer_refuses_what_the_frozen_writer_refused(value):
+    with pytest.raises((ValueError, TypeError)) as frozen:
+        _frozen_canon(value, 0)
+    with pytest.raises(frozen.type, match=f"^{re.escape(str(frozen.value))}$"):
+        dumps_report(value)
+
+
 def test_determinism_byte_identical():
     def strip(report):
         clone = copy.deepcopy(report)

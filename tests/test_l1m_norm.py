@@ -572,7 +572,7 @@ def test_block_closed_form_matches_the_itertools_oracle():
     for trial, (sizes, weights) in enumerate(instances):
         m, p, f = _block_instance(rng, sizes, weights, trial)
         m1, diff = _martingale_difference(m, p)
-        res = l1m_norm._norm_block_closed_form(diff, f)
+        res = l1m_norm._norm_block_closed_form(diff.partition, f)
         want = brute_deviation(m, m1, f)
         assert res.method == CLOSED_FORM
         assert res.value == pytest.approx(want, rel=1e-12, abs=1e-300)
@@ -792,7 +792,7 @@ def test_block_form_refuses_unequal_weights_inside_a_block():
             assert res.refused[2] == ("block_closed_form", "the atom weights vary inside a block")
         else:
             assert _refused_labels(res) == ENGINE_LABELS[:2]
-            assert res.value == l1m_norm._norm_block_closed_form(diff, g).value
+            assert res.value == l1m_norm._norm_block_closed_form(diff.partition, g).value
 
 
 def test_a_heuristic_row_lists_three_refusals_in_table_order():
