@@ -6,10 +6,9 @@ one level alive rather than the whole net:
   * martingale nets: averaging a measure over the blocks of a partition,
     m_p on atom i equals (mu_i / mu(B(i))) * m(B(i)); its integration map
     factors through the conditional-expectation projection of the partition.
-    The average of the indicator measure is recorded as A |-> E_p chi_A, so
-    where enumeration stops, the deviation of each level comes from the
-    block closed form of ``l1m_norm`` (exact at any size on L1(mu) with one
-    weight per block) rather than from hill climbing;
+    The average of the indicator measure is recorded as A |-> E_p chi_A; into
+    L1(mu) with one weight per block, ``deviation`` gives each level's
+    deviation by a block closed form, exact at any size, with no engine run;
   * basis-projection nets: truncating the value-space coordinates, which
     compose the measure with a norm-one projection; the truncations of the
     indicator measure are recorded as A |-> P_k chi_A (kind TRUNCATION);
@@ -43,7 +42,7 @@ import numpy as np
 
 from .l1m_norm import deviation as deviation_seminorm
 from .l1m_norm import DEFAULT_EXACT_CUTOFF, integrate, norm_best
-from .l1m_norm import _norm_block_closed_form, _one_weight_per_block
+from .l1m_norm import _block_partition, _norm_block_closed_form
 from .measure_core import MeasureSpace, Partition, SimpleFunction, same_space
 from .normed_space import NormSpec, norm as x_norm, same_norm
 from .vector_measure import EXPECTATION, INDICATOR, TRUNCATION, VectorMeasure, rn_derivatives, same_setting
@@ -306,7 +305,7 @@ def _expectation_row(X: NormSpec, p: Partition, f: SimpleFunction, stack: np.nda
     means = sums.reshape(rows, n_blocks) / np.bincount(p.block_of, minlength=n_blocks)
     gaps = means[:, p.block_of] - stack  # exactly 0 on a singleton block
     weakstar = float(np.max(np.abs(gaps[1:]), initial=0.0))
-    return _norm_block_closed_form(p, f).value, x_norm(X, gaps[0]), weakstar
+    return _norm_block_closed_form(p, f), x_norm(X, gaps[0]), weakstar
 
 
 def run_net(
@@ -347,9 +346,9 @@ def run_net(
             k = m_level.rank
             levels.append(NetLevelStats(idx, tail[k], tail[k], tail[k], wtail[k]))
             continue
-        if closed and m_level.kind == EXPECTATION and _one_weight_per_block(m_level.partition):
+        if (p := _block_partition(m, m_level)) is not None:  # implies closed: stack is set
             # the level's atoms are nonnegative, so its norm of f is the target's
-            levels.append(NetLevelStats(idx, 0.0, *_expectation_row(m.X, m_level.partition, f, stack)))
+            levels.append(NetLevelStats(idx, 0.0, *_expectation_row(m.X, p, f, stack)))
             continue
         level_norm = norm_best(m_level, f, **kw).value
         dev = deviation_seminorm(m, m_level, f, **kw)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NotNormalized
 from .measure_core import MeasureSpace, SimpleFunction, l1_mu_norm, same_space
-from .normed_space import L1, NormSpec, dual_extreme_half, norm_rows, same_norm
+from .normed_space import NormSpec, dual_extreme_half, norm_rows, same_norm
 from .rng import SplitMix64
 from .vector_measure import VectorMeasure, indicator_measure, rank_one_measure, same_setting
 
@@ -189,12 +189,7 @@ class DefectReport:
 
 
 def _require_l1_endomorphism(T: OperatorMatrix):
-    ok = (
-        T.codomain.kind == L1
-        and T.codomain.dim == T.domain.n
-        and np.array_equal(T.codomain.scale, T.domain.weights)
-    )
-    if not ok:
+    if not same_norm(T.codomain, NormSpec.l1_of_mu(T.domain)):
         raise ValueError("operator must map the discretized L1(mu) to itself")
 
 

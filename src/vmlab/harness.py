@@ -67,7 +67,7 @@ from .daugavet import (
 )
 from .errors import ParseError, ValidationError, VmlabError
 from .l1m_norm import DEFAULT_EXACT_CUTOFF, HEURISTIC, norm_best, norm_heuristic
-from .measure_core import MeasurableSet, MeasureSpace, SimpleFunction, dyadic_chain
+from .measure_core import MeasureSpace, SimpleFunction, dyadic_chain
 from .normed_space import NormSpec, same_norm
 from .rng import SplitMix64
 from .vector_measure import INDICATOR, RANK_ONE, VectorMeasure, indicator_measure, rank_one_measure
@@ -189,7 +189,7 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
 def _check_levels(exp: dict, space: MeasureSpace, what: str):
     levels = exp.get("levels")
     _check_number(levels, f"{what} levels", 0)
-    if space.n % (1 << levels) != 0:
+    if levels >= space.n.bit_length() or space.n % (1 << levels) != 0:
         raise ValidationError(f"n={space.n} is not divisible by 2**{levels}")
 
 
@@ -289,10 +289,8 @@ def _default_tests(scenario: Scenario, finest=None):
     f = scenario.functions[0]
     tests = [f]
     if finest is not None:
-        for ids in finest.blocks():
-            tests.append(
-                SimpleFunction.indicator(MeasurableSet.from_indices(scenario.space, ids))
-            )
+        members = finest.block_of == np.arange(finest.n_blocks)[:, None]
+        tests.extend(SimpleFunction(scenario.space, chi) for chi in members)
     return tests
 
 

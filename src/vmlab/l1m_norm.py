@@ -6,7 +6,7 @@ For a simple function f the norm equals both
     sup over the dual ball of  sum_i |f_i| |<m_i, x*>|,
 
 which at finite n reduces to a maximum over sign patterns, respectively over
-the extreme points of the dual ball.  Four engines realize this:
+the extreme points of the dual ball.  Three engines realize this:
 
   * ``norm_exact``        exhaustive enumeration of sign patterns against the
                           entrywise absolute value of f, scored in blocks of
@@ -16,17 +16,15 @@ the extreme points of the dual ball.  Four engines realize this:
   * ``norm_closed_form``  enumeration of dual extreme points for polyhedral
                           value norms, with O(n d) fast paths for sup-type
                           norms and for sign-consistent atom matrices,
-  * a block closed form   for the martingale difference A |-> chi_A - E_p chi_A
-                          into L1(mu) with one weight per block of p: one sort
-                          per block, O(n log n), exact at any size; it runs
-                          where the measure records that kind, as
-                          ``combine`` does for the indicator measure minus
-                          its average over p (``deviation``),
   * ``norm_heuristic``    seeded steepest-ascent hill climbing, a lower bound.
 
 ``ENGINES`` holds (label, refusal, run) for each, closed form first; refusals
-decide from sizes, records and the support's sign pattern.  ``norm_best`` runs
-the first engine that does not refuse; ``NormResult.refused`` has the reasons.
+decide from sizes and the support's sign pattern.  ``norm_best`` runs the
+first engine that does not refuse; ``NormResult.refused`` has the reasons.
+
+``deviation`` runs no engine for the indicator measure into L1(mu) against
+its average A |-> E_p chi_A over blocks of one weight: there the deviation
+has a block closed form, one sort per block, O(n log n) and exact at any size.
 
 ``koethe_dual_norm`` evaluates the associated dual function norm
 ``sup { |sum_i f_i g_i mu_i| : ||f|| <= 1 }`` by linear programming on
@@ -41,14 +39,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityExceeded, NotPolyhedral, VmlabError
+from .errors import CapacityExceeded, NotPolyhedral
 from .measure_core import MeasurableSet, Partition, SimpleFunction
 from .normed_space import L1, L1_EXTREME_LIMIT, L2, LINF, NormSpec, dual_extreme_half, norm_rows
 from .normed_space import norm as x_norm, same_norm
 from .opt_engine import SIGN_ENUM_LIMIT, LinearProgram, UNBOUNDED, best_sign_pattern, hill_climb
 from .opt_engine import solve_lp
 from .rng import SplitMix64
-from .vector_measure import MARTINGALE_DIFFERENCE, VectorMeasure, combine
+from .vector_measure import EXPECTATION, INDICATOR, VectorMeasure, combine, same_setting
 
 EXACT = "exact"
 CLOSED_FORM = "closed_form"
@@ -182,22 +180,20 @@ def norm_heuristic(
     return NormResult(value, _witness_from_pattern(f, support, delta), HEURISTIC)
 
 
-def _one_weight_per_block(p: Partition) -> bool:
-    """True when the atom weights are constant on every block of p."""
+def _block_partition(m: VectorMeasure, m1: VectorMeasure) -> Optional[Partition]:
+    """p when m is the indicator measure into L1(mu) and m1 its average
+    A |-> E_p chi_A over the blocks of p, every block of one weight; else None."""
+    if m.kind != INDICATOR or m1.kind != EXPECTATION or not same_setting(m, m1):
+        return None
+    if not same_norm(m.X, NormSpec.l1_of_mu(m.space)):
+        return None
+    p = m1.partition
     block_weight = np.empty(p.n_blocks)
     block_weight[p.block_of] = p.space.weights
-    return bool(np.array_equal(block_weight[p.block_of], p.space.weights))
+    return p if np.array_equal(block_weight[p.block_of], p.space.weights) else None
 
 
-def _block_refusal(m: VectorMeasure, f: SimpleFunction, exact_cutoff: int):
-    """None when m is A |-> chi_A - E_p chi_A into L1(mu), every block of p of one weight."""
-    if m.kind != MARTINGALE_DIFFERENCE or not same_norm(m.X, NormSpec.l1_of_mu(m.space)):
-        return VmlabError("not a recorded martingale difference into L1(mu)")
-    equal = _one_weight_per_block(m.partition)
-    return None if equal else VmlabError("the atom weights vary inside a block")
-
-
-def _norm_block_closed_form(p: Partition, f: SimpleFunction) -> NormResult:
+def _norm_block_closed_form(p: Partition, f: SimpleFunction) -> float:
     """The norm over A |-> chi_A - E_p chi_A into L1(mu), blocks of equal weight.
 
     On a block B of b atoms of weight w_B, with c = |f| and x = eps * c, the
@@ -206,36 +202,28 @@ def _norm_block_closed_form(p: Partition, f: SimpleFunction) -> NormResult:
     (2/b) max_q [(b - 2q) S_q + q T]: T is the sum of c over B, q the number
     of minus signs and S_q the sum of the q largest c.  The value is
     symmetric under q -> b - q, so q <= b/2 suffices.  Blocks of one size
-    are sorted and summed as the rows of one array; the witness puts the
-    minus signs on the q largest c of each block.
+    are sorted and summed as the rows of one array.
     """
     c = np.abs(f.coeffs)
     sizes = np.bincount(p.block_of, minlength=p.n_blocks)
     members = np.argsort(p.block_of, kind="stable")  # the atoms block by block
     starts = np.cumsum(sizes) - sizes
     block_values = np.zeros(p.n_blocks)
-    delta = np.ones(f.space.n)
     for b in np.unique(sizes):
         blocks = np.flatnonzero(sizes == b)
         ids = members[starts[blocks, None] + np.arange(b)]
-        ids = np.take_along_axis(ids, np.argsort(-c[ids], axis=1, kind="stable"), axis=1)
-        prefix = np.zeros((blocks.size, b + 1))
-        np.cumsum(c[ids], axis=1, out=prefix[:, 1:])  # prefix[:, q] is S_q, prefix[:, b] is T
+        prefix = np.zeros((blocks.size, b + 1))  # prefix[:, q] is S_q, prefix[:, b] is T
+        np.cumsum(-np.sort(-c[ids], axis=1), axis=1, out=prefix[:, 1:])
         q = np.arange(b // 2 + 1)
         scores = (b - 2 * q) * prefix[:, q] + q * prefix[:, -1:]
-        best = scores.argmax(axis=1)
         block_values[blocks] = (2.0 / b) * p.space.weights[ids[:, 0]] * scores.max(axis=1)
-        delta[ids[np.arange(b) < best[:, None]]] = -1.0
-    support = _support(f)
-    witness = _witness_from_pattern(f, support, delta[support])
-    return NormResult(float(block_values.sum()), witness, CLOSED_FORM)
+    return float(block_values.sum())
 
 
 # each run looks its engine up at call time, so wrappers of the module names see the calls
 ENGINES = (
     ("closed_form", _closed_form_refusal, lambda m, f, *_: norm_closed_form(m, f)),
     ("enumeration", _enumeration_refusal, lambda m, f, cutoff, *_: norm_exact(m, f, cutoff)),
-    ("block_closed_form", _block_refusal, lambda m, f, *_: _norm_block_closed_form(m.partition, f)),
     ("hill_climbing", lambda *_: None, lambda m, f, _, r, s: norm_heuristic(m, f, r, s)),
 )
 
@@ -249,9 +237,9 @@ def norm_best(
 ) -> NormResult:
     """Cheapest sound engine for the instance; heuristic only as a last resort.
 
-    Walks ``ENGINES`` (closed form, enumeration, block closed form, hill
-    climbing), runs the first engine that does not refuse, and lists the
-    (label, reason) pairs of those before it in ``refused``.
+    Walks ``ENGINES`` (closed form, enumeration, hill climbing), runs the
+    first engine that does not refuse, and lists the (label, reason) pairs
+    of those before it in ``refused``.
     """
     refused = []
     for label, refusal, run in ENGINES:
@@ -273,9 +261,11 @@ def deviation(
 
     The value is ``norm_best`` of f over ``combine(m, -1.0, m1)``, exact
     whenever capacity allows; it bounds the difference of the two norms of f.
-    On the martingale difference that ``combine`` records, into L1(mu) with
-    blocks of equal weight, the block closed form is exact at any size.
+    For the indicator measure into L1(mu) against its average over blocks of
+    one weight it is the block closed form, exact at any size.
     """
+    if (p := _block_partition(m, m1)) is not None:
+        return _norm_block_closed_form(p, f)
     diff = combine(m, -1.0, m1)
     return norm_best(diff, f, exact_cutoff=exact_cutoff, restarts=restarts, seed=seed).value
 

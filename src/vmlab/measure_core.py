@@ -177,7 +177,7 @@ def dyadic_chain(levels: int, space: MeasureSpace) -> list[Partition]:
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     n = space.n
-    if n % (1 << levels) != 0:
+    if levels >= n.bit_length() or n % (1 << levels) != 0:
         raise ValueError(f"number of atoms {n} is not divisible by 2**{levels}")
     chain = []
     for k in range(levels + 1):

@@ -11,9 +11,9 @@ densities of a whole stack of dual vectors with one matrix product.  The
 integration map sends a coefficient vector f to sum_i f_i m_i.
 
 Records (``kind``, with ``partition``, ``density`` or ``rank``) are written
-only by the constructors: ``indicator_measure``, ``rank_one_measure`` and
-``combine`` here, ``martingale_measure``, ``basis_truncated_measure`` and
-``rn_net`` in ``approx_nets``.
+only by the constructors: ``indicator_measure`` and ``rank_one_measure``
+here, ``martingale_measure``, ``basis_truncated_measure`` and ``rn_net`` in
+``approx_nets``; ``combine`` records nothing.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ from .rng import SplitMix64
 ATOMS = "atoms"
 INDICATOR = "indicator"
 EXPECTATION = "expectation"
-MARTINGALE_DIFFERENCE = "martingale_difference"
 RANK_ONE = "rank_one"
 TRUNCATION = "truncation"
-_PARTITIONED = (EXPECTATION, MARTINGALE_DIFFERENCE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,19 +43,16 @@ class VectorMeasure:
     ``kind`` records what the constructor knows the measure to be; engines
     read it, never the atom entries, to pick a closed form:
 
-      ATOMS                  nothing beyond the atom matrix (the default),
-      INDICATOR              A |-> chi_A, atom i |-> e_i (``indicator_measure``),
-      EXPECTATION            A |-> E_p chi_A, the indicator measure averaged
-                             over the blocks of ``partition``,
-      MARTINGALE_DIFFERENCE  A |-> chi_A - E_p chi_A (``combine``),
-      RANK_ONE               A |-> mu(A) * g, g kept as ``density``
-                             (``rank_one_measure``),
-      TRUNCATION             A |-> P_k chi_A, coordinates k = ``rank`` on
-                             zeroed (``basis_truncated_measure``, ``rn_net``,
-                             whose atoms keep their operator's rounding).
+      ATOMS        nothing beyond the atom matrix (the default),
+      INDICATOR    A |-> chi_A, atom i |-> e_i (``indicator_measure``),
+      EXPECTATION  A |-> E_p chi_A, the indicator measure averaged over the
+                   blocks of ``partition``,
+      RANK_ONE     A |-> mu(A) * g, g kept as ``density`` (``rank_one_measure``),
+      TRUNCATION   A |-> P_k chi_A, coordinates k = ``rank`` on zeroed
+                   (``basis_truncated_measure``, ``rn_net``, whose atoms keep
+                   their operator's rounding).
 
-    ``partition`` is set exactly for EXPECTATION and MARTINGALE_DIFFERENCE,
-    ``density`` (frozen, shape (X.dim,)) exactly for RANK_ONE, and ``rank``
+    ``partition`` is set exactly for EXPECTATION, ``density`` (frozen, shape (X.dim,)) exactly for RANK_ONE, and ``rank``
     (an int in 1..X.dim) exactly for TRUNCATION.
     """
 
@@ -77,10 +72,10 @@ class VectorMeasure:
             )
         if not np.all(np.isfinite(a)):
             raise ValueError("atom values must be finite")
-        if self.kind not in (ATOMS, INDICATOR, RANK_ONE, TRUNCATION, *_PARTITIONED):
+        if self.kind not in (ATOMS, INDICATOR, EXPECTATION, RANK_ONE, TRUNCATION):
             raise ValueError(f"unknown measure kind {self.kind!r}")
-        if (self.partition is not None) != (self.kind in _PARTITIONED):
-            raise ValueError(f"a partition goes with the kinds {_PARTITIONED} only")
+        if (self.partition is not None) != (self.kind == EXPECTATION):
+            raise ValueError(f"a partition goes with the kind {EXPECTATION!r} only")
         if self.partition is not None and not same_space(self.partition.space, self.space):
             raise ValueError("partition lives on a different space")
         if (self.density is not None) != (self.kind == RANK_ONE):
@@ -197,14 +192,10 @@ def find_rybakov(m: VectorMeasure, attempts: int = 100, seed: int = 0, tol: floa
 
 
 def combine(m: VectorMeasure, lam: float, m1: VectorMeasure) -> VectorMeasure:
-    """m + lam * m1 atomwise; the indicator measure minus its average over p
-    (kinds INDICATOR and EXPECTATION, lam = -1) is recorded as chi_A - E_p chi_A."""
+    """m + lam * m1 atomwise, recorded as plain atoms."""
     if not same_setting(m, m1):
         raise ValueError("measures live on different spaces or value spaces")
-    atoms = m.atoms + lam * m1.atoms
-    if lam == -1.0 and m.kind == INDICATOR and m1.kind == EXPECTATION:
-        return VectorMeasure(m.space, m.X, atoms, kind=MARTINGALE_DIFFERENCE, partition=m1.partition)
-    return VectorMeasure(m.space, m.X, atoms)
+    return VectorMeasure(m.space, m.X, m.atoms + lam * m1.atoms)
 
 
 def nonunique_derivative_pair(m: VectorMeasure, tol: float = 1e-12):

@@ -562,8 +562,7 @@ def _pair_weights(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
 @pytest.mark.parametrize("weights", ["uniform", "pairs"])
 def test_expectation_rows_of_the_indicator_match_the_dense_path(n, weights):
-    from vmlab.l1m_norm import _one_weight_per_block, norm_best
-    from vmlab.vector_measure import combine
+    from vmlab.l1m_norm import _block_partition
 
     rng = np.random.default_rng(200 + n)
     space = MeasureSpace.uniform(n) if weights == "uniform" else _pair_weights(rng, n)
@@ -582,22 +581,36 @@ def test_expectation_rows_of_the_indicator_match_the_dense_path(n, weights):
             scale = max(dense[0].deviation, dense[0].pointwise_gap, dense[0].weakstar_gap)
             for got, want, level in zip(closed, dense, levels, strict=True):
                 where = (name, net_name, got.index)
-                one_weight = _one_weight_per_block(level.partition)
+                one_weight = _block_partition(m, level) is level.partition
                 assert one_weight == (weights == "uniform" or level.partition.n_blocks * 2 >= n)
                 for column in ("norm_gap", "pointwise_gap", "weakstar_gap"):
                     error = abs(getattr(got, column) - getattr(want, column))
                     assert error <= 1e-13 * scale, (where, column)
-                # the deviation of the recorded level, as the engine walk gives it
-                today = norm_best(combine(m, -1.0, level), f, restarts=1)
-                if not one_weight or [label for label, _ in today.refused] == ["closed_form", "enumeration"]:
-                    assert got.deviation == today.value, where
-                assert abs(got.deviation - today.value) <= 1e-13 * scale, where
+                assert got.deviation == deviation(m, level, f, restarts=1), where
                 if one_weight:
                     assert got.norm_gap == 0.0, where
             assert closed[-1].norm_gap == closed[-1].pointwise_gap == 0.0, (name, net_name)
             assert closed[-1] == NetLevelStats(len(chain) - 1, 0.0, 0.0, 0.0, 0.0), (name, net_name)
         if weights == "uniform":  # every level closed: the two nets read the same partitions
             assert rows["martingale"] == rows["expectation"], name
+
+
+@pytest.mark.parametrize("weights", ["uniform", "pairs"])
+def test_run_net_deviations_are_the_public_deviation_bitwise(weights):
+    # blocks of 1, 2 and 4 atoms and one block: with pair weights the first
+    # two take the block form, the others the engines (corners up to n = 20)
+    rng = np.random.default_rng(27)
+    for n in range(1, 21):
+        space = MeasureSpace.uniform(n) if weights == "uniform" else _pair_weights(rng, n)
+        m = indicator_measure(space)
+        f = _tied_function(rng, space)
+        sizes = sorted({1, min(2, n), min(4, n), n})
+        partitions = [Partition(space, np.arange(n) // s, -(-n // s)) for s in sizes]
+        for make in (martingale_net, rn_net):
+            levels = list(make(m, partitions))
+            report = run_net(m, levels, f, restarts=1)
+            for got, level in zip(report.levels, levels, strict=True):
+                assert got.deviation == deviation(m, level, f, restarts=1), (n, make.__name__, got.index)
 
 
 def test_an_indicator_expectation_run_net_calls_no_engine_per_level(monkeypatch):

@@ -62,6 +62,34 @@ def test_validation_divisibility():
         build_scenario(data)
 
 
+def test_validation_refuses_a_huge_level_count_without_computing_its_power():
+    # 2**levels cannot divide n once levels >= n.bit_length(); 2**(10**12) would
+    # need about 125 GB
+    for experiment in ({"kind": "martingale"}, {"kind": "rn_net", "family": "expectation"}):
+        data = _preset("canonical-l1")
+        data["experiment"] = {**experiment, "levels": 10**12}
+        with pytest.raises(ValidationError, match=r"n=4 is not divisible by 2\*\*1000000000000"):
+            build_scenario(data)
+    data = _preset("canonical-l1")
+    data["experiment"]["levels"] = 2  # the largest count n = 4 allows
+    assert build_scenario(data).experiment["levels"] == 2
+
+
+def test_default_block_tests_are_the_block_indicators_bitwise():
+    from vmlab import MeasurableSet, Partition, SimpleFunction
+    from vmlab.harness import _default_tests
+
+    rng = np.random.default_rng(61)
+    sc = build_scenario(_preset("canonical-l1"))
+    assert _default_tests(sc) == [sc.functions[0]]
+    for block_of in ([0, 0, 0, 0], [1, 0, 1, 2], [0, 1, 2, 3], rng.permutation([0, 1, 1, 0])):
+        p = Partition(sc.space, np.asarray(block_of), int(max(block_of)) + 1)
+        got = _default_tests(sc, finest=p)
+        want = [SimpleFunction.indicator(MeasurableSet.from_indices(sc.space, ids)) for ids in p.blocks()]
+        assert got[0] is sc.functions[0] and len(got) == 1 + len(want)
+        assert all(g.coeffs.tobytes() == w.coeffs.tobytes() for g, w in zip(got[1:], want))
+
+
 def test_validation_unknown_keys():
     data = _preset("canonical-l1")
     data["surprise"] = 1

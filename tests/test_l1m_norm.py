@@ -42,7 +42,7 @@ from vmlab import (
     sign_function,
 )
 from vmlab import l1m_norm
-from vmlab.vector_measure import EXPECTATION, MARTINGALE_DIFFERENCE
+from vmlab.vector_measure import EXPECTATION
 
 
 def _reproduce(m, f, result):
@@ -538,13 +538,6 @@ def test_ball_norms_are_norm_best_per_row():
         assert got.tobytes() == np.array(want).tobytes()
 
 
-def _martingale_difference(m, p):
-    """m - E_p m as ``deviation`` records it, for the indicator measure m."""
-    m1 = martingale_measure(m, p)
-    diff = VectorMeasure(m.space, m.X, m.atoms - m1.atoms, kind=MARTINGALE_DIFFERENCE, partition=p)
-    return m1, diff
-
-
 def _block_instance(rng, block_sizes, block_weights, trial):
     n = sum(block_sizes)
     block_of = np.repeat(np.arange(len(block_sizes)), block_sizes)
@@ -571,12 +564,9 @@ def test_block_closed_form_matches_the_itertools_oracle():
         instances.append((sizes, rng.uniform(0.2, 1.5, size=len(sizes)).tolist()))
     for trial, (sizes, weights) in enumerate(instances):
         m, p, f = _block_instance(rng, sizes, weights, trial)
-        m1, diff = _martingale_difference(m, p)
-        res = l1m_norm._norm_block_closed_form(diff.partition, f)
-        want = brute_deviation(m, m1, f)
-        assert res.method == CLOSED_FORM
-        assert res.value == pytest.approx(want, rel=1e-12, abs=1e-300)
-        assert _reproduce(diff, f, res) == pytest.approx(want, rel=1e-12, abs=1e-300)
+        value = l1m_norm._norm_block_closed_form(p, f)
+        want = brute_deviation(m, martingale_measure(m, p), f)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def _indicator_net_scenario(experiment, n, levels, seed):
@@ -664,7 +654,8 @@ def test_unequal_block_weights_and_other_value_spaces_keep_the_heuristic(monkeyp
 
 
 def test_exact_deviations_keep_their_engine():
-    # within the closed form's corner limit the L1 corner search still runs first
+    # deviation gives the block form's bits; the corner search over the
+    # unrecorded difference agrees up to rounding
     rng = np.random.default_rng(43)
     for n in (4, 8, 16):
         space = MeasureSpace.uniform(n)
@@ -674,7 +665,10 @@ def test_exact_deviations_keep_their_engine():
             p = Partition(space, np.arange(n) // (n >> levels), 1 << levels)
             m1 = martingale_measure(m, p)
             plain = VectorMeasure(space, m.X, m.atoms - m1.atoms)
-            assert repr(deviation(m, m1, f)) == repr(norm_closed_form(plain, f).value)
+            value = deviation(m, m1, f)
+            assert repr(value) == repr(l1m_norm._norm_block_closed_form(p, f))
+            corners = norm_closed_form(plain, f).value
+            assert abs(value - corners) <= 1e-13 * corners
 
 
 def _min_max_rule(rows):
@@ -694,7 +688,7 @@ def test_sign_consistency_is_the_min_max_rule():
         assert l1m_norm._rows_sign_consistent(rows) == _min_max_rule(rows)
 
 
-ENGINE_LABELS = ["closed_form", "enumeration", "block_closed_form", "hill_climbing"]
+ENGINE_LABELS = ["closed_form", "enumeration", "hill_climbing"]
 
 
 def _refused_labels(result):
@@ -776,34 +770,53 @@ def test_closed_form_refuses_l2():
     assert "L2" in res.refused[0][1]
 
 
-def test_block_form_refuses_unequal_weights_inside_a_block():
+def test_block_form_refuses_unequal_weights_inside_a_block(monkeypatch):
     rng = np.random.default_rng(55)
     n = 24
     f = SimpleFunction(MeasureSpace.uniform(n), rng.normal(size=n))
-    for weights, engine in ((np.full(n, 0.5), CLOSED_FORM), (rng.uniform(0.5, 1.5, n), HEURISTIC)):
+    calls = _count_hill_climbs(monkeypatch)
+    for weights, equal in ((np.full(n, 0.5), True), (rng.uniform(0.5, 1.5, n), False)):
         space = MeasureSpace(weights)
         p = Partition(space, np.arange(n) // 6, 4)
-        _, diff = _martingale_difference(indicator_measure(space), p)
+        m = indicator_measure(space)
+        m1 = martingale_measure(m, p)
         g = SimpleFunction(space, f.coeffs)
-        res = norm_best(diff, g)
-        assert res.method == engine
-        if engine == HEURISTIC:
-            assert _refused_labels(res) == ENGINE_LABELS[:3]
-            assert res.refused[2] == ("block_closed_form", "the atom weights vary inside a block")
+        before = len(calls)
+        value = deviation(m, m1, g)
+        if equal:
+            assert l1m_norm._block_partition(m, m1) is p
+            assert value == l1m_norm._norm_block_closed_form(p, g)
+            assert len(calls) == before
         else:
-            assert _refused_labels(res) == ENGINE_LABELS[:2]
-            assert res.value == l1m_norm._norm_block_closed_form(diff.partition, g).value
+            assert l1m_norm._block_partition(m, m1) is None
+            assert len(calls) == before + 1
+            res = norm_best(VectorMeasure(space, m.X, m.atoms - m1.atoms), g)
+            assert res.method == HEURISTIC and _refused_labels(res) == ENGINE_LABELS[:2]
+            assert value == res.value
 
 
-def test_a_heuristic_row_lists_three_refusals_in_table_order():
+def test_a_block_deviation_combines_nothing_and_climbs_nothing(monkeypatch):
+    rng = np.random.default_rng(58)
+    space = MeasureSpace.uniform(256)
+    p = Partition(space, np.arange(256) // 8, 32)
+    m = indicator_measure(space)
+    m1 = martingale_measure(m, p)
+    f = SimpleFunction(space, rng.normal(size=256))
+    climbs = _count_hill_climbs(monkeypatch)
+    combines = _recording(monkeypatch, "combine")
+    value = deviation(m, m1, f)
+    assert (len(climbs), len(combines)) == (0, 0)
+    assert value == l1m_norm._norm_block_closed_form(p, f)
+
+
+def test_a_heuristic_row_lists_its_refusals_in_table_order():
     rng = np.random.default_rng(56)
     space = random_space(rng, 20)
     m = random_measure(rng, space, NormSpec.l2(3))
     res = norm_best(m, SimpleFunction(space, rng.normal(size=20)))
     assert res.method == HEURISTIC
-    assert _refused_labels(res) == ENGINE_LABELS[:3]
+    assert _refused_labels(res) == ENGINE_LABELS[:2]
     assert res.refused[1][1] == "support size 20 exceeds the enumeration limit 16"
-    assert res.refused[2][1] == "not a recorded martingale difference into L1(mu)"
 
 
 def _recording(monkeypatch, name):

@@ -94,6 +94,15 @@ def test_dyadic_chain_shapes():
         dyadic_chain(3, sp)
 
 
+def test_dyadic_chain_refuses_a_huge_level_count_without_computing_its_power():
+    sp = MeasureSpace.uniform(8)
+    with pytest.raises(ValueError, match=r"number of atoms 8 is not divisible by 2\*\*1000000000000"):
+        dyadic_chain(10**12, sp)
+    with pytest.raises(ValueError, match=r"not divisible by 2\*\*4"):
+        dyadic_chain(4, sp)
+    assert len(dyadic_chain(3, sp)) == 4
+
+
 def test_dyadic_chain_refines():
     sp = MeasureSpace(np.random.default_rng(0).uniform(0.1, 1.0, 16))
     chain = dyadic_chain(4, sp)

@@ -240,7 +240,7 @@ def test_nonunique_derivative_pair():
 
 def test_constructors_record_the_measure_kind():
     from vmlab import Partition, basis_truncated_measure, martingale_measure, rank_one_measure
-    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, MARTINGALE_DIFFERENCE, RANK_ONE, TRUNCATION
+    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, RANK_ONE, TRUNCATION
 
     space = MeasureSpace.uniform(4)
     p = Partition(space, np.array([0, 0, 1, 1]), 2)
@@ -256,10 +256,11 @@ def test_constructors_record_the_measure_kind():
     for other in (r1, truncated, averaged):
         assert martingale_measure(other, p).kind == ATOMS  # only the indicator's average is recorded
     difference = combine(m, -1.0, averaged)
-    assert difference.kind == MARTINGALE_DIFFERENCE and difference.partition is p
-    with pytest.raises(ValueError, match="unknown measure kind"):
-        VectorMeasure(space, m.X, m.atoms, kind="bogus")
-    for kind, partition in ((EXPECTATION, None), (MARTINGALE_DIFFERENCE, None), (INDICATOR, p)):
+    assert difference.kind == ATOMS and difference.partition is None
+    for kind in ("bogus", "martingale_difference"):
+        with pytest.raises(ValueError, match="unknown measure kind"):
+            VectorMeasure(space, m.X, m.atoms, kind=kind)
+    for kind, partition in ((EXPECTATION, None), (INDICATOR, p)):
         with pytest.raises(ValueError, match="partition goes with"):
             VectorMeasure(space, m.X, m.atoms, kind=kind, partition=partition)
     elsewhere = Partition.one_block(MeasureSpace.uniform(4, total=2.0))
@@ -267,9 +268,9 @@ def test_constructors_record_the_measure_kind():
         VectorMeasure(space, m.X, m.atoms, kind=EXPECTATION, partition=elsewhere)
 
 
-def test_combine_records_the_martingale_difference_only_for_indicator_minus_expectation():
+def test_combine_records_plain_atoms():
     from vmlab import Partition, basis_truncated_measure, martingale_measure
-    from vmlab.vector_measure import ATOMS, MARTINGALE_DIFFERENCE
+    from vmlab.vector_measure import ATOMS
 
     rng = np.random.default_rng(21)
     space = random_space(rng, 8)
@@ -278,11 +279,10 @@ def test_combine_records_the_martingale_difference_only_for_indicator_minus_expe
         m = indicator_measure(space, X)
         averaged = martingale_measure(m, p)
         difference = combine(m, -1.0, averaged)
-        assert difference.kind == MARTINGALE_DIFFERENCE and difference.partition is p
         assert difference.atoms.tobytes() == (m.atoms - averaged.atoms).tobytes()
         g = rng.normal(size=8)
         others = [
-            (m, lam, averaged) for lam in (1.0, -0.5, -2.0, 0.0)
+            (m, lam, averaged) for lam in (-1.0, 1.0, -0.5, -2.0, 0.0)
         ] + [
             (averaged, -1.0, m),
             (m, -1.0, m),
@@ -320,13 +320,13 @@ def test_rank_one_measure_records_its_density():
 
 def test_a_density_goes_with_the_rank_one_kind_only():
     from vmlab import Partition
-    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, MARTINGALE_DIFFERENCE, RANK_ONE
+    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, RANK_ONE
 
     space = MeasureSpace.uniform(4)
     m = indicator_measure(space)
     p = Partition.one_block(space)
     g = np.ones(4)
-    for kind, partition in ((ATOMS, None), (INDICATOR, None), (EXPECTATION, p), (MARTINGALE_DIFFERENCE, p)):
+    for kind, partition in ((ATOMS, None), (INDICATOR, None), (EXPECTATION, p)):
         with pytest.raises(ValueError, match="density goes with"):
             VectorMeasure(space, m.X, m.atoms, kind=kind, partition=partition, density=g)
     with pytest.raises(ValueError, match="density goes with"):
