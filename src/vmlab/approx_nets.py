@@ -6,17 +6,17 @@ one level alive rather than the whole net:
   * martingale nets: averaging a measure over the blocks of a partition,
     m_p on atom i equals (mu_i / mu(B(i))) * m(B(i)); its integration map
     factors through the conditional-expectation projection of the partition.
-    The average of the indicator measure is recorded as A |-> E_p chi_A; into
-    L1(mu) with one weight per block, ``deviation`` gives each level's
+    The average of the indicator measure is the record ``Expectation(p)``;
+    into L1(mu) with one weight per block, ``deviation`` gives each level's
     deviation by a block closed form, exact at any size, with no engine run;
   * basis-projection nets: truncating the value-space coordinates, which
     compose the measure with a norm-one projection; the truncations of the
-    indicator measure are recorded as A |-> P_k chi_A (kind TRUNCATION);
+    indicator measure are the records ``Truncation(k)``;
   * rn nets: the measures of finite-rank operators built from derivative
     densities (one density and one value vector per term) of the coordinate
-    or expectation families; on the indicator measure the former are
-    recorded as its truncations, and built directly with the operator's
-    bits, the latter as its martingale levels.
+    or expectation families; on the indicator measure these operators are
+    its truncations and its block averages, so its rn nets are its basis
+    and martingale nets, level for level.
 
 ``run_net`` reports, per net level, the norm gap, the deviation seminorm,
 the pointwise integration gap, and a weak* gap over the coordinate probe
@@ -24,13 +24,8 @@ functionals, which together witness or refute convergence of the net.
 Against the indicator measure into L1(mu), levels recorded as its
 truncations read their rows from suffix sums, O(n) per net and exact at any
 n; its averages over blocks of one weight read theirs from block means,
-O(n + T n) per level for T test functions; no norm engine runs for either.
-
-Derivative densities of a stack of dual vectors come from one matrix
-product per measure (``rn_derivatives``); general dense probes of
-``weakstar_gap`` may round differently in the last bits from one-at-a-time
-calls.  ``run_net`` gathers the coordinate densities by transposing the
-atoms, with the bits of the (exact) product.
+O(n + T n) per level for T test functions; no norm engine runs and no level
+builds its atoms for either.
 """
 
 from __future__ import annotations
@@ -45,7 +40,8 @@ from .l1m_norm import DEFAULT_EXACT_CUTOFF, integrate, norm_best
 from .l1m_norm import _block_partition, _norm_block_closed_form
 from .measure_core import MeasureSpace, Partition, SimpleFunction, same_space
 from .normed_space import NormSpec, norm as x_norm, same_norm
-from .vector_measure import EXPECTATION, INDICATOR, TRUNCATION, VectorMeasure, rn_derivatives, same_setting
+from .vector_measure import Expectation, Indicator, Truncation, VectorMeasure, block_average, truncate
+from .vector_measure import rn_derivatives, same_setting
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,32 +88,19 @@ def conditional_expectation(space: MeasureSpace, p: Partition) -> FiniteRankOper
     """
     if not same_space(space, p.space):
         raise ValueError("partition lives on a different space")
-    masses = p.block_masses()
-    functionals = np.zeros((p.n_blocks, space.n))
-    vectors = np.zeros((p.n_blocks, space.n))
-    for b in range(p.n_blocks):
-        members = p.block_of == b
-        functionals[b, members] = 1.0 / masses[b]
-        vectors[b, members] = 1.0
-    return FiniteRankOperator(space, NormSpec.l1_of_mu(space), functionals, vectors)
+    members = p.block_of == np.arange(p.n_blocks)[:, None]
+    functionals = members / p.block_masses()[:, None]
+    return FiniteRankOperator(space, NormSpec.l1_of_mu(space), functionals, members)
 
 
 def martingale_measure(m: VectorMeasure, p: Partition) -> VectorMeasure:
-    """Average m over the blocks of p: atom i carries (mu_i / mu(B(i))) m(B(i)).
-
-    The average of the indicator measure is recorded as the measure
-    A |-> E_p chi_A (kind EXPECTATION, partition p).
-    """
+    """Average m over the blocks of p: atom i carries (mu_i / mu(B(i))) m(B(i));
+    the indicator measure's average is the record ``Expectation(p)``."""
     if not same_space(m.space, p.space):
         raise ValueError("partition lives on a different space")
-    masses = p.block_masses()
-    block_values = np.zeros((p.n_blocks, m.X.dim))
-    np.add.at(block_values, p.block_of, m.atoms)
-    scale = m.space.weights / masses[p.block_of]
-    atoms = scale[:, None] * block_values[p.block_of]
-    if m.kind == INDICATOR:
-        return VectorMeasure(m.space, m.X, atoms, kind=EXPECTATION, partition=p)
-    return VectorMeasure(m.space, m.X, atoms)
+    if isinstance(m.record, Indicator):
+        return VectorMeasure(m.space, m.X, record=Expectation(p))
+    return VectorMeasure(m.space, m.X, block_average(m.atoms, p))
 
 
 def integrate_martingale(m: VectorMeasure, p: Partition, f: SimpleFunction) -> np.ndarray:
@@ -125,9 +108,7 @@ def integrate_martingale(m: VectorMeasure, p: Partition, f: SimpleFunction) -> n
     if not same_space(m.space, p.space):
         raise ValueError("partition lives on a different space")
     masses = p.block_masses()
-    block_integrals = np.bincount(
-        p.block_of, weights=f.coeffs * m.space.weights, minlength=p.n_blocks
-    )
+    block_integrals = np.bincount(p.block_of, weights=f.coeffs * m.space.weights, minlength=p.n_blocks)
     block_values = np.zeros((p.n_blocks, m.X.dim))
     np.add.at(block_values, p.block_of, m.atoms)
     return (block_integrals / masses) @ block_values
@@ -135,14 +116,12 @@ def integrate_martingale(m: VectorMeasure, p: Partition, f: SimpleFunction) -> n
 
 def basis_truncated_measure(m: VectorMeasure, k: int) -> VectorMeasure:
     """Compose m with the projection onto the first k value-space coordinates;
-    the indicator measure's is recorded as A |-> P_k chi_A (kind TRUNCATION, rank k)."""
+    the indicator measure's is the record ``Truncation(k)``."""
     if not 1 <= k <= m.X.dim:
         raise ValueError(f"truncation rank {k} out of range 1..{m.X.dim}")
-    atoms = m.atoms.copy()
-    atoms[:, k:] = 0.0
-    if m.kind == INDICATOR:
-        return VectorMeasure(m.space, m.X, atoms, kind=TRUNCATION, rank=k)
-    return VectorMeasure(m.space, m.X, atoms)
+    if isinstance(m.record, Indicator):
+        return VectorMeasure(m.space, m.X, record=Truncation(k))
+    return VectorMeasure(m.space, m.X, truncate(m.atoms, k))
 
 
 def rn_operator(m: VectorMeasure, functionals: Sequence, vectors: Sequence) -> FiniteRankOperator:
@@ -154,15 +133,11 @@ def rn_operator(m: VectorMeasure, functionals: Sequence, vectors: Sequence) -> F
     return FiniteRankOperator(m.space, m.X, densities, vectors)
 
 
-def _associated_atoms(R: FiniteRankOperator, space: MeasureSpace) -> np.ndarray:
-    if not same_space(space, R.space):
-        raise ValueError("operator lives on a different space")
-    return (R.functionals * space.weights[None, :]).T @ R.vectors
-
-
 def associated_measure(R: FiniteRankOperator, space: MeasureSpace) -> VectorMeasure:
     """The measure A |-> R(chi_A); on atom i it is R applied to the i-th indicator."""
-    return VectorMeasure(space, R.codomain, _associated_atoms(R, space))
+    if not same_space(space, R.space):
+        raise ValueError("operator lives on a different space")
+    return VectorMeasure(space, R.codomain, (R.functionals * space.weights[None, :]).T @ R.vectors)
 
 
 def coordinate_family(m: VectorMeasure, k: int):
@@ -187,9 +162,7 @@ def expectation_family(m: VectorMeasure, p: Partition):
     return xstars, [members @ m.atoms for members in blocks]  # the values m(B)
 
 
-def _max_pairing(
-    diff: np.ndarray, weights: np.ndarray, tests: Sequence[SimpleFunction]
-) -> float:
+def _max_pairing(diff: np.ndarray, weights: np.ndarray, tests: Sequence[SimpleFunction]) -> float:
     """max over rows of diff and test functions of | sum_i f_i diff_i mu_i |.
 
     Each row sum runs over the contiguous last axis, so it has the bits of the
@@ -246,25 +219,15 @@ def basis_net(m: VectorMeasure) -> Iterator[VectorMeasure]:
 def rn_net(m: VectorMeasure, partitions: Optional[Iterable[Partition]] = None) -> Iterator[VectorMeasure]:
     """Levels A |-> R(chi_A) of the rn operators R of m's k-term coordinate families
     (k = 1..d) or, given partitions, of their expectation families.  On the
-    indicator measure the level of k is recorded as A |-> P_k chi_A and the
-    level of p as A |-> E_p chi_A, with the associated measure's atoms."""
-    if partitions is None and m.kind == INDICATOR:
-        # R's terms are e_j / mu_j and e_j, j < k: each atom is one nonzero product term
-        diagonal = (1.0 / m.space.weights) * m.space.weights
-        for k in range(1, m.X.dim + 1):
-            atoms = np.diag(np.where(np.arange(m.space.n) < k, diagonal, 0.0))
-            yield VectorMeasure(m.space, m.X, atoms, kind=TRUNCATION, rank=k)
-        return
+    indicator measure R(chi_A) is P_k chi_A, respectively E_p chi_A, so the
+    net is ``basis_net(m)``, respectively ``martingale_net(m, partitions)``."""
+    if isinstance(m.record, Indicator):
+        return basis_net(m) if partitions is None else martingale_net(m, partitions)
     if partitions is None:
-        steps = ((coordinate_family(m, k), dict(kind=TRUNCATION, rank=k)) for k in range(1, m.X.dim + 1))
+        families = (coordinate_family(m, k) for k in range(1, m.X.dim + 1))
     else:
-        steps = ((expectation_family(m, p), dict(kind=EXPECTATION, partition=p)) for p in partitions)
-    for family, record in steps:
-        R = rn_operator(m, *family)
-        if m.kind == INDICATOR:
-            yield VectorMeasure(m.space, m.X, _associated_atoms(R, m.space), **record)
-        else:
-            yield associated_measure(R, m.space)
+        families = (expectation_family(m, p) for p in partitions)
+    return (associated_measure(rn_operator(m, *family), m.space) for family in families)
 
 
 def _coordinate_densities(m: VectorMeasure) -> np.ndarray:
@@ -329,12 +292,11 @@ def run_net(
     and its averages over blocks of one weight from ``_expectation_row``.
     """
     phi = _coordinate_densities(m)
-    if tests is None:
-        tests = [f]
+    tests = [f] if tests is None else tests
     kw = dict(exact_cutoff=exact_cutoff, restarts=restarts, seed=seed)
     target_norm = norm_best(m, f, **kw).value
     target_value = integrate(m, f)
-    closed = m.kind == INDICATOR and same_norm(m.X, NormSpec.l1_of_mu(m.space))
+    closed = isinstance(m.record, Indicator) and same_norm(m.X, NormSpec.l1_of_mu(m.space))
     if closed:
         tail, wtail = _truncation_tails(m.space.weights, f, tests)
         stack = np.array([f.coeffs, *(t.coeffs for t in tests)])
@@ -342,8 +304,8 @@ def run_net(
     for idx, m_level in enumerate(net):
         if not same_setting(m, m_level):
             raise ValueError("net member lives on a different space or value space")
-        if closed and m_level.kind == TRUNCATION:
-            k = m_level.rank
+        if closed and isinstance(m_level.record, Truncation):
+            k = m_level.record.k
             levels.append(NetLevelStats(idx, tail[k], tail[k], tail[k], wtail[k]))
             continue
         if (p := _block_partition(m, m_level)) is not None:  # implies closed: stack is set
@@ -354,7 +316,5 @@ def run_net(
         dev = deviation_seminorm(m, m_level, f, **kw)
         pointwise = x_norm(m.X, target_value - integrate(m_level, f))
         wsgap = _max_pairing(_coordinate_densities(m_level) - phi, m.space.weights, tests)
-        levels.append(
-            NetLevelStats(idx, abs(level_norm - target_norm), dev, pointwise, wsgap)
-        )
+        levels.append(NetLevelStats(idx, abs(level_norm - target_norm), dev, pointwise, wsgap))
     return NetReport(tuple(levels))

@@ -37,11 +37,11 @@ aside); floats are serialized with 17 significant digits so JSON round-trips
 exactly.  CSV output has one row per net level or sweep point with the
 documented per-experiment header.  Daugavet sweep points use the O(n)
 rank-one formula and run in sweep order on the calling thread.  Each measure
-kind has one constructor, which records indicator as INDICATOR, rank_one as
-RANK_ONE with its density g, composed over an indicator base as TRUNCATION
-with its rank k, and the others as ATOMS.  Runners read these
-records, never ``raw`` (only echoed): series_gap on an INDICATOR or RANK_ONE
-measure runs on factored operators in O(samples * n), on others densely.
+kind has one constructor, which gives indicator the record ``Indicator()``,
+rank_one ``RankOne(g)``, composed over an indicator base ``Truncation(k)``,
+and the others their atom matrix.  Runners read these records, never ``raw``
+(only echoed): series_gap on an ``Indicator`` or ``RankOne`` record runs on
+factored operators in O(samples * n), building no atoms; on others densely.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .l1m_norm import DEFAULT_EXACT_CUTOFF, HEURISTIC, norm_best, norm_heuristic
 from .measure_core import MeasureSpace, SimpleFunction, dyadic_chain
 from .normed_space import NormSpec, same_norm
 from .rng import SplitMix64
-from .vector_measure import INDICATOR, RANK_ONE, VectorMeasure, indicator_measure, rank_one_measure
+from .vector_measure import Indicator, RankOne, VectorMeasure, indicator_measure, rank_one_measure
 
 SCHEMA_VERSION = 1
 
@@ -357,10 +357,10 @@ def _run_series_gap(sc: Scenario, exp: dict) -> dict:
     ones = np.ones(space.n)
     sign = float(exp["sign"])
     part = FactoredOperator.rank_one(space, sign * ones)
-    if m.kind == INDICATOR:
+    if isinstance(m.record, Indicator):
         G = FactoredOperator.identity(space)
-    elif m.kind == RANK_ONE:
-        G = FactoredOperator.rank_one(space, m.density)
+    elif isinstance(m.record, RankOne):
+        G = FactoredOperator.rank_one(space, m.record.g)
     else:
         G, part = integration_operator(m), rank_one_operator(space, sign * ones, ones)
     rep = series_approximation_gap(G, [part], samples=exp["samples"], seed=exp["seed"])

@@ -46,7 +46,7 @@ from .normed_space import norm as x_norm, same_norm
 from .opt_engine import SIGN_ENUM_LIMIT, LinearProgram, UNBOUNDED, best_sign_pattern, hill_climb
 from .opt_engine import solve_lp
 from .rng import SplitMix64
-from .vector_measure import EXPECTATION, INDICATOR, VectorMeasure, combine, same_setting
+from .vector_measure import Expectation, Indicator, VectorMeasure, combine, same_setting
 
 EXACT = "exact"
 CLOSED_FORM = "closed_form"
@@ -183,11 +183,11 @@ def norm_heuristic(
 def _block_partition(m: VectorMeasure, m1: VectorMeasure) -> Optional[Partition]:
     """p when m is the indicator measure into L1(mu) and m1 its average
     A |-> E_p chi_A over the blocks of p, every block of one weight; else None."""
-    if m.kind != INDICATOR or m1.kind != EXPECTATION or not same_setting(m, m1):
+    if not isinstance(m.record, Indicator) or not isinstance(m1.record, Expectation):
         return None
-    if not same_norm(m.X, NormSpec.l1_of_mu(m.space)):
+    if not same_setting(m, m1) or not same_norm(m.X, NormSpec.l1_of_mu(m.space)):
         return None
-    p = m1.partition
+    p = m1.record.p
     block_weight = np.empty(p.n_blocks)
     block_weight[p.block_of] = p.space.weights
     return p if np.array_equal(block_weight[p.block_of], p.space.weights) else None

@@ -74,8 +74,11 @@ class MeasurableSet:
 
     @classmethod
     def from_indices(cls, space: MeasureSpace, indices) -> "MeasurableSet":
+        ids = np.asarray(indices)  # no truncation of floats, no wrap-around from the end
+        if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= space.n):
+            raise ValueError(f"atom indices must be integers in 0..{space.n - 1}")
         mask = np.zeros(space.n, dtype=bool)
-        mask[np.asarray(indices, dtype=int)] = True
+        mask[ids.astype(int)] = True
         return cls(space, mask)
 
     def complement(self) -> "MeasurableSet":
@@ -126,6 +129,8 @@ class Partition:
     n_blocks: int
 
     def __post_init__(self):
+        if np.asarray(self.block_of).dtype.kind not in "iu":
+            raise ValueError("block indices must be integers")
         b = _frozen(self.block_of, int)
         if b.shape != (self.space.n,):
             raise ValueError("block map length must equal the number of atoms")
@@ -147,10 +152,10 @@ class Partition:
     def from_blocks(cls, space: MeasureSpace, blocks) -> "Partition":
         block_of = np.full(space.n, -1, dtype=int)
         for k, ids in enumerate(blocks):
-            ids = np.asarray(ids, dtype=int)
-            if np.any(block_of[ids] >= 0):
+            members = MeasurableSet.from_indices(space, ids).members
+            if np.any(block_of[members] >= 0):
                 raise ValueError("blocks must be disjoint")
-            block_of[ids] = k
+            block_of[members] = k
         if np.any(block_of < 0):
             raise ValueError("blocks must cover all atoms")
         return cls(space, block_of, len(blocks))

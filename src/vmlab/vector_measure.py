@@ -10,88 +10,123 @@ is the discrete Radon-Nikodym derivative; ``rn_derivatives`` gives the
 densities of a whole stack of dual vectors with one matrix product.  The
 integration map sends a coefficient vector f to sum_i f_i m_i.
 
-Records (``kind``, with ``partition``, ``density`` or ``rank``) are written
-only by the constructors: ``indicator_measure`` and ``rank_one_measure``
-here, ``martingale_measure``, ``basis_truncated_measure`` and ``rn_net`` in
-``approx_nets``; ``combine`` records nothing.
+A measure is given by its atom matrix or by a ``record`` of what it is,
+which builds the atoms on first read (see ``VectorMeasure``); ``combine``
+records nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import NoRybakovFound
-from .measure_core import MeasurableSet, MeasureSpace, Partition, SimpleFunction, same_space
+from .measure_core import MeasurableSet, MeasureSpace, Partition, SimpleFunction, _frozen, same_space
 from .normed_space import NormSpec, same_norm
 from .rng import SplitMix64
 
 
-ATOMS = "atoms"
-INDICATOR = "indicator"
-EXPECTATION = "expectation"
-RANK_ONE = "rank_one"
-TRUNCATION = "truncation"
+def block_average(atoms: np.ndarray, p: Partition) -> np.ndarray:
+    """Atom i of the average over the blocks of p: (mu_i / mu(B(i))) m(B(i))."""
+    block_values = np.zeros((p.n_blocks, atoms.shape[1]))
+    np.add.at(block_values, p.block_of, atoms)
+    scale = p.space.weights / p.block_masses()[p.block_of]
+    return scale[:, None] * block_values[p.block_of]
+
+
+def truncate(atoms: np.ndarray, k: int) -> np.ndarray:
+    """A copy of the atoms with value-space coordinates k on zeroed."""
+    return np.where(np.arange(atoms.shape[1]) < k, atoms, 0.0)
+
+
+@dataclass(frozen=True)
+class Indicator:
+    """A |-> chi_A, atom i |-> e_i; the value space has dimension n."""
+
+    def build(self, space: MeasureSpace) -> np.ndarray:
+        return np.eye(space.n)
+
+
+@dataclass(frozen=True)
+class Expectation:
+    """A |-> E_p chi_A, the indicator measure averaged over the blocks of p."""
+
+    p: Partition
+
+    def build(self, space: MeasureSpace) -> np.ndarray:
+        return block_average(np.eye(space.n), self.p)
+
+
+@dataclass(frozen=True)
+class Truncation:
+    """A |-> P_k chi_A, the indicator measure with coordinates k on zeroed."""
+
+    k: int
+
+    def build(self, space: MeasureSpace) -> np.ndarray:
+        return truncate(np.eye(space.n), self.k)
+
+
+@dataclass(frozen=True, eq=False)
+class RankOne:
+    """A |-> mu(A) g; g is kept as a frozen copy."""
+
+    g: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "g", _frozen(self.g, float))
+
+    def build(self, space: MeasureSpace) -> np.ndarray:
+        return np.outer(space.weights, self.g)
 
 
 @dataclass(frozen=True, eq=False)
 class VectorMeasure:
     """Assignment of a value-space vector to each atom; additive on sets.
 
-    ``kind`` records what the constructor knows the measure to be; engines
-    read it, never the atom entries, to pick a closed form:
-
-      ATOMS        nothing beyond the atom matrix (the default),
-      INDICATOR    A |-> chi_A, atom i |-> e_i (``indicator_measure``),
-      EXPECTATION  A |-> E_p chi_A, the indicator measure averaged over the
-                   blocks of ``partition``,
-      RANK_ONE     A |-> mu(A) * g, g kept as ``density`` (``rank_one_measure``),
-      TRUNCATION   A |-> P_k chi_A, coordinates k = ``rank`` on zeroed
-                   (``basis_truncated_measure``, ``rn_net``, whose atoms keep
-                   their operator's rounding).
-
-    ``partition`` is set exactly for EXPECTATION, ``density`` (frozen, shape (X.dim,)) exactly for RANK_ONE, and ``rank``
-    (an int in 1..X.dim) exactly for TRUNCATION.
+    Built from an atom matrix (positionally), it keeps a frozen, finite copy
+    and ``record`` is None.  Built from a ``record`` instead, ``Indicator()``
+    (A |-> chi_A), ``Expectation(p)`` (A |-> E_p chi_A), ``Truncation(k)``
+    (A |-> P_k chi_A) or ``RankOne(g)`` (A |-> mu(A) g), it checks the record
+    now and builds ``atoms`` from it once, on first read, so the two cannot
+    disagree.  Engines read the record, never the atom entries.
     """
 
     space: MeasureSpace
     X: NormSpec
-    atoms: np.ndarray
-    kind: str = ATOMS
-    partition: Optional[Partition] = None
-    density: Optional[np.ndarray] = None
-    rank: Optional[int] = None
+    matrix: InitVar[Optional[np.ndarray]] = None
+    record: Optional[object] = None
 
-    def __post_init__(self):
-        a = np.array(self.atoms, dtype=float, copy=True)
-        if a.shape != (self.space.n, self.X.dim):
-            raise ValueError(
-                f"atom matrix must be {self.space.n} x {self.X.dim}, got {a.shape}"
-            )
-        if not np.all(np.isfinite(a)):
-            raise ValueError("atom values must be finite")
-        if self.kind not in (ATOMS, INDICATOR, EXPECTATION, RANK_ONE, TRUNCATION):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if (self.partition is not None) != (self.kind == EXPECTATION):
-            raise ValueError(f"a partition goes with the kind {EXPECTATION!r} only")
-        if self.partition is not None and not same_space(self.partition.space, self.space):
+    def __post_init__(self, matrix):
+        r, n, d = self.record, self.space.n, self.X.dim
+        if (matrix is None) == (r is None):
+            raise ValueError("a measure takes exactly one of an atom matrix and a record")
+        if r is not None and type(r) not in (Indicator, Expectation, Truncation, RankOne):
+            raise ValueError(f"unknown measure record {r!r}")
+        a = _frozen(matrix, float) if r is None else None
+        shape = a.shape if r is None else (n, *r.g.shape) if type(r) is RankOne else (n, n)
+        if shape != (n, d):
+            raise ValueError(f"atom matrix must be {n} x {d}, got {shape}")
+        if type(r) is Expectation and not same_space(r.p.space, self.space):
             raise ValueError("partition lives on a different space")
-        if (self.density is not None) != (self.kind == RANK_ONE):
-            raise ValueError(f"a density goes with the kind {RANK_ONE!r} only")
-        if (self.rank is not None) != (self.kind == TRUNCATION):
-            raise ValueError(f"a rank goes with the kind {TRUNCATION!r} only")
-        if self.rank is not None and not (type(self.rank) is int and 1 <= self.rank <= self.X.dim):
-            raise ValueError(f"rank must be an int in 1..{self.X.dim}, got {self.rank!r}")
-        if self.density is not None:
-            g = np.array(self.density, dtype=float, copy=True)
-            if g.shape != (self.X.dim,):
-                raise ValueError(f"density must have shape ({self.X.dim},), got {g.shape}")
-            g.setflags(write=False)
-            object.__setattr__(self, "density", g)
+        if type(r) is Truncation and not (type(r.k) is int and 1 <= r.k <= d):
+            raise ValueError(f"rank must be an int in 1..{d}, got {r.k!r}")
+        # the entries mu_i g_j are all finite iff the product of the two maxima is
+        peak = float(self.space.weights.max()) * float(np.abs(r.g).max()) if type(r) is RankOne else 0.0
+        if not np.isfinite(peak) or (a is not None and not np.all(np.isfinite(a))):
+            raise ValueError("atom values must be finite")
+        if a is not None:
+            self.__dict__["atoms"] = a
+
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        """The read-only n x d atom matrix."""
+        a = self.record.build(self.space)
         a.setflags(write=False)
-        object.__setattr__(self, "atoms", a)
+        return a
 
 
 def same_setting(m: VectorMeasure, m1: VectorMeasure) -> bool:
@@ -102,13 +137,13 @@ def indicator_measure(space: MeasureSpace, X: Optional[NormSpec] = None) -> Vect
     """A |-> chi_A, atom i |-> e_i, into X (default the discretized L1(mu), where
     its integration map is the identity); X must have dimension n."""
     X = NormSpec.l1_of_mu(space) if X is None else X
-    return VectorMeasure(space, X, np.eye(space.n), kind=INDICATOR)
+    return VectorMeasure(space, X, record=Indicator())
 
 
 def rank_one_measure(space: MeasureSpace, g, X: Optional[NormSpec] = None) -> VectorMeasure:
-    """A |-> mu(A) * g into X (default the discretized L1(mu)), recorded with density g."""
+    """A |-> mu(A) * g into X (default the discretized L1(mu)), recorded as RankOne(g)."""
     X = NormSpec.l1_of_mu(space) if X is None else X
-    return VectorMeasure(space, X, np.outer(space.weights, g), kind=RANK_ONE, density=g)
+    return VectorMeasure(space, X, record=RankOne(g))
 
 
 def set_value(m: VectorMeasure, A: MeasurableSet) -> np.ndarray:
@@ -156,9 +191,7 @@ def rn_derivatives(m: VectorMeasure, xstars) -> np.ndarray:
         xstars = xstars.reshape(0, m.X.dim)
     xstars = np.atleast_2d(xstars)
     if xstars.ndim != 2 or xstars.shape[1] != m.X.dim:
-        raise ValueError(
-            f"dual vectors must have dimension {m.X.dim}, got shape {xstars.shape}"
-        )
+        raise ValueError(f"dual vectors must have dimension {m.X.dim}, got shape {xstars.shape}")
     return (xstars @ m.atoms.T) / m.space.weights
 
 

@@ -46,6 +46,17 @@ def random_measure(rng, space, X):
     return VectorMeasure(space, X, rng.normal(size=(space.n, X.dim)))
 
 
+def spy_record_builds(monkeypatch) -> list:
+    """The list each record's ``build`` appends its record to from now on."""
+    from vmlab.vector_measure import Expectation, Indicator, RankOne, Truncation
+
+    builds = []
+    for cls in (Indicator, Expectation, Truncation, RankOne):
+        build = cls.build
+        monkeypatch.setattr(cls, "build", lambda self, *a, build=build: builds.append(self) or build(self, *a))
+    return builds
+
+
 def random_function(rng, space, zero_prob=0.2):
     coeffs = rng.normal(size=space.n)
     coeffs[rng.random(space.n) < zero_prob] = 0.0

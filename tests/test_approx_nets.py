@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_function, random_measure, random_norm_spec, random_space
+from helpers import random_function, random_measure, random_norm_spec, random_space, spy_record_builds
 from vmlab import (
     L2,
     MeasurableSet,
@@ -400,7 +400,9 @@ def test_rn_operator_functionals_are_bitwise_the_stacked_derivatives():
 
 
 def test_rn_net_levels_are_the_associated_measures_and_record_expectations():
-    from vmlab.vector_measure import ATOMS, EXPECTATION, TRUNCATION
+    # the indicator's rn levels are its basis and martingale levels, records
+    # and atoms bit for bit; other measures' are the associated measures
+    from vmlab.vector_measure import Expectation, Truncation
 
     rng = np.random.default_rng(14)
     space = random_space(rng, 8)
@@ -409,19 +411,19 @@ def test_rn_net_levels_are_the_associated_measures_and_record_expectations():
         for family, levels in (("coordinate", rn_net(m)), ("expectation", rn_net(m, chain))):
             if family == "coordinate":
                 expected = [coordinate_family(m, k) for k in range(1, m.X.dim + 1)]
+                twins, records = basis_net(m), [Truncation(k) for k in range(1, m.X.dim + 1)]
             else:
                 expected = [expectation_family(m, p) for p in chain]
-            levels = list(levels)
-            assert len(levels) == len(expected)
-            for k, (level, (xs, vs)) in enumerate(zip(levels, expected)):
+                twins, records = martingale_net(m, chain), [Expectation(p) for p in chain]
+            for level, (xs, vs), twin, record in zip(levels, expected, twins, records, strict=True):
                 plain = associated_measure(rn_operator(m, xs, vs), space)
-                assert level.atoms.tobytes() == plain.atoms.tobytes()
-                if family == "expectation" and m.kind == "indicator":
-                    assert level.kind == EXPECTATION and level.partition is chain[k]
-                elif m.kind == "indicator":
-                    assert level.kind == TRUNCATION and level.rank == k + 1 and level.partition is None
-                else:
-                    assert level.kind == ATOMS and level.partition is None and level.rank is None
+                if m.record is None:
+                    assert level.record is None
+                    assert level.atoms.tobytes() == plain.atoms.tobytes()
+                    continue
+                assert level.record == twin.record == record
+                assert level.atoms.tobytes() == twin.atoms.tobytes()
+                assert np.all(np.abs(level.atoms - plain.atoms) <= 1e-15 * np.abs(plain.atoms)), record
 
 
 def test_net_generators_yield_one_level_at_a_time():
@@ -434,26 +436,26 @@ def test_net_generators_yield_one_level_at_a_time():
 
 
 def test_a_streamed_basis_net_run_keeps_few_levels_alive():
-    # n = 128: the 128 levels of 128 x 128 atoms take 16 MB when all are kept
-    import tracemalloc
+    # each time the net yields, count the earlier levels still alive
+    import weakref
 
     space = MeasureSpace.uniform(128)
     m = indicator_measure(space)
     f = SimpleFunction(space, np.random.default_rng(15).normal(size=128))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        report = run_net(m, basis_net(m), f)
-        streamed = tracemalloc.get_traced_memory()[1] - base
-        del report
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        kept = list(basis_net(m))
-        held = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert len(kept) == 128 and held >= 16 * 2**20  # the tracer sees the level atoms
-    assert streamed < 4 * 2**20, streamed
+
+    def watched(alive):
+        refs = []
+        for level in basis_net(m):
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(level))
+            yield level
+
+    streamed, kept = [], []
+    report = run_net(m, watched(streamed), f)
+    levels = list(watched(kept))  # a reader that keeps every level
+    assert len(report.levels) == len(levels) == 128
+    assert kept == list(range(128))  # the probe sees levels that are kept
+    assert max(streamed) <= 1, streamed  # only the level run_net is on
 
 
 def _dense_levels(m, net, f, tests):
@@ -581,8 +583,8 @@ def test_expectation_rows_of_the_indicator_match_the_dense_path(n, weights):
             scale = max(dense[0].deviation, dense[0].pointwise_gap, dense[0].weakstar_gap)
             for got, want, level in zip(closed, dense, levels, strict=True):
                 where = (name, net_name, got.index)
-                one_weight = _block_partition(m, level) is level.partition
-                assert one_weight == (weights == "uniform" or level.partition.n_blocks * 2 >= n)
+                one_weight = _block_partition(m, level) is level.record.p
+                assert one_weight == (weights == "uniform" or level.record.p.n_blocks * 2 >= n)
                 for column in ("norm_gap", "pointwise_gap", "weakstar_gap"):
                     error = abs(getattr(got, column) - getattr(want, column))
                     assert error <= 1e-13 * scale, (where, column)
@@ -591,8 +593,8 @@ def test_expectation_rows_of_the_indicator_match_the_dense_path(n, weights):
                     assert got.norm_gap == 0.0, where
             assert closed[-1].norm_gap == closed[-1].pointwise_gap == 0.0, (name, net_name)
             assert closed[-1] == NetLevelStats(len(chain) - 1, 0.0, 0.0, 0.0, 0.0), (name, net_name)
-        if weights == "uniform":  # every level closed: the two nets read the same partitions
-            assert rows["martingale"] == rows["expectation"], name
+        # the indicator's expectation net is its martingale net, level for level
+        assert rows["martingale"] == rows["expectation"], name
 
 
 @pytest.mark.parametrize("weights", ["uniform", "pairs"])
@@ -632,6 +634,7 @@ def test_an_indicator_expectation_run_net_calls_no_engine_per_level(monkeypatch)
 @pytest.mark.parametrize("weights", ["uniform", "random"])
 def test_coordinate_levels_of_the_indicator_are_built_without_rn_operator(n, weights, monkeypatch):
     import vmlab.approx_nets as approx_nets
+    from vmlab.vector_measure import Truncation
 
     rng = np.random.default_rng(300 + n)
     space = MeasureSpace.uniform(n) if weights == "uniform" else random_space(rng, n)
@@ -639,13 +642,14 @@ def test_coordinate_levels_of_the_indicator_are_built_without_rn_operator(n, wei
         expected = [associated_measure(rn_operator(m, *coordinate_family(m, k)), space) for k in range(1, n + 1)]
         calls = {}
         _spy(monkeypatch, calls, approx_nets, "rn_operator")
+        _spy(monkeypatch, calls, approx_nets, "associated_measure")
         levels = list(rn_net(m))
         monkeypatch.undo()
         assert calls == {}
-        assert len(levels) == n
-        for k, (level, plain) in enumerate(zip(levels, expected), start=1):
-            assert level.atoms.tobytes() == plain.atoms.tobytes(), k
-            assert level.kind == "truncation" and level.rank == k
+        for k, (level, twin, plain) in enumerate(zip(levels, basis_net(m), expected, strict=True), start=1):
+            assert level.record == twin.record == Truncation(k)
+            assert level.atoms.tobytes() == twin.atoms.tobytes(), k
+            assert np.all(np.abs(level.atoms - plain.atoms) <= 1e-15 * np.abs(plain.atoms)), k
 
 
 def test_other_rn_levels_still_go_through_rn_operator(monkeypatch):
@@ -655,9 +659,27 @@ def test_other_rn_levels_still_go_through_rn_operator(monkeypatch):
     space = random_space(rng, 8)
     chain = dyadic_chain(3, space)
     random = random_measure(rng, space, NormSpec.l1_of_mu(space))
-    for m, net, size in ((random, rn_net(random), 8), (indicator_measure(space), rn_net(indicator_measure(space), chain), 4)):
+    indicator = indicator_measure(space)
+    for m, partitions, products in ((random, None, 8), (random, chain, 4), (indicator, None, 0), (indicator, chain, 0)):
         calls = {}
         _spy(monkeypatch, calls, approx_nets, "rn_operator")
-        assert len(list(net)) == size
+        levels = list(rn_net(m, partitions))
         monkeypatch.undo()
-        assert calls == {"rn_operator": size}
+        assert len(levels) == (8 if partitions is None else 4)
+        assert calls.get("rn_operator", 0) == products, (m.record, partitions is None)
+
+
+def test_indicator_net_levels_into_l1_of_mu_build_no_atoms(monkeypatch):
+    # run_net reads the target's atoms once for its norm, value and densities;
+    # the closed rows read only each level's record
+    from vmlab.vector_measure import Indicator
+
+    rng = np.random.default_rng(32)
+    space = MeasureSpace.uniform(64)
+    chain = dyadic_chain(6, space)
+    f = _tied_function(rng, space)
+    builds = spy_record_builds(monkeypatch)
+    m = indicator_measure(space)
+    for net in (basis_net(m), rn_net(m), martingale_net(m, chain), rn_net(m, chain)):
+        run_net(m, net, f, tests=_block_tests(space, f, chain[-1]))
+    assert builds == [Indicator()]

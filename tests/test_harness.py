@@ -910,6 +910,19 @@ def test_series_gap_runner_matches_the_library_call(monkeypatch, weights, measur
     assert forms == [type(G)]  # factored exactly for the indicator and rank_one records
 
 
+@pytest.mark.parametrize("measure", [{"kind": "indicator"}, {"kind": "rank_one", "g": [1.0, -2.0, 0.5, 3.0]}])
+def test_series_gap_on_a_recorded_measure_builds_no_atoms(monkeypatch, measure):
+    from helpers import spy_record_builds
+
+    builds = spy_record_builds(monkeypatch)
+    data = _preset("canonical-l1")
+    data["measure"] = measure
+    data["experiment"] = {"kind": "series_gap", "samples": 8}
+    report = run(build_scenario(data))
+    assert "error" not in report and len(report["results"]["rows"]) == 1
+    assert builds == []
+
+
 @pytest.mark.parametrize(
     "measure, value_space, kind",
     [
@@ -925,18 +938,20 @@ def test_series_gap_runner_matches_the_library_call(monkeypatch, weights, measur
     ],
 )
 def test_each_scenario_measure_kind_gets_its_record(measure, value_space, kind):
+    from vmlab.vector_measure import Indicator, RankOne, Truncation
+
     data = _preset("canonical-l1")
     data["space"]["weights"] = [0.1, 0.2, 0.3, 0.4]
     data.update(measure=measure, value_space=value_space, experiment={"kind": "basis"})
     m = build_scenario(data).measure
-    assert m.kind == kind and m.partition is None
-    assert m.rank == (measure["k"] if kind == "truncation" else None)
+    records = {"indicator": Indicator, "rank_one": RankOne, "truncation": Truncation, "atoms": type(None)}
+    assert type(m.record) is records[kind]
+    if kind == "truncation":
+        assert m.record == Truncation(measure["k"])
     if kind == "rank_one":
         g = np.array(measure["g"], dtype=float)
-        assert m.density.tobytes() == g.tobytes()
+        assert m.record.g.tobytes() == g.tobytes()
         assert m.atoms.tobytes() == (m.space.weights[:, None] * g[None, :]).tobytes()
-    else:
-        assert m.density is None
 
 
 def test_readme_experiment_table_lists_each_kinds_parameters():
@@ -973,7 +988,7 @@ def test_measure_validation_messages_name_their_section(sections, where):
 
 def test_rn_net_expectation_levels_of_the_indicator_are_recorded(monkeypatch):
     from vmlab import harness
-    from vmlab.vector_measure import EXPECTATION
+    from vmlab.vector_measure import Expectation
 
     data = _preset("canonical-l1")
     data["experiment"] = {"kind": "rn_net", "family": "expectation", "levels": 2}
@@ -987,5 +1002,5 @@ def test_rn_net_expectation_levels_of_the_indicator_are_recorded(monkeypatch):
 
     monkeypatch.setattr(harness, "_net_table", spy)
     run(build_scenario(data))
-    assert [level.kind for level in seen] == [EXPECTATION] * 3
-    assert [level.partition.n_blocks for level in seen] == [1, 2, 4]
+    assert [type(level.record) for level in seen] == [Expectation] * 3
+    assert [level.record.p.n_blocks for level in seen] == [1, 2, 4]

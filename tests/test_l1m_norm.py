@@ -42,7 +42,7 @@ from vmlab import (
     sign_function,
 )
 from vmlab import l1m_norm
-from vmlab.vector_measure import EXPECTATION
+from vmlab.vector_measure import Expectation
 
 
 def _reproduce(m, f, result):
@@ -644,7 +644,7 @@ def test_unequal_block_weights_and_other_value_spaces_keep_the_heuristic(monkeyp
     for m in cases:
         part = Partition(m.space, p.block_of, p.n_blocks)
         m1 = martingale_measure(m, part)
-        assert m1.kind == EXPECTATION
+        assert isinstance(m1.record, Expectation)
         f = SimpleFunction(m.space, f_coeffs)
         before = len(calls)
         value = deviation(m, m1, f, seed=3)

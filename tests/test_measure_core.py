@@ -78,6 +78,44 @@ def test_partition_validation():
         Partition.from_blocks(sp, [[0, 1], [3]])
 
 
+def test_partition_refuses_non_integer_block_indices():
+    sp = MeasureSpace.uniform(3)
+    for block_of in ([0.0, 0.7, 1.5], np.array([0.0, 1.0, 1.0]), ["0", "1", "1"]):
+        with pytest.raises(ValueError, match="block indices must be integers"):
+            Partition(sp, block_of, 2)
+    p = Partition(sp, np.array([0, 1, 1], dtype=np.uint8), 2)
+    assert p.block_of.tolist() == [0, 1, 1] and p.n_blocks == 2
+
+
+@pytest.mark.parametrize("indices", [[-1], [0, -4], [-5]])
+def test_atom_indices_refuse_a_negative_index(indices):
+    sp = MeasureSpace.uniform(4)  # [-1] would select the last atom
+    with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
+        MeasurableSet.from_indices(sp, indices)
+    with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
+        Partition.from_blocks(sp, [[0, 1, 2, 3], indices])
+
+
+@pytest.mark.parametrize("indices", [[0.7, 2.9], [1.0], [True], ["1"]])
+def test_atom_indices_refuse_non_integers(indices):
+    sp = MeasureSpace.uniform(4)  # [0.7, 2.9] would select atoms 0 and 2
+    with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
+        MeasurableSet.from_indices(sp, indices)
+    with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
+        Partition.from_blocks(sp, [[0, 1, 2, 3], indices])
+
+
+@pytest.mark.parametrize("indices", [[4], [0, 7]])
+def test_atom_indices_refuse_an_index_past_the_last_atom(indices):
+    sp = MeasureSpace.uniform(4)
+    with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
+        MeasurableSet.from_indices(sp, indices)
+    with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
+        Partition.from_blocks(sp, [[0, 1, 2, 3], indices])
+    assert MeasurableSet.from_indices(sp, [3, 0]).members.tolist() == [True, False, False, True]
+    assert not MeasurableSet.from_indices(sp, []).members.any()
+
+
 def test_dyadic_chain_shapes():
     sp = MeasureSpace.uniform(4)
     chain = dyadic_chain(2, sp)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_function, random_measure, random_norm_spec, random_space
+from helpers import random_function, random_measure, random_norm_spec, random_space, spy_record_builds
 from vmlab import (
     MeasurableSet,
     MeasureSpace,
@@ -240,37 +240,110 @@ def test_nonunique_derivative_pair():
 
 def test_constructors_record_the_measure_kind():
     from vmlab import Partition, basis_truncated_measure, martingale_measure, rank_one_measure
-    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, RANK_ONE, TRUNCATION
+    from vmlab.vector_measure import Expectation, Indicator, RankOne, Truncation
 
     space = MeasureSpace.uniform(4)
     p = Partition(space, np.array([0, 0, 1, 1]), 2)
     m = indicator_measure(space)
-    assert m.kind == INDICATOR and m.partition is None and m.density is None
-    assert indicator_measure(space, NormSpec.l2(4)).kind == INDICATOR
+    assert m.record == Indicator()
+    assert indicator_measure(space, NormSpec.l2(4)).record == Indicator()
     averaged = martingale_measure(m, p)
-    assert averaged.kind == EXPECTATION and averaged.partition is p
+    assert averaged.record == Expectation(p) and averaged.record.p is p
     r1 = rank_one_measure(space, np.ones(4))
-    assert r1.kind == RANK_ONE and r1.partition is None
+    assert isinstance(r1.record, RankOne)
     truncated = basis_truncated_measure(m, 2)
-    assert truncated.kind == TRUNCATION and truncated.rank == 2 and truncated.partition is None
+    assert truncated.record == Truncation(2)
     for other in (r1, truncated, averaged):
-        assert martingale_measure(other, p).kind == ATOMS  # only the indicator's average is recorded
+        assert martingale_measure(other, p).record is None  # only the indicator's average is recorded
     difference = combine(m, -1.0, averaged)
-    assert difference.kind == ATOMS and difference.partition is None
-    for kind in ("bogus", "martingale_difference"):
-        with pytest.raises(ValueError, match="unknown measure kind"):
-            VectorMeasure(space, m.X, m.atoms, kind=kind)
-    for kind, partition in ((EXPECTATION, None), (INDICATOR, p)):
-        with pytest.raises(ValueError, match="partition goes with"):
-            VectorMeasure(space, m.X, m.atoms, kind=kind, partition=partition)
+    assert difference.record is None
+    for record in ("indicator", "martingale_difference", Partition.one_block(space), None):
+        with pytest.raises(ValueError, match="unknown measure record|exactly one of"):
+            VectorMeasure(space, m.X, record=record)
+    # a recorded measure takes no atom matrix, so a record cannot disagree with its atoms
+    for record in (Indicator(), Expectation(p), Truncation(2), RankOne(np.ones(4))):
+        with pytest.raises(ValueError, match="exactly one of an atom matrix and a record"):
+            VectorMeasure(space, m.X, 2 * np.eye(4), record=record)
+    with pytest.raises(TypeError):
+        VectorMeasure(space, m.X, 2 * np.eye(4), kind="indicator")
     elsewhere = Partition.one_block(MeasureSpace.uniform(4, total=2.0))
     with pytest.raises(ValueError, match="different space"):
-        VectorMeasure(space, m.X, m.atoms, kind=EXPECTATION, partition=elsewhere)
+        VectorMeasure(space, m.X, record=Expectation(elsewhere))
+    with pytest.raises(ValueError, match="different space"):
+        martingale_measure(m, elsewhere)
+
+
+def _eager_atoms(record, space):
+    """The atoms each record's constructor built eagerly before records built their own."""
+    from vmlab.vector_measure import Expectation, Indicator, RankOne, Truncation
+
+    n = space.n
+    if isinstance(record, Indicator):
+        return np.eye(n)
+    if isinstance(record, Expectation):
+        p = record.p
+        block_values = np.zeros((p.n_blocks, n))
+        np.add.at(block_values, p.block_of, np.eye(n))
+        scale = space.weights / p.block_masses()[p.block_of]
+        return scale[:, None] * block_values[p.block_of]
+    if isinstance(record, Truncation):
+        atoms = np.eye(n).copy()
+        atoms[:, record.k:] = 0.0
+        return atoms
+    assert isinstance(record, RankOne)
+    return np.outer(space.weights, record.g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("weights", ["uniform", "random"])
+def test_record_atoms_equal_the_eager_construction(n, weights, monkeypatch):
+    from vmlab import Partition, basis_truncated_measure, martingale_measure
+
+    rng = np.random.default_rng(40 + n)
+    space = MeasureSpace.uniform(n) if weights == "uniform" else random_space(rng, n)
+    partitions = [Partition.one_block(space), Partition.singletons(space)]
+    partitions.append(Partition(space, np.arange(n) % 3, min(n, 3)))
+    builds = spy_record_builds(monkeypatch)
+    for X in (NormSpec.l1_of_mu(space), NormSpec.l2(n, rng.uniform(0.5, 2.0, size=n))):
+        m = indicator_measure(space, X)
+        g = rng.normal(size=n)
+        measures = [m, rank_one_measure(space, g, X)]
+        measures += [martingale_measure(m, p) for p in partitions]
+        measures += [basis_truncated_measure(m, k) for k in sorted({1, (n + 1) // 2, n})]
+        assert builds == []  # nothing is built before the atoms are read
+        for level in measures:
+            atoms = level.atoms
+            assert atoms.tobytes() == _eager_atoms(level.record, space).tobytes(), level.record
+            assert atoms.shape == (n, n) and atoms.dtype == np.float64
+            assert not atoms.flags.writeable
+            with pytest.raises(ValueError):
+                atoms[0, 0] = 1.0
+            assert level.atoms is atoms
+        assert builds == [level.record for level in measures]  # once each
+        builds.clear()
+
+
+def test_recorded_measures_check_their_record_at_construction():
+    from vmlab import Partition
+    from vmlab.vector_measure import Expectation, Indicator, Truncation
+
+    space = MeasureSpace.uniform(4)
+    for X in (NormSpec.l2(3), NormSpec.l1(5)):
+        with pytest.raises(ValueError, match=rf"atom matrix must be 4 x {X.dim}, got \(4, 4\)"):
+            indicator_measure(space, X)
+        for record in (Indicator(), Expectation(Partition.one_block(space)), Truncation(1)):
+            with pytest.raises(ValueError, match=rf"atom matrix must be 4 x {X.dim}"):
+                VectorMeasure(space, X, record=record)
+    plain = VectorMeasure(space, NormSpec.l2(3), np.ones((4, 3)))  # the positional form keeps its checks
+    assert plain.record is None and plain.atoms.tobytes() == np.ones((4, 3)).tobytes()
+    with pytest.raises(ValueError, match=r"atom matrix must be 4 x 3, got \(4, 4\)"):
+        VectorMeasure(space, NormSpec.l2(3), np.eye(4))
+    with pytest.raises(ValueError, match="atom values must be finite"):
+        VectorMeasure(space, NormSpec.l2(3), np.full((4, 3), np.inf))
 
 
 def test_combine_records_plain_atoms():
     from vmlab import Partition, basis_truncated_measure, martingale_measure
-    from vmlab.vector_measure import ATOMS
 
     rng = np.random.default_rng(21)
     space = random_space(rng, 8)
@@ -294,74 +367,70 @@ def test_combine_records_plain_atoms():
         ]
         for a, lam, b in others:
             combined = combine(a, lam, b)
-            assert combined.kind == ATOMS and combined.partition is None, (a.kind, lam, b.kind)
+            assert combined.record is None, (a.record, lam, b.record)
             assert combined.atoms.tobytes() == (a.atoms + lam * b.atoms).tobytes()
 
 
 def test_rank_one_measure_records_its_density():
-    from vmlab.vector_measure import RANK_ONE
+    from vmlab.vector_measure import RankOne
 
     rng = np.random.default_rng(22)
     space = random_space(rng, 5)
     g = rng.normal(size=3)
     X = random_norm_spec(rng, 3)
     m = rank_one_measure(space, g, X)
-    assert m.kind == RANK_ONE and m.X is X and m.partition is None
-    assert m.density.tobytes() == g.tobytes() and m.density.shape == (3,)
-    assert not m.density.flags.writeable and not np.shares_memory(m.density, g)
+    assert isinstance(m.record, RankOne) and m.X is X
+    assert m.record.g.tobytes() == g.tobytes() and m.record.g.shape == (3,)
+    assert not m.record.g.flags.writeable and not np.shares_memory(m.record.g, g)
     assert m.atoms.tobytes() == (space.weights[:, None] * g[None, :]).tobytes()
     g[0] += 1.0  # the record is a copy
-    assert m.density[0] != g[0]
+    assert m.record.g[0] != g[0]
     default = rank_one_measure(space, rng.normal(size=5))
     assert default.X.kind == NormSpec.l1_of_mu(space).kind and default.X.dim == 5
     with pytest.raises(ValueError, match="atom matrix must be 5 x 4"):
         rank_one_measure(space, g, NormSpec.l2(4))
 
 
-def test_a_density_goes_with_the_rank_one_kind_only():
-    from vmlab import Partition
-    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, RANK_ONE
-
-    space = MeasureSpace.uniform(4)
-    m = indicator_measure(space)
-    p = Partition.one_block(space)
-    g = np.ones(4)
-    for kind, partition in ((ATOMS, None), (INDICATOR, None), (EXPECTATION, p)):
-        with pytest.raises(ValueError, match="density goes with"):
-            VectorMeasure(space, m.X, m.atoms, kind=kind, partition=partition, density=g)
-    with pytest.raises(ValueError, match="density goes with"):
-        VectorMeasure(space, m.X, m.atoms, kind=RANK_ONE)
-    with pytest.raises(ValueError, match="partition goes with"):
-        VectorMeasure(space, m.X, m.atoms, kind=RANK_ONE, partition=p, density=g)
-    with pytest.raises(ValueError, match="density must have shape"):
-        VectorMeasure(space, m.X, m.atoms, kind=RANK_ONE, density=np.ones(3))
+def test_a_rank_one_record_refuses_what_its_atoms_would_at_construction():
+    space = MeasureSpace(np.array([0.5, 1.0, 2.0]))
+    X = NormSpec.l2(2)
+    for g in (np.ones(3), np.ones((2, 1)), np.ones((1, 2)), 1.0, []):
+        with pytest.raises(ValueError, match="atom matrix must be 3 x 2"):
+            rank_one_measure(space, g, X)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="atom values must be finite"):
+            rank_one_measure(space, [1.0, bad], X)
+    big = np.finfo(float).max
+    with pytest.raises(ValueError, match="atom values must be finite"):
+        rank_one_measure(space, [1.0, -big], X)  # 2 * big overflows
+    edge = rank_one_measure(MeasureSpace(np.array([0.5, 1.0])), [1.0, -big], X)  # mu_i g_i all finite
+    assert np.all(np.isfinite(edge.atoms))
 
 
-def test_a_rank_goes_with_the_truncation_kind_only():
+def test_a_truncation_record_takes_an_int_in_1_to_d():
     from vmlab import Partition, basis_truncated_measure
-    from vmlab.vector_measure import ATOMS, EXPECTATION, INDICATOR, RANK_ONE, TRUNCATION
+    from vmlab.vector_measure import Truncation
 
     space = MeasureSpace.uniform(4)
     m = indicator_measure(space)
-    p = Partition.one_block(space)
     for rank in (1, 3, 4):
-        assert VectorMeasure(space, m.X, m.atoms, kind=TRUNCATION, rank=rank).rank == rank
-    with pytest.raises(ValueError, match="rank goes with"):
-        VectorMeasure(space, m.X, m.atoms, kind=TRUNCATION)
-    for kind, record in ((ATOMS, {}), (INDICATOR, {}), (EXPECTATION, {"partition": p}), (RANK_ONE, {"density": np.ones(4)})):
-        with pytest.raises(ValueError, match="rank goes with"):
-            VectorMeasure(space, m.X, m.atoms, kind=kind, rank=2, **record)
-    for rank in (0, 5, -1, True, False, 2.0, np.int64(2), "2"):
+        assert VectorMeasure(space, m.X, record=Truncation(rank)).record.k == rank
+    for rank in (0, 5, -1, True, False, 2.0, np.int64(2), "2", None):
         with pytest.raises(ValueError, match=r"rank must be an int in 1\.\.4"):
-            VectorMeasure(space, m.X, m.atoms, kind=TRUNCATION, rank=rank)
+            VectorMeasure(space, m.X, record=Truncation(rank))
+    with pytest.raises(ValueError, match=r"rank must be an int in 1\.\.4"):
+        basis_truncated_measure(m, np.int64(2))
     # the indicator's truncations are recorded into any value space; others stay atoms
     rng = np.random.default_rng(23)
     for X in (NormSpec.l1_of_mu(space), NormSpec.l2(4)):
         truncated = basis_truncated_measure(indicator_measure(space, X), 3)
-        assert truncated.kind == TRUNCATION and truncated.rank == 3 and truncated.X is X
+        assert truncated.record == Truncation(3) and truncated.X is X
         assert truncated.atoms.tobytes() == (np.eye(4) * (np.arange(4) < 3)).tobytes()
-        plain = basis_truncated_measure(random_measure(rng, space, X), 3)
-        assert plain.kind == ATOMS and plain.rank is None
-    assert basis_truncated_measure(truncated, 2).kind == ATOMS
+        source = random_measure(rng, space, X)
+        plain = basis_truncated_measure(source, 3)
+        expected = source.atoms.copy()
+        expected[:, 3:] = 0.0
+        assert plain.record is None and plain.atoms.tobytes() == expected.tobytes()
+    assert basis_truncated_measure(truncated, 2).record is None
     with pytest.raises(ValueError, match="out of range"):
         basis_truncated_measure(m, 0)
