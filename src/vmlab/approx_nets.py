@@ -286,16 +286,16 @@ def run_net(
     seminorm (which always dominates the norm gap), the pointwise gap
     || I_m f - I_level f ||_X, and the largest weak* gap over the coordinate
     probe functionals evaluated on the test family (defaults to {f}).  The
-    net is read one level at a time; the target's densities are computed
-    once per net.  Against the indicator measure into L1(mu), levels
-    recorded as its truncations read their rows from ``_truncation_tails``,
-    and its averages over blocks of one weight from ``_expectation_row``.
+    net is read one level at a time; the target's densities, norm and
+    integral are computed once per net, on the first level that needs them,
+    so a net of closed rows never reads the target's atoms.  Against the
+    indicator measure into L1(mu), levels recorded as its truncations read
+    their rows from ``_truncation_tails``, and its averages over blocks of
+    one weight from ``_expectation_row``.
     """
-    phi = _coordinate_densities(m)
     tests = [f] if tests is None else tests
     kw = dict(exact_cutoff=exact_cutoff, restarts=restarts, seed=seed)
-    target_norm = norm_best(m, f, **kw).value
-    target_value = integrate(m, f)
+    target = None  # densities, norm of f and I_m f, read on the first dense level
     closed = isinstance(m.record, Indicator) and same_norm(m.X, NormSpec.l1_of_mu(m.space))
     if closed:
         tail, wtail = _truncation_tails(m.space.weights, f, tests)
@@ -312,6 +312,9 @@ def run_net(
             # the level's atoms are nonnegative, so its norm of f is the target's
             levels.append(NetLevelStats(idx, 0.0, *_expectation_row(m.X, p, f, stack)))
             continue
+        if target is None:
+            target = _coordinate_densities(m), norm_best(m, f, **kw).value, integrate(m, f)
+        phi, target_norm, target_value = target
         level_norm = norm_best(m_level, f, **kw).value
         dev = deviation_seminorm(m, m_level, f, **kw)
         pointwise = x_norm(m.X, target_value - integrate(m_level, f))

@@ -6,7 +6,7 @@ class VmlabError(Exception):
 
 
 class CapacityExceeded(VmlabError):
-    """A combinatorial routine was asked to exceed its enumeration budget."""
+    """A routine was asked to exceed its enumeration budget or draw limit."""
 
 
 class NotPolyhedral(VmlabError):

@@ -18,11 +18,16 @@ Derived draws (documented because reports depend on them):
   * ``normal()``   Box-Muller from two uniforms, cosine branch only.
   * ``normals(k)`` k normals as a float64 array, bitwise k ``normal()`` calls:
                    output i is the mix of ``state + (i + 1) * GAMMA``, so
-                   the outputs come from numpy uint64 arithmetic; log and
-                   cos stay per element on ``math``, whose last bits numpy's
-                   versions do not always match.  Both go in slices of
-                   ``_NORMALS_SLICE`` normals, so the temporaries and the
-                   Python float lists never hold more than one slice.
+                   the outputs come from numpy uint64 arithmetic.  The
+                   cosine is numpy's float64 ``cos``, whose loop calls
+                   libm's ``cos`` per element as ``math.cos`` does.  The
+                   logarithm is ``_log``, which keeps ``math.log``'s bits
+                   by a rounding test (numpy's float64 ``log`` does not
+                   always match them).  Both go in slices of
+                   ``_NORMALS_SLICE`` normals, so the temporaries never hold
+                   more than one slice.  A call asking for more than
+                   ``NORMALS_LIMIT`` normals (2**25, 256 MB of output)
+                   raises ``CapacityExceeded`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -31,11 +36,54 @@ import math
 
 import numpy as np
 
+from .errors import CapacityExceeded
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _NORMALS_SLICE = 1 << 16
+NORMALS_LIMIT = 1 << 25
+_LOG_MARGIN = 0.5 - 2.0**-5  # of the spacing from D toward zero; see ``_log``
+
+
+def _log(u: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry of a positive float64 array, bitwise.
+
+    Ziv's rounding test (A. Ziv, ACM TOMS 17(3), 1991): take L = logl(u) in
+    numpy's extended ``longdouble`` and its nearest double D.  Let s be the
+    spacing of doubles from D toward zero (half the ulp of D when |D| is a
+    power of two), so no other double lies within s of D.  Where
+    |L - D| <= (1/2 - 2^-5) s, D is ``math.log(u)``; the other entries, about
+    one in sixteen, are recomputed by ``math.log``.  Proof, with y = log u:
+
+      * logl is within 2^-10 ulp(y) of y (two units of x87's 64-bit
+        significand; quad precision is closer still);
+      * libm's ``log`` returns y' rounded to nearest, with y' within
+        2^-5 - 2^-10 ulp(y) of y, so its worst error is below
+        1/2 + 2^-5 - 2^-10 ulp.  glibc >= 2.28 documents 0.519 ulp for its
+        ``log``, which musl shares;
+      * usually ulp(y) = s, and then |y' - D| < (1/2 - 2^-5) s + 2^-5 s =
+        s / 2, so y' rounds to D.  Otherwise |D| is a power of two and y lies
+        beyond it, where ulp(y) = 2 s and the doubles are 2 s apart: y' is
+        within (1/2 - 2^-5) s + 2^-4 s < s of D on that side, or within
+        2^-4 s < s / 2 of it on the other, and rounds to D either way.
+
+    Where ``longdouble`` is ``double``, L is libm's ``log`` itself, so
+    L = D and no entry is recomputed.
+    """
+    extended = u.astype(np.longdouble)
+    np.log(extended, out=extended)  # in place where it can: fresh slice-sized temporaries cost page faults
+    out = extended.astype(np.float64)
+    extended -= out  # exact: the residual of the rounding
+    residual = np.abs(extended.astype(np.float64))
+    spacing = np.nextafter(out, 0.0)
+    spacing -= out
+    np.abs(spacing, out=spacing)
+    spacing *= _LOG_MARGIN
+    (near,) = np.nonzero(residual > spacing)
+    out[near] = list(map(math.log, u[near].tolist()))
+    return out
 
 
 class SplitMix64:
@@ -77,6 +125,8 @@ class SplitMix64:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def normals(self, k: int) -> np.ndarray:
+        if k > NORMALS_LIMIT:
+            raise CapacityExceeded(f"{k} normals exceed the draw limit {NORMALS_LIMIT}")
         out = np.empty(k)
         for start in range(0, k, _NORMALS_SLICE):
             m = min(_NORMALS_SLICE, k - start)
@@ -84,8 +134,6 @@ class SplitMix64:
             top = (z >> np.uint64(11)).astype(np.float64).reshape(m, 2)  # exact below 2**53
             u1 = (top[:, 0] + 1.0) * 2.0**-53
             u2 = top[:, 1] * 2.0**-53
-            log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, m)
-            cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), np.float64, m)
-            out[start : start + m] = np.sqrt(-2.0 * log_u1) * cos_u2
+            out[start : start + m] = np.sqrt(-2.0 * _log(u1)) * np.cos(2.0 * math.pi * u2)
         self._state = (self._state + 2 * k * _GAMMA) & _MASK
         return out

@@ -550,8 +550,8 @@ def test_an_indicator_basis_run_net_calls_no_engine_per_level(monkeypatch):
     calls = _spy_engines(monkeypatch)
     report = run_net(m, basis_net(m), f)
     assert len(report.levels) == 64
-    # the target's norm, value and densities, once per net; nothing per level
-    assert calls == {"norm_best": 1, "integrate": 1, "_coordinate_densities": 1}
+    # every level is closed, so not even the target's norm, value or densities are read
+    assert calls == {}
 
 
 def _pair_weights(rng, n):
@@ -626,8 +626,8 @@ def test_an_indicator_expectation_run_net_calls_no_engine_per_level(monkeypatch)
         calls.clear()
         report = run_net(m, net, f, tests=tests)
         assert len(report.levels) == 7
-        # the target's norm, value and densities, once per net; nothing per level
-        assert calls == {"norm_best": 1, "integrate": 1, "_coordinate_densities": 1}
+        # every level is closed, so not even the target's norm, value or densities are read
+        assert calls == {}
 
 
 @pytest.mark.parametrize("n", [1, 5, 40, 128])
@@ -670,10 +670,8 @@ def test_other_rn_levels_still_go_through_rn_operator(monkeypatch):
 
 
 def test_indicator_net_levels_into_l1_of_mu_build_no_atoms(monkeypatch):
-    # run_net reads the target's atoms once for its norm, value and densities;
-    # the closed rows read only each level's record
-    from vmlab.vector_measure import Indicator
-
+    # the closed rows read only each level's record, and with no dense level
+    # run_net never reads the target's norm, value or densities either
     rng = np.random.default_rng(32)
     space = MeasureSpace.uniform(64)
     chain = dyadic_chain(6, space)
@@ -682,4 +680,4 @@ def test_indicator_net_levels_into_l1_of_mu_build_no_atoms(monkeypatch):
     m = indicator_measure(space)
     for net in (basis_net(m), rn_net(m), martingale_net(m, chain), rn_net(m, chain)):
         run_net(m, net, f, tests=_block_tests(space, f, chain[-1]))
-    assert builds == [Indicator()]
+    assert builds == []

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +311,17 @@ def test_cli_report_and_exit_codes(tmp_path, capsys):
     data["functions"] = [[1.0] * 22]
     capacity.write_text(json.dumps(data))
     assert cli_main(["report", "--scenario", str(capacity), "--out", str(out)]) == 2
+    capsys.readouterr()
+
+
+def test_series_gap_with_too_many_samples_exits_2_at_once(tmp_path, capsys):
+    # 2 * 2**40 * 4 normals would take 64 TB; the draw limit refuses them unallocated
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    code = cli_main(["series-gap", "--scenario", "canonical-l1", "--samples", str(2**40), "--out", str(out)])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert json.loads(out.read_text())["error"]["type"] == "CapacityExceeded"
     capsys.readouterr()
 
 
