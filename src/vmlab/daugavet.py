@@ -2,11 +2,12 @@
 
 The unit ball of the discretized L1(mu) has extreme points +-chi_i/mu_i, so
 the norm of any operator with that domain is the maximum of the codomain
-norms of its weighted columns.  Operators come in two forms: a dense
-``OperatorMatrix`` and a ``FactoredOperator`` delta Id + g mu^T, the form of
-the integration maps of the indicator and the rank-one measure.  Sums of
-factored operators stay factored and their column norms have a closed form,
-so they cost O(n) with no n x n array.  On either form the module measures
+norms of its weighted columns.  Operators come dense (``OperatorMatrix``) or
+factored (``FactoredOperator`` delta Id + g mu^T, the form that
+``integration_operator`` gives the indicator and rank-one measures into
+L1(mu)).  Factored sums stay factored, with O(n) closed-form norms; any other
+sum is dense, and dense norms depend on the entries only, not on their memory
+layout.  On any mix of forms the module measures
 
   * the Daugavet defect  ||Id|| + ||T|| - ||Id + T||  (zero iff the Daugavet
     equation holds for T); ``rank_one_defect`` is the O(n) case
@@ -14,10 +15,10 @@ so they cost O(n) with no n x n array.  On either form the module measures
   * the center defect    ||G|| + ||T|| - ||G + T||,
   * an empirical gap bound for approximating an operator by a finite sum:
     whenever ||G + T|| >= C + ||T|| over a family, any sum T_hat from that
-    family keeps ||G - T_hat|| >= C; on factored operators the gap, the
-    parts and the sampled family cost O(samples * n),
+    family keeps ||G - T_hat|| >= C; on the factored Id and g mu^T the gap,
+    the parts and the sampled family cost O(samples * n),
 
-and, on dense integration maps, the identity between the operator norm of
+and, from the atoms, the identity between the operator norm of
 a combined map I_m + lambda I_m1 on L1(mu) and the sup over dual extreme
 points of the sup-norm of the combined derivative densities.
 
@@ -29,6 +30,7 @@ different nature; both representations are isometric to the scalar L1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +39,9 @@ from .errors import NotNormalized
 from .measure_core import MeasureSpace, SimpleFunction, l1_mu_norm, same_space
 from .normed_space import NormSpec, dual_extreme_half, norm_rows, same_norm
 from .rng import SplitMix64
-from .vector_measure import VectorMeasure, indicator_measure, rank_one_measure, same_setting
+from .vector_measure import (
+    Indicator, RankOne, VectorMeasure, indicator_measure, rank_one_measure, same_setting,
+)
 
 _COLUMN_CHUNK = 512
 
@@ -89,8 +93,14 @@ def identity_operator(space: MeasureSpace) -> OperatorMatrix:
     return OperatorMatrix(entries, space, NormSpec.l1_of_mu(space))
 
 
-def integration_operator(m: VectorMeasure) -> OperatorMatrix:
-    """The matrix of f |-> sum_i f_i m_i with columns the atom vectors."""
+def integration_operator(m: VectorMeasure):
+    """f |-> sum_i f_i m_i: factored for the records ``Indicator()`` and ``RankOne(g)``
+    into L1(mu), building no atoms; otherwise the matrix whose columns are the atoms."""
+    if same_norm(m.X, NormSpec.l1_of_mu(m.space)):
+        if type(m.record) is Indicator:
+            return FactoredOperator(m.space, 1.0, np.zeros(m.space.n))
+        if type(m.record) is RankOne:
+            return FactoredOperator(m.space, 0.0, m.record.g)
     return OperatorMatrix(m.atoms.T, m.space, m.X)
 
 
@@ -107,10 +117,10 @@ def rank_one_operator(space: MeasureSpace, g, h) -> OperatorMatrix:
 class FactoredOperator:
     """delta * Id + g mu^T on the discretized L1(mu), kept as delta and g.
 
-    Column j is delta e_j + mu_j g.  ``identity`` and ``rank_one`` are the
-    integration maps of ``indicator_measure`` and ``rank_one_measure``;
-    sums and differences of such maps keep the form.  ``g`` is copied and
-    frozen.
+    Column j is delta e_j + mu_j g.  Id and g mu^T are the integration
+    maps of ``indicator_measure`` and ``rank_one_measure`` (see
+    ``integration_operator``); sums and differences of such maps keep the
+    form.  ``g`` is copied and frozen.
     """
 
     domain: MeasureSpace
@@ -129,17 +139,17 @@ class FactoredOperator:
     def codomain(self) -> NormSpec:
         return NormSpec.l1_of_mu(self.domain)
 
-    @classmethod
-    def identity(cls, space: MeasureSpace) -> "FactoredOperator":
-        return cls(space, 1.0, np.zeros(space.n))
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The read-only n x n matrix delta Id + g mu^T, built on first read."""
+        e = np.outer(self.g, self.domain.weights)
+        e.flat[:: self.domain.n + 1] += self.delta
+        e.setflags(write=False)
+        return e
 
-    @classmethod
-    def rank_one(cls, space: MeasureSpace, g) -> "FactoredOperator":
-        """f |-> (sum_i f_i mu_i) * g, the integration map of ``rank_one_measure(space, g)``."""
-        return cls(space, 0.0, g)
 
-
-def combine_operators(a: OperatorMatrix, lam: float, b: OperatorMatrix) -> OperatorMatrix:
+def combine_operators(a, lam: float, b) -> OperatorMatrix:
+    """a + lam * b as a dense operator; either may be factored."""
     if not _same_shape(a, b):
         raise ValueError("operators have different domains or codomains")
     entries = a.entries + b.entries if lam == 1.0 else a.entries + lam * b.entries
@@ -163,7 +173,8 @@ def opnorm_from_l1(S: OperatorMatrix) -> OpNormResult:
     best_column = 0
     for start in range(0, n, _COLUMN_CHUNK):
         stop = min(start + _COLUMN_CHUNK, n)
-        vals = norm_rows(S.codomain, S.entries[:, start:stop].T) / mu[start:stop]
+        rows = np.ascontiguousarray(S.entries[:, start:stop].T)  # bits independent of layout
+        vals = norm_rows(S.codomain, rows) / mu[start:stop]
         i = int(np.argmax(vals))
         if vals[i] > best_value:
             best_value = float(vals[i])
@@ -188,17 +199,9 @@ class DefectReport:
         return self.norm_G + self.norm_T - self.norm_sum
 
 
-def _require_l1_endomorphism(T: OperatorMatrix):
-    if not same_norm(T.codomain, NormSpec.l1_of_mu(T.domain)):
-        raise ValueError("operator must map the discretized L1(mu) to itself")
-
-
 def daugavet_defect(T) -> DefectReport:
-    """||Id|| + ||T|| - ||Id + T|| with every norm computed, Id in the form of T."""
-    _require_l1_endomorphism(T)
-    factored = isinstance(T, FactoredOperator)
-    ident = FactoredOperator.identity(T.domain) if factored else identity_operator(T.domain)
-    return center_defect(ident, T)
+    """||Id|| + ||T|| - ||Id + T|| with every norm computed, Id factored; T maps L1(mu) to itself."""
+    return center_defect(integration_operator(indicator_measure(T.domain)), T)
 
 
 def _rank_one_norms(mu: np.ndarray, g: np.ndarray, t: np.ndarray):
@@ -229,12 +232,11 @@ def _opnorm(S) -> float:
 
 
 def _plus(a, lam: float, b):
-    """a + lam * b; both dense (``combine_operators``) or both factored."""
-    if type(a) is not type(b) or not _same_shape(a, b):
-        raise ValueError("operators have different domains, codomains or forms")
-    if isinstance(a, OperatorMatrix):
-        return combine_operators(a, lam, b)
-    return FactoredOperator(a.domain, a.delta + lam * b.delta, a.g + lam * b.g)
+    """a + lam * b: factored when both are, else dense by ``combine_operators``."""
+    both_factored = isinstance(a, FactoredOperator) and isinstance(b, FactoredOperator)
+    if both_factored and same_space(a.domain, b.domain):
+        return FactoredOperator(a.domain, a.delta + lam * b.delta, a.g + lam * b.g)
+    return combine_operators(a, lam, b)
 
 
 def rank_one_defect(space: MeasureSpace, g, h) -> DefectReport:
@@ -242,7 +244,7 @@ def rank_one_defect(space: MeasureSpace, g, h) -> DefectReport:
 
     At power-of-two uniform sizes with g = +-1 and h = 1 the result is
     bitwise the dense one; elsewhere the two differ in the last bits.  With
-    h = 1 it is bitwise ``daugavet_defect(FactoredOperator.rank_one(space, g))``.
+    h = 1 it is bitwise ``daugavet_defect(integration_operator(rank_one_measure(space, g)))``.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -253,7 +255,7 @@ def rank_one_defect(space: MeasureSpace, g, h) -> DefectReport:
 
 
 def center_defect(G, T) -> DefectReport:
-    """||G|| + ||T|| - ||G + T||, G and T both dense or both factored; zero iff they add norms."""
+    """||G|| + ||T|| - ||G + T||, in either form; zero iff they add norms."""
     total = _plus(G, 1.0, T)
     return DefectReport(_opnorm(G), _opnorm(T), _opnorm(total))
 
@@ -280,18 +282,19 @@ class DensityIdentityReport:
 def density_norm_identity(
     m: VectorMeasure, m1: VectorMeasure, lam: float
 ) -> DensityIdentityReport:
-    """Check that the combined operator norm equals the density-side supremum."""
+    """Check that the combined operator norm equals the density-side supremum.
+
+    The columns of I_m + lambda I_m1 are the combined atoms m_i + lambda m1_i."""
     if not same_setting(m, m1):
         raise ValueError("measures live on different spaces or value spaces")
-    combined = combine_operators(integration_operator(m), lam, integration_operator(m1))
-    operator_side = opnorm_from_l1(combined).value
+    combined = m.atoms + lam * m1.atoms
+    combined.setflags(write=False)
+    operator_side = opnorm_from_l1(OperatorMatrix(combined.T, m.space, m.X)).value
 
     mu = m.space.weights
     pts = dual_extreme_half(m.X)  # one of each +-x*; NotPolyhedral for L2-type value norms
-    densities = np.abs((m.atoms + lam * m1.atoms) @ pts.T) / mu[:, None]
-    density_side = float(np.max(densities))
-
-    atom_side = float(np.max(norm_rows(m.X, m.atoms + lam * m1.atoms) / mu))
+    density_side = float(np.max(np.abs(combined @ pts.T) / mu[:, None]))
+    atom_side = float(np.max(norm_rows(m.X, combined) / mu))
     return DensityIdentityReport(operator_side, density_side, atom_side)
 
 
@@ -323,22 +326,20 @@ def _sampled_center_values(G, samples: int, seed: int) -> np.ndarray:
     mu_j (g + h_sj g_s), whose norm over mu_j is the convex function
     phi_s(r) = sum_i mu_i |g_i + r g_si| at r = h_sj; its largest value over j
     sits at the smallest or the largest h_sj, so two columns per sample
-    suffice.  For G = delta Id the columns of ``_rank_one_norms`` apply.  A
-    dense G pays one n x n temporary per sample.
+    suffice.  For G = delta Id the columns of ``_rank_one_norms`` apply.  Any
+    other G, dense or factored, pays one n x n temporary per sample.
     """
     if not same_norm(G.codomain, NormSpec.l1_of_mu(G.domain)):
         raise ValueError("operators have different domains or codomains")
     factored = isinstance(G, FactoredOperator)
-    if factored and G.delta != 0.0 and np.any(G.g):
-        raise ValueError("the sampled family needs a factored G with delta = 0 or g = 0")
     mu = G.domain.weights
     g, h = _sampled_rank_ones(G.domain, samples, seed)
     t = h * mu
-    if factored and G.delta != 0.0:
+    if factored and G.delta != 0.0 and not np.any(G.g):
         norm_t, norm_sum = _rank_one_norms(mu, g / G.delta, t)
         return abs(G.delta) * (norm_sum - norm_t)
     norm_t = _rank_one_norms(mu, g, t)[0]
-    if factored:
+    if factored and G.delta == 0.0:
         ends = np.stack([np.min(h, axis=1), np.max(h, axis=1)], axis=1)
         columns = ends[:, :, None] * g[:, None, :]  # (samples, 2, n)
         columns += G.g
@@ -370,13 +371,12 @@ def series_approximation_gap(
     n the bound only holds approximately, so both numbers are reported and
     nothing is asserted.
 
-    G, the parts and an explicit ``family`` are all ``OperatorMatrix`` or all
-    ``FactoredOperator`` (``ValueError`` otherwise); the parts are subtracted
-    one at a time.  Factored operators never become matrices: the residual
-    and every sum are again delta Id + g mu^T, with column norms over mu_j
-    equal to ||g|| + |delta + mu_j g_j| - |mu_j g_j|, so the whole call costs
-    O(samples * n).  The default family is never built as operators either;
-    on a factored G it needs delta = 0 or g = 0 (``ValueError`` otherwise).
+    G, the parts and an explicit ``family`` may mix the two forms; the parts
+    are subtracted one at a time.  Sums of factored operators stay factored:
+    the residual and every sum are again delta Id + g mu^T, with column norms
+    over mu_j equal to ||g|| + |delta + mu_j g_j| - |mu_j g_j|.  The default
+    family is never built as operators, so on G = delta Id or G = g mu^T the
+    whole call costs O(samples * n); any other G reads its n x n entries.
     """
     residual = G
     for T in parts:

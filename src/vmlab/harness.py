@@ -36,12 +36,14 @@ Reports are deterministic for a fixed scenario (the wall-time metadata field
 aside); floats are serialized with 17 significant digits so JSON round-trips
 exactly.  CSV output has one row per net level or sweep point with the
 documented per-experiment header.  Daugavet sweep points use the O(n)
-rank-one formula and run in sweep order on the calling thread.  Each measure
-kind has one constructor, which gives indicator the record ``Indicator()``,
-rank_one ``RankOne(g)``, composed over an indicator base ``Truncation(k)``,
-and the others their atom matrix.  Runners read these records, never ``raw``
-(only echoed): series_gap on an ``Indicator`` or ``RankOne`` record runs on
-factored operators in O(samples * n), building no atoms; on others densely.
+rank-one formula and run in sweep order on the calling thread; a sweep size
+above ``SWEEP_LIMIT`` raises ``CapacityExceeded`` before any point runs.
+Each measure kind has one constructor, which gives indicator the record
+``Indicator()``, rank_one ``RankOne(g)``, composed over an indicator base
+``Truncation(k)``, and the others their atom matrix.  Runners read these
+records, never ``raw`` (only echoed): series_gap takes G from
+``daugavet.integration_operator``, which is factored for an ``Indicator`` or
+``RankOne`` record (O(samples * n), no atoms built) and dense otherwise.
 """
 
 from __future__ import annotations
@@ -58,21 +60,17 @@ import numpy as np
 from . import __version__
 from .approx_nets import basis_net, basis_truncated_measure, martingale_net, rn_net, run_net
 from .daugavet import (
-    FactoredOperator,
-    density_norm_identity,
-    integration_operator,
-    rank_one_defect,
-    rank_one_operator,
-    series_approximation_gap,
+    density_norm_identity, integration_operator, rank_one_defect, series_approximation_gap,
 )
-from .errors import ParseError, ValidationError, VmlabError
+from .errors import CapacityExceeded, ParseError, ValidationError, VmlabError
 from .l1m_norm import DEFAULT_EXACT_CUTOFF, HEURISTIC, norm_best, norm_heuristic
 from .measure_core import MeasureSpace, SimpleFunction, dyadic_chain
 from .normed_space import NormSpec, same_norm
 from .rng import SplitMix64
-from .vector_measure import Indicator, RankOne, VectorMeasure, indicator_measure, rank_one_measure
+from .vector_measure import VectorMeasure, indicator_measure, rank_one_measure
 
 SCHEMA_VERSION = 1
+SWEEP_LIMIT = 1 << 20  # largest daugavet sweep size: a point holds about ten n-float arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,6 +335,8 @@ def _daugavet_point(n: int, sign: float) -> list:
 
 
 def _run_daugavet(sc: Scenario, exp: dict) -> dict:
+    if max(exp["sweep"]) > SWEEP_LIMIT:
+        raise CapacityExceeded(f"daugavet sweep size {max(exp['sweep'])} exceeds the limit {SWEEP_LIMIT}")
     rows = [_daugavet_point(n, float(exp["sign"])) for n in exp["sweep"]]
     return {"columns": ["n", "norm_id", "norm_T", "norm_sum", "defect"], "rows": rows}
 
@@ -351,18 +351,9 @@ def _run_identity(sc: Scenario, exp: dict) -> dict:
 
 
 def _run_series_gap(sc: Scenario, exp: dict) -> dict:
-    """G is the measure's integration map, factored where the measure's record
-    allows; the part is sign * 1 mu^T."""
-    space, m = sc.space, sc.measure
-    ones = np.ones(space.n)
-    sign = float(exp["sign"])
-    part = FactoredOperator.rank_one(space, sign * ones)
-    if isinstance(m.record, Indicator):
-        G = FactoredOperator.identity(space)
-    elif isinstance(m.record, RankOne):
-        G = FactoredOperator.rank_one(space, m.record.g)
-    else:
-        G, part = integration_operator(m), rank_one_operator(space, sign * ones, ones)
+    """G is the measure's integration map; the part is that of sign * 1 mu^T."""
+    G = integration_operator(sc.measure)
+    part = integration_operator(rank_one_measure(sc.space, float(exp["sign"]) * np.ones(sc.space.n)))
     rep = series_approximation_gap(G, [part], samples=exp["samples"], seed=exp["seed"])
     return {"columns": ["gap_norm", "c_estimate"], "rows": [[rep.gap_norm, rep.c_estimate]]}
 

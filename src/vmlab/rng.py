@@ -106,12 +106,18 @@ class SplitMix64:
         return 1.0 if (self.next_u64() & 1) == 0 else -1.0
 
     def _outputs(self, skip: int, count: int) -> np.ndarray:
-        """Outputs skip+1 .. skip+count from the current state, as uint64, state unchanged."""
-        steps = np.arange(skip + 1, skip + count + 1, dtype=np.uint64)
-        z = steps * np.uint64(_GAMMA) + np.uint64(self._state)  # wraps mod 2**64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        """Outputs skip+1 .. skip+count from the current state, as uint64, state unchanged;
+        every step runs in place, since each fresh slice-sized array costs page faults."""
+        z = np.arange(skip + 1, skip + count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)  # wraps mod 2**64
+        z += np.uint64(self._state)
+        shifted = np.empty_like(z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+            np.right_shift(z, np.uint64(shift), out=shifted)
+            z ^= shifted
+            if mix is not None:
+                z *= np.uint64(mix)
+        return z
 
     def signs(self, k: int) -> np.ndarray:
         out = 1.0 - 2.0 * (self._outputs(0, k) & np.uint64(1)).astype(np.float64)
@@ -131,7 +137,8 @@ class SplitMix64:
         for start in range(0, k, _NORMALS_SLICE):
             m = min(_NORMALS_SLICE, k - start)
             z = self._outputs(2 * start, 2 * m)
-            top = (z >> np.uint64(11)).astype(np.float64).reshape(m, 2)  # exact below 2**53
+            z >>= np.uint64(11)
+            top = z.astype(np.float64).reshape(m, 2)  # exact below 2**53
             u1 = (top[:, 0] + 1.0) * 2.0**-53
             u2 = top[:, 1] * 2.0**-53
             out[start : start + m] = np.sqrt(-2.0 * _log(u1)) * np.cos(2.0 * math.pi * u2)

@@ -19,6 +19,7 @@ from vmlab import (
     daugavet_defect,
     density_norm_identity,
     identity_operator,
+    indicator_measure,
     integration_operator,
     l1_mu_norm,
     norm,
@@ -340,7 +341,7 @@ def _l1_operators(rng, space):
     l1 = NormSpec.l1_of_mu(space)
     return {
         "identity": identity_operator(space),
-        "rank_one": integration_operator(rank_one_measure(space, rng.normal(size=n))),
+        "rank_one": rank_one_operator(space, rng.normal(size=n), np.ones(n)),
         "random": OperatorMatrix(rng.normal(size=(n, n)), space, l1),
         # one nonzero per column but not the identity
         "permutation": OperatorMatrix(np.eye(n)[::-1], space, l1),
@@ -387,6 +388,14 @@ def test_series_gap_sampled_family_needs_l1_of_mu_codomain():
     assert series_approximation_gap(G, [], samples=0).c_estimate == np.inf
 
 
+def _factored_identity(space):
+    return integration_operator(indicator_measure(space))
+
+
+def _factored_rank_one(space, g):
+    return integration_operator(rank_one_measure(space, g))
+
+
 def _dense(F):
     """The n x n matrix of a factored operator."""
     space = F.domain
@@ -415,12 +424,12 @@ def test_factored_series_gap_matches_dense_reference(monkeypatch):
         samples = int(rng.integers(0, 21))
         seed = int(rng.integers(0, 2**63))
         if trial % 3 == 0:
-            G = FactoredOperator.identity(space)
-        elif trial % 3 == 1:  # gap and parts only: no family is sampled on delta = 1, g != 0
-            G, samples = FactoredOperator(space, 1.0, g), 0
+            G = _factored_identity(space)
+        elif trial % 3 == 1:  # the sampled family reads the entries of delta = 1, g != 0
+            G = FactoredOperator(space, 1.0, g)
         else:
-            G = FactoredOperator.rank_one(space, g)
-        parts = [FactoredOperator.rank_one(space, sign * np.ones(n))]
+            G = _factored_rank_one(space, g)
+        parts = [_factored_rank_one(space, sign * np.ones(n))]
         if trial % 5 == 0:
             parts.append(FactoredOperator(space, float(rng.integers(0, 2)), rng.normal(size=n)))
         if trial % 4 == 3:
@@ -445,7 +454,7 @@ def test_factored_series_gap_matches_dense_reference(monkeypatch):
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_factored_indicator_is_bitwise_the_dense_path(n, sign):
     space = MeasureSpace.uniform(n)
-    factored = (FactoredOperator.identity(space), [FactoredOperator.rank_one(space, sign * np.ones(n))])
+    factored = (_factored_identity(space), [_factored_rank_one(space, sign * np.ones(n))])
     dense = (identity_operator(space), [rank_one_operator(space, sign * np.ones(n), np.ones(n))])
     # gap and part: every column norm is an exact dyadic number
     assert repr(series_approximation_gap(*factored, family=[])) == repr(
@@ -465,15 +474,15 @@ def test_factored_series_gap_at_a_million_atoms():
     n = 10**6  # a dense operator would need 8 TB
     space = MeasureSpace.uniform(n)
     g = np.random.default_rng(23).normal(size=n)
-    G = FactoredOperator.rank_one(space, g)
-    part = FactoredOperator.rank_one(space, -np.ones(n))
+    G = _factored_rank_one(space, g)
+    part = _factored_rank_one(space, -np.ones(n))
     rep = series_approximation_gap(G, [part], samples=1, seed=3)
     norm_g = float(np.mean(np.abs(g)))
     assert rep.gap_norm == pytest.approx(float(np.mean(np.abs(g + 1.0))), rel=1e-12)
     # the part's value ||G + P|| - ||P|| bounds the estimate above, the
     # triangle inequality -||G|| below
     assert -norm_g - 1e-12 <= rep.c_estimate <= float(np.mean(np.abs(g - 1.0))) - 1.0 + 1e-12
-    rep = series_approximation_gap(FactoredOperator.identity(space), [part], samples=1, seed=3)
+    rep = series_approximation_gap(_factored_identity(space), [part], samples=1, seed=3)
     assert rep.gap_norm == pytest.approx(2.0, rel=1e-12)
     assert rep.c_estimate == pytest.approx(1.0 - 2.0 / n, abs=1e-9)
 
@@ -481,15 +490,8 @@ def test_factored_series_gap_at_a_million_atoms():
 def test_factored_series_gap_refusals():
     space = MeasureSpace.uniform(4)
     G = FactoredOperator(space, 1.0, np.ones(4))
-    with pytest.raises(ValueError, match="sampled family"):
-        series_approximation_gap(G, [], samples=1)
     # column j / mu_j: ||g|| + |1 + mu_j g_j| - |mu_j g_j| = 1 + 1.25 - 0.25
     assert series_approximation_gap(G, [], samples=0).gap_norm == 2.0
-    dense_part = rank_one_operator(space, np.ones(4), np.ones(4))
-    with pytest.raises(ValueError, match="forms"):
-        series_approximation_gap(G, [dense_part], samples=0)
-    with pytest.raises(ValueError, match="forms"):
-        series_approximation_gap(_dense(G), [FactoredOperator.identity(space)], samples=0)
     with pytest.raises(ValueError, match="length 4"):
         FactoredOperator(space, 0.0, np.ones(3))
 
@@ -498,8 +500,8 @@ def test_factored_series_gap_refusals():
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_factored_defects_are_bitwise_dense_on_uniform_sizes(n, sign):
     space = MeasureSpace.uniform(n)
-    ident = FactoredOperator.identity(space)
-    T = FactoredOperator.rank_one(space, sign * np.ones(n))
+    ident = _factored_identity(space)
+    T = _factored_rank_one(space, sign * np.ones(n))
     for G, S in ((ident, ident), (ident, T), (T, ident), (T, T)):
         assert _fields(center_defect(G, S)) == _fields(center_defect(_dense(G), _dense(S)))
     assert _fields(daugavet_defect(T)) == _fields(daugavet_defect(_dense(T)))
@@ -532,16 +534,111 @@ def test_factored_daugavet_defect_is_rank_one_defect():
         g = rng.normal(size=space.n) * rng.uniform(0.0, 3.0)
         g[rng.random(space.n) < 0.3] = 0.0
         fast = rank_one_defect(space, g, np.ones(space.n))
-        assert _fields(daugavet_defect(FactoredOperator.rank_one(space, g))) == _fields(fast)
+        assert _fields(daugavet_defect(_factored_rank_one(space, g))) == _fields(fast)
 
 
-def test_defects_refuse_mixed_forms():
-    space = MeasureSpace.uniform(4)
-    factored = FactoredOperator.rank_one(space, np.ones(4))
-    with pytest.raises(ValueError, match="forms"):
-        center_defect(identity_operator(space), factored)
-    with pytest.raises(ValueError, match="forms"):
-        center_defect(factored, _dense(factored))
+def _random_factored(rng, space):
+    return FactoredOperator(space, rng.choice([0.0, 1.0, -1.0, 2.5]), rng.normal(size=space.n))
+
+
+def test_factored_entries_are_its_matrix_built_once_and_read_only():
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        space = random_space(rng, int(rng.integers(1, 20)))
+        F = _random_factored(rng, space)
+        assert np.array_equal(F.entries, _dense(F).entries)
+        assert F.entries is F.entries and not F.entries.flags.writeable
+        assert OperatorMatrix(F.entries, space, F.codomain).entries is F.entries
+
+
+def test_mixed_forms_are_the_dense_call_on_the_entries():
+    # a factored F mixed with a dense D gives the bits of the same call with
+    # F's matrix in its place; only F's own norm comes from the closed form
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        space = random_space(rng, int(rng.integers(1, 30)))
+        n = space.n
+        F = _random_factored(rng, space)
+        Fd = OperatorMatrix(F.entries, space, F.codomain)
+        D, D2 = (OperatorMatrix(rng.normal(size=(n, n)), space, F.codomain) for _ in range(2))
+        lam = float(rng.normal())
+        for a, b, a_dense, b_dense in ((F, D, Fd, D), (D, F, D, Fd)):
+            mixed = daugavet._plus(a, lam, b)
+            assert type(mixed) is OperatorMatrix
+            assert mixed.entries.tobytes() == daugavet._plus(a_dense, lam, b_dense).entries.tobytes()
+        fast, dense = center_defect(F, D), center_defect(Fd, D)
+        assert repr((fast.norm_T, fast.norm_sum)) == repr((dense.norm_T, dense.norm_sum))
+        assert fast.norm_G == pytest.approx(dense.norm_G, rel=1e-15, abs=0.0)
+        fast, dense = center_defect(D, F), center_defect(D, Fd)
+        assert repr((fast.norm_G, fast.norm_sum)) == repr((dense.norm_G, dense.norm_sum))
+        assert fast.norm_T == pytest.approx(dense.norm_T, rel=1e-15, abs=0.0)
+        assert repr(daugavet_defect(D)) == repr(center_defect(identity_operator(space), D))
+        # G = F: the residual and every sum are dense, and F's own norm is never read
+        assert repr(series_approximation_gap(F, [D], family=[D2])) == repr(
+            series_approximation_gap(Fd, [D], family=[D2])
+        )
+        if F.delta != 0.0:  # the sampled family on delta Id + g mu^T, g != 0, reads the entries
+            seed = int(rng.integers(0, 2**63))
+            assert repr(series_approximation_gap(F, [D], samples=4, seed=seed)) == repr(
+                series_approximation_gap(Fd, [D], samples=4, seed=seed)
+            )
+        # F as a part: ||F|| enters the estimate
+        fast = series_approximation_gap(D, [F], family=[D2])
+        dense = series_approximation_gap(D, [Fd], family=[D2])
+        assert repr(fast.gap_norm) == repr(dense.gap_norm)
+        assert fast.c_estimate == pytest.approx(dense.c_estimate, rel=0.0, abs=1e-15 * opnorm_from_l1(Fd).value)
+
+
+def _both_layouts(rng, space, X):
+    entries = rng.normal(size=(X.dim, space.n))
+    return [OperatorMatrix(order(entries), space, X) for order in (np.ascontiguousarray, np.asfortranarray)]
+
+
+def test_opnorm_ignores_memory_layout():
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        space = random_space(rng, int(rng.integers(2, 64)))
+        if trial % 3 == 0:
+            X = NormSpec.l1_of_mu(space)
+        else:
+            X = random_norm_spec(rng, int(rng.integers(1, 9)), ("L2", "LINF")[trial % 2])
+        c_order, f_order = _both_layouts(rng, space, X)
+        assert c_order.entries.flags.c_contiguous and f_order.entries.flags.f_contiguous
+        assert repr(opnorm_from_l1(c_order)) == repr(opnorm_from_l1(f_order))
+
+
+@pytest.mark.parametrize("n", [513, 1100])
+@pytest.mark.parametrize("kind", ["l1-of-mu", "L2", "LINF"])
+def test_opnorm_ignores_memory_layout_across_chunks(n, kind):
+    rng = np.random.default_rng(n)
+    space = random_space(rng, n)
+    X = NormSpec.l1_of_mu(space) if kind == "l1-of-mu" else random_norm_spec(rng, 24, kind)
+    c_order, f_order = _both_layouts(rng, space, X)
+    assert repr(opnorm_from_l1(c_order)) == repr(opnorm_from_l1(f_order))
+
+
+def test_integration_operator_takes_its_form_from_the_record(monkeypatch):
+    from helpers import spy_record_builds
+    from vmlab.vector_measure import Truncation
+
+    builds = spy_record_builds(monkeypatch)
+    rng = np.random.default_rng(30)
+    space = random_space(rng, 5)
+    g = rng.normal(size=5)
+    ident = integration_operator(indicator_measure(space))
+    assert type(ident) is FactoredOperator and ident.delta == 1.0 and not np.any(ident.g)
+    rank_one = integration_operator(rank_one_measure(space, g))
+    assert type(rank_one) is FactoredOperator and rank_one.delta == 0.0 and np.array_equal(rank_one.g, g)
+    assert builds == []  # neither map reads atoms
+    l1 = NormSpec.l1_of_mu(space)
+    for m in (
+        VectorMeasure(space, l1, record=Truncation(2)),
+        VectorMeasure(space, l1, rng.normal(size=(5, 5))),
+        indicator_measure(space, NormSpec.l2(5)),  # d = n, but not into L1(mu)
+        rank_one_measure(space, g, NormSpec.linf(5)),
+    ):
+        op = integration_operator(m)
+        assert type(op) is OperatorMatrix and np.array_equal(op.entries, m.atoms.T)
 
 
 def test_dense_series_gap_with_two_parts_matches_reference():

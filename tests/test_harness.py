@@ -7,15 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vmlab import MeasureSpace, NormSpec, ParseError, ValidationError, VectorMeasure
+from vmlab import MeasureSpace, NormSpec, ParseError, ValidationError
 from vmlab.cli import _build_parser
 from vmlab.cli import main as cli_main
-from vmlab.daugavet import (
-    FactoredOperator,
-    integration_operator,
-    rank_one_operator,
-    series_approximation_gap,
-)
+from vmlab.daugavet import FactoredOperator, OperatorMatrix, series_approximation_gap
 from vmlab.harness import (
     EXPERIMENTS,
     PRESETS,
@@ -322,6 +317,30 @@ def test_series_gap_with_too_many_samples_exits_2_at_once(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert json.loads(out.read_text())["error"]["type"] == "CapacityExceeded"
+    capsys.readouterr()
+
+
+def test_daugavet_sweep_past_the_limit_exits_2_before_any_point(tmp_path, monkeypatch, capsys):
+    # an n = 2**40 point would allocate three 8 TB arrays; every size is checked before any point runs
+    from vmlab.harness import SWEEP_LIMIT
+
+    assert SWEEP_LIMIT >= 10**6
+    data = _preset("daugavet-sweep")
+    data["space"]["weights"] = [0.25] * 4  # the scenario's own space needs no MeasureSpace.uniform
+    scenario = tmp_path / "sweep.json"
+    scenario.write_text(json.dumps(data))
+
+    def refuse(*_):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(MeasureSpace, "uniform", refuse)
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    code = cli_main(["daugavet", "--scenario", str(scenario), "--sweep", f"4,{2**40}", "--out", str(out)])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "CapacityExceeded" and str(2**40) in error["message"]
     capsys.readouterr()
 
 
@@ -897,21 +916,18 @@ def test_series_gap_runner_matches_the_library_call(monkeypatch, weights, measur
     data["experiment"] = {"kind": "series_gap", "sign": -1, "samples": 8, "seed": 3}
     sc = build_scenario(data)
     space = MeasureSpace.uniform(4) if weights == "uniform" else MeasureSpace(np.array(weights))
-    ones = np.ones(4)
-    if measure["kind"] in ("indicator", "rank_one"):
-        if measure["kind"] == "indicator":
-            G = FactoredOperator.identity(space)
-        else:
-            G = FactoredOperator.rank_one(space, measure["g"])
-        part = FactoredOperator.rank_one(space, -ones)
+    part = FactoredOperator(space, 0.0, -np.ones(4))
+    if measure["kind"] == "indicator":
+        G = FactoredOperator(space, 1.0, np.zeros(4))
+    elif measure["kind"] == "rank_one":
+        G = FactoredOperator(space, 0.0, measure["g"])
     else:
         if measure["kind"] == "composed":  # mu_i * g on the first k coordinates
             atoms = space.weights[:, None] * np.array(measure["base"]["g"])[None, :]
             atoms[:, measure["k"]:] = 0.0
         else:
             atoms = SplitMix64(7).normals(16).reshape(4, 4) if measure["kind"] == "random" else measure["rows"]
-        G = integration_operator(VectorMeasure(space, NormSpec.l1_of_mu(space), atoms))
-        part = rank_one_operator(space, -ones, ones)
+        G = OperatorMatrix(np.array(atoms).T, space, NormSpec.l1_of_mu(space))
     rep = series_approximation_gap(G, [part], samples=8, seed=3)
     forms = []
     gap = harness.series_approximation_gap
