@@ -2,11 +2,12 @@
 
 Three small deterministic tools back the norm and dual-norm engines:
 
-  * a dense one-phase tableau simplex from the slack basis over x >= 0,
-    rows <= b with b >= 0, with Bland's anti-cycling rule, whose pivots are
-    one vectorised row elimination, ``_pivot``, over only the rows with a
-    nonzero in the pivot column and the columns with a nonzero in the
-    pivot row,
+  * a one-phase simplex from the slack basis over x >= 0, rows <= b with
+    b >= 0, with Bland's anti-cycling rule, on the condensed (Tucker)
+    tableau: n + 1 columns, one per nonbasic variable plus the right-hand
+    side, where the full tableau has n + m + 1.  A pivot gives the entering
+    column's slot to the leaving variable and runs one masked elimination,
+    so every entry keeps the bits of the full tableau's,
   * exhaustive search over sign patterns (first component pinned to +1),
     scored in blocks of 2^12 patterns by one matrix product each, for one
     problem or a stack of them,
@@ -23,7 +24,7 @@ bit-for-bit deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,12 +69,14 @@ class LinearProgram:
     """Maximize objective @ x over x >= 0 subject to rows (a, "<=", b) with b >= 0.
 
     The origin is feasible, so the slack basis starts the simplex.  ``bounds``
-    must stay None: every variable is bounded below by 0 alone.
+    must stay None: every variable is bounded below by 0 alone.  ``rows`` is
+    the m x (n + 1) array [a | b] of the constraints, stacked once here.
     """
 
     objective: np.ndarray
     constraints: Sequence[tuple]
     bounds: Optional[Sequence[tuple]] = None
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -89,6 +92,13 @@ class LinearProgram:
                 raise ValueError("constraint row length mismatch")
         if self.bounds is not None:
             raise ValueError("bounds must be None; variables are x >= 0")
+        m = len(self.constraints)
+        rows = np.empty((m, c.size + 1))
+        rows[:, :-1] = np.array([a for a, _, _ in self.constraints], dtype=float).reshape(m, c.size)
+        rows[:, -1] = [b for _, _, b in self.constraints]
+        if not (np.isfinite(rows).all() and np.isfinite(c).all()):
+            raise ValueError("objective, rows and right-hand sides must be finite")
+        object.__setattr__(self, "rows", rows)
 
 
 @dataclass(frozen=True)
@@ -96,65 +106,61 @@ class LPSolution:
     status: str
     point: Optional[np.ndarray]
     value: Optional[float]
+    pivots: int  # pivots the simplex made; reports do not serialize it
 
 
-def _pivot(T, basis, i, j):
-    """Make column j basic in row i: one pivot of the one-phase simplex.
+def _pivot(T, basis, nonbasic, i, c):
+    """Swap nonbasic[c] into the basis at row i: one pivot of the condensed tableau.
 
-    Only the rows with a nonzero in column j and the columns with a nonzero
-    in row i change; every other entry keeps its bits, which differ from a
-    full row elimination at most in the sign of a zero.
+    Column c takes the leaving variable's unit column; then only the rows
+    with a nonzero in the old column c and the columns with a nonzero in
+    row i change, and every other entry keeps its bits, signed zeros
+    included.
     """
-    T[i] /= T[i, j]
-    rows = T[:, j].nonzero()[0]
-    rows = rows[rows != i]
-    cols = T[i].nonzero()[0]
-    T[rows[:, None], cols] -= T[rows, j][:, None] * T[i, cols]
-    basis[i] = j
-
-
-def _bland_simplex(T, basis, cost):
-    """Maximize cost over the tableau in place. Returns 'optimal' or 'unbounded'.
-
-    Bland's rule: the first improving column enters; the leaving row has the
-    minimum ratio, ties going to the smallest basic variable.
-    """
-    while True:
-        reduced = cost - cost[basis] @ T[:, :-1]
-        reduced[basis] = 0.0
-        improving = (reduced > _PIVOT_TOL).nonzero()[0]
-        if improving.size == 0:
-            return OPTIMAL
-        j = improving[0]
-        rows = (T[:, j] > _PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
-            return UNBOUNDED
-        ratios = T[rows, -1] / T[rows, j]
-        ties = rows[ratios == ratios.min()]
-        _pivot(T, basis, ties[np.argmin(basis[ties])], j)
+    factor = T[:, c].copy()
+    T[:, c] = 0.0
+    T[i, c] = 1.0
+    T[i] /= factor[i]
+    eliminated = factor != 0.0
+    eliminated[i] = False
+    np.subtract(T, np.multiply.outer(factor, T[i]), out=T, where=eliminated[:, None] & (T[i] != 0.0))
+    basis[i], nonbasic[c] = nonbasic[c], basis[i]
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """One-phase dense simplex from the slack basis over x >= 0, rows <= b with b >= 0.
+    """One-phase simplex on the condensed tableau from the slack basis over
+    x >= 0, rows <= b with b >= 0.
 
-    Deterministic; the only statuses are OPTIMAL and UNBOUNDED.  Zeros enter
-    the tableau, and leave it in the point, as +0.0.
+    Column c of the tableau holds variable nonbasic[c], the last column the
+    right-hand side.  Bland's rule: the smallest improving variable enters;
+    the leaving row has the minimum ratio, ties going to the smallest basic
+    variable.  Deterministic; the only statuses are OPTIMAL and UNBOUNDED.
+    Zeros enter the tableau, and leave it in the point, as +0.0.
     """
     c = lp.objective
     n, m = c.size, len(lp.constraints)
-    T = np.zeros((m, n + m + 1))
-    T[:, :n] = 0.0 + np.array([a for a, _, _ in lp.constraints], dtype=float).reshape(m, n)
-    T[np.arange(m), n + np.arange(m)] = 1.0
-    T[:, -1] = [b for _, _, b in lp.constraints]
-    basis = n + np.arange(m)
+    T = lp.rows.copy()
+    T[:, :-1] += 0.0
+    basis, nonbasic = n + np.arange(m), np.arange(n)
     cost = np.zeros(n + m)
     cost[:n] = 0.0 + c
-    if _bland_simplex(T, basis, cost) == UNBOUNDED:
-        return LPSolution(UNBOUNDED, None, None)
+    pivots = 0
+    while True:
+        improving = (cost[nonbasic] - cost[basis] @ T[:, :-1] > _PIVOT_TOL).nonzero()[0]
+        if improving.size == 0:
+            break
+        j = improving[nonbasic[improving].argmin()]
+        rows = (T[:, j] > _PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            return LPSolution(UNBOUNDED, None, None, pivots)
+        ratios = T[rows, -1] / T[rows, j]
+        ties = rows[ratios == ratios.min()]
+        _pivot(T, basis, nonbasic, ties[basis[ties].argmin()], j)
+        pivots += 1
     x = np.zeros(n + m)
     x[basis] = T[:, -1]
     x = x[:n] + 0.0
-    return LPSolution(OPTIMAL, x, float(c @ x))
+    return LPSolution(OPTIMAL, x, float(c @ x), pivots)
 
 
 def best_sign_pattern(

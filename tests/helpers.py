@@ -116,8 +116,10 @@ INFEASIBLE = "infeasible"  # a status of this general reference only
 
 
 def _loop_bland_simplex(T, basis, cost, ncols, tol=_PIVOT_TOL):
-    """Maximize cost over the tableau in place. Returns 'optimal' or 'unbounded'."""
+    """Maximize cost over the tableau in place. Returns 'optimal' or 'unbounded'
+    and the pivots made."""
     m = T.shape[0]
+    pivots = 0
     while True:
         cb = cost[basis]
         reduced = cost[:ncols] - cb @ T[:, :ncols]
@@ -128,7 +130,7 @@ def _loop_bland_simplex(T, basis, cost, ncols, tol=_PIVOT_TOL):
                 entering = j
                 break
         if entering < 0:
-            return OPTIMAL
+            return OPTIMAL, pivots
         col = T[:, entering]
         leaving = -1
         best_ratio = np.inf
@@ -141,17 +143,20 @@ def _loop_bland_simplex(T, basis, cost, ncols, tol=_PIVOT_TOL):
                     best_ratio = ratio
                     leaving = i
         if leaving < 0:
-            return UNBOUNDED
+            return UNBOUNDED, pivots
         piv = T[leaving, entering]
         T[leaving] /= piv
         for i in range(m):
             if i != leaving and T[i, entering] != 0.0:
                 T[i] -= T[i, entering] * T[leaving]
         basis[leaving] = entering
+        pivots += 1
 
 
 def loop_solve_lp(lp):
-    """The per-row, per-column two-phase simplex that ``solve_lp`` must equal bitwise."""
+    """The per-row, per-column two-phase simplex that ``solve_lp`` must equal
+    bitwise, pivot count included (phase 1, the artificials pivoted out and
+    phase 2 together)."""
     c = lp.objective
     nvars = c.size
     bounds = list(lp.bounds) if lp.bounds is not None else [(0.0, None)] * nvars
@@ -199,9 +204,9 @@ def loop_solve_lp(lp):
     if m == 0:
         # unconstrained over the nonnegative orthant
         if np.any(cstd > _PIVOT_TOL):
-            return LPSolution(UNBOUNDED, None, None)
+            return LPSolution(UNBOUNDED, None, None, 0)
         x = _loop_recover(np.zeros(nstd), cols, bounds, nvars)
-        return LPSolution(OPTIMAL, x, float(c @ x))
+        return LPSolution(OPTIMAL, x, float(c @ x), 0)
 
     nslack = sum(1 for _, rel, _ in rows if rel != "=")
     A = np.zeros((m, nstd + nslack))
@@ -250,12 +255,13 @@ def loop_solve_lp(lp):
         if rel != "=":
             si += 1
 
+    pivots = 0
     if nart > 0:
         cost1 = np.zeros(ncols)
         cost1[nstd + nslack :] = -1.0
-        _loop_bland_simplex(T, basis, cost1, ncols)
+        _, pivots = _loop_bland_simplex(T, basis, cost1, ncols)
         if cost1[basis] @ T[:, -1] < -1e-7:
-            return LPSolution(INFEASIBLE, None, None)
+            return LPSolution(INFEASIBLE, None, None, pivots)
         # pivot remaining artificials out of the basis, or drop redundant rows
         keep = np.ones(m, dtype=bool)
         for i in range(m):
@@ -269,6 +275,7 @@ def loop_solve_lp(lp):
                             if r != i and T[r, j] != 0.0:
                                 T[r] -= T[r, j] * T[i]
                         basis[i] = j
+                        pivots += 1
                         pivoted = True
                         break
                 if not pivoted:
@@ -281,14 +288,15 @@ def loop_solve_lp(lp):
     ncols = nstd + nslack
     cost2 = np.zeros(ncols)
     cost2[:nstd] = cstd
-    status = _loop_bland_simplex(T, basis, cost2, ncols)
+    status, phase2 = _loop_bland_simplex(T, basis, cost2, ncols)
+    pivots += phase2
     if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, None, None)
+        return LPSolution(UNBOUNDED, None, None, pivots)
 
     xstd = np.zeros(ncols)
     xstd[basis] = T[:, -1]
     x = _loop_recover(xstd[:nstd], cols, bounds, nvars)
-    return LPSolution(OPTIMAL, x, float(c @ x))
+    return LPSolution(OPTIMAL, x, float(c @ x), pivots)
 
 
 def _loop_recover(xstd, cols, bounds, nvars):

@@ -54,6 +54,23 @@ def test_linear_program_refuses_programs_the_origin_does_not_start(constraints, 
         LinearProgram(np.array([1.0]), constraints, bounds)
 
 
+@pytest.mark.parametrize(
+    "objective, constraints",
+    [
+        ([1.0], [([float("nan")], "<=", 1.0)]),
+        ([1.0, 2.0], [([1.0, 1.0], "<=", 1.0), ([0.0, float("inf")], "<=", 1.0)]),
+        ([1.0], [([-float("inf")], "<=", 1.0)]),
+        ([float("nan")], [([1.0], "<=", 1.0)]),
+        ([float("inf")], [([1.0], "<=", 1.0)]),
+        ([1.0], [([1.0], "<=", float("inf"))]),
+        ([float("nan")], []),
+    ],
+)
+def test_linear_program_refuses_non_finite_data(objective, constraints):
+    with pytest.raises(ValueError, match="must be finite"):
+        LinearProgram(np.array(objective), constraints)
+
+
 def _random_lp(rng, nvars=10, nrows=8):
     """Random rows and a box 0 <= x_j <= ub_j, the box as rows too."""
     c = rng.normal(size=nvars)
@@ -126,42 +143,97 @@ def _origin_feasible_lp(rng):
 
 
 def test_pivot_is_bitwise_the_row_loop_and_keeps_signed_zeros():
+    """A condensed pivot equals a row-loop pivot of the full tableau (n + m
+    variable columns, the basic ones unit vectors) read at the nonbasic
+    columns after the swap, signed zeros included."""
     rng = np.random.default_rng(22)
-    for _ in range(50):
-        T = rng.integers(-2, 3, size=(6, 8)).astype(float)
+    m, n = 6, 4
+    kept = 0
+    for _ in range(200):
+        T = rng.integers(-2, 3, size=(m, n + 1)).astype(float)
         T[rng.random(T.shape) < 0.3] = -0.0
-        i, j = int(rng.integers(6)), int(rng.integers(7))
-        T[i, j] = float(rng.choice([-3.0, 2.0]))
-        want = T.copy()
-        want[i] /= want[i, j]
-        for r in range(6):
-            factor = want[r, j]
+        i, c = int(rng.integers(m)), int(rng.integers(n))
+        T[i, c] = float(rng.choice([-3.0, 2.0]))
+        labels = rng.permutation(n + m)
+        nonbasic, basis = labels[:n].copy(), labels[n:].copy()
+        full = np.zeros((m, n + m + 1))
+        full[:, nonbasic] = T[:, :n]
+        full[np.arange(m), basis] = 1.0
+        full[:, -1] = T[:, -1]
+        j = nonbasic[c]
+        full[i] /= full[i, j]
+        for r in range(m):
+            factor = full[r, j]
             if r != i and factor != 0.0:
-                for col in range(8):
-                    if want[i, col] != 0.0:  # a zero in the pivot row changes nothing
-                        want[r, col] -= factor * want[i, col]
-        basis = np.arange(6)
-        _pivot(T, basis, i, j)
-        assert T.tobytes() == want.tobytes()
-        assert basis[i] == j
+                for col in range(n + m + 1):
+                    if full[i, col] != 0.0:  # a zero in the pivot row changes nothing
+                        full[r, col] -= factor * full[i, col]
+        leaving = basis[i]
+        _pivot(T, basis, nonbasic, i, c)
+        assert basis[i] == j and nonbasic[c] == leaving
+        assert T.tobytes() == full[:, list(nonbasic) + [-1]].tobytes()
+        kept += bool((np.signbit(T) & (T == 0.0)).any())
+    assert kept >= 100  # most pivots leave some -0.0 in place
+
+
+def _assert_bitwise_the_loop_simplex(lp):
+    got, want = solve_lp(lp), loop_solve_lp(lp)
+    assert got.status == want.status
+    assert repr(got.value) == repr(want.value)
+    if want.point is None:
+        assert got.point is None
+    else:
+        assert got.point.tobytes() == want.point.tobytes()
+    assert got.pivots == want.pivots
+    return want
 
 
 def test_solve_lp_is_bitwise_the_loop_simplex():
     rng = np.random.default_rng(20)
     statuses = []
     for _ in range(1200):
-        lp = _origin_feasible_lp(rng)
-        got, want = solve_lp(lp), loop_solve_lp(lp)
-        assert got.status == want.status
-        assert repr(got.value) == repr(want.value)
-        if want.point is None:
-            assert got.point is None
-        else:
-            assert got.point.tobytes() == want.point.tobytes()
-        statuses.append(want.status)
+        statuses.append(_assert_bitwise_the_loop_simplex(_origin_feasible_lp(rng)).status)
     counts = {s: statuses.count(s) for s in (OPTIMAL, UNBOUNDED)}
     assert sum(counts.values()) == len(statuses)
     assert min(counts.values()) >= 100
+
+
+def _degenerate_lp(rng):
+    """A degenerate LP over x >= 0: small integer rows, most right-hand sides
+    0.0 or -0.0, and scaled copies of rows, so min-ratio ties are common."""
+    nvars = int(rng.integers(2, 7))
+    rows = []
+    for _ in range(int(rng.integers(2, 9))):
+        b = float(rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, 2.0]))
+        rows.append((rng.integers(-1, 3, size=nvars).astype(float), "<=", b))
+    for _ in range(int(rng.integers(0, 3))):
+        a, rel, b = rows[rng.integers(len(rows))]
+        t = float(rng.choice([1.0, 2.0, 0.5]))
+        rows.append((t * a, rel, t * b))
+    return LinearProgram(rng.integers(-1, 3, size=nvars).astype(float), rows)
+
+
+def _first_pivot_ratios(lp):
+    """The ratios at the minimum in the first pivot from the slack basis."""
+    improving = (lp.objective > 1e-9).nonzero()[0]
+    if improving.size == 0:
+        return []
+    col, b = lp.rows[:, improving[0]], lp.rows[:, -1]
+    ratios = [b[r] / col[r] for r in range(col.size) if col[r] > 1e-9]
+    return [r for r in ratios if r == min(ratios)]
+
+
+def test_solve_lp_is_bitwise_the_loop_simplex_on_degenerate_programs():
+    rng = np.random.default_rng(23)
+    statuses, tied, degenerate = [], 0, 0
+    for _ in range(600):
+        lp = _degenerate_lp(rng)
+        statuses.append(_assert_bitwise_the_loop_simplex(lp).status)
+        ratios = _first_pivot_ratios(lp)
+        tied += len(ratios) >= 2
+        degenerate += bool(ratios) and ratios[0] == 0.0
+    assert statuses.count(OPTIMAL) >= 300 and statuses.count(UNBOUNDED) >= 50
+    assert tied >= 100 and degenerate >= 100
 
 
 def test_solve_lp_is_bitwise_the_loop_simplex_on_koethe_programs(monkeypatch):
@@ -176,18 +248,15 @@ def test_solve_lp_is_bitwise_the_loop_simplex_on_koethe_programs(monkeypatch):
 
     monkeypatch.setattr(l1m_norm, "solve_lp", capture)
     rng = np.random.default_rng(24)
-    for kind in ("L1", "LINF"):
-        for _ in range(3):
-            space = MeasureSpace(rng.uniform(0.2, 1.5, size=12))
-            X = NormSpec(kind, 8, rng.uniform(0.5, 2.0, size=8))
-            m = VectorMeasure(space, X, rng.normal(size=(12, 8)))
-            koethe_dual_norm_info(m, SimpleFunction(space, rng.normal(size=12)))
-    assert len(programs) == 6
+    # L1 at d = 10 and 12 has 512 and 2048 ball rows, against n = 12 columns
+    for kind, d in [("L1", 8)] * 3 + [("LINF", 8)] * 3 + [("L1", 10), ("L1", 12)]:
+        space = MeasureSpace(rng.uniform(0.2, 1.5, size=12))
+        X = NormSpec(kind, d, rng.uniform(0.5, 2.0, size=d))
+        m = VectorMeasure(space, X, rng.normal(size=(12, d)))
+        koethe_dual_norm_info(m, SimpleFunction(space, rng.normal(size=12)))
+    assert [len(lp.constraints) for lp in programs[-2:]] == [512, 2048]
     for lp in programs:
-        got, want = solve_lp(lp), loop_solve_lp(lp)
-        assert got.status == want.status == OPTIMAL
-        assert repr(got.value) == repr(want.value)
-        assert got.point.tobytes() == want.point.tobytes()
+        assert _assert_bitwise_the_loop_simplex(lp).status == OPTIMAL
 
 
 def _all_patterns(k):
