@@ -88,14 +88,16 @@ class LinearProgram:
                 raise ValueError(f"unsupported relation {rel!r}; rows are a @ x <= b")
             if not b >= 0:
                 raise ValueError(f"right-hand side {b!r} must be >= 0")
-            if np.asarray(a, dtype=float).shape != c.shape:
-                raise ValueError("constraint row length mismatch")
         if self.bounds is not None:
             raise ValueError("bounds must be None; variables are x >= 0")
         m = len(self.constraints)
-        rows = np.empty((m, c.size + 1))
-        rows[:, :-1] = np.array([a for a, _, _ in self.constraints], dtype=float).reshape(m, c.size)
-        rows[:, -1] = [b for _, _, b in self.constraints]
+        try:  # with no rows, the (0, n) array stands for the empty list
+            lhs = np.array([a for a, _, _ in self.constraints] or np.empty((0, c.size)), dtype=float)
+        except ValueError:  # ragged rows
+            lhs = None
+        if lhs is None or lhs.shape != (m, c.size):
+            raise ValueError("constraint row length mismatch")
+        rows = np.column_stack([lhs, [b for _, _, b in self.constraints]])
         if not (np.isfinite(rows).all() and np.isfinite(c).all()):
             raise ValueError("objective, rows and right-hand sides must be finite")
         object.__setattr__(self, "rows", rows)

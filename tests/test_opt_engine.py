@@ -57,6 +57,21 @@ def test_linear_program_refuses_programs_the_origin_does_not_start(constraints, 
 @pytest.mark.parametrize(
     "objective, constraints",
     [
+        ([1.0, 2.0], [([1.0], "<=", 1.0)]),
+        ([1.0], [([1.0, 2.0], "<=", 1.0)]),
+        ([1.0, 2.0], [([1.0, 2.0], "<=", 1.0), ([1.0], "<=", 1.0)]),
+        ([1.0], [(1.0, "<=", 1.0)]),
+        ([1.0], [([[1.0]], "<=", 1.0)]),
+    ],
+)
+def test_linear_program_refuses_rows_of_the_wrong_shape(objective, constraints):
+    with pytest.raises(ValueError, match="constraint row length mismatch"):
+        LinearProgram(np.array(objective), constraints)
+
+
+@pytest.mark.parametrize(
+    "objective, constraints",
+    [
         ([1.0], [([float("nan")], "<=", 1.0)]),
         ([1.0, 2.0], [([1.0, 1.0], "<=", 1.0), ([0.0, float("inf")], "<=", 1.0)]),
         ([1.0], [([-float("inf")], "<=", 1.0)]),
@@ -254,6 +269,7 @@ def test_solve_lp_is_bitwise_the_loop_simplex_on_koethe_programs(monkeypatch):
         X = NormSpec(kind, d, rng.uniform(0.5, 2.0, size=d))
         m = VectorMeasure(space, X, rng.normal(size=(12, d)))
         koethe_dual_norm_info(m, SimpleFunction(space, rng.normal(size=12)))
+    assert len(programs) == 8  # one solve_lp call per koethe_dual_norm_info call
     assert [len(lp.constraints) for lp in programs[-2:]] == [512, 2048]
     for lp in programs:
         assert _assert_bitwise_the_loop_simplex(lp).status == OPTIMAL
