@@ -35,6 +35,12 @@ _DUAL_KIND = {L1: LINF, L2: L2, LINF: L1}
 # instead of a silent slowdown.
 L1_EXTREME_LIMIT = 20
 
+# numpy sums fewer terms than this from +0.0 left to right in any layout, so
+# ``norm`` forms shorter rows coordinate-major and sums whole columns; longer
+# rows it forms row-major, the one layout whose pairwise block sums match a
+# lone vector's (tests/test_normed_space.py guards both facts)
+_SHORT_ROW = 8
+
 
 @dataclass(frozen=True, eq=False)
 class NormSpec:
@@ -87,10 +93,14 @@ def _check_dim(X: NormSpec, v: np.ndarray):
 
 
 def norm(X: NormSpec, v) -> float | np.ndarray:
-    """The norm of a vector, or the norms of the rows of an (N, d) array, each as if alone."""
+    """The norm of a vector, or the norms of the rows of an (..., d) array, each
+    as if alone, whatever the array's memory layout (see ``_SHORT_ROW``)."""
     v = np.asarray(v, dtype=float)
     _check_dim(X, v)
-    s = X.scale * v
+    # copy, then scale in place: a ufunc that writes another layout than it reads
+    # goes through a 64 KiB buffer on every call
+    s = np.array(v, order="F" if v.ndim > 1 and X.dim < _SHORT_ROW else "C")
+    s *= X.scale
     if X.kind == L1:
         out = np.sum(np.abs(s), axis=-1)
     elif X.kind == L2:

@@ -221,10 +221,11 @@ def hill_climb(
     all k flips of every live restart from its running sums S as
     S - 2 eps_j a_j, ``_FLIP_BLOCK`` sum entries per objective call at most,
     and flips within a relative 1e-9 of a restart's batch maximum again by
-    one stacked product, bitwise the single-pattern ``eps @ a``.  A restart
-    applies its best strictly improving flip (smallest index on ties) until
-    none remains; the first best restart wins.  A batch maximum of +inf is
-    matched exactly, so an ascent stops at its first +inf; NaN raises.
+    one stacked product, bitwise the single-pattern ``eps @ a``; that product
+    holds the next sums.  A restart applies its best strictly improving flip
+    (smallest index on ties) until none remains, and then leaves the arrays;
+    the first best restart wins.  A batch maximum of +inf is matched
+    exactly, so an ascent stops at its first +inf; NaN raises.
     """
     k, d = a.shape
     if k < 1:
@@ -234,27 +235,44 @@ def hill_climb(
     eps = SplitMix64(seed).signs(restarts * k).reshape(restarts, k)
     sums = np.matmul(eps[:, None, :], a)[:, 0]
     value = np.array(objective(sums), dtype=float)
+    if np.isnan(value).any():
+        raise ValueError("hill_climb objective returned NaN")
+    final_eps, final_value = np.empty_like(eps), np.empty_like(value)
+    ids = np.arange(restarts)  # the restart of each live row
     per_call = max(1, _FLIP_BLOCK // max(1, k * d))  # restarts scored per objective call
-    live = np.arange(restarts)
-    while live.size:
-        blocks = [live[i : i + per_call] for i in range(0, live.size, per_call)]
-        batch = np.concatenate([objective(sums[r, None] - 2 * eps[r, :, None] * a) for r in blocks])
-        top, current = batch.max(axis=1), value[live]
-        if np.isnan(top).any() or np.isnan(current).any():
+    twice = 2.0 * a
+    screen = np.empty((min(per_call, restarts), k, d))
+    while ids.size:
+        batch = np.empty((ids.size, k))
+        for i in range(0, ids.size, per_call):
+            block = screen[: min(per_call, ids.size - i)]
+            np.multiply(eps[i : i + per_call, :, None], twice, out=block)
+            np.subtract(sums[i : i + per_call, None], block, out=block)
+            batch[i : i + per_call] = objective(block)
+        top = batch.max(axis=1)
+        if np.isnan(top).any():
             raise ValueError("hill_climb objective returned NaN")
         slack = np.where(top < np.inf, _BATCH_RTOL * np.abs(top), 0.0)  # inf - inf is NaN
         near = batch >= (top - slack)[:, None]
         rows, cols = near.nonzero()
-        flipped = eps[live[rows]]
+        flipped = eps[rows]
         flipped[np.arange(rows.size), cols] *= -1.0
-        scored = np.full(near.shape, -np.inf)
-        scored[rows, cols] = objective(np.matmul(flipped[:, None, :], a)[:, 0])
-        j = scored.argmax(axis=1)  # first maximum: the smallest flip index on ties
-        gain = scored[np.arange(live.size), j]
-        up = gain > current
-        live, j = live[up], j[up]
-        eps[live, j] *= -1.0
-        sums[live] = np.matmul(eps[live, None], a)[:, 0]
-        value[live] = gain[up]
-    w = int(value.argmax())
-    return eps[w].copy(), float(value[w])
+        rescored = np.matmul(flipped[:, None, :], a)[:, 0]  # each row bitwise flipped[i] @ a
+        gain = np.asarray(objective(rescored), dtype=float)
+        if rows.size == ids.size:  # one near flip per restart: it is the best
+            pick = rows
+        else:
+            scored = np.full(near.shape, -np.inf)
+            scored[rows, cols] = gain
+            j = scored.argmax(axis=1)  # first maximum: the smallest flip index on ties
+            gain = scored[np.arange(ids.size), j]
+            # the index of (row, j) among the near flips; it is used only where the restart goes up
+            pick = np.searchsorted(rows * k + cols, np.arange(ids.size) * k + j)
+        up = gain > value
+        if not up.all():
+            final_eps[ids[~up]] = eps[~up]
+            final_value[ids[~up]] = value[~up]
+            ids, pick, gain = ids[up], pick[up], gain[up]
+        eps, sums, value = flipped[pick], rescored[pick], gain
+    w = int(final_value.argmax())
+    return final_eps[w].copy(), float(final_value[w])

@@ -14,7 +14,10 @@ Derived draws (documented because reports depend on them):
   * ``random()``   uniform in [0, 1): top 53 bits of the next output.
   * ``signs(k)``   k signs as a float64 array, bitwise k ``sign()`` calls:
                    entry i is +1 when the low bit of the mix of
-                   ``state + (i + 1) * GAMMA mod 2**64`` is 0.
+                   ``state + (i + 1) * GAMMA mod 2**64`` is 0.  A call
+                   asking for more than ``SIGNS_LIMIT`` signs (2**24, 128 MB
+                   of output next to two uint64 temporaries of that size)
+                   raises ``CapacityExceeded`` before anything is allocated.
   * ``normal()``   Box-Muller from two uniforms, cosine branch only.
   * ``normals(k)`` k normals as a float64 array, bitwise k ``normal()`` calls:
                    output i is the mix of ``state + (i + 1) * GAMMA``, so
@@ -44,6 +47,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _NORMALS_SLICE = 1 << 16
 NORMALS_LIMIT = 1 << 25
+SIGNS_LIMIT = 1 << 24
 _LOG_MARGIN = 0.5 - 2.0**-5  # of the spacing from D toward zero; see ``_log``
 
 
@@ -120,6 +124,8 @@ class SplitMix64:
         return z
 
     def signs(self, k: int) -> np.ndarray:
+        if k > SIGNS_LIMIT:
+            raise CapacityExceeded(f"{k} signs exceed the draw limit {SIGNS_LIMIT}")
         out = 1.0 - 2.0 * (self._outputs(0, k) & np.uint64(1)).astype(np.float64)
         self._state = (self._state + k * _GAMMA) & _MASK
         return out

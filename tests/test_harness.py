@@ -212,6 +212,25 @@ def test_the_writer_keeps_the_bytes_of_the_frozen_writer_on_every_preset(monkeyp
     assert csv_texts == [dumps_csv(report) for report in reports]
 
 
+def test_plain_number_lists_keep_the_bytes_of_the_general_path_for_every_experiment_kind(monkeypatch):
+    import vmlab.harness as harness
+
+    scenarios = [_preset(name) for name in sorted(PRESETS)]
+    for experiment in ({"kind": "rn_net", "family": "expectation", "levels": 2},
+                       {"kind": "series_gap", "sign": -1, "samples": 8}):
+        scenarios.append(_preset("canonical-l1"))
+        scenarios[-1]["experiment"] = experiment
+    assert {data["experiment"]["kind"] for data in scenarios} == set(EXPERIMENTS)
+    reports = [run(build_scenario(data)) for data in scenarios]
+    assert all("error" not in report for report in reports)
+    texts = [dumps_report(report) for report in reports]
+    rows = [row for report in reports for row in report["results"].get("rows", [])]
+    assert any(row and {type(v) for v in row} <= {int, float} for row in rows)  # the fast path ran
+    monkeypatch.setattr(harness, "_PLAIN_NUMBERS", frozenset())  # every list item through _canon
+    assert texts == [dumps_report(report) for report in reports]
+    assert texts == [_frozen_canon(report, 0) + "\n" for report in reports]
+
+
 class _Text(str):
     pass
 
@@ -317,6 +336,18 @@ def test_series_gap_with_too_many_samples_exits_2_at_once(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert json.loads(out.read_text())["error"]["type"] == "CapacityExceeded"
+    capsys.readouterr()
+
+
+def test_norm_with_too_many_restarts_exits_2_at_once(tmp_path, capsys):
+    # every norm row runs hill_climb, whose 2**40 * k starting signs would take terabytes
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    code = cli_main(["norm", "--scenario", "random-measure", "--restarts", str(2**40), "--out", str(out)])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "CapacityExceeded" and "signs exceed the draw limit" in error["message"]
     capsys.readouterr()
 
 

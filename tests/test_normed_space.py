@@ -21,14 +21,44 @@ def test_norm_examples():
 
 
 def test_norm_of_rows_is_bitwise_the_norm_of_each_row():
+    # in any layout: C, Fortran, a transposed view, or a stack of row blocks as hill_climb's flip screen
     rng = np.random.default_rng(14)
-    for trial in range(60):
-        d = int(rng.integers(1, 40))
-        X = random_norm_spec(rng, d, KINDS[trial % 3])
-        V = rng.normal(size=(int(rng.integers(1, 9)), d)) * np.exp(3.0 * rng.normal(size=(1, d)))
-        rows = norm(X, V)
-        assert rows.shape == (len(V),)
-        assert all(rows[i] == norm(X, v) for i, v in enumerate(V))
+    for d in range(1, 41):
+        for kind in KINDS:
+            X = random_norm_spec(rng, d, kind)
+            V = rng.normal(size=(int(rng.integers(2, 14)), d)) * np.exp(3.0 * rng.normal(size=(1, d)))
+            V[rng.random(V.shape) < 0.1] = -0.0
+            want = np.array([norm(X, v) for v in V])
+            for layout in (V, np.asfortranarray(V), np.ascontiguousarray(V.T).T):
+                assert norm(X, layout).tobytes() == want.tobytes(), (d, kind, layout.flags["F_CONTIGUOUS"])
+            assert norm(X, np.stack([V, V[::-1]])).tobytes() == np.stack([want, want[::-1]]).tobytes()
+
+
+_SUM_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308])
+
+
+def test_numpy_short_row_sums_run_left_to_right_in_both_layouts():
+    # ``norm`` forms short rows coordinate-major; its bits rest on numpy summing
+    # 1-7 terms as ((0.0 + v_0) + v_1) + ... whether a row is contiguous or strided
+    rng = np.random.default_rng(17)
+    mismatches = []
+    for d in range(1, 8):
+        V = rng.normal(size=(400, d)) * np.exp(20.0 * rng.normal(size=(400, d)))
+        special = rng.random(V.shape) < 0.3
+        V[special] = rng.choice(_SUM_SPECIALS, size=int(special.sum()))
+        V[:9] = _SUM_SPECIALS[:, None]  # rows of one special value: signed zeros, infinities, subnormals
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.zeros(len(V))
+            for j in range(d):
+                want = want + V[:, j]
+            for name, layout in (("C", np.ascontiguousarray(V)), ("F", np.asfortranarray(V))):
+                if layout.sum(axis=-1).tobytes() != want.tobytes():
+                    mismatches.append((d, name))
+    assert not mismatches, (
+        f"numpy {np.__version__} does not sum 1-7 terms left to right from +0.0 in the "
+        f"(row length, layout) cases {mismatches}; normed_space.norm forms short rows "
+        "coordinate-major and needs their sums to equal those of row-major rows"
+    )
 
 
 def test_norm_dimension_mismatch():

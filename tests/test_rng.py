@@ -6,7 +6,7 @@ import pytest
 
 from vmlab import rng
 from vmlab.errors import CapacityExceeded
-from vmlab.rng import NORMALS_LIMIT, SplitMix64, _log
+from vmlab.rng import NORMALS_LIMIT, SIGNS_LIMIT, SplitMix64, _log
 
 SEEDS = [0, 1, 2**63 + 7, 2**64 - 1]
 
@@ -109,4 +109,12 @@ def test_normals_over_the_limit_fail_before_allocating():
     for k in (NORMALS_LIMIT + 1, 1 << 50):  # 1 << 50 normals would take 8 PB
         with pytest.raises(CapacityExceeded, match="draw limit"):
             batched.normals(k)
+    assert batched.next_u64() == scalar.next_u64()
+
+
+def test_signs_over_the_limit_fail_before_allocating():
+    batched, scalar = SplitMix64(3), SplitMix64(3)
+    for k in (SIGNS_LIMIT + 1, 1 << 50):  # 1 << 50 signs would take 8 PB
+        with pytest.raises(CapacityExceeded, match="draw limit"):
+            batched.signs(k)
     assert batched.next_u64() == scalar.next_u64()
