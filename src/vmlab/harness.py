@@ -414,41 +414,18 @@ def run(scenario: Scenario) -> dict:
 def _float_text(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError("cannot serialize a non-finite number")
-    return f"{value:.17g}"
+    return format(value, ".17g")
 
 
 # the plain scalars by exact type; numpy scalars and subclasses take the checks below
 _SCALAR_TEXT = {type(None): lambda _: "null", bool: lambda b: "true" if b else "false", int: int.__repr__,
                 float: _float_text, str: encode_basestring_ascii}  # the bytes of json.dumps(str)
-_PLAIN_NUMBERS = frozenset((int, float))  # lists of only these are written without recursion
 
 
 def _canon(obj, indent: int) -> str:
     text = _SCALAR_TEXT.get(type(obj))
     if text is not None:
         return text(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-        if not isinstance(obj, list):  # a 0-d array is no scalar here
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = "\n" + "  " * (indent + 1)
-        if set(map(type, obj)) <= _PLAIN_NUMBERS:  # net rows, function coefficients: no recursion
-            body = ("," + inner).join([f"{v:.17g}" if type(v) is float else int.__repr__(v) for v in obj])
-            if "n" in body:  # inf or nan; finite numbers are written with digits, signs, "." and "e"
-                raise ValueError("cannot serialize a non-finite number")
-        else:
-            body = ("," + inner).join([_canon(v, indent + 1) for v in obj])
-        return "".join(["[", inner, body, inner[:-2], "]"])
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = "\n" + "  " * (indent + 1)
-        keys = sorted(obj, key=str)  # stable: str-equal keys keep their insertion order
-        parts = [f"{encode_basestring_ascii(str(k))}: {_canon(obj[k], indent + 1)}" for k in keys]
-        return "".join(["{", inner, ("," + inner).join(parts), inner[:-2], "}"])
     if isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -457,6 +434,21 @@ def _canon(obj, indent: int) -> str:
         return _float_text(float(obj))
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    pad = "\n" + "  " * indent
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = [_canon(v, indent + 1) for v in obj]
+        return "".join(["[", inner, ("," + inner).join(parts), pad, "]"])
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        keys = sorted(obj, key=str)  # stable: str-equal keys keep their insertion order
+        parts = [f"{encode_basestring_ascii(str(k))}: {_canon(obj[k], indent + 1)}" for k in keys]
+        return "".join(["{", inner, ("," + inner).join(parts), pad, "}"])
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

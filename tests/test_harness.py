@@ -201,34 +201,21 @@ def _frozen_canon(obj, indent: int) -> str:
 def test_the_writer_keeps_the_bytes_of_the_frozen_writer_on_every_preset(monkeypatch):
     import vmlab.harness as harness
 
-    reports = [run(preset_scenario(name)) for name in sorted(PRESETS)]
-    indicator = _preset("canonical-l1")
-    indicator.update(space={"n": 16, "weights": "uniform"}, functions=[[(-1.0) ** i * i / 7 for i in range(16)]])
-    reports.append(run(build_scenario(indicator)))
-    json_texts = [dumps_report(report) for report in reports]
-    csv_texts = [dumps_csv(report) for report in reports]
-    monkeypatch.setattr(harness, "_canon", _frozen_canon)
-    assert json_texts == [_frozen_canon(report, 0) + "\n" for report in reports]
-    assert csv_texts == [dumps_csv(report) for report in reports]
-
-
-def test_plain_number_lists_keep_the_bytes_of_the_general_path_for_every_experiment_kind(monkeypatch):
-    import vmlab.harness as harness
-
     scenarios = [_preset(name) for name in sorted(PRESETS)]
     for experiment in ({"kind": "rn_net", "family": "expectation", "levels": 2},
                        {"kind": "series_gap", "sign": -1, "samples": 8}):
         scenarios.append(_preset("canonical-l1"))
         scenarios[-1]["experiment"] = experiment
     assert {data["experiment"]["kind"] for data in scenarios} == set(EXPERIMENTS)
-    reports = [run(build_scenario(data)) for data in scenarios]
+    indicator = _preset("canonical-l1")
+    indicator.update(space={"n": 16, "weights": "uniform"}, functions=[[(-1.0) ** i * i / 7 for i in range(16)]])
+    reports = [run(build_scenario(data)) for data in scenarios + [indicator]]
     assert all("error" not in report for report in reports)
-    texts = [dumps_report(report) for report in reports]
-    rows = [row for report in reports for row in report["results"].get("rows", [])]
-    assert any(row and {type(v) for v in row} <= {int, float} for row in rows)  # the fast path ran
-    monkeypatch.setattr(harness, "_PLAIN_NUMBERS", frozenset())  # every list item through _canon
-    assert texts == [dumps_report(report) for report in reports]
-    assert texts == [_frozen_canon(report, 0) + "\n" for report in reports]
+    json_texts = [dumps_report(report) for report in reports]
+    csv_texts = [dumps_csv(report) for report in reports]
+    monkeypatch.setattr(harness, "_canon", _frozen_canon)
+    assert json_texts == [_frozen_canon(report, 0) + "\n" for report in reports]
+    assert csv_texts == [dumps_csv(report) for report in reports]
 
 
 class _Text(str):

@@ -26,12 +26,16 @@ def test_norm_of_rows_is_bitwise_the_norm_of_each_row():
     for d in range(1, 41):
         for kind in KINDS:
             X = random_norm_spec(rng, d, kind)
-            V = rng.normal(size=(int(rng.integers(2, 14)), d)) * np.exp(3.0 * rng.normal(size=(1, d)))
+            V = rng.normal(size=(int(rng.integers(1, 14)), d)) * np.exp(3.0 * rng.normal(size=(1, d)))
             V[rng.random(V.shape) < 0.1] = -0.0
             want = np.array([norm(X, v) for v in V])
             for layout in (V, np.asfortranarray(V), np.ascontiguousarray(V.T).T):
-                assert norm(X, layout).tobytes() == want.tobytes(), (d, kind, layout.flags["F_CONTIGUOUS"])
-            assert norm(X, np.stack([V, V[::-1]])).tobytes() == np.stack([want, want[::-1]]).tobytes()
+                rows = norm(X, layout)
+                assert rows.shape == (len(V),)
+                assert rows.tobytes() == want.tobytes(), (d, kind, layout.flags["F_CONTIGUOUS"])
+            stacked = norm(X, np.stack([V, V[::-1]]))
+            assert stacked.shape == (2, len(V))
+            assert stacked.tobytes() == np.stack([want, want[::-1]]).tobytes()
 
 
 _SUM_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308])
