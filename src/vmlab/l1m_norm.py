@@ -329,31 +329,45 @@ _ASCENT_RESTARTS = 32
 _ASCENT_STEPS = 48
 
 
-def _ball_norms(m: VectorMeasure, F: np.ndarray, full: SimpleFunction) -> np.ndarray:
+def _enumerates_full_support(m: VectorMeasure) -> bool:
+    """Whether ``norm_best`` gives a function without a zero to enumeration.
+
+    The ``ENGINES`` refusals read only sizes and the support, so the all-ones
+    function answers for every function without a zero.
+    """
+    full = SimpleFunction(m.space, np.ones(m.space.n))
+    for label, refusal, _ in ENGINES:
+        if refusal(m, full, DEFAULT_EXACT_CUTOFF) is None:
+            return label == "enumeration"
+
+
+def _ball_norms(m: VectorMeasure, F: np.ndarray, enumerates: bool) -> np.ndarray:
     """``norm_best`` of each row of F, bitwise.
 
-    Rows without a zero share one stacked exact sign search when ``ENGINES``
-    gives ``full`` (any function without a zero) to enumeration; every other
-    row (a shrunken support, a closed form or the heuristic) takes norm_best alone.
+    With ``enumerates`` (``_enumerates_full_support``), rows without a zero
+    share one stacked exact sign search; every other row (a shrunken support,
+    a closed form or the heuristic) takes norm_best alone.
     """
-    takes = [label for label, refusal, _ in ENGINES if not refusal(m, full, DEFAULT_EXACT_CUTOFF)]
-    stacked = np.all(F != 0.0, axis=1) & (takes[0] == "enumeration")
+    if enumerates and F.all():
+        a = np.abs(F)[:, :, None] * m.atoms
+        pattern, _ = best_sign_pattern(a, lambda sums: norm_rows(m.X, sums))
+        return x_norm(m.X, np.matmul(pattern[:, None, :], a)[:, 0])
+    stacked = F.all(axis=1) & enumerates
     out = np.empty(F.shape[0])
     for r in (~stacked).nonzero()[0]:
         out[r] = norm_best(m, SimpleFunction(m.space, F[r])).value
     if stacked.any():
-        a = np.abs(F[stacked])[:, :, None] * m.atoms
-        pattern, _ = best_sign_pattern(a, lambda sums: norm_rows(m.X, sums))
-        out[stacked] = x_norm(m.X, np.matmul(pattern[:, None, :], a)[:, 0])
+        out[stacked] = _ball_norms(m, F[stacked], True)
     return out
 
 
 def _koethe_supergradient(m: VectorMeasure, g: SimpleFunction, seed: int = 0):
     """Projected supergradient ascent of the linear objective over the unit ball.
 
-    All restarts advance together as the rows of one array.  The best value
-    is the first maximum in restart-major, step-minor order, kept only when
-    it is positive.
+    All restarts advance together as the rows of one array.  The engine that
+    norms them is decided once per call, and the step vectors are built once.
+    The best value is the first maximum in restart-major, step-minor order,
+    kept only when it is positive.
     """
     n = m.space.n
     c = g.coeffs * m.space.weights
@@ -361,20 +375,21 @@ def _koethe_supergradient(m: VectorMeasure, g: SimpleFunction, seed: int = 0):
     if cn == 0.0:
         return 0.0, SimpleFunction.zeros(m.space)
     direction = c / cn
+    steps = (1.0 / np.sqrt(np.arange(1.0, _ASCENT_STEPS + 1.0)))[:, None] * direction
+    enumerates = _enumerates_full_support(m)
     F = SplitMix64(seed).normals(_ASCENT_RESTARTS * n).reshape(_ASCENT_RESTARTS, n)
-    full = SimpleFunction(m.space, np.ones(n))
-    nrm = _ball_norms(m, F, full)
+    nrm = _ball_norms(m, F, enumerates)
     np.divide(F, nrm[:, None], out=F, where=(nrm > 0.0)[:, None])
     best = np.zeros(_ASCENT_RESTARTS)
     best_F = np.zeros_like(F)
-    for t in range(_ASCENT_STEPS):
-        F += (1.0 / np.sqrt(t + 1.0)) * direction
-        nrm = _ball_norms(m, F, full)
+    for step in steps:
+        F += step
+        nrm = _ball_norms(m, F, enumerates)
         np.divide(F, nrm[:, None], out=F, where=(nrm > 1.0)[:, None])
         value = np.abs(np.matmul(F[:, None, :], c)[:, 0])  # each row bitwise c @ f
         better = value > best
-        best[better] = value[better]
-        best_F[better] = F[better]
+        np.copyto(best, value, where=better)
+        np.copyto(best_F, F, where=better[:, None])
     r = int(np.argmax(best))
     if not best[r] > 0.0:
         return 0.0, SimpleFunction.zeros(m.space)

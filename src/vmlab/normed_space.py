@@ -101,12 +101,12 @@ def norm(X: NormSpec, v) -> float | np.ndarray:
     # goes through a 64 KiB buffer on every call
     s = np.array(v, order="F" if v.ndim > 1 and X.dim < _SHORT_ROW else "C")
     s *= X.scale
-    if X.kind == L1:
-        out = np.sum(np.abs(s), axis=-1)
-    elif X.kind == L2:
-        out = np.sqrt(np.sum(np.multiply(s, s, out=s), axis=-1))  # s is a fresh array
+    # s is a fresh array, so it takes the squares or absolute values in place;
+    # the bare reductions are np.sum and np.max without their Python wrappers
+    if X.kind == L2:
+        out = np.sqrt(np.add.reduce(np.multiply(s, s, out=s), axis=-1))
     else:
-        out = np.max(np.abs(s), axis=-1)
+        out = (np.add if X.kind == L1 else np.maximum).reduce(np.abs(s, out=s), axis=-1)
     return float(out) if v.ndim == 1 else out
 
 

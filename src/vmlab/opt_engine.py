@@ -59,8 +59,9 @@ def sign_table(scale, bits: int) -> np.ndarray:
     return table
 
 
-# row t holds the signs of the low code bits of t: -1 where bit b of t is set
-_LOW_SIGNS = sign_table(np.ones(_BLOCK_BITS), _BLOCK_BITS)
+# row t holds the signs of the low code bits of t: -1 where bit b of t is set;
+# the last column is +1 throughout
+_LOW_SIGNS = sign_table(np.ones(_BLOCK_BITS + 1), _BLOCK_BITS)
 _LOW_SIGNS.setflags(write=False)
 
 
@@ -83,21 +84,24 @@ class LinearProgram:
         if c.ndim != 1:
             raise ValueError("objective must be a vector")
         object.__setattr__(self, "objective", c)
-        for a, rel, b in self.constraints:
-            if rel != "<=":
-                raise ValueError(f"unsupported relation {rel!r}; rows are a @ x <= b")
-            if not b >= 0:
-                raise ValueError(f"right-hand side {b!r} must be >= 0")
+        lhs, rels, rhs = zip(*self.constraints) if len(self.constraints) else ((), (), ())
+        b = np.array(rhs, dtype=float)
+        if rels.count("<=") != len(rels) or not (b >= 0.0).all():
+            for rel, bi in zip(rels, rhs):  # the first faulty row, relation before right-hand side
+                if rel != "<=":
+                    raise ValueError(f"unsupported relation {rel!r}; rows are a @ x <= b")
+                if not bi >= 0:
+                    raise ValueError(f"right-hand side {bi!r} must be >= 0")
         if self.bounds is not None:
             raise ValueError("bounds must be None; variables are x >= 0")
-        m = len(self.constraints)
-        try:  # with no rows, the (0, n) array stands for the empty list
-            lhs = np.array([a for a, _, _ in self.constraints] or np.empty((0, c.size)), dtype=float)
+        try:  # one stacking call; with no rows, the (0, n) array stands for the empty list
+            a = np.array(lhs or np.empty((0, c.size)), dtype=float)
         except ValueError:  # ragged rows
-            lhs = None
-        if lhs is None or lhs.shape != (m, c.size):
+            a = None
+        if a is None or a.shape != (len(rels), c.size):
             raise ValueError("constraint row length mismatch")
-        rows = np.column_stack([lhs, [b for _, _, b in self.constraints]])
+        rows = np.empty((len(rels), c.size + 1))
+        rows[:, :-1], rows[:, -1] = a, b
         if not (np.isfinite(rows).all() and np.isfinite(c).all()):
             raise ValueError("objective, rows and right-hand sides must be finite")
         object.__setattr__(self, "rows", rows)
@@ -187,15 +191,18 @@ def best_sign_pattern(
         raise ValueError("need at least one position")
     if k > SIGN_ENUM_LIMIT:
         raise CapacityExceeded(f"2^{k - 1} sign patterns exceed the limit (k <= {SIGN_ENUM_LIMIT})")
-    rev = a[..., ::-1, :]  # rev[..., b, :] is the row of code bit b
+    rev = a[..., ::-1, :]  # rev[..., b, :] is the row of code bit b, rev[..., k-1, :] the pinned row
     low = min(k - 1, _BLOCK_BITS)
     high = k - 1 - low
-    block = _LOW_SIGNS[: 1 << low, :low] @ rev[..., :low, :]
-    heads = _LOW_SIGNS[: 1 << high, :high] @ rev[..., low : k - 1, :] + a[..., :1, :]
+    if high == 0:
+        # column `low` of the table is +1, so one product adds the pinned row
+        # last, bitwise the block's sums plus that row
+        block = _LOW_SIGNS[: 1 << low, :k] @ rev
+    else:
+        block = _LOW_SIGNS[: 1 << low, :low] @ rev[..., :low, :]
+        heads = _LOW_SIGNS[: 1 << high, :high] @ rev[..., low : k - 1, :] + a[..., :1, :]
     for h in range(1 << high):
-        # one block: add the head row in place, one (N, d) temporary fewer per search
-        sums = np.add(block, heads, out=block) if high == 0 else block + heads[..., h : h + 1, :]
-        values = score(sums)
+        values = score(block if high == 0 else block + heads[..., h : h + 1, :])
         i, top = values.argmax(axis=-1), values.max(axis=-1)
         if h == 0:
             best_code, best_value = i, top
@@ -203,7 +210,11 @@ def best_sign_pattern(
             better = top > best_value
             best_code = np.where(better, (h << low) + i, best_code)
             best_value = np.where(better, top, best_value)
-    pattern = 1.0 - 2.0 * ((best_code[..., None] >> np.arange(k - 1, -1, -1)) & 1)
+    # code bit b is column k-1-b; the signs of both halves are rows of _LOW_SIGNS
+    pattern = np.ones(np.shape(best_code) + (k,))
+    pattern[..., k - 1 : high : -1] = _LOW_SIGNS[best_code & ((1 << low) - 1), :low]
+    if high:
+        pattern[..., high:0:-1] = _LOW_SIGNS[best_code >> low, :high]
     return pattern, (float(best_value) if a.ndim == 2 else best_value)
 
 

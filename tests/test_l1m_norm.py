@@ -522,6 +522,42 @@ def test_koethe_l2_ascent_is_bitwise_the_restart_loop(monkeypatch):
     _assert_ascent_is_the_loop(m, random_function(rng, m.space), 5, 5, 6)
 
 
+def test_koethe_l2_ascent_is_the_loop_where_the_sign_search_has_high_bits(monkeypatch):
+    # n - 1 > 12 code bits take the search past one block, up to the exact
+    # cutoff n = 16, and d >= 8 gives norm its row-major layout; the step
+    # vectors must read the patched sizes at call time
+    monkeypatch.setattr(l1m_norm, "_ASCENT_RESTARTS", 3)
+    monkeypatch.setattr(l1m_norm, "_ASCENT_STEPS", 4)
+    rng = np.random.default_rng(35)
+    for n in (13, 14, 16):
+        for d in (3, 8, 9):
+            m, _ = _ascent_instance(rng, n, d)
+            _assert_ascent_is_the_loop(m, random_function(rng, m.space), int(rng.integers(1 << 30)), 3, 4)
+
+
+def _spy_refusals(monkeypatch) -> list:
+    """The list every ``ENGINES`` refusal appends its engine label to from now on."""
+    calls = []
+
+    def spied(label, refusal, run):
+        return label, lambda *args: calls.append(label) or refusal(*args), run
+
+    monkeypatch.setattr(l1m_norm, "ENGINES", tuple(spied(*engine) for engine in l1m_norm.ENGINES))
+    return calls
+
+
+def test_koethe_l2_ascent_walks_the_engines_once(monkeypatch):
+    calls = _spy_refusals(monkeypatch)
+    rng = np.random.default_rng(36)
+    for n in (1, 4, 6, 16):
+        m, _ = _ascent_instance(rng, n, int(rng.integers(1, 9)))
+        g = SimpleFunction(m.space, np.abs(rng.normal(size=n)) + 0.5)
+        calls.clear()
+        assert koethe_dual_norm_info(m, g, seed=int(rng.integers(1 << 30))).value > 0.0
+        # one walk decides the engine for every iterate, 32 x 49 of them
+        assert calls == ["closed_form", "enumeration"]
+
+
 def test_ball_norms_are_norm_best_per_row():
     rng = np.random.default_rng(32)
     for trial in range(60):
@@ -533,7 +569,7 @@ def test_ball_norms_are_norm_best_per_row():
         F[rng.random(F.shape) < 0.15] = 0.0  # rows with zeros shrink the support
         F[0] = 0.0
         F[1] = np.abs(F[1]) + 1.0  # at least one row without a zero
-        got = l1m_norm._ball_norms(m, F, SimpleFunction(m.space, np.ones(n)))
+        got = l1m_norm._ball_norms(m, F, l1m_norm._enumerates_full_support(m))
         want = [norm_best(m, SimpleFunction(m.space, row)).value for row in F]
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -843,8 +879,8 @@ def test_engines_are_looked_up_at_call_time(monkeypatch):
     assert (len(exact_calls), len(heuristic_calls)) == (1, 1)
     F = rng.normal(size=(3, 6))
     F[0, 2] = 0.0  # a shrunken support takes norm_best, and so norm_exact, alone
-    l1m_norm._ball_norms(m_small, F, SimpleFunction(small, np.ones(6)))
-    l1m_norm._ball_norms(m_large, rng.normal(size=(2, 17)), SimpleFunction(large, np.ones(17)))
+    l1m_norm._ball_norms(m_small, F, l1m_norm._enumerates_full_support(m_small))
+    l1m_norm._ball_norms(m_large, rng.normal(size=(2, 17)), l1m_norm._enumerates_full_support(m_large))
     assert (len(exact_calls), len(heuristic_calls)) == (2, 3)
 
 
@@ -856,6 +892,6 @@ def test_ball_norms_ask_the_table_beyond_the_corner_limit():
     m = random_measure(rng, space, NormSpec(KINDS[0], 21, rng.uniform(0.5, 2.0, size=21)))
     F = rng.normal(size=(5, 8))
     F[1, 3] = 0.0
-    got = l1m_norm._ball_norms(m, F, SimpleFunction(space, np.ones(8)))
+    got = l1m_norm._ball_norms(m, F, l1m_norm._enumerates_full_support(m))
     want = [norm_best(m, SimpleFunction(space, row)).value for row in F]
     assert got.tobytes() == np.array(want).tobytes()

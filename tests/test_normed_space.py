@@ -211,7 +211,7 @@ def test_corner_tables_are_bitwise_the_shift_construction():
         assert dual_extreme_half(X).tobytes() == _shift_corners(X, d - 1).tobytes()
         Y = random_norm_spec(rng, d, "LINF")
         assert dual_extreme_half(Y).tobytes() == _linf_extreme_points_loop(Y)[::2].tobytes()
-    assert _LOW_SIGNS.tobytes() == _shift_corners(NormSpec.l1(_BLOCK_BITS), _BLOCK_BITS).tobytes()
+    assert _LOW_SIGNS.tobytes() == _shift_corners(NormSpec.l1(_BLOCK_BITS + 1), _BLOCK_BITS).tobytes()
     message = r"^2\^21 dual extreme points exceed the enumeration limit \(d <= 20\)$"
     for build in (dual_extreme_points, dual_extreme_half):
         with pytest.raises(CapacityExceeded, match=message):

@@ -14,7 +14,7 @@ from vmlab import (
     norm,
     solve_lp,
 )
-from vmlab.opt_engine import _FLIP_BLOCK, _pivot
+from vmlab.opt_engine import _FLIP_BLOCK, _LOW_SIGNS, _pivot
 from vmlab.rng import SplitMix64
 
 from helpers import loop_solve_lp
@@ -84,6 +84,30 @@ def test_linear_program_refuses_rows_of_the_wrong_shape(objective, constraints):
 def test_linear_program_refuses_non_finite_data(objective, constraints):
     with pytest.raises(ValueError, match="must be finite"):
         LinearProgram(np.array(objective), constraints)
+
+
+def test_linear_program_names_the_first_faulty_row():
+    # rows are checked in order, the relation before the right-hand side
+    bad_rhs, bad_rel = ([1.0], "<=", -2.0), ([1.0], ">=", 1.0)
+    with pytest.raises(ValueError, match=r"^right-hand side -2.0 must be >= 0$"):
+        LinearProgram(np.array([1.0]), [([1.0], "<=", 1.0), bad_rhs, bad_rel])
+    with pytest.raises(ValueError, match=r"^unsupported relation '>='; rows are a @ x <= b$"):
+        LinearProgram(np.array([1.0]), [bad_rel, bad_rhs])
+    with pytest.raises(ValueError, match="relation"):
+        LinearProgram(np.array([1.0]), [([1.0], ">=", -1.0)])
+
+
+def test_linear_program_rows_are_the_stacked_constraints():
+    rng = np.random.default_rng(21)
+    for m in (0, 1, 8, 300):
+        a = rng.normal(size=(m, 5))
+        b = rng.uniform(0.0, 3.0, size=m)
+        b[: m // 3] = rng.choice([0.0, -0.0], size=m // 3)
+        constraints = [(list(row) if i % 2 else row, "<=", float(bi)) for i, (row, bi) in enumerate(zip(a, b))]
+        lp = LinearProgram(rng.normal(size=5), constraints)
+        want = np.column_stack([np.array([r for r, _, _ in constraints] or np.empty((0, 5))), b])
+        assert lp.rows.tobytes() == want.tobytes() and lp.rows.shape == (m, 6)
+        assert lp.constraints is constraints and lp.bounds is None
 
 
 def _random_lp(rng, nvars=10, nrows=8):
@@ -336,6 +360,22 @@ def test_best_sign_pattern_stack_is_bitwise_each_slice():
                 assert repr(float(values[b])) == repr(value)
             if k > 1:  # a null row flips to no effect, so the smallest code keeps it +1
                 assert np.all(patterns[1, 1::3] == 1.0)
+
+
+def test_best_sign_pattern_one_block_is_the_low_bits_plus_the_pinned_row():
+    # with k - 1 <= 12 code bits one product adds the pinned row last; its sums
+    # must be bitwise the low-bit block plus that row, signed zeros included
+    rng = np.random.default_rng(22)
+    for trial in range(300):
+        k, d = int(rng.integers(1, 14)), int(rng.integers(1, 10))
+        shape = (k, d) if trial % 2 else (int(rng.integers(1, 5)), k, d)
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 21, size=shape)
+        a[rng.random(shape) < 0.15] = 0.0
+        a[rng.random(shape) < 0.15] *= -0.0
+        seen = []
+        best_sign_pattern(a, lambda sums: seen.append(sums.copy()) or np.zeros(sums.shape[:-1]))
+        block = _LOW_SIGNS[: 1 << (k - 1), : k - 1] @ a[..., :0:-1, :]  # code bit b is row k-1-b
+        assert len(seen) == 1 and seen[0].tobytes() == (block + (a[..., :1, :] + 0.0)).tobytes()
 
 
 def _reference_ascent(a, value_of, restarts, seed):
