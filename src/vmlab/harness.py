@@ -21,12 +21,18 @@ key is a validation error.  ``seed`` and ``exact_cutoff`` go to the norm
 engines, ``seed`` of series_gap to its sampled family:
 
     norm         seed, exact_cutoff, restarts      per-function norm table
-    martingale   seed, exact_cutoff, levels        martingale net on functions[0]
-    basis        seed, exact_cutoff                truncation net on functions[0]
+    martingale   seed, exact_cutoff, levels        martingale net
+    basis        seed, exact_cutoff                truncation net
     rn_net       seed, exact_cutoff, family ("coordinate" | "expectation"), levels
     daugavet     sweep [n..], sign (+-1)           rank-one defect per uniform size
     identity     tolerance, lambda, other <measure>   combined-norm density identity
     series_gap   seed, sign, samples               distance of G to a partial sum
+
+The three net kinds share one runner, which runs the kind's net on f =
+functions[0], one row per level.  Its weak* test family is f alone or, when
+the kind takes ``levels`` (martingale, and rn_net's expectation family, whose
+nets run over the dyadic chain of that depth), f followed by the indicator
+of each finest block.
 
 ``_CHECKS`` checks each numeric or sign parameter for every kind that takes
 it.  ``run`` takes the scenario alone, so a report's echoed scenario reruns
@@ -142,9 +148,11 @@ def _build_value_space(section, space: MeasureSpace) -> NormSpec:
     d = section["d"]
     _check_number(d, "value_space.d", 1)
     scale = section.get("scale", 1.0)
+    if any(isinstance(v, (bool, str)) for v in (scale if isinstance(scale, list) else [scale])):
+        raise ValidationError("invalid value_space scale: it must hold numbers, not bools or strings")
     try:
         return NormSpec(kind, d, scale)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a scale numpy cannot read as floats
         raise ValidationError(f"invalid value_space scale: {exc}") from exc
 
 
@@ -204,8 +212,7 @@ def _build_experiment(section, scenario_ctx) -> dict:
         if key in params:
             check(exp[key], f"{kind} {key}")
     space, X, functions = scenario_ctx
-    needs_function = kind in ("martingale", "basis", "rn_net")
-    if needs_function and not functions:
+    if EXPERIMENTS[kind][0] is _run_net and not functions:
         raise ValidationError(f"experiment {kind} needs at least one function")
     if kind == "martingale":
         _check_levels(exp, space, "martingale experiment")
@@ -266,6 +273,8 @@ def read_scenario(path):
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read scenario {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario {path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -280,18 +289,6 @@ def load_scenario(path) -> Scenario:
     return build_scenario(read_scenario(path))
 
 
-_NET_COLUMNS = ["level", "norm_gap", "deviation", "pointwise_gap", "weakstar_gap"]
-
-
-def _default_tests(scenario: Scenario, finest=None):
-    f = scenario.functions[0]
-    tests = [f]
-    if finest is not None:
-        members = finest.block_of == np.arange(finest.n_blocks)[:, None]
-        tests.extend(SimpleFunction(scenario.space, chi) for chi in members)
-    return tests
-
-
 def _run_norm(sc: Scenario, exp: dict) -> dict:
     rows = []
     for idx, f in enumerate(sc.functions):
@@ -302,31 +299,21 @@ def _run_norm(sc: Scenario, exp: dict) -> dict:
     return {"columns": ["f_index", "value", "method", "heuristic"], "rows": rows}
 
 
-def _net_table(sc: Scenario, exp: dict, net, tests: list) -> dict:
-    """One row per level of the net (any iterable) run on the first function."""
-    kw = dict(exact_cutoff=exp["exact_cutoff"], seed=exp["seed"])
-    report = run_net(sc.measure, net, sc.functions[0], tests=tests, **kw)
-    rows = [
-        [lv.index, lv.norm_gap, lv.deviation, lv.pointwise_gap, lv.weakstar_gap]
-        for lv in report.levels
-    ]
-    return {"columns": _NET_COLUMNS, "rows": rows}
-
-
-def _run_martingale(sc: Scenario, exp: dict) -> dict:
-    chain = dyadic_chain(exp["levels"], sc.space)
-    return _net_table(sc, exp, martingale_net(sc.measure, chain), _default_tests(sc, finest=chain[-1]))
-
-
-def _run_basis(sc: Scenario, exp: dict) -> dict:
-    return _net_table(sc, exp, basis_net(sc.measure), _default_tests(sc))
-
-
-def _run_rn_net(sc: Scenario, exp: dict) -> dict:
-    if exp["family"] == "coordinate":
-        return _net_table(sc, exp, rn_net(sc.measure), _default_tests(sc))
-    chain = dyadic_chain(exp["levels"], sc.space)
-    return _net_table(sc, exp, rn_net(sc.measure, chain), _default_tests(sc, finest=chain[-1]))
+def _run_net(sc: Scenario, exp: dict) -> dict:
+    """The runner of the three net kinds; the module docstring gives its test family."""
+    m, f = sc.measure, sc.functions[0]
+    chain = dyadic_chain(exp["levels"], sc.space) if "levels" in exp else None
+    if exp["kind"] == "basis":
+        net = basis_net(m)
+    else:
+        net = (martingale_net if exp["kind"] == "martingale" else rn_net)(m, chain)
+    tests = [f]
+    if chain is not None:
+        members = chain[-1].block_of == np.arange(chain[-1].n_blocks)[:, None]
+        tests.extend(SimpleFunction(sc.space, chi) for chi in members)
+    report = run_net(m, net, f, tests=tests, exact_cutoff=exp["exact_cutoff"], seed=exp["seed"])
+    rows = [[lv.index, lv.norm_gap, lv.deviation, lv.pointwise_gap, lv.weakstar_gap] for lv in report.levels]
+    return {"columns": ["level", "norm_gap", "deviation", "pointwise_gap", "weakstar_gap"], "rows": rows}
 
 
 def _daugavet_point(n: int, sign: float) -> list:
@@ -362,9 +349,9 @@ _ENGINE = {"seed": 0, "exact_cutoff": DEFAULT_EXACT_CUTOFF}  # what the norm eng
 
 EXPERIMENTS = {
     "norm": (_run_norm, {**_ENGINE, "restarts": 8}),
-    "martingale": (_run_martingale, {**_ENGINE, "levels": None}),
-    "basis": (_run_basis, dict(_ENGINE)),
-    "rn_net": (_run_rn_net, {**_ENGINE, "family": "coordinate", "levels": None}),
+    "martingale": (_run_net, {**_ENGINE, "levels": None}),
+    "basis": (_run_net, dict(_ENGINE)),
+    "rn_net": (_run_net, {**_ENGINE, "family": "coordinate", "levels": None}),
     "daugavet": (_run_daugavet, {"sweep": None, "sign": -1}),  # sweep defaults to [n]
     "identity": (_run_identity, {"tolerance": 1e-10, "lambda": 1.0, "other": {"kind": "indicator"}}),
     "series_gap": (_run_series_gap, {"seed": 0, "sign": -1, "samples": 64}),

@@ -44,6 +44,25 @@ def test_load_scenario_parse_error(tmp_path):
         load_scenario(path)
 
 
+def test_a_scenario_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(_preset("canonical-l1")).encode("utf-16-le"))
+    with pytest.raises(ParseError, match=f"scenario {re.escape(str(path))} is not UTF-8"):
+        load_scenario(path)
+    assert cli_main(["report", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("scale", [1, [1.0, 1.0, 1.0], [1, 1, 1]])
+def test_value_space_scales_equal_to_one_keep_the_report_bits(scale):
+    data = _preset("random-measure")
+    data["value_space"]["scale"] = scale
+    want = dumps_report({"results": run(preset_scenario("random-measure"))["results"]})
+    assert dumps_report({"results": run(build_scenario(data))["results"]}) == want
+
+
 def test_validation_positive_weights():
     data = _preset("canonical-l1")
     data["space"]["weights"] = [0.25, 0.25, 0.25, 0.0]
@@ -71,19 +90,45 @@ def test_validation_refuses_a_huge_level_count_without_computing_its_power():
     assert build_scenario(data).experiment["levels"] == 2
 
 
-def test_default_block_tests_are_the_block_indicators_bitwise():
-    from vmlab import MeasurableSet, Partition, SimpleFunction
-    from vmlab.harness import _default_tests
+def _spy_run_net(monkeypatch) -> list:
+    """The (measure, levels, f, tests, keywords) of each harness call of run_net from now on."""
+    from vmlab import harness
 
-    rng = np.random.default_rng(61)
-    sc = build_scenario(_preset("canonical-l1"))
-    assert _default_tests(sc) == [sc.functions[0]]
-    for block_of in ([0, 0, 0, 0], [1, 0, 1, 2], [0, 1, 2, 3], rng.permutation([0, 1, 1, 0])):
-        p = Partition(sc.space, np.asarray(block_of), int(max(block_of)) + 1)
-        got = _default_tests(sc, finest=p)
-        want = [SimpleFunction.indicator(MeasurableSet.from_indices(sc.space, ids)) for ids in p.blocks()]
-        assert got[0] is sc.functions[0] and len(got) == 1 + len(want)
-        assert all(g.coeffs.tobytes() == w.coeffs.tobytes() for g, w in zip(got[1:], want))
+    calls = []
+    original = harness.run_net
+
+    def spy(m, net, f, tests=None, **kw):
+        net = list(net)
+        calls.append((m, net, f, tests, kw))
+        return original(m, net, f, tests=tests, **kw)
+
+    monkeypatch.setattr(harness, "run_net", spy)
+    return calls
+
+
+def test_default_block_tests_are_the_block_indicators_bitwise(monkeypatch):
+    from vmlab import MeasurableSet, SimpleFunction, dyadic_chain
+
+    calls = _spy_run_net(monkeypatch)
+    data = _preset("canonical-l1")
+    data["space"] = {"n": 8, "weights": [0.5 + (i * 3 % 8) / 8 for i in range(8)]}
+    data["functions"] = [[(-1.0) ** i * (1 + i % 3) / 3 for i in range(8)]]
+    experiments = [{"kind": "basis"}, {"kind": "rn_net", "family": "coordinate"}]
+    for levels in range(4):
+        experiments += [{"kind": "martingale", "levels": levels},
+                        {"kind": "rn_net", "family": "expectation", "levels": levels}]
+    for experiment in experiments:
+        data["experiment"] = {**experiment, "seed": 3, "exact_cutoff": 12}
+        sc = build_scenario(data)
+        calls.clear()
+        assert "error" not in run(sc)
+        [(m, net, f, tests, kw)] = calls
+        assert m is sc.measure and f is sc.functions[0] and tests[0] is f
+        assert kw == {"exact_cutoff": 12, "seed": 3}
+        blocks = dyadic_chain(experiment["levels"], sc.space)[-1].blocks() if "levels" in experiment else []
+        want = [SimpleFunction.indicator(MeasurableSet.from_indices(sc.space, ids)) for ids in blocks]
+        assert len(tests) == 1 + len(want), experiment
+        assert all(g.coeffs.tobytes() == w.coeffs.tobytes() for g, w in zip(tests[1:], want))
 
 
 def test_validation_unknown_keys():
@@ -683,6 +728,10 @@ NAN, INF = float("nan"), float("inf")
             },
             r"experiment.other rank_one atoms mu_i \* g overflow",
         ),
+        # numpy reads a dict scale with a TypeError, and True as 1.0
+        ("random-measure", {"value_space": {"kind": "LINF", "d": 3, "scale": {"a": 1}}}, "invalid value_space scale"),
+        ("random-measure", {"value_space": {"kind": "LINF", "d": 3, "scale": True}}, "not bools or strings"),
+        ("random-measure", {"value_space": {"kind": "LINF", "d": 3, "scale": [1.0, "2", 1.0]}}, "not bools or strings"),
     ],
 )
 def test_validation_errors_fail_the_build_and_the_cli(tmp_path, capsys, preset, sections, message):
@@ -1033,20 +1082,12 @@ def test_measure_validation_messages_name_their_section(sections, where):
 
 
 def test_rn_net_expectation_levels_of_the_indicator_are_recorded(monkeypatch):
-    from vmlab import harness
     from vmlab.vector_measure import Expectation
 
+    calls = _spy_run_net(monkeypatch)
     data = _preset("canonical-l1")
     data["experiment"] = {"kind": "rn_net", "family": "expectation", "levels": 2}
-    seen = []
-    table = harness._net_table
-
-    def spy(sc, exp, net, tests):
-        net = list(net)
-        seen.extend(net)
-        return table(sc, exp, net, tests)
-
-    monkeypatch.setattr(harness, "_net_table", spy)
     run(build_scenario(data))
+    [(_, seen, _, _, _)] = calls
     assert [type(level.record) for level in seen] == [Expectation] * 3
     assert [level.record.p.n_blocks for level in seen] == [1, 2, 4]
