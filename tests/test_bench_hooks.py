@@ -20,12 +20,10 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def _bench_module(name: str):
     """``bench/<name>.py`` as a module, registered under a name of its own."""
     key = f"_vmlab_bench_{name}"
-    if key not in sys.modules:
-        spec = importlib.util.spec_from_file_location(key, BENCH / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[key] = module  # dataclasses look their module up while the class is built
-        spec.loader.exec_module(module)
-    return sys.modules[key]
+    spec = importlib.util.spec_from_file_location(key, BENCH / f"{name}.py")
+    module = sys.modules[key] = importlib.util.module_from_spec(spec)  # dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
 
 
 spans = _bench_module("spans")
