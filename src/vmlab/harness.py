@@ -35,13 +35,15 @@ nets run over the dyadic chain of that depth), f followed by the indicator
 of each finest block.
 
 ``_CHECKS`` checks each numeric or sign parameter for every kind that takes
-it.  ``run`` takes the scenario alone, so a report's echoed scenario reruns
-it, records ``metadata.seed`` only for kinds that take one, and records a
-floating-point overflow or invalid operation in the report's error section.
+it; the number lists (weights, g, rows, functions) and the scale refuse bools
+and strings.  ``run`` takes the scenario alone, so a report's echoed scenario
+reruns it, records ``metadata.seed`` only for kinds that take one, and records
+a floating-point overflow or invalid operation in the report's error section.
 Reports are deterministic for a fixed scenario (the wall-time metadata field
-aside); floats are serialized with 17 significant digits so JSON round-trips
-exactly.  CSV output has one row per net level or sweep point with the
-documented per-experiment header.  Daugavet sweep points use the O(n)
+aside); floats are serialized with 17 significant digits, so every finite
+float reads back equal in value (-0.0 and 1.0 as the integers 0 and 1).  CSV
+output has one row per net level or sweep point with the documented
+per-experiment header.  Daugavet sweep points use the O(n)
 rank-one formula and run in sweep order on the calling thread; a sweep size
 above ``SWEEP_LIMIT`` raises ``CapacityExceeded`` before any point runs.
 Each measure kind has one constructor, which gives indicator the record
@@ -59,6 +61,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -109,13 +112,17 @@ def _check_number(value, what: str, low=None, real: bool = False):
 
 
 def _finite_array(value, shape: tuple, message: str) -> np.ndarray:
-    """``value`` as a float array of ``shape`` with finite entries, else ValidationError(message)."""
+    """``value`` as a float array of ``shape`` with finite entries, else ValidationError(message).
+    The entry types are scanned, as no dtype shows a bool or string in a list of numbers."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(message) from None
     if arr.shape != shape or not np.all(np.isfinite(arr)):
         raise ValidationError(message)
+    types = set(map(type, value if len(shape) == 1 else chain.from_iterable(value)))
+    if any(issubclass(t, (bool, str)) for t in types):
+        raise ValidationError(f"{message}; bools and strings are not numbers")
     return arr
 
 
@@ -440,7 +447,8 @@ def _canon(obj, indent: int) -> str:
 
 
 def dumps_report(report: dict) -> str:
-    """Canonical JSON: sorted keys, 17-significant-digit floats, newline-terminated."""
+    """Canonical JSON: sorted keys, 17-significant-digit floats, newline-terminated.
+    Every finite float reads back equal in value, -0.0 and 1.0 as the ints 0 and 1."""
     return _canon(report, 0) + "\n"
 
 

@@ -309,7 +309,8 @@ def koethe_dual_norm_info(m: VectorMeasure, g: SimpleFunction, seed: int = 0) ->
 
     # the ball norm depends on |f| alone: an LP over u = |f| >= 0, with f = sign(g)*u
     c = g.coeffs * m.space.weights
-    sol = solve_lp(LinearProgram(np.abs(c), [(row, "<=", 1.0) for row in _koethe_ball_rows(m)]))
+    rows = _koethe_ball_rows(m)
+    sol = solve_lp(LinearProgram(np.abs(c), rows, np.ones(len(rows))))
     if sol.status == UNBOUNDED:
         return KoetheDualResult(float("inf"), EXACT, None)
     fstar = SimpleFunction(m.space, np.sign(c) * sol.point)

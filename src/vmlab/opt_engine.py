@@ -2,8 +2,9 @@
 
 Three small deterministic tools back the norm and dual-norm engines:
 
-  * a one-phase simplex from the slack basis over x >= 0, rows <= b with
-    b >= 0, with Bland's anti-cycling rule, on the condensed (Tucker)
+  * a one-phase simplex for ``LinearProgram(objective, a, b)``: max
+    objective @ x over x >= 0, a @ x <= b with b >= 0, from the slack basis
+    with Bland's anti-cycling rule, on the condensed (Tucker)
     tableau: n + 1 columns, one per nonbasic variable plus the right-hand
     side, where the full tableau has n + m + 1.  A pivot gives the entering
     column's slot to the leaving variable and runs one masked elimination,
@@ -24,8 +25,8 @@ bit-for-bit deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -67,44 +68,34 @@ _LOW_SIGNS.setflags(write=False)
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize objective @ x over x >= 0 subject to rows (a, "<=", b) with b >= 0.
-
-    The origin is feasible, so the slack basis starts the simplex.  ``bounds``
-    must stay None: every variable is bounded below by 0 alone.  ``rows`` is
-    the m x (n + 1) array [a | b] of the constraints, stacked once here.
-    """
+    """Maximize objective @ x over x >= 0 subject to a @ x <= b with b >= 0, for an
+    m x n row array ``a``; float arrays are held as given, not copied.  The origin
+    is feasible, so the slack basis starts the simplex."""
 
     objective: np.ndarray
-    constraints: Sequence[tuple]
-    bounds: Optional[Sequence[tuple]] = None
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    a: np.ndarray
+    b: np.ndarray
+
+    bounds = None  # read by bench/spans.py until ROADMAP item 2
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("objective must be a vector")
-        object.__setattr__(self, "objective", c)
-        lhs, rels, rhs = zip(*self.constraints) if len(self.constraints) else ((), (), ())
-        b = np.array(rhs, dtype=float)
-        if rels.count("<=") != len(rels) or not (b >= 0.0).all():
-            for rel, bi in zip(rels, rhs):  # the first faulty row, relation before right-hand side
-                if rel != "<=":
-                    raise ValueError(f"unsupported relation {rel!r}; rows are a @ x <= b")
-                if not bi >= 0:
-                    raise ValueError(f"right-hand side {bi!r} must be >= 0")
-        if self.bounds is not None:
-            raise ValueError("bounds must be None; variables are x >= 0")
-        try:  # one stacking call; with no rows, the (0, n) array stands for the empty list
-            a = np.array(lhs or np.empty((0, c.size)), dtype=float)
-        except ValueError:  # ragged rows
-            a = None
-        if a is None or a.shape != (len(rels), c.size):
-            raise ValueError("constraint row length mismatch")
-        rows = np.empty((len(rels), c.size + 1))
-        rows[:, :-1], rows[:, -1] = a, b
-        if not (np.isfinite(rows).all() and np.isfinite(c).all()):
+        a = np.asarray(self.a, dtype=float)
+        b = np.asarray(self.b, dtype=float)
+        if c.ndim != 1 or b.ndim != 1 or a.shape != (b.size, c.size):
+            raise ValueError(f"shapes a {a.shape}, b {b.shape}, objective {c.shape}; want (m, n), (m,), (n,)")
+        negative = ~(b >= 0.0)  # NaN too
+        if negative.any():
+            raise ValueError(f"right-hand side {float(b[negative.argmax()])!r} must be >= 0")
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
             raise ValueError("objective, rows and right-hand sides must be finite")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "objective", c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    @property
+    def constraints(self) -> list:  # read by bench/spans.py until ROADMAP item 2
+        return [(ai, "<=", bi) for ai, bi in zip(self.a, self.b)]
 
 
 @dataclass(frozen=True)
@@ -134,8 +125,8 @@ def _pivot(T, basis, nonbasic, i, c):
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """One-phase simplex on the condensed tableau from the slack basis over
-    x >= 0, rows <= b with b >= 0.
+    """One-phase simplex on the condensed tableau [a + 0.0 | b] from the slack
+    basis over x >= 0, a @ x <= b with b >= 0.
 
     Column c of the tableau holds variable nonbasic[c], the last column the
     right-hand side.  Bland's rule: the smallest improving variable enters;
@@ -144,9 +135,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     Zeros enter the tableau, and leave it in the point, as +0.0.
     """
     c = lp.objective
-    n, m = c.size, len(lp.constraints)
-    T = lp.rows.copy()
-    T[:, :-1] += 0.0
+    m, n = lp.a.shape
+    T = np.concatenate((lp.a + 0.0, lp.b[:, None]), axis=1)
     basis, nonbasic = n + np.arange(m), np.arange(n)
     cost = np.zeros(n + m)
     cost[:n] = 0.0 + c

@@ -3,10 +3,9 @@
 The oracles deliberately avoid every shortcut the engines use: the norm
 oracle enumerates all 2^n sign vectors with itertools (no blocks, no
 support skipping, no pinning), and the LP oracle is scipy's HiGHS solver.
-``loop_solve_lp`` keeps a general two-phase simplex with one Python loop
-per row and per column; on the programs ``solve_lp`` takes (x >= 0, rows
-<= b with b >= 0) the one-phase simplex from the slack basis must equal it
-bit for bit.  ``loop_koethe_supergradient`` runs the L2 Köthe ascent one
+``loop_solve_lp`` runs the simplex from the slack basis on the full
+tableau, slack columns included, with one Python loop per row and per
+column; ``solve_lp`` on the condensed tableau must equal it bit for bit.  ``loop_koethe_supergradient`` runs the L2 Köthe ascent one
 restart at a time with one ``norm_best`` call per iterate, the reference
 for the stacked ascent.
 """
@@ -112,7 +111,6 @@ def koethe_scipy(m, g):
 # reference simplex: one Python loop per row and per column, with Bland's rule
 
 _PIVOT_TOL = 1e-9
-INFEASIBLE = "infeasible"  # a status of this general reference only
 
 
 def _loop_bland_simplex(T, basis, cost, ncols, tol=_PIVOT_TOL):
@@ -154,161 +152,26 @@ def _loop_bland_simplex(T, basis, cost, ncols, tol=_PIVOT_TOL):
 
 
 def loop_solve_lp(lp):
-    """The per-row, per-column two-phase simplex that ``solve_lp`` must equal
-    bitwise, pivot count included (phase 1, the artificials pivoted out and
-    phase 2 together)."""
+    """Bland's rule on the full m x (n + m + 1) tableau, slack columns
+    included, that ``solve_lp`` must equal bitwise, pivot count included."""
     c = lp.objective
-    nvars = c.size
-    bounds = list(lp.bounds) if lp.bounds is not None else [(0.0, None)] * nvars
-
-    # Standard form: every column variable >= 0.  Each original variable
-    # becomes one or two columns plus an optional range row.
-    cols = []          # (orig index, coeff sign, shift) per column
-    extra_rows = []    # (column index, upper bound) for two-sided bounds
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is None and hi is None:
-            cols.append((j, 1.0, 0.0))
-            cols.append((j, -1.0, 0.0))
-        elif lo is not None:
-            cols.append((j, 1.0, float(lo)))
-            if hi is not None:
-                extra_rows.append((len(cols) - 1, float(hi) - float(lo)))
-        else:
-            cols.append((j, -1.0, float(hi)))
-
-    nstd = len(cols)
-    rows = []
-    for a, rel, b in lp.constraints:
-        a = np.asarray(a, dtype=float)
-        row = np.zeros(nstd)
-        for k, (j, sgn, _off) in enumerate(cols):
-            row[k] += sgn * a[j]
-        # the affine shifts of bounded variables move into the right-hand side
-        shift = 0.0
-        for j, (lo, hi) in enumerate(bounds):
-            if lo is not None:
-                shift += a[j] * float(lo)
-            elif hi is not None:
-                shift += a[j] * float(hi)
-        rows.append((row, rel, float(b) - shift))
-    for k, ub in extra_rows:
-        row = np.zeros(nstd)
-        row[k] = 1.0
-        rows.append((row, "<=", ub))
-
-    cstd = np.zeros(nstd)
-    for k, (j, sgn, off) in enumerate(cols):
-        cstd[k] += sgn * c[j]
-
-    m = len(rows)
-    if m == 0:
-        # unconstrained over the nonnegative orthant
-        if np.any(cstd > _PIVOT_TOL):
-            return LPSolution(UNBOUNDED, None, None, 0)
-        x = _loop_recover(np.zeros(nstd), cols, bounds, nvars)
-        return LPSolution(OPTIMAL, x, float(c @ x), 0)
-
-    nslack = sum(1 for _, rel, _ in rows if rel != "=")
-    A = np.zeros((m, nstd + nslack))
-    b = np.zeros(m)
-    needs_artificial = []
-    si = 0
-    for i, (row, rel, bi) in enumerate(rows):
-        if rel == ">=":
-            row, rel, bi = -row, "<=", -bi
-        if rel == "<=":
-            if bi >= 0:
-                A[i, :nstd] = row
-                A[i, nstd + si] = 1.0
-                b[i] = bi
-                needs_artificial.append(False)
-            else:
-                A[i, :nstd] = -row
-                A[i, nstd + si] = -1.0
-                b[i] = -bi
-                needs_artificial.append(True)
-            si += 1
-        else:
-            if bi >= 0:
-                A[i, :nstd] = row
-                b[i] = bi
-            else:
-                A[i, :nstd] = -row
-                b[i] = -bi
-            needs_artificial.append(True)
-
-    nart = sum(needs_artificial)
-    ncols = nstd + nslack + nart
-    T = np.zeros((m, ncols + 1))
-    T[:, : nstd + nslack] = A
-    T[:, -1] = b
-    basis = np.empty(m, dtype=int)
-    ai = 0
-    si = 0
-    for i, (row, rel, bi) in enumerate(rows):
-        if needs_artificial[i]:
-            T[i, nstd + nslack + ai] = 1.0
-            basis[i] = nstd + nslack + ai
-            ai += 1
-        else:
-            basis[i] = nstd + si
-        if rel != "=":
-            si += 1
-
-    pivots = 0
-    if nart > 0:
-        cost1 = np.zeros(ncols)
-        cost1[nstd + nslack :] = -1.0
-        _, pivots = _loop_bland_simplex(T, basis, cost1, ncols)
-        if cost1[basis] @ T[:, -1] < -1e-7:
-            return LPSolution(INFEASIBLE, None, None, pivots)
-        # pivot remaining artificials out of the basis, or drop redundant rows
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= nstd + nslack:
-                pivoted = False
-                for j in range(nstd + nslack):
-                    if abs(T[i, j]) > _PIVOT_TOL:
-                        piv = T[i, j]
-                        T[i] /= piv
-                        for r in range(m):
-                            if r != i and T[r, j] != 0.0:
-                                T[r] -= T[r, j] * T[i]
-                        basis[i] = j
-                        pivots += 1
-                        pivoted = True
-                        break
-                if not pivoted:
-                    keep[i] = False
-        T = T[keep]
-        basis = basis[keep]
-        m = T.shape[0]
-
-    T = np.hstack([T[:, : nstd + nslack], T[:, -1:]])
-    ncols = nstd + nslack
-    cost2 = np.zeros(ncols)
-    cost2[:nstd] = cstd
-    status, phase2 = _loop_bland_simplex(T, basis, cost2, ncols)
-    pivots += phase2
+    m, n = lp.a.shape
+    T = np.zeros((m, n + m + 1))
+    for i in range(m):
+        for j in range(n):
+            T[i, j] = lp.a[i, j] + 0.0
+        T[i, n + i] = 1.0
+        T[i, -1] = lp.b[i]
+    basis = n + np.arange(m)
+    cost = np.zeros(n + m)
+    cost[:n] = c + 0.0
+    status, pivots = _loop_bland_simplex(T, basis, cost, n + m)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, None, None, pivots)
-
-    xstd = np.zeros(ncols)
-    xstd[basis] = T[:, -1]
-    x = _loop_recover(xstd[:nstd], cols, bounds, nvars)
+    x = np.zeros(n + m)
+    x[basis] = T[:, -1]
+    x = x[:n] + 0.0
     return LPSolution(OPTIMAL, x, float(c @ x), pivots)
-
-
-def _loop_recover(xstd, cols, bounds, nvars):
-    x = np.zeros(nvars)
-    for k, (j, sgn, off) in enumerate(cols):
-        x[j] += sgn * xstd[k]
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            x[j] += float(lo)
-        elif hi is not None:
-            x[j] += float(hi)
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -47,3 +47,26 @@ def test_a_traced_nets_round_has_exact_norm_best_spans():
             harness.dumps_report(harness.run(harness.build_scenario(op.scenario)))
     best = [s for s in tracer.spans if s[1] == "l1m_norm.norm_best" and s[6] is None]
     assert any(s[8] in ("exact", "closed_form") for s in best), len(best)
+
+
+def test_the_lp_work_count_reads_the_row_array_program(monkeypatch):
+    """``_tableau_cells`` counts the Köthe LP through its ``bounds`` and
+    ``constraints`` views: m x (n + m + 1), the count the tuple rows gave."""
+    import numpy as np
+
+    from vmlab import MeasureSpace, NormSpec, SimpleFunction, VectorMeasure, koethe_dual_norm_info, l1m_norm
+
+    programs = []
+    solve_lp = l1m_norm.solve_lp
+    monkeypatch.setattr(l1m_norm, "solve_lp", lambda lp: programs.append(lp) or solve_lp(lp))
+    rng = np.random.default_rng(10)
+    n, d = 12, 10
+    space = MeasureSpace(rng.uniform(0.2, 1.5, size=n))
+    m = VectorMeasure(space, NormSpec("L1", d, rng.uniform(0.5, 2.0, size=d)), rng.normal(size=(n, d)))
+    koethe_dual_norm_info(m, SimpleFunction(space, rng.normal(size=n)))
+    (lp,) = programs
+    assert spans._tableau_cells((lp,), {}, None) == 512 * (12 + 512 + 1)
+    rows = lp.constraints
+    assert len(rows) == lp.b.size == 512
+    for (a_i, rel, b_i), want_a, want_b in zip(rows, lp.a, lp.b):
+        assert a_i.tobytes() == want_a.tobytes() and rel == "<=" and b_i == want_b == 1.0

@@ -190,7 +190,21 @@ def test_json_roundtrip_equality(tmp_path):
     path = tmp_path / "report.json"
     emit(report, "json", path)
     parsed = json.loads(path.read_text())
-    assert parsed == report  # 17 significant digits round-trip doubles exactly
+    assert parsed == report  # 17 significant digits read every finite double back equal in value
+
+
+def test_every_finite_float_reads_back_equal_in_value():
+    rng = np.random.default_rng(29)
+    values = [-0.0, 0.0, 1.0, -3.0, 2.0**53, 2.0**53 + 2.0, 1e16, 1e17, 0.1, 5e-324, -2.2250738585072014e-308]
+    values += [1.7976931348623157e308, *(rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200))]
+    values += [float(v) for v in rng.integers(-(2**60), 2**60, size=50)]
+    parsed = json.loads(dumps_report(values))
+    assert len(parsed) == len(values)
+    for got, want in zip(parsed, values):
+        assert got == want and float(got) == want
+    # -0.0 and integral floats are written like integers and read back as ints
+    assert dumps_report([-0.0, 1.0]) == "[\n  -0,\n  1\n]\n"
+    assert [type(v) for v in json.loads(dumps_report([-0.0, 1.0, 0.5]))] == [int, int, float]
 
 
 def test_csv_shape(tmp_path):
@@ -745,6 +759,48 @@ def test_validation_errors_fail_the_build_and_the_cli(tmp_path, capsys, preset, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def _set_number_field(data, field, values):
+    """canonical-l1 (n = d = 4) with ``values`` in one of the four number-list fields."""
+    if field == "weights":
+        data["space"]["weights"] = values
+    elif field == "rank_one.g":
+        data["measure"] = {"kind": "rank_one", "g": values}
+    elif field == "matrix.rows":
+        data["measure"] = {"kind": "matrix", "rows": [values] + np.eye(4)[1:].tolist()}
+    else:
+        data["functions"] = [values, [1.0, 0.0, 0.0, 0.0]]
+    return data
+
+
+_NUMBER_FIELDS = ("weights", "rank_one.g", "matrix.rows", "functions")
+
+
+@pytest.mark.parametrize("field", _NUMBER_FIELDS)
+@pytest.mark.parametrize(
+    "values", [[True, True, True, True], [1.0, True, 2.0, 1.0], [1.0, "2", 1.0, 1.0], ["1", "1", "1", "1"]],
+    ids=["bools", "mixed", "string", "strings"],
+)
+def test_number_lists_refuse_bools_and_strings(tmp_path, capsys, field, values):
+    # numpy reads true and "2" as 1.0 and 2.0, and [1.0, true] as float64
+    data = _set_number_field(_preset("canonical-l1"), field, values)
+    with pytest.raises(ValidationError, match="bools and strings are not numbers"):
+        build_scenario(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["report", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("field", _NUMBER_FIELDS)
+def test_number_lists_of_ints_and_floats_keep_their_bits(field):
+    floats = [1.0, 2.0, 0.5, 3.0]
+    want = run(build_scenario(_set_number_field(_preset("canonical-l1"), field, floats)))
+    got = run(build_scenario(_set_number_field(_preset("canonical-l1"), field, [1, 2, 0.5, 3])))
+    assert dumps_report(got["results"]) == dumps_report(want["results"])
 
 
 def test_identity_builds_its_other_measure_with_the_scenario():

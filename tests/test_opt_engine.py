@@ -21,80 +21,80 @@ from helpers import loop_solve_lp
 
 
 def test_lp_trivial_examples():
-    sol = solve_lp(LinearProgram(np.array([1.0]), [([1.0], "<=", 3.0)]))
+    sol = solve_lp(LinearProgram(np.array([1.0]), [[1.0]], [3.0]))
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(3.0, abs=1e-9)
 
-    sol = solve_lp(LinearProgram(np.array([1.0, 1.0]), [([1.0, 1.0], "<=", 1.0)]))
+    sol = solve_lp(LinearProgram(np.array([1.0, 1.0]), [[1.0, 1.0]], [1.0]))
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_lp_statuses():
-    lp = LinearProgram(np.array([1.0]), [([1.0], "<=", 0.0)])  # degenerate: x <= 0
+    lp = LinearProgram(np.array([1.0]), [[1.0]], [0.0])  # degenerate: x <= 0
     sol = solve_lp(lp)
     assert sol.status == OPTIMAL and sol.value == 0.0 and sol.point.tobytes() == np.zeros(1).tobytes()
-    lp = LinearProgram(np.array([1.0]), [([-1.0], "<=", 1.0)])
+    lp = LinearProgram(np.array([1.0]), [[-1.0]], [1.0])
     assert solve_lp(lp).status == UNBOUNDED
-    assert solve_lp(LinearProgram(np.array([1.0, -1.0]), [])).status == UNBOUNDED
+    assert solve_lp(LinearProgram(np.array([1.0, -1.0]), np.empty((0, 2)), [])).status == UNBOUNDED
+
+
+@pytest.mark.parametrize("b", [[-1.0], [float("nan")], [1.0, -0.5]])
+def test_linear_program_refuses_programs_the_origin_does_not_start(b):
+    with pytest.raises(ValueError, match="right-hand side"):
+        LinearProgram(np.array([1.0]), np.ones((len(b), 1)), b)
 
 
 @pytest.mark.parametrize(
-    "constraints, bounds, message",
+    "objective, a, b",
     [
-        ([([1.0], ">=", 1.0)], None, "relation"),
-        ([([1.0], "=", 1.0)], None, "relation"),
-        ([([1.0], "<=", -1.0)], None, "right-hand side"),
-        ([([1.0], "<=", float("nan"))], None, "right-hand side"),
-        ([([1.0], "<=", 1.0)], [(0.0, None)], "bounds"),
+        ([1.0, 2.0], [[1.0]], [1.0]),
+        ([1.0], [[1.0, 2.0]], [1.0]),
+        ([1.0, 2.0], [[1.0, 2.0]], [1.0, 1.0]),
+        ([1.0], [1.0], [1.0]),
+        ([1.0], [[[1.0]]], [1.0]),
+        ([1.0], np.empty((0,)), []),
+        ([1.0], [[1.0]], [[1.0]]),
+        ([1.0], [[1.0]], 1.0),
+        ([[1.0]], [[1.0]], [1.0]),
     ],
 )
-def test_linear_program_refuses_programs_the_origin_does_not_start(constraints, bounds, message):
-    with pytest.raises(ValueError, match=message):
-        LinearProgram(np.array([1.0]), constraints, bounds)
+def test_linear_program_refuses_rows_of_the_wrong_shape(objective, a, b):
+    with pytest.raises(ValueError, match="shapes"):
+        LinearProgram(np.array(objective), a, b)
+
+
+def test_linear_program_refuses_ragged_rows():
+    with pytest.raises(ValueError):
+        LinearProgram(np.array([1.0, 2.0]), [[1.0, 2.0], [1.0]], [1.0, 1.0])
 
 
 @pytest.mark.parametrize(
-    "objective, constraints",
+    "objective, a, b",
     [
-        ([1.0, 2.0], [([1.0], "<=", 1.0)]),
-        ([1.0], [([1.0, 2.0], "<=", 1.0)]),
-        ([1.0, 2.0], [([1.0, 2.0], "<=", 1.0), ([1.0], "<=", 1.0)]),
-        ([1.0], [(1.0, "<=", 1.0)]),
-        ([1.0], [([[1.0]], "<=", 1.0)]),
+        ([1.0], [[float("nan")]], [1.0]),
+        ([1.0, 2.0], [[1.0, 1.0], [0.0, float("inf")]], [1.0, 1.0]),
+        ([1.0], [[-float("inf")]], [1.0]),
+        ([float("nan")], [[1.0]], [1.0]),
+        ([float("inf")], [[1.0]], [1.0]),
+        ([1.0], [[1.0]], [float("inf")]),
+        ([float("nan")], np.empty((0, 1)), []),
     ],
 )
-def test_linear_program_refuses_rows_of_the_wrong_shape(objective, constraints):
-    with pytest.raises(ValueError, match="constraint row length mismatch"):
-        LinearProgram(np.array(objective), constraints)
-
-
-@pytest.mark.parametrize(
-    "objective, constraints",
-    [
-        ([1.0], [([float("nan")], "<=", 1.0)]),
-        ([1.0, 2.0], [([1.0, 1.0], "<=", 1.0), ([0.0, float("inf")], "<=", 1.0)]),
-        ([1.0], [([-float("inf")], "<=", 1.0)]),
-        ([float("nan")], [([1.0], "<=", 1.0)]),
-        ([float("inf")], [([1.0], "<=", 1.0)]),
-        ([1.0], [([1.0], "<=", float("inf"))]),
-        ([float("nan")], []),
-    ],
-)
-def test_linear_program_refuses_non_finite_data(objective, constraints):
+def test_linear_program_refuses_non_finite_data(objective, a, b):
     with pytest.raises(ValueError, match="must be finite"):
-        LinearProgram(np.array(objective), constraints)
+        LinearProgram(np.array(objective), a, b)
 
 
 def test_linear_program_names_the_first_faulty_row():
-    # rows are checked in order, the relation before the right-hand side
-    bad_rhs, bad_rel = ([1.0], "<=", -2.0), ([1.0], ">=", 1.0)
+    # one vectorised pass; the message names the first negative or NaN right-hand side
     with pytest.raises(ValueError, match=r"^right-hand side -2.0 must be >= 0$"):
-        LinearProgram(np.array([1.0]), [([1.0], "<=", 1.0), bad_rhs, bad_rel])
-    with pytest.raises(ValueError, match=r"^unsupported relation '>='; rows are a @ x <= b$"):
-        LinearProgram(np.array([1.0]), [bad_rel, bad_rhs])
-    with pytest.raises(ValueError, match="relation"):
-        LinearProgram(np.array([1.0]), [([1.0], ">=", -1.0)])
+        LinearProgram(np.array([1.0]), np.ones((4, 1)), [1.0, -2.0, float("nan"), -3.0])
+    with pytest.raises(ValueError, match=r"^right-hand side nan must be >= 0$"):
+        LinearProgram(np.array([1.0]), np.ones((3, 1)), [0.0, float("nan"), -1.0])
+    # a negative right-hand side is named before non-finite rows
+    with pytest.raises(ValueError, match="right-hand side"):
+        LinearProgram(np.array([1.0]), [[float("inf")], [1.0]], [1.0, -1.0])
 
 
 def test_linear_program_rows_are_the_stacked_constraints():
@@ -103,22 +103,26 @@ def test_linear_program_rows_are_the_stacked_constraints():
         a = rng.normal(size=(m, 5))
         b = rng.uniform(0.0, 3.0, size=m)
         b[: m // 3] = rng.choice([0.0, -0.0], size=m // 3)
-        constraints = [(list(row) if i % 2 else row, "<=", float(bi)) for i, (row, bi) in enumerate(zip(a, b))]
-        lp = LinearProgram(rng.normal(size=5), constraints)
-        want = np.column_stack([np.array([r for r, _, _ in constraints] or np.empty((0, 5))), b])
-        assert lp.rows.tobytes() == want.tobytes() and lp.rows.shape == (m, 6)
-        assert lp.constraints is constraints and lp.bounds is None
+        lp = LinearProgram(rng.normal(size=5), a, b)
+        assert lp.a is a and lp.b is b  # float arrays are held, not copied
+        if m:  # an empty list has no row length
+            listed = LinearProgram(lp.objective, a.tolist(), b.tolist())
+            assert listed.a.tobytes() == a.tobytes() and listed.a.shape == (m, 5)
+            assert listed.b.tobytes() == b.tobytes() and listed.b.shape == (m,)
+        # the tuple view bench/spans.py counts rows from
+        assert lp.bounds is None and len(lp.constraints) == m
+        for (ai, rel, bi), want_a, want_b in zip(lp.constraints, a, b):
+            assert rel == "<=" and ai.tobytes() == want_a.tobytes() and repr(bi) == repr(want_b)
 
 
 def _random_lp(rng, nvars=10, nrows=8):
     """Random rows and a box 0 <= x_j <= ub_j, the box as rows too."""
     c = rng.normal(size=nvars)
-    rows = []
-    for _ in range(nrows):
-        rows.append((rng.normal(size=nvars), "<=", float(rng.uniform(0.5, 3.0))))
-    for j, ub in enumerate(rng.uniform(0.5, 4.0, size=nvars)):
-        rows.append((np.eye(nvars)[j], "<=", float(ub)))
-    return LinearProgram(c, rows)
+    a = [rng.normal(size=nvars) for _ in range(nrows)]
+    b = [float(rng.uniform(0.5, 3.0)) for _ in range(nrows)]
+    a.extend(np.eye(nvars))
+    b.extend(rng.uniform(0.5, 4.0, size=nvars))
+    return LinearProgram(c, np.array(a), b)
 
 
 def test_lp_against_scipy():
@@ -128,19 +132,12 @@ def test_lp_against_scipy():
     for _ in range(60):
         lp = _random_lp(rng)
         sol = solve_lp(lp)
-        res = linprog(
-            -lp.objective,
-            A_ub=np.array([a for a, _, _ in lp.constraints]),
-            b_ub=np.array([b for _, _, b in lp.constraints]),
-            bounds=(0.0, None),
-            method="highs",
-        )
+        res = linprog(-lp.objective, A_ub=lp.a, b_ub=lp.b, bounds=(0.0, None), method="highs")
         assert sol.status == OPTIMAL and res.status == 0
         assert sol.value == pytest.approx(-res.fun, abs=1e-8)
         # the reported point satisfies the constraints and matches the value
         assert np.all(sol.point >= 0.0)
-        for a, _, b in lp.constraints:
-            assert np.asarray(a) @ sol.point <= b + 1e-9
+        assert np.all(lp.a @ sol.point <= lp.b + 1e-9)
         assert lp.objective @ sol.point == pytest.approx(sol.value, abs=1e-9)
 
 
@@ -149,14 +146,11 @@ def test_lp_invariant_under_row_and_variable_reordering():
     for _ in range(20):
         lp = _random_lp(rng)
         base = solve_lp(lp).value
-        perm = rng.permutation(len(lp.constraints))
-        shuffled = LinearProgram(lp.objective, [lp.constraints[i] for i in perm])
+        perm = rng.permutation(lp.b.size)
+        shuffled = LinearProgram(lp.objective, lp.a[perm], lp.b[perm])
         assert solve_lp(shuffled).value == pytest.approx(base, abs=1e-8)
         vperm = rng.permutation(lp.objective.size)
-        reordered = LinearProgram(
-            lp.objective[vperm],
-            [(np.asarray(a)[vperm], r, b) for a, r, b in lp.constraints],
-        )
+        reordered = LinearProgram(lp.objective[vperm], lp.a[:, vperm], lp.b)
         assert solve_lp(reordered).value == pytest.approx(base, abs=1e-8)
 
 
@@ -170,15 +164,17 @@ def _origin_feasible_lp(rng):
     def draw(size):
         return rng.integers(-3, 4, size=size).astype(float) if integer else rng.normal(size=size)
 
-    rows = []
+    a, b = [], []
     for _ in range(int(rng.integers(0, 9))):
-        b = abs(float(draw(1)[0]))
-        rows.append((draw(nvars), "<=", -0.0 if b == 0.0 and rng.random() < 0.5 else b))
-    if rows and rng.random() < 0.3:
-        a, rel, b = rows[rng.integers(len(rows))]
+        bi = abs(float(draw(1)[0]))
+        a.append(draw(nvars))
+        b.append(-0.0 if bi == 0.0 and rng.random() < 0.5 else bi)
+    if a and rng.random() < 0.3:
+        i = rng.integers(len(a))
         t = float(rng.integers(1, 3))
-        rows.append((t * a, rel, t * b))
-    return LinearProgram(draw(nvars), rows)
+        a.append(t * a[i])
+        b.append(t * b[i])
+    return LinearProgram(draw(nvars), np.reshape(a, (len(a), nvars)), b)
 
 
 def test_pivot_is_bitwise_the_row_loop_and_keeps_signed_zeros():
@@ -241,15 +237,16 @@ def _degenerate_lp(rng):
     """A degenerate LP over x >= 0: small integer rows, most right-hand sides
     0.0 or -0.0, and scaled copies of rows, so min-ratio ties are common."""
     nvars = int(rng.integers(2, 7))
-    rows = []
+    a, b = [], []
     for _ in range(int(rng.integers(2, 9))):
-        b = float(rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, 2.0]))
-        rows.append((rng.integers(-1, 3, size=nvars).astype(float), "<=", b))
+        b.append(float(rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, 2.0])))
+        a.append(rng.integers(-1, 3, size=nvars).astype(float))
     for _ in range(int(rng.integers(0, 3))):
-        a, rel, b = rows[rng.integers(len(rows))]
+        i = rng.integers(len(a))
         t = float(rng.choice([1.0, 2.0, 0.5]))
-        rows.append((t * a, rel, t * b))
-    return LinearProgram(rng.integers(-1, 3, size=nvars).astype(float), rows)
+        a.append(t * a[i])
+        b.append(t * b[i])
+    return LinearProgram(rng.integers(-1, 3, size=nvars).astype(float), np.array(a), b)
 
 
 def _first_pivot_ratios(lp):
@@ -257,7 +254,7 @@ def _first_pivot_ratios(lp):
     improving = (lp.objective > 1e-9).nonzero()[0]
     if improving.size == 0:
         return []
-    col, b = lp.rows[:, improving[0]], lp.rows[:, -1]
+    col, b = lp.a[:, improving[0]], lp.b
     ratios = [b[r] / col[r] for r in range(col.size) if col[r] > 1e-9]
     return [r for r in ratios if r == min(ratios)]
 
@@ -294,7 +291,7 @@ def test_solve_lp_is_bitwise_the_loop_simplex_on_koethe_programs(monkeypatch):
         m = VectorMeasure(space, X, rng.normal(size=(12, d)))
         koethe_dual_norm_info(m, SimpleFunction(space, rng.normal(size=12)))
     assert len(programs) == 8  # one solve_lp call per koethe_dual_norm_info call
-    assert [len(lp.constraints) for lp in programs[-2:]] == [512, 2048]
+    assert [lp.b.size for lp in programs[-2:]] == [512, 2048]
     for lp in programs:
         assert _assert_bitwise_the_loop_simplex(lp).status == OPTIMAL
 
