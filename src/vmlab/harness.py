@@ -136,7 +136,7 @@ def _build_space(section) -> MeasureSpace:
     n = section["n"]
     _check_number(n, "space.n", 1)
     weights = section["weights"]
-    if weights == "uniform":
+    if isinstance(weights, str) and weights == "uniform":  # an array's == compares entries
         return MeasureSpace.uniform(n)
     weights = _finite_array(weights, (n,), "weights must list one value per atom, all finite")
     if np.any(weights <= 0.0) or not math.isfinite(1.0 / float(weights.min())):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, NotPolyhedral
 from .measure_core import MeasureSpace
-from .opt_engine import sign_table
+from .opt_engine import _BLOCK_BITS, sign_table
 
 L1 = "L1"
 L2 = "L2"
@@ -159,15 +159,34 @@ def dual_extreme_points(X: NormSpec) -> np.ndarray:
     raise NotPolyhedral("the L2 unit ball has no finite extreme-point set")
 
 
+def dual_extreme_blocks(X: NormSpec):
+    """The rows of ``dual_extreme_half(X)`` in order, in blocks of at most 2^12
+    (``opt_engine._BLOCK_BITS``), so a caller that reduces block by block
+    holds O(2^12 d) floats, not 2^(d-1) d.  The L1 blocks are one table,
+    ``sign_table(X.scale, min(d - 1, 12))``, whose high code bits' columns
+    each block sets to +-w_j in place: a caller that keeps a block copies it.
+    Kind and capacity are checked at the call, before any block is built."""
+    d, size = X.dim, 1 << _BLOCK_BITS
+    if X.kind == LINF:
+        return (np.eye(min(size, d - start), d, start) * X.scale for start in range(0, d, size))
+    if X.kind != L1:
+        raise NotPolyhedral("the L2 unit ball has no finite extreme-point set")
+    _check_corner_limit(d)
+    low = min(d - 1, _BLOCK_BITS)
+    block, heads = sign_table(X.scale, low), sign_table(X.scale[low:], d - 1 - low)
+
+    def overwrite():  # block h takes row h of heads in its columns from low on
+        for head in heads:
+            block[:, low:] = head
+            yield block
+    return overwrite()
+
+
 def dual_extreme_half(X: NormSpec) -> np.ndarray:
     """One of each pair +-x* of ``dual_extreme_points``, in their row order:
     the +w_j e_j rows for LINF, the first half (+ in the last coordinate) for L1.
 
-    Only these rows are built; the capacity limit is that of the full set.
+    The concatenation of the 2^12-row blocks of ``dual_extreme_blocks``; the
+    capacity limit is that of the full set.
     """
-    if X.kind == LINF:
-        return np.diag(X.scale)
-    if X.kind == L1:
-        _check_corner_limit(X.dim)
-        return sign_table(X.scale, X.dim - 1)
-    raise NotPolyhedral("the L2 unit ball has no finite extreme-point set")
+    return np.concatenate([block.copy() for block in dual_extreme_blocks(X)])

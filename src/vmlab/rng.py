@@ -26,9 +26,9 @@ Derived draws (documented because reports depend on them):
                    libm's ``cos`` per element as ``math.cos`` does.  The
                    logarithm is ``_log``, which keeps ``math.log``'s bits
                    by a rounding test (numpy's float64 ``log`` does not
-                   always match them).  Both go in slices of
-                   ``_NORMALS_SLICE`` normals, so the temporaries never hold
-                   more than one slice.  A call asking for more than
+                   always match them).  Both go in slices of 2**14
+                   (``_NORMALS_SLICE``) normals, so the temporaries hold one
+                   slice, about 1.5 MB.  A call asking for more than
                    ``NORMALS_LIMIT`` normals (2**25, 256 MB of output)
                    raises ``CapacityExceeded`` before anything is allocated.
 """
@@ -45,7 +45,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_NORMALS_SLICE = 1 << 16
+_NORMALS_SLICE = 1 << 14
 NORMALS_LIMIT = 1 << 25
 SIGNS_LIMIT = 1 << 24
 _LOG_MARGIN = 0.5 - 2.0**-5  # of the spacing from D toward zero; see ``_log``

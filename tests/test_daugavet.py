@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,8 +259,16 @@ def test_density_identity_random_polyhedral():
         assert rep.operator_side == pytest.approx(rep.atom_side, abs=1e-10)
 
 
+def _full_density_side(m, m1, lam):
+    """The density side over every dual extreme point at once, in place."""
+    full = (m.atoms + lam * m1.atoms) @ dual_extreme_points(m.X).T
+    np.abs(full, out=full)
+    full /= m.space.weights[:, None]
+    return float(np.max(full))
+
+
 def test_density_side_is_bitwise_the_full_enumeration():
-    # density_norm_identity scores one of each +-x*; |<v, -x*>| is |<v, x*>|
+    # density_norm_identity scores one of each +-x*, 2^12 at a time; |<v, -x*>| is |<v, x*>|
     rng = np.random.default_rng(7)
     for trial in range(300):
         n = int(rng.integers(1, 17))
@@ -266,9 +276,36 @@ def test_density_side_is_bitwise_the_full_enumeration():
         X = random_norm_spec(rng, int(rng.integers(1, 9)), ("L1", "LINF")[trial % 2])
         m, m1 = random_measure(rng, space, X), random_measure(rng, space, X)
         lam = float(rng.normal())
-        combined = m.atoms + lam * m1.atoms
-        full = np.abs(combined @ dual_extreme_points(X).T) / space.weights[:, None]
-        assert density_norm_identity(m, m1, lam).density_side == float(np.max(full))
+        assert density_norm_identity(m, m1, lam).density_side == _full_density_side(m, m1, lam)
+    # one block of 2^12 corners up to d = 13, then 2, 16 and 128 blocks (d = 20 is the limit)
+    for n, d in [(5, 13), (9, 13), (7, 14), (16, 14), (3, 17), (12, 17), (2, 20), (6, 20)]:
+        space = random_space(rng, n)
+        X = random_norm_spec(rng, d, "L1")
+        m, m1 = random_measure(rng, space, X), random_measure(rng, space, X)
+        lam = float(rng.normal())
+        assert density_norm_identity(m, m1, lam).density_side == _full_density_side(m, m1, lam)
+    for n in (16, 20):  # l1-of-mu, the identity templates of the operators benchmark at n = 16
+        space = random_space(rng, n)
+        m, m1 = indicator_measure(space), rank_one_measure(space, rng.normal(size=n))
+        lam = float(rng.uniform(-2.0, 2.0))
+        assert density_norm_identity(m, m1, lam).density_side == _full_density_side(m, m1, lam)
+
+
+def test_density_identity_at_n16_holds_one_block_of_corners():
+    # the 2^15 x 16 half of the corners, its product with the atoms and that
+    # product's quotient took 12 MiB; one 2^12-row table and one 16 x 2^12
+    # product buffer take 1 MiB
+    space = random_space(np.random.default_rng(16), 16)
+    m, m1 = indicator_measure(space), rank_one_measure(space, np.linspace(-1.0, 1.0, 16))
+    want = density_norm_identity(m, m1, 0.75)  # the atoms are built and kept here
+    tracemalloc.start()
+    try:
+        got = density_norm_identity(m, m1, 0.75)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 2 * 2**20, f"density_norm_identity at n = d = 16 peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_density_identity_requires_polyhedral():

@@ -70,6 +70,21 @@ def test_validation_positive_weights():
         build_scenario(data)
 
 
+def test_weights_given_as_an_array_build_as_the_list():
+    data = _preset("canonical-l1")
+    data["space"]["weights"] = [1.0, 2.0, 0.5, 3.0]
+    want = build_scenario(data)
+    data["space"]["weights"] = np.array([1.0, 2.0, 0.5, 3.0])
+    got = build_scenario(data)
+    assert got.space.weights.tobytes() == want.space.weights.tobytes()
+    assert got.measure.atoms.tobytes() == want.measure.atoms.tobytes()
+    assert dumps_report(run(got)["results"]) == dumps_report(run(want)["results"])
+    for word in ("Uniform", "uniformly", ""):
+        data["space"]["weights"] = word
+        with pytest.raises(ValidationError, match="weights must list one value per atom"):
+            build_scenario(data)
+
+
 def test_validation_divisibility():
     data = _preset("canonical-l1")
     data["experiment"]["levels"] = 3

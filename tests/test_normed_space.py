@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import KINDS, random_norm_spec
-from vmlab.normed_space import dual_extreme_half
+from vmlab import normed_space
+from vmlab.normed_space import dual_extreme_blocks, dual_extreme_half
+from vmlab.opt_engine import _BLOCK_BITS, sign_table
 from vmlab import (
     CapacityExceeded,
     NormSpec,
@@ -202,7 +204,7 @@ def _shift_corners(X, bits):
 
 
 def test_corner_tables_are_bitwise_the_shift_construction():
-    from vmlab.opt_engine import _BLOCK_BITS, _LOW_SIGNS
+    from vmlab.opt_engine import _LOW_SIGNS
 
     rng = np.random.default_rng(8)
     for d in range(1, 17):
@@ -216,3 +218,35 @@ def test_corner_tables_are_bitwise_the_shift_construction():
     for build in (dual_extreme_points, dual_extreme_half):
         with pytest.raises(CapacityExceeded, match=message):
             build(NormSpec.l1(21))
+
+
+def test_dual_extreme_half_is_the_corner_table_built_in_blocks():
+    rng = np.random.default_rng(20)
+    for d in range(1, 21):
+        X = random_norm_spec(rng, d, "L1")
+        sizes = [len(block) for block in dual_extreme_blocks(X)]
+        assert sizes == [1 << min(d - 1, _BLOCK_BITS)] * (1 << max(0, d - 1 - _BLOCK_BITS))
+        assert dual_extreme_half(X).tobytes() == sign_table(X.scale, d - 1).tobytes()
+
+
+def test_blocks_of_four_rows_keep_the_row_order(monkeypatch):
+    # LINF splits its d rows too; at the real 2^12 that takes d > 4096
+    monkeypatch.setattr(normed_space, "_BLOCK_BITS", 2)
+    rng = np.random.default_rng(4)
+    for d in range(1, 10):
+        X, Y = random_norm_spec(rng, d, "L1"), random_norm_spec(rng, d, "LINF")
+        for Z, want in ((X, sign_table(X.scale, d - 1)), (Y, np.diag(Y.scale))):
+            blocks = [block.copy() for block in dual_extreme_blocks(Z)]
+            assert all(1 <= len(block) <= 4 for block in blocks) and len(blocks) == -(-len(want) // 4)
+            assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+
+def test_blocks_past_the_corner_limit_fail_before_any_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(normed_space, "sign_table", lambda *args: built.append(args))
+    for build in (dual_extreme_blocks, dual_extreme_half):
+        with pytest.raises(CapacityExceeded, match=r"^2\^21 dual extreme points"):
+            build(NormSpec.l1(21))
+        with pytest.raises(NotPolyhedral):
+            build(NormSpec.l2(3))
+    assert built == []
