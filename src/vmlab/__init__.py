@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     CapacityExceeded,
-    NoRybakovFound,
     NotNormalized,
     NotPolyhedral,
     ParseError,
@@ -19,7 +18,6 @@ from .measure_core import (
     SimpleFunction,
     dyadic_chain,
     l1_mu_norm,
-    refine,
     sign_function,
 )
 from .normed_space import (
@@ -27,7 +25,6 @@ from .normed_space import (
     L2,
     LINF,
     NormSpec,
-    dual_extreme_points,
     dual_norm,
     dual_spec,
     norm,
@@ -35,17 +32,11 @@ from .normed_space import (
 from .vector_measure import (
     VectorMeasure,
     combine,
-    find_rybakov,
     indicator_measure,
-    is_rybakov,
-    nonunique_derivative_pair,
     rank_one_measure,
     rn_derivative,
     rn_derivatives,
     scalarize,
-    semivariation,
-    set_value,
-    variation,
 )
 from .l1m_norm import (
     CLOSED_FORM,
@@ -59,7 +50,6 @@ from .l1m_norm import (
     norm_best,
     norm_closed_form,
     norm_exact,
-    norm_gap_bound_check,
     norm_heuristic,
 )
 from .opt_engine import (
@@ -78,10 +68,8 @@ from .approx_nets import (
     associated_measure,
     basis_net,
     basis_truncated_measure,
-    conditional_expectation,
     coordinate_family,
     expectation_family,
-    integrate_martingale,
     martingale_measure,
     martingale_net,
     rn_net,
@@ -114,7 +102,6 @@ from .harness import (
     build_scenario,
     dumps_report,
     emit,
-    load_scenario,
     preset_scenario,
     run,
 )

@@ -80,19 +80,6 @@ class FiniteRankOperator:
         return self.vectors.T @ (self.functionals * self.space.weights[None, :])
 
 
-def conditional_expectation(space: MeasureSpace, p: Partition) -> FiniteRankOperator:
-    """Block averaging: one term per block with density chi_B / mu(B) and vector chi_B.
-
-    The codomain is the discretized L1 over the same atoms, so the operator
-    doubles as the n x n averaging matrix via ``as_matrix``.
-    """
-    if not same_space(space, p.space):
-        raise ValueError("partition lives on a different space")
-    members = p.block_of == np.arange(p.n_blocks)[:, None]
-    functionals = members / p.block_masses()[:, None]
-    return FiniteRankOperator(space, NormSpec.l1_of_mu(space), functionals, members)
-
-
 def martingale_measure(m: VectorMeasure, p: Partition) -> VectorMeasure:
     """Average m over the blocks of p: atom i carries (mu_i / mu(B(i))) m(B(i));
     the indicator measure's average is the record ``Expectation(p)``."""
@@ -101,17 +88,6 @@ def martingale_measure(m: VectorMeasure, p: Partition) -> VectorMeasure:
     if isinstance(m.record, Indicator):
         return VectorMeasure(m.space, m.X, record=Expectation(p))
     return VectorMeasure(m.space, m.X, block_average(m.atoms, p))
-
-
-def integrate_martingale(m: VectorMeasure, p: Partition, f: SimpleFunction) -> np.ndarray:
-    """sum over blocks of (integral of f over B / mu(B)) * m(B), evaluated blockwise."""
-    if not same_space(m.space, p.space):
-        raise ValueError("partition lives on a different space")
-    masses = p.block_masses()
-    block_integrals = np.bincount(p.block_of, weights=f.coeffs * m.space.weights, minlength=p.n_blocks)
-    block_values = np.zeros((p.n_blocks, m.X.dim))
-    np.add.at(block_values, p.block_of, m.atoms)
-    return (block_integrals / masses) @ block_values
 
 
 def basis_truncated_measure(m: VectorMeasure, k: int) -> VectorMeasure:

@@ -17,10 +17,6 @@ class NotNormalized(VmlabError):
     """A vector that must have unit norm does not."""
 
 
-class NoRybakovFound(VmlabError):
-    """The randomized search for a dominating scalarization functional failed."""
-
-
 class ParseError(VmlabError):
     """A scenario file is not syntactically valid JSON."""
 

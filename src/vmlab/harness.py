@@ -291,11 +291,6 @@ def read_scenario(path):
     return data
 
 
-def load_scenario(path) -> Scenario:
-    """Read, parse, and validate a scenario file."""
-    return build_scenario(read_scenario(path))
-
-
 def _run_norm(sc: Scenario, exp: dict) -> dict:
     rows = []
     for idx, f in enumerate(sc.functions):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import CapacityExceeded, NotPolyhedral
 from .measure_core import MeasurableSet, Partition, SimpleFunction
-from .normed_space import L1, L1_EXTREME_LIMIT, L2, LINF, NormSpec, dual_extreme_half, norm_rows
+from .normed_space import L1, L1_EXTREME_LIMIT, L2, LINF, NormSpec, dual_extreme_blocks, norm_rows
 from .normed_space import norm as x_norm, same_norm
 from .opt_engine import SIGN_ENUM_LIMIT, LinearProgram, UNBOUNDED, best_sign_pattern, hill_climb
 from .opt_engine import solve_lp
@@ -270,19 +270,6 @@ def deviation(
     return norm_best(diff, f, exact_cutoff=exact_cutoff, restarts=restarts, seed=seed).value
 
 
-def norm_gap_bound_check(
-    m: VectorMeasure,
-    m1: VectorMeasure,
-    f: SimpleFunction,
-    tol: float = 1e-10,
-    exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
-) -> bool:
-    """Verify | ||f||_m - ||f||_m1 | <= deviation(m, m1, f) + tol."""
-    na = norm_best(m, f, exact_cutoff=exact_cutoff).value
-    nb = norm_best(m1, f, exact_cutoff=exact_cutoff).value
-    return abs(na - nb) <= deviation(m, m1, f, exact_cutoff=exact_cutoff) + tol
-
-
 @dataclass(frozen=True, eq=False)
 class KoetheDualResult:
     value: float
@@ -291,12 +278,21 @@ class KoetheDualResult:
 
 
 def _koethe_ball_rows(m: VectorMeasure) -> np.ndarray:
-    """|<m_i, x*>| for one of each pair +-x* of dual extreme points, one row per x*."""
-    if m.X.kind == L1 and m.X.dim > KOETHE_CORNER_LIMIT:
+    """|<m_i, x*>| for one of each pair +-x* of dual extreme points, one row per x*,
+    written block by block into one array."""
+    X = m.X
+    if X.kind == L1 and X.dim > KOETHE_CORNER_LIMIT:
         raise CapacityExceeded(
-            f"2^{m.X.dim - 1} ball constraints exceed the limit (d <= {KOETHE_CORNER_LIMIT})"
+            f"2^{X.dim - 1} ball constraints exceed the limit (d <= {KOETHE_CORNER_LIMIT})"
         )
-    return np.abs(dual_extreme_half(m.X) @ m.atoms.T)
+    blocks = dual_extreme_blocks(X)
+    rows = np.empty((X.dim if X.kind == LINF else 1 << (X.dim - 1), m.space.n))
+    start = 0
+    for block in blocks:  # the product goes straight into its rows: no temporary
+        out = rows[start : start + len(block)]
+        np.abs(np.matmul(block, m.atoms.T, out=out), out=out)
+        start += len(block)
+    return rows
 
 
 def koethe_dual_norm_info(m: VectorMeasure, g: SimpleFunction, seed: int = 0) -> KoetheDualResult:

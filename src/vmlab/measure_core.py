@@ -168,15 +168,6 @@ class Partition:
         return np.bincount(self.block_of, weights=self.space.weights, minlength=self.n_blocks)
 
 
-def refine(p: Partition, q: Partition) -> bool:
-    """True iff q refines p, i.e. every block of q sits inside one block of p."""
-    if not same_space(p.space, q.space):
-        raise ValueError("partitions live on different spaces")
-    rep = np.empty(q.n_blocks, dtype=int)
-    rep[q.block_of[::-1]] = np.arange(q.space.n)[::-1]  # first atom of each q-block
-    return bool(np.all(p.block_of == p.block_of[rep[q.block_of]]))
-
-
 def dyadic_chain(levels: int, space: MeasureSpace) -> list[Partition]:
     """Refinement chain P_0, ..., P_levels where P_k has 2^k contiguous equal-size blocks."""
     if levels < 0:

@@ -129,49 +129,26 @@ def dual_norm(X: NormSpec, xstar) -> float:
     return norm(dual_spec(X), xstar)
 
 
-def _check_corner_limit(d: int):
-    if d > L1_EXTREME_LIMIT:
-        raise CapacityExceeded(
-            f"2^{d} dual extreme points exceed the enumeration limit (d <= {L1_EXTREME_LIMIT})"
-        )
-
-
-def dual_extreme_points(X: NormSpec) -> np.ndarray:
-    """Extreme points of the dual unit ball, one per row.
-
-    Row order: LINF rows 2j, 2j + 1 are +-w_j e_j; L1 row t has -w_j where bit
-    j of t is set, else +w_j, so its first half pins + in the last coordinate.
-    The L1 table is built by doubling (``sign_table``): every entry is exactly
-    +-w_j.
-
-    Only the polyhedral kinds have finitely many; L2 raises NotPolyhedral and
-    callers must switch to an optimization route.
-    """
-    d = X.dim
-    if X.kind == LINF:
-        pts = np.empty((2 * d, d))
-        pts[0::2] = np.diag(X.scale)
-        pts[1::2] = np.diag(-X.scale)  # not -np.diag(...), which puts -0.0 off the diagonal
-        return pts
-    if X.kind == L1:
-        _check_corner_limit(d)
-        return sign_table(X.scale, d)
-    raise NotPolyhedral("the L2 unit ball has no finite extreme-point set")
-
-
 def dual_extreme_blocks(X: NormSpec):
-    """The rows of ``dual_extreme_half(X)`` in order, in blocks of at most 2^12
-    (``opt_engine._BLOCK_BITS``), so a caller that reduces block by block
-    holds O(2^12 d) floats, not 2^(d-1) d.  The L1 blocks are one table,
-    ``sign_table(X.scale, min(d - 1, 12))``, whose high code bits' columns
-    each block sets to +-w_j in place: a caller that keeps a block copies it.
-    Kind and capacity are checked at the call, before any block is built."""
+    """One of each pair +-x* of the dual ball's extreme points, in blocks of at
+    most 2^12 rows (``opt_engine._BLOCK_BITS``), so a caller that reduces block
+    by block holds O(2^12 d) floats, not 2^(d-1) d.
+
+    Row order: LINF row j is +w_j e_j; L1 row t < 2^(d-1) has -w_j where bit j
+    of t is set, else +w_j, so + in the last coordinate.  The L1 blocks are one
+    table, ``sign_table(X.scale, min(d - 1, 12))`` (built by doubling, so every
+    entry is exactly +-w_j), whose high code bits' columns each block sets in
+    place: a caller that keeps a block copies it.  Kind and capacity are checked
+    at the call, before any block is built; L2 raises NotPolyhedral."""
     d, size = X.dim, 1 << _BLOCK_BITS
     if X.kind == LINF:
         return (np.eye(min(size, d - start), d, start) * X.scale for start in range(0, d, size))
     if X.kind != L1:
         raise NotPolyhedral("the L2 unit ball has no finite extreme-point set")
-    _check_corner_limit(d)
+    if d > L1_EXTREME_LIMIT:
+        raise CapacityExceeded(
+            f"2^{d} dual extreme points exceed the enumeration limit (d <= {L1_EXTREME_LIMIT})"
+        )
     low = min(d - 1, _BLOCK_BITS)
     block, heads = sign_table(X.scale, low), sign_table(X.scale[low:], d - 1 - low)
 
@@ -180,13 +157,3 @@ def dual_extreme_blocks(X: NormSpec):
             block[:, low:] = head
             yield block
     return overwrite()
-
-
-def dual_extreme_half(X: NormSpec) -> np.ndarray:
-    """One of each pair +-x* of ``dual_extreme_points``, in their row order:
-    the +w_j e_j rows for LINF, the first half (+ in the last coordinate) for L1.
-
-    The concatenation of the 2^12-row blocks of ``dual_extreme_blocks``; the
-    capacity limit is that of the full set.
-    """
-    return np.concatenate([block.copy() for block in dual_extreme_blocks(X)])

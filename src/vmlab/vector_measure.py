@@ -23,10 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoRybakovFound
-from .measure_core import MeasurableSet, MeasureSpace, Partition, SimpleFunction, _frozen, same_space
+from .measure_core import MeasureSpace, Partition, SimpleFunction, _frozen, same_space
 from .normed_space import NormSpec, same_norm
-from .rng import SplitMix64
 
 
 def block_average(atoms: np.ndarray, p: Partition) -> np.ndarray:
@@ -146,30 +144,10 @@ def rank_one_measure(space: MeasureSpace, g, X: Optional[NormSpec] = None) -> Ve
     return VectorMeasure(space, X, record=RankOne(g))
 
 
-def set_value(m: VectorMeasure, A: MeasurableSet) -> np.ndarray:
-    """m(A) = sum of the atom vectors over A."""
-    if not same_space(m.space, A.space):
-        raise ValueError("set lives on a different space")
-    return m.atoms[A.members].sum(axis=0) if np.any(A.members) else np.zeros(m.X.dim)
-
-
 def scalarize(m: VectorMeasure, xstar) -> SimpleFunction:
     """Atom masses of the scalar measure A |-> <m(A), x*>."""
     xstar = np.asarray(xstar, dtype=float)
     return SimpleFunction(m.space, m.atoms @ xstar)
-
-
-def variation(m: VectorMeasure, xstar, A: MeasurableSet) -> float:
-    """Total variation of the scalarized measure on A: sum over A of |<m_i, x*>|."""
-    masses = np.abs(scalarize(m, xstar).coeffs)
-    return float(np.sum(masses[A.members]))
-
-
-def semivariation(m: VectorMeasure, A: MeasurableSet) -> float:
-    """Sup of scalarized variations over the dual ball; equals the norm of chi_A."""
-    from . import l1m_norm  # deferred: l1m_norm depends on this module
-
-    return l1m_norm.norm_exact(m, SimpleFunction.indicator(A)).value
 
 
 def rn_derivative(m: VectorMeasure, xstar) -> SimpleFunction:
@@ -195,53 +173,8 @@ def rn_derivatives(m: VectorMeasure, xstars) -> np.ndarray:
     return (xstars @ m.atoms.T) / m.space.weights
 
 
-def is_rybakov(m: VectorMeasure, xstar, tol: float = 1e-12) -> bool:
-    """True iff the scalarized variation dominates m atomwise.
-
-    Whenever <m_i, x*> vanishes (within tol) the whole atom vector m_i must
-    vanish; combined with the built-in domination by mu this makes the
-    variation measure |<m, x*>| an equivalent base measure for m.
-    """
-    masses = np.abs(scalarize(m, xstar).coeffs)
-    atom_sizes = np.max(np.abs(m.atoms), axis=1)
-    return bool(np.all((masses > tol) | (atom_sizes <= tol)))
-
-
-def find_rybakov(m: VectorMeasure, attempts: int = 100, seed: int = 0, tol: float = 1e-12):
-    """Search for a dual vector whose variation measure dominates m.
-
-    Tries the all-ones functional first, then Gaussian draws; generic
-    directions work except on a null set, so failure is exceptional.
-    """
-    ones = np.ones(m.X.dim)
-    if is_rybakov(m, ones, tol):
-        return ones
-    gen = SplitMix64(seed)
-    for _ in range(attempts):
-        xstar = gen.normals(m.X.dim)
-        if is_rybakov(m, xstar, tol):
-            return xstar
-    raise NoRybakovFound(f"no dominating functional in {attempts} random attempts")
-
-
 def combine(m: VectorMeasure, lam: float, m1: VectorMeasure) -> VectorMeasure:
     """m + lam * m1 atomwise, recorded as plain atoms."""
     if not same_setting(m, m1):
         raise ValueError("measures live on different spaces or value spaces")
     return VectorMeasure(m.space, m.X, m.atoms + lam * m1.atoms)
-
-
-def nonunique_derivative_pair(m: VectorMeasure, tol: float = 1e-12):
-    """Two distinct dual vectors with identical derivative densities, if any.
-
-    The map x* -> density is linear with kernel equal to the orthogonal
-    complement of the atom span, so a pair exists iff the atoms do not span
-    the value space.  Returns None when the map is injective.
-    """
-    _, s, vt = np.linalg.svd(m.atoms, full_matrices=True)
-    rank = int(np.sum(s > tol * (s[0] if s.size else 1.0)))
-    if rank >= m.X.dim:
-        return None
-    z = vt[-1]
-    base = np.ones(m.X.dim)
-    return base, base + z

@@ -2,7 +2,9 @@
 
 The oracles deliberately avoid every shortcut the engines use: the norm
 oracle enumerates all 2^n sign vectors with itertools (no blocks, no
-support skipping, no pinning), and the LP oracle is scipy's HiGHS solver.
+support skipping, no pinning), the LP oracle is scipy's HiGHS solver, and
+``dual_extreme_table`` lists the polyhedral dual extreme points with
+itertools rather than the library's ``sign_table``.
 ``loop_solve_lp`` runs the simplex from the slack basis on the full
 tableau, slack columns included, with one Python loop per row and per
 column; ``solve_lp`` on the condensed tableau must equal it bit for bit.  ``loop_koethe_supergradient`` runs the L2 Köthe ascent one
@@ -76,14 +78,32 @@ def brute_deviation(m, m1, f):
     return brute_norm(diff, f)
 
 
+def refine(p, q):
+    """True iff q refines p: every block of q lies inside one block of p."""
+    return all(np.unique(p.block_of[block]).size == 1 for block in q.blocks())
+
+
+def dual_extreme_table(X):
+    """Independent oracle: every extreme point of the polyhedral dual ball, one
+    per row.  LINF rows 2j, 2j + 1 are +-w_j e_j; L1 row t has -w_j where bit j
+    of t is set, else +w_j, so its first half has + in the last coordinate."""
+    assert X.kind != L2, "the L2 unit ball has no finite extreme-point set"
+    if X.kind == LINF:
+        pts = np.zeros((2 * X.dim, X.dim))
+        for j, w in enumerate(X.scale):
+            pts[2 * j, j], pts[2 * j + 1, j] = w, -w
+        return pts
+    # row t lists the bits of t from the highest, since itertools varies the last entry fastest
+    bits = b"".join(map(bytes, itertools.product((0, 1), repeat=X.dim)))
+    return np.where(np.frombuffer(bits, np.uint8).reshape(-1, X.dim)[:, ::-1], -X.scale, X.scale)
+
+
 def koethe_scipy(m, g):
     """Dual function norm via scipy's HiGHS LP solver (independent of the simplex)."""
     from scipy.optimize import linprog
 
-    from vmlab import dual_extreme_points
-
     n = m.space.n
-    pts = dual_extreme_points(m.X)
+    pts = dual_extreme_table(m.X)
     rows = np.abs(pts @ m.atoms.T)  # one ball constraint per extreme point
     # vars (f, u): maximize g*mu @ f <=> minimize -(g*mu) @ f
     c = np.concatenate([-(g.coeffs * m.space.weights), np.zeros(n)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_function, random_measure, random_norm_spec, random_space, spy_record_builds
+from helpers import random_function, random_measure, random_norm_spec, random_space, refine, spy_record_builds
 from vmlab import (
     L2,
     MeasurableSet,
@@ -14,21 +14,18 @@ from vmlab import (
     associated_measure,
     basis_net,
     basis_truncated_measure,
-    conditional_expectation,
     coordinate_family,
     deviation,
     dyadic_chain,
     expectation_family,
     indicator_measure,
     integrate,
-    integrate_martingale,
     l1_mu_norm,
     martingale_measure,
     martingale_net,
     norm,
     norm_exact,
     rank_one_measure,
-    refine,
     rn_derivative,
     rn_derivatives,
     rn_net,
@@ -38,15 +35,21 @@ from vmlab import (
 )
 
 
+def _conditional_expectation(space, p):
+    """E_p, the rn operator of the indicator measure's expectation family."""
+    m = indicator_measure(space)
+    return rn_operator(m, *expectation_family(m, p))
+
+
 def test_conditional_expectation_examples():
     space = MeasureSpace.uniform(4)
-    singles = conditional_expectation(space, Partition.singletons(space))
+    singles = _conditional_expectation(space, Partition.singletons(space))
     assert singles.as_matrix() == pytest.approx(np.eye(4), abs=1e-15)
-    one = conditional_expectation(space, Partition.one_block(space))
+    one = _conditional_expectation(space, Partition.one_block(space))
     f = SimpleFunction(space, [2.0, 0.0, 4.0, -2.0])
     assert one.apply(f) == pytest.approx(np.full(4, 1.0), abs=1e-15)
     p = Partition.from_blocks(space, [[0, 1], [2, 3]])
-    ep = conditional_expectation(space, p)
+    ep = _conditional_expectation(space, p)
     assert ep.apply(SimpleFunction(space, [1.0, 0.0, 0.0, 0.0])) == pytest.approx(
         [0.5, 0.5, 0.0, 0.0], abs=1e-15
     )
@@ -59,7 +62,7 @@ def test_conditional_expectation_is_contraction():
         labels = rng.integers(0, 3, 8)
         labels[:3] = [0, 1, 2]
         p = Partition(space, labels, 3)
-        ep = conditional_expectation(space, p)
+        ep = _conditional_expectation(space, p)
         f = random_function(rng, space)
         ef = SimpleFunction(space, ep.apply(f))
         assert l1_mu_norm(ef) <= l1_mu_norm(f) + 1e-12
@@ -71,8 +74,8 @@ def test_tower_property():
     chain = dyadic_chain(3, space)
     for coarse, fine in zip(chain, chain[1:]):
         assert refine(coarse, fine)
-        ec = conditional_expectation(space, coarse).as_matrix()
-        ef = conditional_expectation(space, fine).as_matrix()
+        ec = _conditional_expectation(space, coarse).as_matrix()
+        ef = _conditional_expectation(space, fine).as_matrix()
         assert ec @ ef == pytest.approx(ec, abs=1e-12)
 
 
@@ -92,19 +95,20 @@ def test_integrate_martingale_examples(s1):
     space, m = s1
     p = Partition.from_blocks(space, [[0, 1], [2, 3]])
     chi_block = SimpleFunction(space, [1.0, 1.0, 0.0, 0.0])
-    assert integrate_martingale(m, p, chi_block) == pytest.approx(
+    assert integrate(martingale_measure(m, p), chi_block) == pytest.approx(
         [1.0, 1.0, 0.0, 0.0], abs=1e-15
     )
     f = SimpleFunction(space, [1.0, 0.0, 0.0, 0.0])
-    value = integrate_martingale(m, p, f)
+    value = integrate(martingale_measure(m, p), f)
     assert value == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-15)
     assert norm(m.X, integrate(m, f) - value) == pytest.approx(0.25, abs=1e-15)
     singles = Partition.singletons(space)
-    assert np.array_equal(integrate_martingale(m, singles, f), integrate(m, f))
+    assert np.array_equal(integrate(martingale_measure(m, singles), f), integrate(m, f))
 
 
 def test_martingale_factorization():
-    # I_{m_p}(f) = I_m(E_p f) = I_{martingale measure}(f), all within 1e-12
+    # sum over blocks of (integral of f over B / mu(B)) m(B) = I_m(E_p f)
+    # = I_{martingale measure}(f), all within 1e-12
     rng = np.random.default_rng(2)
     for _ in range(100):
         space = random_space(rng, 9)
@@ -114,8 +118,11 @@ def test_martingale_factorization():
         labels[:3] = [0, 1, 2]
         p = Partition(space, labels, 3)
         f = random_function(rng, space)
-        direct = integrate_martingale(m, p, f)
-        ef = SimpleFunction(space, conditional_expectation(space, p).apply(f))
+        direct = sum(
+            (f.coeffs[B] @ space.weights[B]) / space.weights[B].sum() * m.atoms[B].sum(axis=0)
+            for B in p.blocks()
+        )
+        ef = SimpleFunction(space, _conditional_expectation(space, p).apply(f))
         assert direct == pytest.approx(integrate(m, ef), abs=1e-12)
         assert direct == pytest.approx(integrate(martingale_measure(m, p), f), abs=1e-12)
 
@@ -170,8 +177,10 @@ def test_expectation_family_reproduces_conditional_expectation(s1):
     p = Partition.from_blocks(space, [[0, 1], [2, 3]])
     xs, vs = expectation_family(m, p)
     R = rn_operator(m, xs, vs)
-    ep = conditional_expectation(space, p)
-    assert R.as_matrix() == pytest.approx(ep.as_matrix(), abs=1e-12)
+    # E_p has entry (i, j) = mu_j / mu(B) when atoms i and j share the block B
+    same_block = p.block_of[:, None] == p.block_of[None, :]
+    ep = same_block * space.weights / p.block_masses()[p.block_of][:, None]
+    assert R.as_matrix() == pytest.approx(ep, abs=1e-12)
     assert associated_measure(R, space).atoms == pytest.approx(
         martingale_measure(m, p).atoms, abs=1e-12
     )

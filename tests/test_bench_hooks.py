@@ -4,14 +4,18 @@
 ``nets`` workload reads its ``exact_share`` from the labels of traced
 ``norm_best`` calls.  A traced name renamed away crashes the whole benchmark
 run, and a nets round without ``norm_best`` calls makes that share divide by
-zero.  These tests read ``bench/`` and change nothing in it.
+zero.  The golden hashes pin the same-bits contract: the outputs of every
+workload's first rounds at seeds 1 and 47, as ``bench/run.py`` hashes them.
+These tests read ``bench/`` and change nothing in it.
 """
 
 import importlib
 import importlib.util
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -70,3 +74,44 @@ def test_the_lp_work_count_reads_the_row_array_program(monkeypatch):
     assert len(rows) == lp.b.size == 512
     for (a_i, rel, b_i), want_a, want_b in zip(rows, lp.a, lp.b):
         assert a_i.tobytes() == want_a.tobytes() and rel == "<=" and b_i == want_b == 1.0
+
+
+# ``outputs_sha256`` of the first ``run.FIRST_ROUNDS`` rounds, by (seed, workload)
+GOLDEN = {
+    (1, "norm-table"): "83673c80685b632c0c0343ce346197831fc2fb4d1521e929ce5f49dd77c52719",
+    (1, "nets"): "934bea4b6d5e51b87d976c5e380d6f4908024c9f1ffe39dfd85b463eadbc5b11",
+    (1, "operators"): "c9ec97f32680a65add11ff037b17434cb4a4ac19f654b9b36c9675989a87f1fa",
+    (1, "koethe"): "e03ec8981f4d88af5ac6ac9b9e91ca5e2ecd7e6e46239e507195d3ae1f36c981",
+    (47, "norm-table"): "5be3c405d19291735284d03c47b430c3f4b4da498843009aed286321a97b8911",
+    (47, "nets"): "547e63906204682c4c04f51d7c958a11d264b5432bd6a35861c5c151352bd203",
+    (47, "operators"): "ad12f23166279755a87d62b92fc457600f2d0e27d1f614726ab3572a2d95db19",
+    (47, "koethe"): "6fd81fd94ee8367551f2bd3f7be9b585dda771436f98bef33337d46414476b5e",
+}
+
+
+def _numerics() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its configuration only
+        blas = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas}, {platform.machine()}, Python {platform.python_version()}"
+
+
+@pytest.fixture
+def run(monkeypatch):
+    """``bench/run.py``, with the modules it imports by top-level name registered for this test."""
+    for name in ("oracles", "workloads"):
+        monkeypatch.setitem(sys.modules, name, _bench_module(name))
+    monkeypatch.setitem(sys.modules, "spans", spans)
+    return _bench_module("run")
+
+
+@pytest.mark.parametrize("seed, workload", sorted(GOLDEN))
+def test_the_first_rounds_reproduce_the_golden_output_hashes(run, seed, workload):
+    rounds = sys.modules["workloads"].generate(workload, seed)
+    executions = [e for i in range(run.FIRST_ROUNDS) for e in run.run_round(rounds[i], i)]
+    failed, messages, texts = run.verify(workload, rounds, executions)
+    assert failed == 0, messages
+    assert run.outputs_sha256(rounds, texts) == GOLDEN[seed, workload], (
+        f"{workload} at seed {seed} gave other output bytes than the golden hash on {_numerics()}"
+    )

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_function, random_measure, random_norm_spec, random_space
+from helpers import dual_extreme_table, random_function, random_measure, random_norm_spec, random_space
 from vmlab import (
     DefectReport,
     FactoredOperator,
@@ -33,7 +33,6 @@ from vmlab import (
     series_approximation_gap,
 )
 from vmlab import daugavet
-from vmlab.normed_space import dual_extreme_points
 from vmlab.rng import SplitMix64
 
 
@@ -261,7 +260,7 @@ def test_density_identity_random_polyhedral():
 
 def _full_density_side(m, m1, lam):
     """The density side over every dual extreme point at once, in place."""
-    full = (m.atoms + lam * m1.atoms) @ dual_extreme_points(m.X).T
+    full = (m.atoms + lam * m1.atoms) @ dual_extreme_table(m.X).T
     np.abs(full, out=full)
     full /= m.space.weights[:, None]
     return float(np.max(full))

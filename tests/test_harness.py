@@ -18,8 +18,8 @@ from vmlab.harness import (
     dumps_csv,
     dumps_report,
     emit,
-    load_scenario,
     preset_scenario,
+    read_scenario,
     run,
 )
 from vmlab.rng import SplitMix64
@@ -32,7 +32,7 @@ def _preset(name):
 def test_load_scenario_roundtrip(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(_preset("canonical-l1")))
-    sc = load_scenario(path)
+    sc = build_scenario(read_scenario(path))
     assert sc.space.n == 4
     assert sc.experiment["kind"] == "martingale"
 
@@ -41,14 +41,14 @@ def test_load_scenario_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"schema_version": 1,,}')
     with pytest.raises(ParseError, match="line"):
-        load_scenario(path)
+        read_scenario(path)
 
 
 def test_a_scenario_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe" + json.dumps(_preset("canonical-l1")).encode("utf-16-le"))
     with pytest.raises(ParseError, match=f"scenario {re.escape(str(path))} is not UTF-8"):
-        load_scenario(path)
+        read_scenario(path)
     assert cli_main(["report", "--scenario", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

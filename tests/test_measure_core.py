@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from helpers import refine
 from vmlab import (
     MeasurableSet,
     MeasureSpace,
     Partition,
     SimpleFunction,
     dyadic_chain,
-    refine,
     sign_function,
 )
 

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
-from helpers import KINDS, random_norm_spec
+from helpers import KINDS, dual_extreme_table, random_norm_spec
 from vmlab import normed_space
-from vmlab.normed_space import dual_extreme_blocks, dual_extreme_half
+from vmlab.normed_space import dual_extreme_blocks
 from vmlab.opt_engine import _BLOCK_BITS, sign_table
 from vmlab import (
     CapacityExceeded,
     NormSpec,
     NotPolyhedral,
-    dual_extreme_points,
     dual_norm,
     dual_spec,
     norm,
 )
+
+
+def _half(X):
+    """The blocks of ``dual_extreme_blocks`` as one table."""
+    return np.concatenate([block.copy() for block in dual_extreme_blocks(X)])
 
 
 def test_norm_examples():
@@ -85,46 +89,35 @@ def test_dual_norm_examples():
 
 
 def test_dual_extreme_points_examples():
-    pts = dual_extreme_points(NormSpec.linf(2))
-    assert sorted(map(tuple, pts)) == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
-    pts = dual_extreme_points(NormSpec.l1(2))
-    assert sorted(map(tuple, pts)) == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
+    for X, want in (
+        (NormSpec.linf(2), [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]),
+        (NormSpec.l1(2), [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]),
+    ):
+        half = _half(X)
+        assert sorted(map(tuple, np.vstack([half, -half]))) == want
     with pytest.raises(NotPolyhedral):
-        dual_extreme_points(NormSpec.l2(2))
+        dual_extreme_blocks(NormSpec.l2(2))
     with pytest.raises(CapacityExceeded):
-        dual_extreme_points(NormSpec.l1(21))
-
-
-def _linf_extreme_points_loop(X):
-    d = X.dim
-    pts = np.zeros((2 * d, d))
-    for j in range(d):
-        pts[2 * j, j] = X.scale[j]
-        pts[2 * j + 1, j] = -X.scale[j]
-    return pts
+        dual_extreme_blocks(NormSpec.l1(21))
 
 
 def test_linf_extreme_points_are_bitwise_the_loop():
     rng = np.random.default_rng(5)
     for d in range(1, 9):
         X = random_norm_spec(rng, d, "LINF")
-        assert dual_extreme_points(X).tobytes() == _linf_extreme_points_loop(X).tobytes()
+        assert _half(X).tobytes() == dual_extreme_table(X)[::2].tobytes()
 
 
 def test_dual_extreme_point_row_order():
     rng = np.random.default_rng(6)
     for d in range(1, 9):
         X = random_norm_spec(rng, d, "LINF")
-        pts = dual_extreme_points(X)
-        w = np.diag(X.scale)
-        assert np.array_equal(pts[0::2], w) and np.array_equal(pts[1::2], -w)
+        assert np.array_equal(_half(X), np.diag(X.scale))
 
         X = random_norm_spec(rng, d, "L1")
-        pts = dual_extreme_points(X)
-        half = len(pts) // 2
-        assert len(pts) == 1 << d
-        assert np.all(pts[:half, -1] > 0.0) and np.array_equal(pts[half:], -pts[half - 1 :: -1])
-        for t, row in enumerate(pts):
+        half = _half(X)
+        assert len(half) == 1 << (d - 1) and np.all(half[:, -1] > 0.0)
+        for t, row in enumerate(half):
             bits = [(t >> j) & 1 for j in range(d)]
             assert np.array_equal(row, np.where(bits, -X.scale, X.scale))
 
@@ -134,20 +127,20 @@ def test_dual_extreme_half_takes_one_of_each_pair_in_row_order():
     for kind in ("L1", "LINF"):
         for d in range(1, 9):
             X = random_norm_spec(rng, d, kind)
-            pts, half = dual_extreme_points(X), dual_extreme_half(X)
+            pts, half = dual_extreme_table(X), _half(X)
             both = sorted(map(tuple, np.vstack([half, -half])))
             assert 2 * len(half) == len(pts) and both == sorted(map(tuple, pts))
             rows = [next(t for t, p in enumerate(pts) if np.array_equal(p, h)) for h in half]
             assert rows == sorted(rows)
     with pytest.raises(NotPolyhedral):
-        dual_extreme_half(NormSpec.l2(2))
+        dual_extreme_blocks(NormSpec.l2(2))
 
 
 def test_extreme_points_lie_on_dual_sphere():
     rng = np.random.default_rng(1)
     for kind in ("L1", "LINF"):
         X = random_norm_spec(rng, 5, kind)
-        for pt in dual_extreme_points(X):
+        for pt in _half(X):
             assert dual_norm(X, pt) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -168,7 +161,7 @@ def test_polyhedral_norm_is_max_over_extreme_points():
         kind = ("L1", "LINF")[int(rng.integers(2))]
         X = random_norm_spec(rng, d, kind)
         v = rng.normal(size=d)
-        pairing = float(np.max(dual_extreme_points(X) @ v))
+        pairing = float(np.max(np.abs(_half(X) @ v)))  # the pair +-x* gives +-<x*, v>
         assert pairing == pytest.approx(norm(X, v), abs=1e-12)
 
 
@@ -209,15 +202,14 @@ def test_corner_tables_are_bitwise_the_shift_construction():
     rng = np.random.default_rng(8)
     for d in range(1, 17):
         X = random_norm_spec(rng, d, "L1")
-        assert dual_extreme_points(X).tobytes() == _shift_corners(X, d).tobytes()
-        assert dual_extreme_half(X).tobytes() == _shift_corners(X, d - 1).tobytes()
+        assert dual_extreme_table(X).tobytes() == _shift_corners(X, d).tobytes()
+        assert _half(X).tobytes() == _shift_corners(X, d - 1).tobytes()
         Y = random_norm_spec(rng, d, "LINF")
-        assert dual_extreme_half(Y).tobytes() == _linf_extreme_points_loop(Y)[::2].tobytes()
+        assert _half(Y).tobytes() == dual_extreme_table(Y)[::2].tobytes()
     assert _LOW_SIGNS.tobytes() == _shift_corners(NormSpec.l1(_BLOCK_BITS + 1), _BLOCK_BITS).tobytes()
     message = r"^2\^21 dual extreme points exceed the enumeration limit \(d <= 20\)$"
-    for build in (dual_extreme_points, dual_extreme_half):
-        with pytest.raises(CapacityExceeded, match=message):
-            build(NormSpec.l1(21))
+    with pytest.raises(CapacityExceeded, match=message):
+        dual_extreme_blocks(NormSpec.l1(21))
 
 
 def test_dual_extreme_half_is_the_corner_table_built_in_blocks():
@@ -226,7 +218,7 @@ def test_dual_extreme_half_is_the_corner_table_built_in_blocks():
         X = random_norm_spec(rng, d, "L1")
         sizes = [len(block) for block in dual_extreme_blocks(X)]
         assert sizes == [1 << min(d - 1, _BLOCK_BITS)] * (1 << max(0, d - 1 - _BLOCK_BITS))
-        assert dual_extreme_half(X).tobytes() == sign_table(X.scale, d - 1).tobytes()
+        assert _half(X).tobytes() == sign_table(X.scale, d - 1).tobytes()
 
 
 def test_blocks_of_four_rows_keep_the_row_order(monkeypatch):
@@ -244,9 +236,8 @@ def test_blocks_of_four_rows_keep_the_row_order(monkeypatch):
 def test_blocks_past_the_corner_limit_fail_before_any_is_built(monkeypatch):
     built = []
     monkeypatch.setattr(normed_space, "sign_table", lambda *args: built.append(args))
-    for build in (dual_extreme_blocks, dual_extreme_half):
-        with pytest.raises(CapacityExceeded, match=r"^2\^21 dual extreme points"):
-            build(NormSpec.l1(21))
-        with pytest.raises(NotPolyhedral):
-            build(NormSpec.l2(3))
+    with pytest.raises(CapacityExceeded, match=r"^2\^21 dual extreme points"):
+        dual_extreme_blocks(NormSpec.l1(21))
+    with pytest.raises(NotPolyhedral):
+        dual_extreme_blocks(NormSpec.l2(3))
     assert built == []
