@@ -62,7 +62,6 @@ from .opt_engine import (
     solve_lp,
 )
 from .approx_nets import (
-    FiniteRankOperator,
     NetLevelStats,
     NetReport,
     associated_measure,
@@ -102,6 +101,5 @@ from .harness import (
     build_scenario,
     dumps_report,
     emit,
-    preset_scenario,
     run,
 )

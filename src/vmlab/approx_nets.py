@@ -16,7 +16,10 @@ one level alive rather than the whole net:
     densities (one density and one value vector per term) of the coordinate
     or expectation families; on the indicator measure these operators are
     its truncations and its block averages, so its rn nets are its basis
-    and martingale nets, level for level.
+    and martingale nets, level for level.  ``rn_operator`` returns an
+    ``OperatorMatrix``, the type of ``integration_operator`` (which
+    ``associated_measure`` inverts on plain atoms), so ||I_m - R|| is
+    ``opnorm_from_l1(combine_operators(integration_operator(m), -1.0, R))``.
 
 ``run_net`` reports, per net level, the norm gap, the deviation seminorm,
 the pointwise integration gap, and a weak* gap over the coordinate probe
@@ -35,49 +38,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .daugavet import OperatorMatrix
 from .l1m_norm import deviation as deviation_seminorm
 from .l1m_norm import DEFAULT_EXACT_CUTOFF, integrate, norm_best
 from .l1m_norm import _block_partition, _norm_block_closed_form
-from .measure_core import MeasureSpace, Partition, SimpleFunction, same_space
+from .measure_core import Partition, SimpleFunction, same_space
 from .normed_space import NormSpec, norm as x_norm, same_norm
 from .vector_measure import Expectation, Indicator, Truncation, VectorMeasure, block_average, truncate
 from .vector_measure import rn_derivatives, same_setting
-
-
-@dataclass(frozen=True, eq=False)
-class FiniteRankOperator:
-    """f |-> sum_k (sum_i f_i g_{k,i} mu_i) x_k with densities g_k and vectors x_k."""
-
-    space: MeasureSpace
-    codomain: NormSpec
-    functionals: np.ndarray  # (k, n)
-    vectors: np.ndarray      # (k, d)
-
-    def __post_init__(self):
-        g = np.atleast_2d(np.array(self.functionals, dtype=float, copy=True))
-        x = np.atleast_2d(np.array(self.vectors, dtype=float, copy=True))
-        if g.size == 0:
-            g = g.reshape(0, self.space.n)
-        if x.size == 0:
-            x = x.reshape(0, self.codomain.dim)
-        if g.shape[1] != self.space.n or x.shape[1] != self.codomain.dim:
-            raise ValueError("term dimensions do not match the space or codomain")
-        if g.shape[0] != x.shape[0]:
-            raise ValueError("need one value vector per functional")
-        g.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "functionals", g)
-        object.__setattr__(self, "vectors", x)
-
-    def apply(self, f: SimpleFunction) -> np.ndarray:
-        if not same_space(f.space, self.space):
-            raise ValueError("function lives on a different space")
-        coeffs = self.functionals @ (f.coeffs * self.space.weights)
-        return coeffs @ self.vectors
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense (d, n) matrix of the operator on coefficient vectors."""
-        return self.vectors.T @ (self.functionals * self.space.weights[None, :])
 
 
 def martingale_measure(m: VectorMeasure, p: Partition) -> VectorMeasure:
@@ -100,20 +68,23 @@ def basis_truncated_measure(m: VectorMeasure, k: int) -> VectorMeasure:
     return VectorMeasure(m.space, m.X, truncate(m.atoms, k))
 
 
-def rn_operator(m: VectorMeasure, functionals: Sequence, vectors: Sequence) -> FiniteRankOperator:
-    """Finite-rank operator with one derivative density per supplied dual vector."""
-    densities = rn_derivatives(m, list(functionals))
-    vectors = np.asarray(list(vectors), dtype=float)
-    if len(densities) != len(vectors):
+def rn_operator(m: VectorMeasure, functionals: Sequence, vectors: Sequence) -> OperatorMatrix:
+    """R f = sum_k (sum_i f_i phi_{k,i} mu_i) x_k, with phi_k the derivative density
+    of the k-th dual vector and x_k the k-th value vector; an empty family gives 0."""
+    phi = rn_derivatives(m, list(functionals))
+    vectors = [np.asarray(x, dtype=float) for x in vectors]
+    if len(vectors) != len(phi):
         raise ValueError("need one value vector per dual vector")
-    return FiniteRankOperator(m.space, m.X, densities, vectors)
+    if any(x.shape != (m.X.dim,) for x in vectors):
+        raise ValueError(f"value vectors must have dimension {m.X.dim}")
+    x = np.array(vectors).reshape(len(phi), m.X.dim)  # (0,) -> (0, d) when empty
+    return OperatorMatrix(((phi * m.space.weights).T @ x).T, m.space, m.X)
 
 
-def associated_measure(R: FiniteRankOperator, space: MeasureSpace) -> VectorMeasure:
-    """The measure A |-> R(chi_A); on atom i it is R applied to the i-th indicator."""
-    if not same_space(space, R.space):
-        raise ValueError("operator lives on a different space")
-    return VectorMeasure(space, R.codomain, (R.functionals * space.weights[None, :]).T @ R.vectors)
+def associated_measure(R: OperatorMatrix) -> VectorMeasure:
+    """The measure A |-> R(chi_A): on atom i, R applied to the i-th indicator, the
+    i-th column of R; the inverse of ``integration_operator`` on plain atoms."""
+    return VectorMeasure(R.domain, R.codomain, R.entries.T)
 
 
 def coordinate_family(m: VectorMeasure, k: int):
@@ -203,7 +174,7 @@ def rn_net(m: VectorMeasure, partitions: Optional[Iterable[Partition]] = None) -
         families = (coordinate_family(m, k) for k in range(1, m.X.dim + 1))
     else:
         families = (expectation_family(m, p) for p in partitions)
-    return (associated_measure(rn_operator(m, *family), m.space) for family in families)
+    return (associated_measure(rn_operator(m, *family)) for family in families)
 
 
 def _coordinate_densities(m: VectorMeasure) -> np.ndarray:

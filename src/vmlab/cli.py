@@ -15,6 +15,7 @@ build, and ``harness.run`` takes only the scenario, so the report's echoed
 scenario reruns it.  Exit codes: 0 success; 1 validation,
 parse, usage or write error, or a report error section (such as a
 floating-point overflow); 2 capacity error (recorded in the report).
+Any report error section is also named on stderr: ``error: TYPE: MESSAGE``.
 """
 
 from __future__ import annotations
@@ -137,8 +138,9 @@ def main(argv=None) -> int:
             raw = {**raw, "experiment": _experiment(args, raw)}
         report = run(build_scenario(raw))
         emit(report, args.format, args.out)
-        if "error" in report:
-            return 2 if report["error"]["type"] == "CapacityExceeded" else 1
+        if error := report.get("error"):
+            print(f"error: {error['type']}: {error['message']}", file=sys.stderr)
+            return 2 if error["type"] == "CapacityExceeded" else 1
         return 0
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,6 +80,8 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", e)
 
     def apply(self, f: SimpleFunction) -> np.ndarray:
+        if not same_space(f.space, self.domain):
+            raise ValueError("function lives on a different space")
         return self.entries @ f.coeffs
 
 

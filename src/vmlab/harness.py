@@ -526,8 +526,3 @@ PRESETS = {
     },
 }
 
-
-def preset_scenario(name: str) -> Scenario:
-    if name not in PRESETS:
-        raise ValidationError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return build_scenario(PRESETS[name])

@@ -81,9 +81,6 @@ class MeasurableSet:
         mask[ids.astype(int)] = True
         return cls(space, mask)
 
-    def complement(self) -> "MeasurableSet":
-        return MeasurableSet(self.space, ~self.members)
-
     def mass(self) -> float:
         return float(np.sum(self.space.weights[self.members]))
 

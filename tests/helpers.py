@@ -13,6 +13,7 @@ for the stacked ascent.
 """
 
 import itertools
+import platform
 
 import numpy as np
 
@@ -31,6 +32,15 @@ from vmlab import (
 )
 
 KINDS = (L1, L2, LINF)
+
+
+def numerics() -> str:
+    """The numpy, BLAS, machine and Python that bitwise results depend on, for failure messages."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its configuration only
+        blas = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas}, {platform.machine()}, Python {platform.python_version()}"
 
 
 def random_space(rng, n):

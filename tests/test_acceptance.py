@@ -5,11 +5,9 @@ lines and the heuristic match rate.
 """
 
 import copy
-import json
 import time
 
 import numpy as np
-import pytest
 
 from helpers import random_function, random_measure, random_norm_spec, random_space
 from vmlab import (
@@ -40,7 +38,7 @@ from vmlab import (
     run_net,
     sign_function,
 )
-from vmlab.harness import EXPERIMENTS, PRESETS, build_scenario, dumps_report, preset_scenario, run
+from vmlab.harness import EXPERIMENTS, PRESETS, build_scenario, dumps_report, run
 
 
 class _criterion:

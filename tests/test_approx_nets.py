@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_function, random_measure, random_norm_spec, random_space, refine, spy_record_builds
+from helpers import KINDS, random_function, random_measure, random_norm_spec, random_space, refine, spy_record_builds
 from vmlab import (
     L2,
     MeasurableSet,
@@ -14,17 +14,20 @@ from vmlab import (
     associated_measure,
     basis_net,
     basis_truncated_measure,
+    combine_operators,
     coordinate_family,
     deviation,
     dyadic_chain,
     expectation_family,
     indicator_measure,
     integrate,
+    integration_operator,
     l1_mu_norm,
     martingale_measure,
     martingale_net,
     norm,
     norm_exact,
+    opnorm_from_l1,
     rank_one_measure,
     rn_derivative,
     rn_derivatives,
@@ -44,7 +47,7 @@ def _conditional_expectation(space, p):
 def test_conditional_expectation_examples():
     space = MeasureSpace.uniform(4)
     singles = _conditional_expectation(space, Partition.singletons(space))
-    assert singles.as_matrix() == pytest.approx(np.eye(4), abs=1e-15)
+    assert singles.entries == pytest.approx(np.eye(4), abs=1e-15)
     one = _conditional_expectation(space, Partition.one_block(space))
     f = SimpleFunction(space, [2.0, 0.0, 4.0, -2.0])
     assert one.apply(f) == pytest.approx(np.full(4, 1.0), abs=1e-15)
@@ -74,8 +77,8 @@ def test_tower_property():
     chain = dyadic_chain(3, space)
     for coarse, fine in zip(chain, chain[1:]):
         assert refine(coarse, fine)
-        ec = _conditional_expectation(space, coarse).as_matrix()
-        ef = _conditional_expectation(space, fine).as_matrix()
+        ec = _conditional_expectation(space, coarse).entries
+        ef = _conditional_expectation(space, fine).entries
         assert ec @ ef == pytest.approx(ec, abs=1e-12)
 
 
@@ -153,8 +156,8 @@ def test_rn_operator_coordinate_family_is_basis_projection():
         xs, vs = coordinate_family(m, k)
         R = rn_operator(m, xs, vs)
         mk = basis_truncated_measure(m, k)
-        assert R.as_matrix() == pytest.approx(mk.atoms.T, abs=1e-12)
-        assert associated_measure(R, space).atoms == pytest.approx(mk.atoms, abs=1e-12)
+        assert R.entries == pytest.approx(mk.atoms.T, abs=1e-12)
+        assert associated_measure(R).atoms == pytest.approx(mk.atoms, abs=1e-12)
 
 
 def test_rn_operator_empty_and_single_pair():
@@ -165,7 +168,7 @@ def test_rn_operator_empty_and_single_pair():
     zero = rn_operator(m, [], [])
     f = random_function(rng, space)
     assert np.array_equal(zero.apply(f), np.zeros(3))
-    assert np.array_equal(associated_measure(zero, space).atoms, np.zeros((4, 3)))
+    assert np.array_equal(associated_measure(zero).atoms, np.zeros((4, 3)))
     xs = rng.normal(size=3)
     x = rng.normal(size=3)
     single = rn_operator(m, [xs], [x])
@@ -180,10 +183,80 @@ def test_expectation_family_reproduces_conditional_expectation(s1):
     # E_p has entry (i, j) = mu_j / mu(B) when atoms i and j share the block B
     same_block = p.block_of[:, None] == p.block_of[None, :]
     ep = same_block * space.weights / p.block_masses()[p.block_of][:, None]
-    assert R.as_matrix() == pytest.approx(ep, abs=1e-12)
-    assert associated_measure(R, space).atoms == pytest.approx(
+    assert R.entries == pytest.approx(ep, abs=1e-12)
+    assert associated_measure(R).atoms == pytest.approx(
         martingale_measure(m, p).atoms, abs=1e-12
     )
+
+
+def test_rn_operator_refuses_mismatched_vectors_and_its_matrix_other_spaces():
+    space = MeasureSpace.uniform(4)
+    m = random_measure(np.random.default_rng(40), space, NormSpec.l2(3))
+    xs = [np.ones(3), np.ones(3)]
+    with pytest.raises(ValueError, match="one value vector per dual vector"):
+        rn_operator(m, xs, [np.ones(3)])
+    with pytest.raises(ValueError, match="one value vector per dual vector"):
+        rn_operator(m, xs, [np.ones(2)] * 3)  # six numbers, as many as two vectors of length 3
+    with pytest.raises(ValueError, match="dimension 3"):
+        rn_operator(m, xs, [np.ones(2), np.ones(2)])
+    zero = rn_operator(m, [], [])
+    assert np.array_equal(zero.entries, np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="different space"):
+        zero.apply(SimpleFunction(MeasureSpace.uniform(4, total=2.0), np.ones(4)))
+
+
+def test_distance_of_the_indicator_to_its_expectation_operator_is_the_block_closed_form():
+    # ||I_m - R_p|| = ||Id - E_p|| = max_j 2 (1 - mu_j / mu(B_j)) from L1(mu) to L1(mu)
+    rng = np.random.default_rng(41)
+    singletons = mixed = 0
+    for i in range(300):
+        n = int(rng.integers(1, 13))
+        space = MeasureSpace.uniform(n) if i % 5 == 0 else random_space(rng, n)
+        n_blocks = int(rng.integers(1, n + 1))
+        labels = rng.permutation(np.concatenate([np.arange(n_blocks), rng.integers(0, n_blocks, n - n_blocks)]))
+        p = Partition(space, labels, n_blocks)
+        m = indicator_measure(space)
+        R = rn_operator(m, *expectation_family(m, p))
+        distance = opnorm_from_l1(combine_operators(integration_operator(m), -1.0, R)).value
+        closed = float(np.max(2.0 * (1.0 - space.weights / p.block_masses()[p.block_of])))
+        assert distance == pytest.approx(closed, rel=1e-12, abs=1e-15), (i, n, n_blocks)
+        singletons += np.any(np.bincount(p.block_of) == 1)
+        mixed += any(np.ptp(space.weights[B]) > 0 for B in p.blocks())
+    assert singletons > 50 and mixed > 50
+
+
+def test_associated_measure_inverts_integration_operator_bitwise():
+    rng = np.random.default_rng(42)
+    for i in range(200):
+        space = random_space(rng, int(rng.integers(1, 10)))
+        X = random_norm_spec(rng, int(rng.integers(1, 6)), kind=KINDS[i % 3])
+        m = random_measure(rng, space, X)
+        assert associated_measure(integration_operator(m)).atoms.tobytes() == m.atoms.tobytes()
+        k = int(rng.integers(0, X.dim + 1))
+        R = rn_operator(m, rng.normal(size=(k, X.dim)), rng.normal(size=(k, X.dim)))
+        assert integration_operator(associated_measure(R)).entries.tobytes() == R.entries.tobytes()
+
+
+def test_rn_levels_are_bitwise_the_density_product():
+    # every level's atoms are (phi * mu).T @ vectors, phi the stacked densities,
+    # for the empty and one-term families as for the coordinate and expectation ones
+    rng = np.random.default_rng(43)
+    for i in range(60):
+        space = random_space(rng, 4 * int(rng.integers(1, 4)))
+        X = NormSpec.l1_of_mu(space) if i % 4 == 3 else random_norm_spec(rng, int(rng.integers(1, 6)), KINDS[i % 3])
+        m = random_measure(rng, space, X)
+        d = X.dim
+        families = [([], []), ([rng.normal(size=d)], [rng.normal(size=d)])]
+        families += [coordinate_family(m, k) for k in range(1, d + 1)]
+        levels = [associated_measure(rn_operator(m, *family)) for family in families[:2]] + list(rn_net(m))
+        if d == space.n:
+            chain = dyadic_chain(2, space)
+            families += [expectation_family(m, p) for p in chain]
+            levels += list(rn_net(m, chain))
+        for level, (xs, vs) in zip(levels, families, strict=True):
+            phi = rn_derivatives(m, xs)
+            vectors = np.array(vs, dtype=float).reshape(len(xs), d)
+            assert level.atoms.tobytes() == ((phi * space.weights[None, :]).T @ vectors).tobytes()
 
 
 def test_weakstar_gap_examples(s1):
@@ -400,12 +473,12 @@ def test_rn_operator_functionals_are_bitwise_the_stacked_derivatives():
         for k in range(1, X.dim + 1):
             xs, vs = coordinate_family(m, k)
             expected = np.stack([rn_derivative(m, x).coeffs for x in xs])
-            assert np.array_equal(rn_operator(m, xs, vs).functionals, expected)
+            assert np.array_equal(rn_derivatives(m, xs), expected)
         ind = indicator_measure(space)
         for p in dyadic_chain(2, space):
             xs, vs = expectation_family(ind, p)
             expected = np.stack([rn_derivative(ind, x).coeffs for x in xs])
-            assert np.array_equal(rn_operator(ind, xs, vs).functionals, expected)
+            assert np.array_equal(rn_derivatives(ind, xs), expected)
 
 
 def test_rn_net_levels_are_the_associated_measures_and_record_expectations():
@@ -425,7 +498,7 @@ def test_rn_net_levels_are_the_associated_measures_and_record_expectations():
                 expected = [expectation_family(m, p) for p in chain]
                 twins, records = martingale_net(m, chain), [Expectation(p) for p in chain]
             for level, (xs, vs), twin, record in zip(levels, expected, twins, records, strict=True):
-                plain = associated_measure(rn_operator(m, xs, vs), space)
+                plain = associated_measure(rn_operator(m, xs, vs))
                 if m.record is None:
                     assert level.record is None
                     assert level.atoms.tobytes() == plain.atoms.tobytes()
@@ -648,7 +721,7 @@ def test_coordinate_levels_of_the_indicator_are_built_without_rn_operator(n, wei
     rng = np.random.default_rng(300 + n)
     space = MeasureSpace.uniform(n) if weights == "uniform" else random_space(rng, n)
     for m in (indicator_measure(space), indicator_measure(space, NormSpec.l2(n, rng.uniform(0.5, 2.0, size=n)))):
-        expected = [associated_measure(rn_operator(m, *coordinate_family(m, k)), space) for k in range(1, n + 1)]
+        expected = [associated_measure(rn_operator(m, *coordinate_family(m, k))) for k in range(1, n + 1)]
         calls = {}
         _spy(monkeypatch, calls, approx_nets, "rn_operator")
         _spy(monkeypatch, calls, approx_nets, "associated_measure")

@@ -11,12 +11,13 @@ These tests read ``bench/`` and change nothing in it.
 
 import importlib
 import importlib.util
-import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from helpers import numerics
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -89,14 +90,6 @@ GOLDEN = {
 }
 
 
-def _numerics() -> str:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 prints its configuration only
-        blas = "unknown"
-    return f"numpy {np.__version__}, BLAS {blas}, {platform.machine()}, Python {platform.python_version()}"
-
-
 @pytest.fixture
 def run(monkeypatch):
     """``bench/run.py``, with the modules it imports by top-level name registered for this test."""
@@ -113,5 +106,5 @@ def test_the_first_rounds_reproduce_the_golden_output_hashes(run, seed, workload
     failed, messages, texts = run.verify(workload, rounds, executions)
     assert failed == 0, messages
     assert run.outputs_sha256(rounds, texts) == GOLDEN[seed, workload], (
-        f"{workload} at seed {seed} gave other output bytes than the golden hash on {_numerics()}"
+        f"{workload} at seed {seed} gave other output bytes than the golden hash on {numerics()}"
     )

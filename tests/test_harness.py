@@ -18,7 +18,6 @@ from vmlab.harness import (
     dumps_csv,
     dumps_report,
     emit,
-    preset_scenario,
     read_scenario,
     run,
 )
@@ -59,7 +58,7 @@ def test_a_scenario_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
 def test_value_space_scales_equal_to_one_keep_the_report_bits(scale):
     data = _preset("random-measure")
     data["value_space"]["scale"] = scale
-    want = dumps_report({"results": run(preset_scenario("random-measure"))["results"]})
+    want = dumps_report({"results": run(build_scenario(PRESETS["random-measure"]))["results"]})
     assert dumps_report({"results": run(build_scenario(data))["results"]}) == want
 
 
@@ -176,7 +175,7 @@ def test_validation_indicator_needs_square():
 
 
 def test_run_canonical_martingale_table():
-    report = run(preset_scenario("canonical-l1"))
+    report = run(build_scenario(PRESETS["canonical-l1"]))
     assert "error" not in report
     rows = report["results"]["rows"]
     assert [r[0] for r in rows] == [0, 1, 2]
@@ -185,14 +184,14 @@ def test_run_canonical_martingale_table():
 
 
 def test_run_daugavet_sweep_defects():
-    report = run(preset_scenario("daugavet-sweep"))
+    report = run(build_scenario(PRESETS["daugavet-sweep"]))
     rows = report["results"]["rows"]
     assert [r[0] for r in rows] == [4, 64, 1024]
     assert [r[4] for r in rows] == [0.5, 0.03125, 0.001953125]
 
 
 def test_run_identity_preset():
-    report = run(preset_scenario("rank-one"))
+    report = run(build_scenario(PRESETS["rank-one"]))
     row = report["results"]["rows"][0]
     assert row[1] == pytest.approx(2.0, abs=1e-12)
     assert row[2] == pytest.approx(2.0, abs=1e-12)
@@ -201,7 +200,7 @@ def test_run_identity_preset():
 
 
 def test_json_roundtrip_equality(tmp_path):
-    report = run(preset_scenario("canonical-l1"))
+    report = run(build_scenario(PRESETS["canonical-l1"]))
     path = tmp_path / "report.json"
     emit(report, "json", path)
     parsed = json.loads(path.read_text())
@@ -223,7 +222,7 @@ def test_every_finite_float_reads_back_equal_in_value():
 
 
 def test_csv_shape(tmp_path):
-    report = run(preset_scenario("canonical-l1"))
+    report = run(build_scenario(PRESETS["canonical-l1"]))
     text = dumps_csv(report)
     lines = text.strip().split("\n")
     assert lines[0] == "level,norm_gap,deviation,pointwise_gap,weakstar_gap"
@@ -436,6 +435,28 @@ def test_daugavet_sweep_past_the_limit_exits_2_before_any_point(tmp_path, monkey
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["daugavet", "--scenario", "canonical-l1", "--sweep", str(2**40)], f"daugavet sweep size {2**40} exceeds the limit"),
+        (["norm", "--scenario", "canonical-l1", "--restarts", str(2**40)], f"{2**40} signs exceed the draw limit"),
+    ],
+    ids=["daugavet-sweep", "norm-restarts"],
+)
+def test_a_report_error_is_named_on_stderr_in_either_format(capsys, argv, message, fmt):
+    # the CSV table of a failed run has no rows, so stderr is where its reason shows
+    assert cli_main([*argv, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: CapacityExceeded: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    if fmt == "csv":
+        assert captured.out == "\n"  # the header of a table without columns, as before
+    else:
+        error = json.loads(captured.out)["error"]
+        assert captured.err == f"error: {error['type']}: {error['message']}\n"
+
+
 def test_cli_subcommand_overrides(tmp_path):
     out = tmp_path / "basis.csv"
     code = cli_main(
@@ -631,7 +652,7 @@ def test_rn_net_expectation_matches_martingale_table():
     data = _preset("canonical-l1")
     data["experiment"] = {"kind": "rn_net", "family": "expectation", "levels": 2}
     rn_rows = run(build_scenario(data))["results"]["rows"]
-    martingale_rows = run(preset_scenario("canonical-l1"))["results"]["rows"]
+    martingale_rows = run(build_scenario(PRESETS["canonical-l1"]))["results"]["rows"]
     assert rn_rows == martingale_rows
 
 
@@ -654,7 +675,7 @@ def test_series_gap_runner():
 
 
 def test_emit_io_error_has_path_context(tmp_path):
-    report = run(preset_scenario("canonical-l1"))
+    report = run(build_scenario(PRESETS["canonical-l1"]))
     bad = tmp_path / "missing_dir" / "r.json"
     with pytest.raises(OSError, match="missing_dir"):
         emit(report, "json", bad)
@@ -665,7 +686,7 @@ def test_presets_complete_quickly():
 
     for name in sorted(PRESETS):
         started = time.perf_counter()
-        report = run(preset_scenario(name))
+        report = run(build_scenario(PRESETS[name]))
         assert "error" not in report, name
         assert time.perf_counter() - started < 10.0, name
 
@@ -819,7 +840,7 @@ def test_number_lists_of_ints_and_floats_keep_their_bits(field):
 
 
 def test_identity_builds_its_other_measure_with_the_scenario():
-    sc = preset_scenario("rank-one")
+    sc = build_scenario(PRESETS["rank-one"])
     other = sc.experiment["other"]
     assert other.space is sc.space and np.array_equal(other.atoms, np.eye(4))
 

@@ -683,7 +683,7 @@ def test_indicator_nets_take_no_hill_climb(monkeypatch, experiment, n, levels):
         net = list(martingale_net(m, chain))
     else:
         families = [expectation_family(m, p) for p in chain]
-        net = [associated_measure(rn_operator(m, xs, vs), sc.space) for xs, vs in families]
+        net = [associated_measure(rn_operator(m, xs, vs)) for xs, vs in families]
     assert len(rows) == len(net) == levels + 1
     for row, level in zip(rows, net):
         heuristic = norm_heuristic(combine(m, -1.0, level), f, seed=data["experiment"]["seed"]).value
