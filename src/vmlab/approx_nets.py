@@ -70,7 +70,8 @@ def basis_truncated_measure(m: VectorMeasure, k: int) -> VectorMeasure:
 
 def rn_operator(m: VectorMeasure, functionals: Sequence, vectors: Sequence) -> OperatorMatrix:
     """R f = sum_k (sum_i f_i phi_{k,i} mu_i) x_k, with phi_k the derivative density
-    of the k-th dual vector and x_k the k-th value vector; an empty family gives 0."""
+    of the k-th dual vector and x_k the k-th value vector; an empty family gives 0.
+    R holds the transpose of its frozen n x d product; ``associated_measure`` holds the product."""
     phi = rn_derivatives(m, list(functionals))
     vectors = [np.asarray(x, dtype=float) for x in vectors]
     if len(vectors) != len(phi):
@@ -78,7 +79,9 @@ def rn_operator(m: VectorMeasure, functionals: Sequence, vectors: Sequence) -> O
     if any(x.shape != (m.X.dim,) for x in vectors):
         raise ValueError(f"value vectors must have dimension {m.X.dim}")
     x = np.array(vectors).reshape(len(phi), m.X.dim)  # (0,) -> (0, d) when empty
-    return OperatorMatrix(((phi * m.space.weights).T @ x).T, m.space, m.X)
+    product = (phi * m.space.weights).T @ x
+    product.setflags(write=False)
+    return OperatorMatrix(product.T, m.space, m.X)
 
 
 def associated_measure(R: OperatorMatrix) -> VectorMeasure:

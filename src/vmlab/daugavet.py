@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NotNormalized
-from .measure_core import MeasureSpace, SimpleFunction, l1_mu_norm, same_space
+from .measure_core import MeasureSpace, SimpleFunction, _frozen, l1_mu_norm, same_space
 from .normed_space import NormSpec, dual_extreme_blocks, norm_rows, same_norm
 from .rng import SplitMix64
 from .vector_measure import (
@@ -46,25 +46,14 @@ from .vector_measure import (
 _COLUMN_CHUNK = 512
 
 
-def _frozen_matrix(a) -> np.ndarray:
-    """Read-only float matrix; float arrays read-only down to their data's owner pass uncopied."""
-    owner = a
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable and owner.base is not None:
-        owner = owner.base
-    if isinstance(owner, np.ndarray) and not owner.flags.writeable and a.dtype == np.float64:
-        return a
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense operator from the discretized L1(mu) into a normed value space.
 
-    Input arrays are copied unless they and every array they view are
-    read-only; those are adopted as-is (the internal builders freeze what
-    they own, so operator algebra at large n never duplicates the entries).
+    ``entries`` go through ``measure_core._frozen``: a frozen contiguous
+    float array is held, anything else copied.  The internal builders
+    freeze what they make, so operator algebra at large n never duplicates
+    the entries.
     """
 
     entries: np.ndarray  # (codomain.dim, domain.n)
@@ -72,7 +61,7 @@ class OperatorMatrix:
     codomain: NormSpec
 
     def __post_init__(self):
-        e = _frozen_matrix(self.entries)
+        e = _frozen(self.entries, float)
         if e.shape != (self.codomain.dim, self.domain.n):
             raise ValueError(
                 f"entries must be {self.codomain.dim} x {self.domain.n}, got {e.shape}"
@@ -122,7 +111,8 @@ class FactoredOperator:
     Column j is delta e_j + mu_j g.  Id and g mu^T are the integration
     maps of ``indicator_measure`` and ``rank_one_measure`` (see
     ``integration_operator``); sums and differences of such maps keep the
-    form.  ``g`` is copied and frozen.
+    form.  ``g`` goes through ``measure_core._frozen``, so a frozen float
+    vector such as a ``RankOne`` record's g is held, not copied.
     """
 
     domain: MeasureSpace
@@ -130,10 +120,9 @@ class FactoredOperator:
     g: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.g, dtype=float)
+        g = _frozen(self.g, float)
         if g.shape != (self.domain.n,):
             raise ValueError(f"g must have length {self.domain.n}, got shape {g.shape}")
-        g.setflags(write=False)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "delta", float(self.delta))
 
@@ -328,7 +317,7 @@ def _sampled_rank_ones(space: MeasureSpace, samples: int, seed: int):
 
 
 def _sampled_center_values(G, samples: int, seed: int) -> np.ndarray:
-    """||G + T_s|| - ||T_s|| over the default sampled family, without operator copies.
+    """||G + T_s|| - ||T_s|| over the sampled family, without operator copies.
 
     For a factored G = g mu^T, column j of G + g_s (h_s mu)^T is
     mu_j (g + h_sj g_s), whose norm over mu_j is the convex function
@@ -363,37 +352,31 @@ def _sampled_center_values(G, samples: int, seed: int) -> np.ndarray:
     return norm_sum - norm_t
 
 
-def series_approximation_gap(
-    G,
-    parts: Sequence,
-    family: Optional[Sequence] = None,
-    samples: int = 64,
-    seed: int = 0,
-) -> SeriesGapReport:
+def series_approximation_gap(G, parts: Sequence, samples: int = 64, seed: int = 0) -> SeriesGapReport:
     """Distance from G to the sum of the parts, with the center constant estimated.
 
-    ``c_estimate`` is the minimum of ||G + T|| - ||T|| over the parts and the
-    comparison family (by default ``samples`` seeded random rank-one
-    operators of unit norm).  When that minimum is a true lower bound C over
-    the span, no sum from the family can approach G closer than C; at finite
-    n the bound only holds approximately, so both numbers are reported and
-    nothing is asserted.
+    ``c_estimate`` is the minimum of ||G + T|| - ||T|| over the parts and,
+    when ``samples > 0``, ``samples`` seeded random rank-one operators of
+    unit norm.  When that minimum is a true lower bound C over the span, no
+    sum of such operators can approach G closer than C; at finite n the
+    bound only holds approximately, so both numbers are reported and nothing
+    is asserted.
 
-    G, the parts and an explicit ``family`` may mix the two forms; the parts
-    are subtracted one at a time.  Sums of factored operators stay factored:
-    the residual and every sum are again delta Id + g mu^T, with column norms
-    over mu_j equal to ||g|| + |delta + mu_j g_j| - |mu_j g_j|.  The default
-    family is never built as operators, so on G = delta Id or G = g mu^T the
-    whole call costs O(samples * n); any other G reads its n x n entries.
+    G and the parts may mix the two forms; the parts are subtracted one at a
+    time.  Sums of factored operators stay factored: the residual and every
+    sum are again delta Id + g mu^T, with column norms over mu_j equal to
+    ||g|| + |delta + mu_j g_j| - |mu_j g_j|.  The sampled operators are never
+    built, so on G = delta Id or G = g mu^T the whole call costs
+    O(samples * n); any other G reads its n x n entries.
     """
     residual = G
     for T in parts:
         residual = _plus(residual, -1.0, T)
     gap_norm = _opnorm(residual)
     c_estimate = np.inf
-    for T in list(parts) + (list(family) if family is not None else []):
+    for T in parts:
         c_estimate = min(c_estimate, _opnorm(_plus(G, 1.0, T)) - _opnorm(T))
-    if family is None and samples > 0:
+    if samples > 0:
         c_estimate = min(c_estimate, float(np.min(_sampled_center_values(G, samples, seed))))
     return SeriesGapReport(gap_norm, float(c_estimate))
 

@@ -182,8 +182,9 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
         _require_keys(section, {"kind", "seed"}, {"kind", "seed"}, where)
         _check_number(section["seed"], f"{where}.seed")
         gen = SplitMix64(section["seed"])
-        atoms = gen.normals(space.n * X.dim).reshape(space.n, X.dim)
-        return VectorMeasure(space, X, atoms)
+        atoms = gen.normals(space.n * X.dim)
+        atoms.setflags(write=False)  # so the measure holds the normals, not a copy
+        return VectorMeasure(space, X, atoms.reshape(space.n, X.dim))
     if kind == "matrix":
         _require_keys(section, {"kind", "rows"}, {"kind", "rows"}, where)
         message = f"{where}: matrix measure needs n rows of value_space dimension, all finite"

@@ -13,6 +13,17 @@ import numpy as np
 
 
 def _frozen(a, dtype) -> np.ndarray:
+    """The freeze rule of every value type: ``a`` itself if it is a plain C- or
+    F-contiguous ndarray of ``dtype``, read-only down to the ndarray owning its
+    data, else a read-only copy in ``a``'s layout (so ``np.matrix``, ``np.memmap``
+    and data owned by ``bytes`` or an ``mmap`` are copied).  Immutability is by
+    convention: holding what the caller froze adds no way to mutate a value."""
+    if type(a) is np.ndarray and not a.flags.writeable and a.dtype == dtype and a.flags.forc:
+        owner = a
+        while type(owner) is np.ndarray and not owner.flags.writeable:
+            if owner.base is None:
+                return a
+            owner = owner.base
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out

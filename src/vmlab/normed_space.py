@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, NotPolyhedral
-from .measure_core import MeasureSpace
+from .measure_core import MeasureSpace, _frozen
 from .opt_engine import _BLOCK_BITS, sign_table
 
 L1 = "L1"
@@ -53,12 +53,12 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown norm kind {self.kind!r}")
-        s = np.array(self.scale, dtype=float, copy=True)
+        s = _frozen(self.scale, float)
         if s.ndim == 0:
-            s = np.full(self.dim, float(s))
+            s = np.full(self.dim, s)
+            s.setflags(write=False)
         if s.shape != (self.dim,) or np.any(s <= 0.0) or not np.all(np.isfinite(s)):
             raise ValueError("scale must be a positive finite vector of length dim")
-        s.setflags(write=False)
         object.__setattr__(self, "scale", s)
 
     @classmethod

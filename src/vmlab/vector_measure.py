@@ -70,7 +70,7 @@ class Truncation:
 
 @dataclass(frozen=True, eq=False)
 class RankOne:
-    """A |-> mu(A) g; g is kept as a frozen copy."""
+    """A |-> mu(A) g; g goes through ``measure_core._frozen``."""
 
     g: np.ndarray
 
@@ -85,12 +85,14 @@ class RankOne:
 class VectorMeasure:
     """Assignment of a value-space vector to each atom; additive on sets.
 
-    Built from an atom matrix (positionally), it keeps a frozen, finite copy
-    and ``record`` is None.  Built from a ``record`` instead, ``Indicator()``
-    (A |-> chi_A), ``Expectation(p)`` (A |-> E_p chi_A), ``Truncation(k)``
-    (A |-> P_k chi_A) or ``RankOne(g)`` (A |-> mu(A) g), it checks the record
-    now and builds ``atoms`` from it once, on first read, so the two cannot
-    disagree.  Engines read the record, never the atom entries.
+    Built from an atom matrix (positionally), it holds the matrix if it is
+    frozen, contiguous and float, else a frozen copy (``measure_core._frozen``),
+    checks that it is finite, and ``record`` is None.  Built from a ``record``
+    instead, ``Indicator()`` (A |-> chi_A), ``Expectation(p)`` (A |-> E_p
+    chi_A), ``Truncation(k)`` (A |-> P_k chi_A) or ``RankOne(g)`` (A |-> mu(A)
+    g), it checks the record now and builds ``atoms`` from it once, on first
+    read, so the two cannot disagree.  Engines read the record, never the atom
+    entries.
     """
 
     space: MeasureSpace

@@ -318,14 +318,14 @@ def test_density_identity_requires_polyhedral():
 def test_series_gap_examples():
     space = MeasureSpace.uniform(8)
     G = identity_operator(space)
-    assert series_approximation_gap(G, [G], family=[]).gap_norm == pytest.approx(
+    assert series_approximation_gap(G, [G], samples=0).gap_norm == pytest.approx(
         0.0, abs=1e-15
     )
     T = rank_one_operator(space, -np.ones(8), np.ones(8))
-    rep = series_approximation_gap(G, [T], family=[])
+    rep = series_approximation_gap(G, [T], samples=0)
     assert rep.gap_norm == pytest.approx(2.0, abs=1e-15)
     assert rep.c_estimate == pytest.approx(1.0 - 2.0 / 8, abs=1e-12)
-    rep = series_approximation_gap(G, [], family=[])
+    rep = series_approximation_gap(G, [], samples=0)
     assert rep.gap_norm == 1.0
     assert rep.c_estimate == np.inf
 
@@ -406,16 +406,6 @@ def test_series_gap_sampled_family_matches_dense_loop(kind):
             assert rep.c_estimate == pytest.approx(family_only, rel=1e-12)
 
 
-def test_series_gap_explicit_family_is_the_dense_result():
-    rng = np.random.default_rng(13)
-    space = random_space(rng, 12)
-    parts = [rank_one_operator(space, np.ones(space.n), rng.normal(size=space.n))]
-    family = _dense_family(space, 6, 4)
-    for G in _l1_operators(rng, space).values():
-        rep = series_approximation_gap(G, parts, family=family)
-        assert (rep.gap_norm, rep.c_estimate) == _dense_series_gap(G, parts, family)
-
-
 def test_series_gap_sampled_family_needs_l1_of_mu_codomain():
     space = MeasureSpace.uniform(3)
     G = OperatorMatrix(np.eye(3), space, NormSpec.l1(3))
@@ -493,15 +483,15 @@ def test_factored_indicator_is_bitwise_the_dense_path(n, sign):
     factored = (_factored_identity(space), [_factored_rank_one(space, sign * np.ones(n))])
     dense = (identity_operator(space), [rank_one_operator(space, sign * np.ones(n), np.ones(n))])
     # gap and part: every column norm is an exact dyadic number
-    assert repr(series_approximation_gap(*factored, family=[])) == repr(
-        series_approximation_gap(*dense, family=[])
+    assert repr(series_approximation_gap(*factored, samples=0)) == repr(
+        series_approximation_gap(*dense, samples=0)
     )
     # default family: the per-sample O(n) defects of the same draws
     samples, seed = 64, n + 1
     g, h = daugavet._sampled_rank_ones(space, samples, seed)
     defects = [rank_one_defect(space, a, b) for a, b in zip(g, h)]
     sampled = min(rep.norm_sum - rep.norm_T for rep in defects)
-    part_only = series_approximation_gap(*dense, family=[])
+    part_only = series_approximation_gap(*dense, samples=0)
     expect = SeriesGapReport(part_only.gap_norm, min(part_only.c_estimate, sampled))
     assert repr(series_approximation_gap(*factored, samples=samples, seed=seed)) == repr(expect)
 
@@ -610,8 +600,8 @@ def test_mixed_forms_are_the_dense_call_on_the_entries():
         assert fast.norm_T == pytest.approx(dense.norm_T, rel=1e-15, abs=0.0)
         assert repr(daugavet_defect(D)) == repr(center_defect(identity_operator(space), D))
         # G = F: the residual and every sum are dense, and F's own norm is never read
-        assert repr(series_approximation_gap(F, [D], family=[D2])) == repr(
-            series_approximation_gap(Fd, [D], family=[D2])
+        assert repr(series_approximation_gap(F, [D, D2], samples=0)) == repr(
+            series_approximation_gap(Fd, [D, D2], samples=0)
         )
         if F.delta != 0.0:  # the sampled family on delta Id + g mu^T, g != 0, reads the entries
             seed = int(rng.integers(0, 2**63))
@@ -619,8 +609,8 @@ def test_mixed_forms_are_the_dense_call_on_the_entries():
                 series_approximation_gap(Fd, [D], samples=4, seed=seed)
             )
         # F as a part: ||F|| enters the estimate
-        fast = series_approximation_gap(D, [F], family=[D2])
-        dense = series_approximation_gap(D, [Fd], family=[D2])
+        fast = series_approximation_gap(D, [F, D2], samples=0)
+        dense = series_approximation_gap(D, [Fd, D2], samples=0)
         assert repr(fast.gap_norm) == repr(dense.gap_norm)
         assert fast.c_estimate == pytest.approx(dense.c_estimate, rel=0.0, abs=1e-15 * opnorm_from_l1(Fd).value)
 
@@ -688,10 +678,9 @@ def test_dense_series_gap_with_two_parts_matches_reference():
             rank_one_operator(space, rng.normal(size=n), rng.normal(size=n)),
             OperatorMatrix(rng.normal(size=(n, n)), space, NormSpec.l1_of_mu(space)),
         ]
-        family = _dense_family(space, 4, int(rng.integers(0, 2**63)))
         for G in _l1_operators(rng, space).values():
-            gap_norm, c_estimate = _dense_series_gap(G, parts, family)
-            rep = series_approximation_gap(G, parts, family=family)
+            gap_norm, c_estimate = _dense_series_gap(G, parts, [])
+            rep = series_approximation_gap(G, parts, samples=0)
             assert rep.gap_norm == pytest.approx(gap_norm, rel=1e-12, abs=0.0)
             assert rep.c_estimate == c_estimate  # the same sums G + T
 

@@ -35,6 +35,28 @@ _RANDOM_L2 = dict(
 )
 _RN_NET = _scenario("canonical-l1", **_RANDOM_L2, experiment={"kind": "rn_net", "family": "coordinate"})
 
+# d = 21 is past the L1 corner limit: the rows on f's support are nonnegative,
+# so the closed form holds, and the mixed-sign last row, where f is 0, must
+# not refuse it
+_MATRIX_L1_D21 = dict(
+    space={"n": 10, "weights": [0.5 + (i * 3 % 10) / 7 for i in range(10)]},
+    value_space={"kind": "L1", "d": 21, "scale": [1.0 + (j % 5) / 3 for j in range(21)]},
+    measure={
+        "kind": "matrix",
+        "rows": [[((i * 7 + j * 5) % 13 + 1) / 9 for j in range(21)] for i in range(9)]
+        + [[(-1.0) ** j * (j + 1) / 3 for j in range(21)]],
+    },
+    functions=[[(-1.0) ** i * (1 + i % 4) / 3 for i in range(9)] + [0.0]],
+)
+# a dense G, so the sampled family sums each sample's columns; the small
+# weights make the samples, not the part, attain c_estimate
+_RANDOM_L1_OF_MU = dict(
+    space={"n": 8, "weights": [(1 + i * 5 % 8) / 64 for i in range(8)]},
+    value_space={"kind": "l1-of-mu"},
+    measure={"kind": "random", "seed": 3},
+    functions=[[1.0, -2.0, 0.0, 3.0, 0.5, -1.0, 2.0, 1.0]],
+)
+
 # file name -> (scenario, format)
 CASES = {
     **{f"{name}.json": (_scenario(name), "json") for name in PRESETS},
@@ -46,6 +68,14 @@ CASES = {
     ),
     "martingale-random-l2.json": (
         _scenario("canonical-l1", **_RANDOM_L2, experiment={"kind": "martingale", "levels": 3}),
+        "json",
+    ),
+    "norm-matrix-l1-d21.json": (
+        _scenario("canonical-l1", **_MATRIX_L1_D21, experiment={"kind": "norm"}),
+        "json",
+    ),
+    "series-gap-random-l1-of-mu.json": (
+        _scenario("canonical-l1", **_RANDOM_L1_OF_MU, experiment={"kind": "series_gap", "samples": 4}),
         "json",
     ),
 }

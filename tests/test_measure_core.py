@@ -5,11 +5,20 @@ from helpers import refine
 from vmlab import (
     MeasurableSet,
     MeasureSpace,
+    NormSpec,
     Partition,
     SimpleFunction,
+    VectorMeasure,
+    associated_measure,
+    coordinate_family,
     dyadic_chain,
+    integration_operator,
+    rank_one_measure,
+    rn_operator,
     sign_function,
 )
+from vmlab.daugavet import FactoredOperator
+from vmlab.measure_core import _frozen
 
 
 def test_space_validation():
@@ -154,3 +163,96 @@ def test_block_masses_sum_to_total():
     for blocks in ([[0, 5], [1, 2, 3], [4, 6, 7, 8, 9, 10, 11]],):
         p = Partition.from_blocks(sp, blocks)
         assert np.sum(p.block_masses()) == pytest.approx(sp.total, abs=1e-12)
+
+
+def _frozen_owner(shape, dtype=float):
+    a = np.arange(int(np.prod(shape)), dtype=dtype).reshape(shape).copy()
+    a.setflags(write=False)
+    return a
+
+
+def _read_only_view_of_writable():
+    v = np.arange(6.0).reshape(2, 3)[:]
+    v.setflags(write=False)
+    return v
+
+
+def _frozen_np_matrix():
+    a = np.matrix(np.arange(6.0).reshape(2, 3))
+    a.setflags(write=False)
+    return a
+
+
+def _read_only_memmap(tmp_path):
+    path = tmp_path / "atoms.bin"
+    np.arange(6.0).tofile(path)
+    return np.memmap(path, dtype=float, mode="r", shape=(2, 3))
+
+
+HELD = {
+    "frozen C array": lambda tmp_path: _frozen_owner((2, 3)),
+    "transpose of a frozen C array": lambda tmp_path: _frozen_owner((2, 3)).T,
+    "frozen zero-size array": lambda tmp_path: _frozen_owner((0, 3)),
+}
+COPIED = {
+    "writable array": lambda tmp_path: np.arange(6.0).reshape(2, 3).copy(),
+    "writable Fortran array": lambda tmp_path: np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+    "read-only view of a writable owner": lambda tmp_path: _read_only_view_of_writable(),
+    "strided frozen view": lambda tmp_path: _frozen_owner((2, 6))[:, ::2],
+    "frozen array of another dtype": lambda tmp_path: _frozen_owner((2, 3), np.float32),
+    "frozen np.matrix": lambda tmp_path: _frozen_np_matrix(),
+    "np.frombuffer array": lambda tmp_path: np.frombuffer(np.arange(6.0).tobytes()),
+    "read-only np.memmap": _read_only_memmap,
+}
+
+
+@pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+@pytest.mark.parametrize("case", sorted(HELD) + sorted(COPIED))
+def test_frozen_holds_a_frozen_contiguous_array_and_copies_the_rest(case, tmp_path):
+    a = {**HELD, **COPIED}[case](tmp_path)
+    out = _frozen(a, float)
+    if case in HELD:
+        assert out is a
+        return
+    assert type(out) is np.ndarray and out.dtype == np.float64 and not out.flags.writeable
+    assert np.array_equal(out, np.asarray(a)) and not np.shares_memory(out, a)
+    if isinstance(a, np.ndarray) and (a.flags.c_contiguous or a.flags.f_contiguous):
+        assert (out.flags.c_contiguous, out.flags.f_contiguous) == (a.flags.c_contiguous, a.flags.f_contiguous)
+
+
+def _rn_level_and_its_operator():
+    space = MeasureSpace([0.5, 1.0, 1.5, 2.0])
+    m = VectorMeasure(space, NormSpec.l2(3, [1.0, 2.0, 0.5]), np.arange(12.0).reshape(4, 3) - 5.0)
+    R = rn_operator(m, *coordinate_family(m, 2))
+    return associated_measure(R).atoms, R.entries
+
+
+def _round_trip_through_the_integration_operator():
+    space = MeasureSpace([0.5, 1.0, 1.5, 2.0])
+    m = VectorMeasure(space, NormSpec.linf(3), np.arange(12.0).reshape(4, 3) - 5.0)
+    return associated_measure(integration_operator(m)).atoms, m.atoms
+
+
+def _l1_of_mu_and_the_weights():
+    space = MeasureSpace([0.5, 1.0, 1.5, 2.0])
+    return NormSpec.l1_of_mu(space).scale, space.weights
+
+
+def _factored_operator_and_a_rank_one_record():
+    space = MeasureSpace([0.5, 1.0, 1.5, 2.0])
+    record = rank_one_measure(space, [1.0, -2.0, 0.5, 3.0]).record
+    return FactoredOperator(space, 0.0, record.g).g, record.g
+
+
+SHARED = {
+    "an rn level and its operator's entries": _rn_level_and_its_operator,
+    "m -> I_m -> m": _round_trip_through_the_integration_operator,
+    "l1_of_mu and the weights": _l1_of_mu_and_the_weights,
+    "a FactoredOperator and a RankOne record's g": _factored_operator_and_a_rank_one_record,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED))
+def test_value_types_hold_what_another_value_type_froze(case):
+    held, frozen = SHARED[case]()
+    assert np.shares_memory(held, frozen)
