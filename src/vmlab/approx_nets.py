@@ -154,9 +154,6 @@ class NetLevelStats:
 class NetReport:
     levels: tuple
 
-    def column(self, name: str) -> list[float]:
-        return [getattr(level, name) for level in self.levels]
-
 
 def martingale_net(m: VectorMeasure, partitions: Iterable[Partition]) -> Iterator[VectorMeasure]:
     return (martingale_measure(m, p) for p in partitions)

@@ -39,9 +39,7 @@ from .errors import NotNormalized
 from .measure_core import MeasureSpace, SimpleFunction, _frozen, l1_mu_norm, same_space
 from .normed_space import NormSpec, dual_extreme_blocks, norm_rows, same_norm
 from .rng import SplitMix64
-from .vector_measure import (
-    Indicator, RankOne, VectorMeasure, indicator_measure, rank_one_measure, same_setting,
-)
+from .vector_measure import Indicator, RankOne, VectorMeasure, combine, indicator_measure, rank_one_measure
 
 _COLUMN_CHUNK = 512
 
@@ -67,11 +65,6 @@ class OperatorMatrix:
                 f"entries must be {self.codomain.dim} x {self.domain.n}, got {e.shape}"
             )
         object.__setattr__(self, "entries", e)
-
-    def apply(self, f: SimpleFunction) -> np.ndarray:
-        if not same_space(f.space, self.domain):
-            raise ValueError("function lives on a different space")
-        return self.entries @ f.coeffs
 
 
 def _same_shape(a: OperatorMatrix, b: OperatorMatrix) -> bool:
@@ -275,13 +268,11 @@ def density_norm_identity(
 ) -> DensityIdentityReport:
     """Check that the combined operator norm equals the density-side supremum.
 
-    The columns of I_m + lambda I_m1 are the combined atoms m_i + lambda m1_i.
+    The columns of I_m + lambda I_m1 are the combined atoms m_i + lambda m1_i,
+    ``combine(m, lam, m1).atoms``; the report holds the three evaluations.
     The density side scores the dual extreme points 2^12 at a time into one
     n x 2^12 buffer: O(n 2^12) floats, about 1 MB of temporaries at n = d = 16."""
-    if not same_setting(m, m1):
-        raise ValueError("measures live on different spaces or value spaces")
-    combined = m.atoms + lam * m1.atoms
-    combined.setflags(write=False)
+    combined = combine(m, lam, m1).atoms
     operator_side = opnorm_from_l1(OperatorMatrix(combined.T, m.space, m.X)).value
 
     mu = m.space.weights

@@ -86,7 +86,6 @@ SWEEP_LIMIT = 1 << 20  # largest daugavet sweep size: a point holds about ten n-
 class Scenario:
     raw: dict
     space: MeasureSpace
-    X: NormSpec
     measure: VectorMeasure
     functions: list
     experiment: dict
@@ -271,7 +270,7 @@ def build_scenario(data: dict) -> Scenario:
         message = f"functions[{idx}] must have one coefficient per atom, all finite"
         functions.append(SimpleFunction(space, _finite_array(coeffs, (space.n,), message)))
     experiment = _build_experiment(data["experiment"], (space, X, functions))
-    return Scenario(data, space, X, measure, functions, experiment)
+    return Scenario(data, space, measure, functions, experiment)
 
 
 def read_scenario(path):

@@ -44,18 +44,14 @@ class MeasureSpace:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def uniform(cls, n: int, total: float = 1.0) -> "MeasureSpace":
+    def uniform(cls, n: int) -> "MeasureSpace":
         if n < 1:
             raise ValueError("need at least one atom")
-        return cls(np.full(n, total / n))
+        return cls(np.full(n, 1.0 / n))
 
     @property
     def n(self) -> int:
         return self.weights.size
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def same_space(a: MeasureSpace, b: MeasureSpace) -> bool:
@@ -76,10 +72,6 @@ class MeasurableSet:
         object.__setattr__(self, "members", mask)
 
     @classmethod
-    def empty(cls, space: MeasureSpace) -> "MeasurableSet":
-        return cls(space, np.zeros(space.n, dtype=bool))
-
-    @classmethod
     def full(cls, space: MeasureSpace) -> "MeasurableSet":
         return cls(space, np.ones(space.n, dtype=bool))
 
@@ -91,9 +83,6 @@ class MeasurableSet:
         mask = np.zeros(space.n, dtype=bool)
         mask[ids.astype(int)] = True
         return cls(space, mask)
-
-    def mass(self) -> float:
-        return float(np.sum(self.space.weights[self.members]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,26 +136,6 @@ class Partition:
         if np.any(np.bincount(b, minlength=self.n_blocks) == 0):
             raise ValueError("every block must be nonempty")
         object.__setattr__(self, "block_of", b)
-
-    @classmethod
-    def singletons(cls, space: MeasureSpace) -> "Partition":
-        return cls(space, np.arange(space.n), space.n)
-
-    @classmethod
-    def one_block(cls, space: MeasureSpace) -> "Partition":
-        return cls(space, np.zeros(space.n, dtype=int), 1)
-
-    @classmethod
-    def from_blocks(cls, space: MeasureSpace, blocks) -> "Partition":
-        block_of = np.full(space.n, -1, dtype=int)
-        for k, ids in enumerate(blocks):
-            members = MeasurableSet.from_indices(space, ids).members
-            if np.any(block_of[members] >= 0):
-                raise ValueError("blocks must be disjoint")
-            block_of[members] = k
-        if np.any(block_of < 0):
-            raise ValueError("blocks must cover all atoms")
-        return cls(space, block_of, len(blocks))
 
     def blocks(self) -> list[np.ndarray]:
         """Derived view: list of atom-index arrays, one per block."""

@@ -53,6 +53,9 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown norm kind {self.kind!r}")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         s = _frozen(self.scale, float)
         if s.ndim == 0:
             s = np.full(self.dim, s)
@@ -60,18 +63,6 @@ class NormSpec:
         if s.shape != (self.dim,) or np.any(s <= 0.0) or not np.all(np.isfinite(s)):
             raise ValueError("scale must be a positive finite vector of length dim")
         object.__setattr__(self, "scale", s)
-
-    @classmethod
-    def l1(cls, dim: int, scale=1.0) -> "NormSpec":
-        return cls(L1, dim, scale)
-
-    @classmethod
-    def l2(cls, dim: int, scale=1.0) -> "NormSpec":
-        return cls(L2, dim, scale)
-
-    @classmethod
-    def linf(cls, dim: int, scale=1.0) -> "NormSpec":
-        return cls(LINF, dim, scale)
 
     @classmethod
     def l1_of_mu(cls, space: MeasureSpace) -> "NormSpec":

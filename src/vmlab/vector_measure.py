@@ -28,16 +28,21 @@ from .normed_space import NormSpec, same_norm
 
 
 def block_average(atoms: np.ndarray, p: Partition) -> np.ndarray:
-    """Atom i of the average over the blocks of p: (mu_i / mu(B(i))) m(B(i))."""
+    """A new read-only n x d array whose row i is the average over the blocks of
+    p, (mu_i / mu(B(i))) m(B(i)); the gathered block sums are scaled in place."""
     block_values = np.zeros((p.n_blocks, atoms.shape[1]))
     np.add.at(block_values, p.block_of, atoms)
-    scale = p.space.weights / p.block_masses()[p.block_of]
-    return scale[:, None] * block_values[p.block_of]
+    out = block_values[p.block_of]
+    out *= (p.space.weights / p.block_masses()[p.block_of])[:, None]
+    out.setflags(write=False)
+    return out
 
 
 def truncate(atoms: np.ndarray, k: int) -> np.ndarray:
-    """A copy of the atoms with value-space coordinates k on zeroed."""
-    return np.where(np.arange(atoms.shape[1]) < k, atoms, 0.0)
+    """A new read-only copy of the atoms with value-space coordinates k on zeroed."""
+    out = np.where(np.arange(atoms.shape[1]) < k, atoms, 0.0)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,11 @@ def rn_derivatives(m: VectorMeasure, xstars) -> np.ndarray:
 
 
 def combine(m: VectorMeasure, lam: float, m1: VectorMeasure) -> VectorMeasure:
-    """m + lam * m1 atomwise, recorded as plain atoms."""
+    """m + lam * m1 atomwise, recorded as plain atoms; the new measure holds the
+    one read-only sum, formed in the buffer of lam * m1."""
     if not same_setting(m, m1):
         raise ValueError("measures live on different spaces or value spaces")
-    return VectorMeasure(m.space, m.X, m.atoms + lam * m1.atoms)
+    atoms = lam * m1.atoms
+    atoms += m.atoms
+    atoms.setflags(write=False)
+    return VectorMeasure(m.space, m.X, atoms)

@@ -20,7 +20,7 @@ def s1():
 def s2():
     """Two atoms into the plane with the sup norm; atom vectors e_0, e_1."""
     space = MeasureSpace.uniform(2)
-    X = NormSpec.linf(2)
+    X = NormSpec("LINF", 2, 1.0)
     return space, VectorMeasure(space, X, np.eye(2))
 
 

@@ -56,6 +56,14 @@ _RANDOM_L1_OF_MU = dict(
     measure={"kind": "random", "seed": 3},
     functions=[[1.0, -2.0, 0.0, 3.0, 0.5, -1.0, 2.0, 1.0]],
 )
+# the random8 space and function of the tier-1 workflow's net step into
+# L1(mu): the expectation family's block values come from the atoms
+_RANDOM8_L1_OF_MU = dict(
+    space={"n": 8, "weights": [0.5 + (i * 5 % 8) / 8 for i in range(8)]},
+    value_space={"kind": "l1-of-mu"},
+    measure={"kind": "random", "seed": 3},
+    functions=[[(-1.0) ** i * (1 + i % 3) / 16 for i in range(8)]],
+)
 
 # file name -> (scenario, format)
 CASES = {
@@ -76,6 +84,12 @@ CASES = {
     ),
     "series-gap-random-l1-of-mu.json": (
         _scenario("canonical-l1", **_RANDOM_L1_OF_MU, experiment={"kind": "series_gap", "samples": 4}),
+        "json",
+    ),
+    "rn-net-expectation-random8-l1-of-mu.json": (
+        _scenario(
+            "canonical-l1", **_RANDOM8_L1_OF_MU, experiment={"kind": "rn_net", "family": "expectation", "levels": 2}
+        ),
         "json",
     ),
 }

@@ -108,7 +108,7 @@ def test_norm_exact_tie_goes_to_smallest_code():
     space = MeasureSpace.uniform(14)
     atoms = np.zeros((14, 2))
     atoms[0], atoms[2], atoms[3] = [1.0, 0.5], [-1.0, 0.0], [-1.0, 0.0]
-    m = VectorMeasure(space, NormSpec.l2(2), atoms)
+    m = VectorMeasure(space, NormSpec("L2", 2, 1.0), atoms)
     f = SimpleFunction(space, np.ones(14))
     res = norm_exact(m, f)
     assert res.value == norm(m.X, [3.0, 0.5])
@@ -150,7 +150,7 @@ def test_norm_axioms(s1):
 def test_norm_definiteness():
     # ||f|| = 0 iff every f_i m_i vanishes
     space = MeasureSpace.uniform(3)
-    X = NormSpec.l2(2)
+    X = NormSpec("L2", 2, 1.0)
     m = VectorMeasure(space, X, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     f = SimpleFunction(space, [0.0, 5.0, 0.0])  # sits on the null atom
     assert norm_exact(m, f).value == 0.0
@@ -192,7 +192,7 @@ def test_closed_form_examples(s1, s2, f1):
     assert norm_closed_form(m2, chi).value == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(NotPolyhedral):
         norm_closed_form(
-            VectorMeasure(space2, NormSpec.l2(2), m2.atoms),
+            VectorMeasure(space2, NormSpec("L2", 2, 1.0), m2.atoms),
             SimpleFunction(space2, [1.0, 1.0]),
         )
 
@@ -295,11 +295,11 @@ def test_norm_best_dispatch(s1, f1):
     assert norm_best(m, f1).method == CLOSED_FORM
     rng = np.random.default_rng(8)
     space = random_space(rng, 6)
-    m2 = random_measure(rng, space, NormSpec.l2(3))
+    m2 = random_measure(rng, space, NormSpec("L2", 3, 1.0))
     f = random_function(rng, space)
     assert norm_best(m2, f).method == EXACT
     big = random_space(rng, 30)
-    m3 = random_measure(rng, big, NormSpec.l2(3))
+    m3 = random_measure(rng, big, NormSpec("L2", 3, 1.0))
     g = SimpleFunction(big, rng.normal(size=30))
     res = norm_best(m3, g)
     assert res.method == HEURISTIC
@@ -316,7 +316,7 @@ def brute_norm_upper(m, f):
 def test_deviation_examples(s1, f1):
     space, m = s1
     assert deviation(m, m, f1) == 0.0
-    p = Partition.from_blocks(space, [[0, 1], [2, 3]])
+    p = Partition(space, [0, 0, 1, 1], 2)
     m_eta = martingale_measure(m, p)
     chi0 = SimpleFunction(space, [1.0, 0.0, 0.0, 0.0])
     value = deviation(m, m_eta, chi0)
@@ -399,12 +399,12 @@ def test_koethe_norm_axioms(s1):
 def test_koethe_capacity_and_l2_fallback():
     rng = np.random.default_rng(13)
     space = random_space(rng, 20)
-    m = random_measure(rng, space, NormSpec.linf(3))
+    m = random_measure(rng, space, NormSpec("LINF", 3, 1.0))
     with pytest.raises(CapacityExceeded):
         koethe_dual_norm(m, SimpleFunction(space, rng.normal(size=20)))
 
     small = random_space(rng, 5)
-    m2 = random_measure(rng, small, NormSpec.l2(3))
+    m2 = random_measure(rng, small, NormSpec("L2", 3, 1.0))
     g = random_function(rng, small)
     info = koethe_dual_norm_info(m2, g)
     assert info.method == HEURISTIC
@@ -416,7 +416,7 @@ def test_koethe_capacity_and_l2_fallback():
 
 def test_koethe_unbounded_when_measure_has_null_atom():
     space = MeasureSpace.uniform(2)
-    X = NormSpec.linf(2)
+    X = NormSpec("LINF", 2, 1.0)
     m = VectorMeasure(space, X, [[1.0, 0.0], [0.0, 0.0]])
     g = SimpleFunction(space, [0.0, 1.0])
     assert koethe_dual_norm(m, g) == np.inf
@@ -522,7 +522,7 @@ def test_koethe_ball_rows_hold_one_copy_of_the_rows():
 def _ascent_instance(rng, n, d):
     """An L2 measure with null and repeated atoms mixed in, and a g that may vanish."""
     space = random_space(rng, n)
-    X = NormSpec.l2(d, rng.uniform(0.5, 2.0, size=d))
+    X = NormSpec("L2", d, rng.uniform(0.5, 2.0, size=d))
     atoms = rng.normal(size=(n, d))
     atoms[rng.random(n) < 0.2] = 0.0  # null atoms
     if n > 1 and rng.random() < 0.4:  # repeated atoms, possibly negated
@@ -712,8 +712,8 @@ def test_unequal_block_weights_and_other_value_spaces_keep_the_heuristic(monkeyp
     uniform = MeasureSpace.uniform(n)
     cases = [
         indicator_measure(unequal),  # weights vary inside each block
-        indicator_measure(uniform, NormSpec.l2(n)),  # an L2 value space with d = n
-        indicator_measure(uniform, NormSpec.l1(n)),  # L1 without the atom weights as scale
+        indicator_measure(uniform, NormSpec("L2", n, 1.0)),  # an L2 value space with d = n
+        indicator_measure(uniform, NormSpec("L1", n, 1.0)),  # L1 without the atom weights as scale
     ]
     calls = _count_hill_climbs(monkeypatch)
     for m in cases:
@@ -777,7 +777,7 @@ def test_engine_table_order():
 def test_enumeration_refuses_support_17_at_the_default_cutoff():
     rng = np.random.default_rng(51)
     space = random_space(rng, 17)
-    m = random_measure(rng, space, NormSpec.l2(3))
+    m = random_measure(rng, space, NormSpec("L2", 3, 1.0))
     f = SimpleFunction(space, rng.normal(size=17))
     with pytest.raises(CapacityExceeded, match="support size 17 exceeds the enumeration limit 16"):
         norm_exact(m, f)
@@ -816,7 +816,7 @@ def test_enumeration_stops_at_support_25_whatever_the_cutoff():
 def test_closed_form_refuses_mixed_sign_rows_beyond_20_coordinates():
     rng = np.random.default_rng(53)
     space = random_space(rng, 6)
-    X = NormSpec.l1(21)
+    X = NormSpec("L1", 21, 1.0)
     f = SimpleFunction(space, rng.normal(size=6))
     mixed = VectorMeasure(space, X, rng.normal(size=(6, 21)))
     with pytest.raises(CapacityExceeded, match=r"2\^21 dual corners exceed the limit d <= 20"):
@@ -835,7 +835,7 @@ def test_closed_form_refuses_mixed_sign_rows_beyond_20_coordinates():
 def test_closed_form_refuses_l2():
     rng = np.random.default_rng(54)
     space = random_space(rng, 5)
-    m = random_measure(rng, space, NormSpec.l2(2))
+    m = random_measure(rng, space, NormSpec("L2", 2, 1.0))
     f = random_function(rng, space)
     with pytest.raises(NotPolyhedral):
         norm_closed_form(m, f)
@@ -887,7 +887,7 @@ def test_a_block_deviation_combines_nothing_and_climbs_nothing(monkeypatch):
 def test_a_heuristic_row_lists_its_refusals_in_table_order():
     rng = np.random.default_rng(56)
     space = random_space(rng, 20)
-    m = random_measure(rng, space, NormSpec.l2(3))
+    m = random_measure(rng, space, NormSpec("L2", 3, 1.0))
     res = norm_best(m, SimpleFunction(space, rng.normal(size=20)))
     assert res.method == HEURISTIC
     assert _refused_labels(res) == ENGINE_LABELS[:2]
@@ -911,8 +911,8 @@ def test_engines_are_looked_up_at_call_time(monkeypatch):
     heuristic_calls = _recording(monkeypatch, "norm_heuristic")
     rng = np.random.default_rng(57)
     small, large = random_space(rng, 6), random_space(rng, 17)
-    m_small = random_measure(rng, small, NormSpec.l2(3))
-    m_large = random_measure(rng, large, NormSpec.l2(3))
+    m_small = random_measure(rng, small, NormSpec("L2", 3, 1.0))
+    m_large = random_measure(rng, large, NormSpec("L2", 3, 1.0))
     assert norm_best(m_small, SimpleFunction(small, rng.normal(size=6))).method == EXACT
     assert norm_best(m_large, SimpleFunction(large, rng.normal(size=17))).method == HEURISTIC
     assert (len(exact_calls), len(heuristic_calls)) == (1, 1)

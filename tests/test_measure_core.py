@@ -30,7 +30,7 @@ def test_space_validation():
         MeasureSpace([])
     sp = MeasureSpace.uniform(4)
     assert sp.n == 4
-    assert sp.total == pytest.approx(1.0, abs=0)
+    assert np.sum(sp.weights) == pytest.approx(1.0, abs=0)
 
 
 def test_values_are_immutable():
@@ -48,7 +48,7 @@ def test_sign_function_examples():
         sign_function(MeasurableSet.full(sp)).coeffs, np.ones(4)
     )
     assert np.array_equal(
-        sign_function(MeasurableSet.empty(sp)).coeffs, -np.ones(4)
+        sign_function(MeasurableSet(sp, np.zeros(4, dtype=bool))).coeffs, -np.ones(4)
     )
     A = MeasurableSet.from_indices(sp, [0, 2])
     assert np.array_equal(sign_function(A).coeffs, [1.0, -1.0, 1.0, -1.0])
@@ -65,12 +65,12 @@ def test_sign_function_squares_to_one():
 
 def test_refine_examples():
     sp = MeasureSpace.uniform(4)
-    one = Partition.one_block(sp)
-    singles = Partition.singletons(sp)
+    one = Partition(sp, np.zeros(4, dtype=int), 1)
+    singles = Partition(sp, np.arange(4), 4)
     assert refine(one, singles)
     assert not refine(singles, one)
-    p = Partition.from_blocks(sp, [[0, 1], [2, 3]])
-    q = Partition.from_blocks(sp, [[0], [1], [2, 3]])
+    p = Partition(sp, [0, 0, 1, 1], 2)
+    q = Partition(sp, [0, 1, 2, 2], 3)
     assert refine(p, q)
     assert not refine(q, p)
 
@@ -81,10 +81,6 @@ def test_partition_validation():
         Partition(sp, [0, 0, 1, 3], 4)  # block 2 empty
     with pytest.raises(ValueError):
         Partition(sp, [0, 0, 0, 5], 2)
-    with pytest.raises(ValueError):
-        Partition.from_blocks(sp, [[0, 1], [1, 2, 3]])
-    with pytest.raises(ValueError):
-        Partition.from_blocks(sp, [[0, 1], [3]])
 
 
 def test_partition_refuses_non_integer_block_indices():
@@ -101,8 +97,6 @@ def test_atom_indices_refuse_a_negative_index(indices):
     sp = MeasureSpace.uniform(4)  # [-1] would select the last atom
     with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
         MeasurableSet.from_indices(sp, indices)
-    with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
-        Partition.from_blocks(sp, [[0, 1, 2, 3], indices])
 
 
 @pytest.mark.parametrize("indices", [[0.7, 2.9], [1.0], [True], ["1"]])
@@ -110,8 +104,6 @@ def test_atom_indices_refuse_non_integers(indices):
     sp = MeasureSpace.uniform(4)  # [0.7, 2.9] would select atoms 0 and 2
     with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
         MeasurableSet.from_indices(sp, indices)
-    with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
-        Partition.from_blocks(sp, [[0, 1, 2, 3], indices])
 
 
 @pytest.mark.parametrize("indices", [[4], [0, 7]])
@@ -119,8 +111,6 @@ def test_atom_indices_refuse_an_index_past_the_last_atom(indices):
     sp = MeasureSpace.uniform(4)
     with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
         MeasurableSet.from_indices(sp, indices)
-    with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
-        Partition.from_blocks(sp, [[0, 1, 2, 3], indices])
     assert MeasurableSet.from_indices(sp, [3, 0]).members.tolist() == [True, False, False, True]
     assert not MeasurableSet.from_indices(sp, []).members.any()
 
@@ -160,9 +150,8 @@ def test_dyadic_chain_refines():
 def test_block_masses_sum_to_total():
     rng = np.random.default_rng(1)
     sp = MeasureSpace(rng.uniform(0.1, 1.0, 12))
-    for blocks in ([[0, 5], [1, 2, 3], [4, 6, 7, 8, 9, 10, 11]],):
-        p = Partition.from_blocks(sp, blocks)
-        assert np.sum(p.block_masses()) == pytest.approx(sp.total, abs=1e-12)
+    p = Partition(sp, [0, 1, 1, 1, 2, 0, 2, 2, 2, 2, 2, 2], 3)
+    assert np.sum(p.block_masses()) == pytest.approx(np.sum(sp.weights), abs=1e-12)
 
 
 def _frozen_owner(shape, dtype=float):
@@ -222,14 +211,14 @@ def test_frozen_holds_a_frozen_contiguous_array_and_copies_the_rest(case, tmp_pa
 
 def _rn_level_and_its_operator():
     space = MeasureSpace([0.5, 1.0, 1.5, 2.0])
-    m = VectorMeasure(space, NormSpec.l2(3, [1.0, 2.0, 0.5]), np.arange(12.0).reshape(4, 3) - 5.0)
+    m = VectorMeasure(space, NormSpec("L2", 3, [1.0, 2.0, 0.5]), np.arange(12.0).reshape(4, 3) - 5.0)
     R = rn_operator(m, *coordinate_family(m, 2))
     return associated_measure(R).atoms, R.entries
 
 
 def _round_trip_through_the_integration_operator():
     space = MeasureSpace([0.5, 1.0, 1.5, 2.0])
-    m = VectorMeasure(space, NormSpec.linf(3), np.arange(12.0).reshape(4, 3) - 5.0)
+    m = VectorMeasure(space, NormSpec("LINF", 3, 1.0), np.arange(12.0).reshape(4, 3) - 5.0)
     return associated_measure(integration_operator(m)).atoms, m.atoms
 
 

@@ -21,9 +21,9 @@ def _half(X):
 
 
 def test_norm_examples():
-    assert norm(NormSpec.linf(2), [3.0, -4.0]) == 4.0
-    assert norm(NormSpec.l1(4, 0.25), [1.0, -2.0, 0.0, 3.0]) == 1.5
-    assert norm(NormSpec.l2(2), [3.0, 4.0]) == 5.0
+    assert norm(NormSpec("LINF", 2, 1.0), [3.0, -4.0]) == 4.0
+    assert norm(NormSpec("L1", 4, 0.25), [1.0, -2.0, 0.0, 3.0]) == 1.5
+    assert norm(NormSpec("L2", 2, 1.0), [3.0, 4.0]) == 5.0
 
 
 def test_norm_of_rows_is_bitwise_the_norm_of_each_row():
@@ -73,32 +73,42 @@ def test_numpy_short_row_sums_run_left_to_right_in_both_layouts():
 
 def test_norm_dimension_mismatch():
     with pytest.raises(ValueError):
-        norm(NormSpec.l1(3), [1.0, 2.0])
+        norm(NormSpec("L1", 3, 1.0), [1.0, 2.0])
+
+
+def test_norm_spec_refuses_a_dimension_that_is_not_an_integer():
+    # the corner engines shift by dim (1 << dim), so it must be an int before any array is built
+    for dim, scale in ((3.0, [1.0, 2.0, 1.5]), (True, [2.0]), (np.float64(2.0), 1.0), (0, 1.0), (-1, 1.0), ("2", 1.0)):
+        with pytest.raises(ValueError, match=r"dim must be an integer >= 1"):
+            NormSpec("L1", dim, scale)
+    X = NormSpec("LINF", np.int64(3), [1.0, 2.0, 1.5])
+    assert type(X.dim) is int and X.dim == 3 and X.scale.shape == (3,)
+    assert type(NormSpec("L2", np.uint8(2), 1.0).dim) is int
 
 
 def test_dual_norm_examples():
     rng = np.random.default_rng(0)
     w = rng.uniform(0.5, 2.0, 5)
-    X = NormSpec.l1(5, w)
+    X = NormSpec("L1", 5, w)
     for j in range(5):
         ej = np.zeros(5)
         ej[j] = 1.0
         assert dual_norm(X, ej) == pytest.approx(1.0 / w[j], rel=1e-15)
-    assert dual_norm(NormSpec.l2(3), [1.0, 2.0, 2.0]) == pytest.approx(3.0, abs=1e-15)
-    assert dual_norm(NormSpec.linf(2), [1.0, 1.0]) == 2.0
+    assert dual_norm(NormSpec("L2", 3, 1.0), [1.0, 2.0, 2.0]) == pytest.approx(3.0, abs=1e-15)
+    assert dual_norm(NormSpec("LINF", 2, 1.0), [1.0, 1.0]) == 2.0
 
 
 def test_dual_extreme_points_examples():
     for X, want in (
-        (NormSpec.linf(2), [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]),
-        (NormSpec.l1(2), [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]),
+        (NormSpec("LINF", 2, 1.0), [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]),
+        (NormSpec("L1", 2, 1.0), [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]),
     ):
         half = _half(X)
         assert sorted(map(tuple, np.vstack([half, -half]))) == want
     with pytest.raises(NotPolyhedral):
-        dual_extreme_blocks(NormSpec.l2(2))
+        dual_extreme_blocks(NormSpec("L2", 2, 1.0))
     with pytest.raises(CapacityExceeded):
-        dual_extreme_blocks(NormSpec.l1(21))
+        dual_extreme_blocks(NormSpec("L1", 21, 1.0))
 
 
 def test_linf_extreme_points_are_bitwise_the_loop():
@@ -133,7 +143,7 @@ def test_dual_extreme_half_takes_one_of_each_pair_in_row_order():
             rows = [next(t for t, p in enumerate(pts) if np.array_equal(p, h)) for h in half]
             assert rows == sorted(rows)
     with pytest.raises(NotPolyhedral):
-        dual_extreme_blocks(NormSpec.l2(2))
+        dual_extreme_blocks(NormSpec("L2", 2, 1.0))
 
 
 def test_extreme_points_lie_on_dual_sphere():
@@ -206,10 +216,10 @@ def test_corner_tables_are_bitwise_the_shift_construction():
         assert _half(X).tobytes() == _shift_corners(X, d - 1).tobytes()
         Y = random_norm_spec(rng, d, "LINF")
         assert _half(Y).tobytes() == dual_extreme_table(Y)[::2].tobytes()
-    assert _LOW_SIGNS.tobytes() == _shift_corners(NormSpec.l1(_BLOCK_BITS + 1), _BLOCK_BITS).tobytes()
+    assert _LOW_SIGNS.tobytes() == _shift_corners(NormSpec("L1", _BLOCK_BITS + 1, 1.0), _BLOCK_BITS).tobytes()
     message = r"^2\^21 dual extreme points exceed the enumeration limit \(d <= 20\)$"
     with pytest.raises(CapacityExceeded, match=message):
-        dual_extreme_blocks(NormSpec.l1(21))
+        dual_extreme_blocks(NormSpec("L1", 21, 1.0))
 
 
 def test_dual_extreme_half_is_the_corner_table_built_in_blocks():
@@ -237,7 +247,7 @@ def test_blocks_past_the_corner_limit_fail_before_any_is_built(monkeypatch):
     built = []
     monkeypatch.setattr(normed_space, "sign_table", lambda *args: built.append(args))
     with pytest.raises(CapacityExceeded, match=r"^2\^21 dual extreme points"):
-        dual_extreme_blocks(NormSpec.l1(21))
+        dual_extreme_blocks(NormSpec("L1", 21, 1.0))
     with pytest.raises(NotPolyhedral):
-        dual_extreme_blocks(NormSpec.l2(3))
+        dual_extreme_blocks(NormSpec("L2", 3, 1.0))
     assert built == []

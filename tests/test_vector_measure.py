@@ -38,12 +38,12 @@ def _semivariation(m, A):
 
 def test_set_value_examples(s1):
     space, m = s1
-    assert np.array_equal(_set_value(m, MeasurableSet.empty(space)), np.zeros(4))
+    assert np.array_equal(_set_value(m, MeasurableSet(space, np.zeros(4, dtype=bool))), np.zeros(4))
     A = MeasurableSet.from_indices(space, [0, 1])
     assert np.array_equal(_set_value(m, A), [1.0, 1.0, 0.0, 0.0])
     g = np.array([2.0, -1.0, 0.5, 0.0])
     mr = rank_one_measure(space, g)
-    assert _set_value(mr, A) == pytest.approx(A.mass() * g, abs=1e-15)
+    assert _set_value(mr, A) == pytest.approx(np.sum(space.weights[A.members]) * g, abs=1e-15)
 
 
 def test_scalarize_examples(s1):
@@ -62,7 +62,7 @@ def test_variation_examples():
     omega = MeasurableSet.full(space)
     assert _variation(m, [1.0, -1.0], omega) == 2.0
     assert _variation(m, np.zeros(2), omega) == 0.0
-    assert _variation(m, [1.0, -1.0], MeasurableSet.empty(space)) == 0.0
+    assert _variation(m, [1.0, -1.0], MeasurableSet(space, np.zeros(2, dtype=bool))) == 0.0
 
 
 def test_variation_dominates_set_value():
@@ -93,7 +93,7 @@ def test_additivity_on_disjoint_sets():
 
 def test_semivariation_examples(s1, s2):
     space, m = s1
-    assert _semivariation(m, MeasurableSet.empty(space)) == 0.0
+    assert _semivariation(m, MeasurableSet(space, np.zeros(4, dtype=bool))) == 0.0
     assert _semivariation(m, MeasurableSet.full(space)) == pytest.approx(1.0, abs=1e-15)
     space2, m2 = s2
     assert _semivariation(m2, MeasurableSet.full(space2)) == pytest.approx(1.0, abs=1e-15)
@@ -207,9 +207,9 @@ def test_combine_against_one_block_martingale(s1):
     from vmlab import Partition, martingale_measure
 
     space, m = s1
-    m_eta = martingale_measure(m, Partition.one_block(space))
+    m_eta = martingale_measure(m, Partition(space, np.zeros(space.n, dtype=int), 1))
     diff = combine(m, -1.0, m_eta)
-    g = m.atoms.sum(axis=0) / space.total
+    g = m.atoms.sum(axis=0) / np.sum(space.weights)
     expected = m.atoms - space.weights[:, None] * g[None, :]
     assert diff.atoms == pytest.approx(expected, abs=1e-15)
 
@@ -218,7 +218,7 @@ def test_nonunique_derivative_pair():
     # x* |-> density is linear with kernel the complement of the atom span: atoms
     # that do not span the value space give two functionals with one density
     space = MeasureSpace.uniform(2)
-    X = NormSpec.l2(3)
+    X = NormSpec("L2", 3, 1.0)
     flat = VectorMeasure(space, X, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     z = np.linalg.svd(flat.atoms)[2][-1]  # a unit kernel vector of the atoms
     a, b = np.ones(3), np.ones(3) + z
@@ -238,7 +238,7 @@ def test_constructors_record_the_measure_kind():
     p = Partition(space, np.array([0, 0, 1, 1]), 2)
     m = indicator_measure(space)
     assert m.record == Indicator()
-    assert indicator_measure(space, NormSpec.l2(4)).record == Indicator()
+    assert indicator_measure(space, NormSpec("L2", 4, 1.0)).record == Indicator()
     averaged = martingale_measure(m, p)
     assert averaged.record == Expectation(p) and averaged.record.p is p
     r1 = rank_one_measure(space, np.ones(4))
@@ -249,7 +249,7 @@ def test_constructors_record_the_measure_kind():
         assert martingale_measure(other, p).record is None  # only the indicator's average is recorded
     difference = combine(m, -1.0, averaged)
     assert difference.record is None
-    for record in ("indicator", "martingale_difference", Partition.one_block(space), None):
+    for record in ("indicator", "martingale_difference", Partition(space, np.zeros(4, dtype=int), 1), None):
         with pytest.raises(ValueError, match="unknown measure record|exactly one of"):
             VectorMeasure(space, m.X, record=record)
     # a recorded measure takes no atom matrix, so a record cannot disagree with its atoms
@@ -258,7 +258,7 @@ def test_constructors_record_the_measure_kind():
             VectorMeasure(space, m.X, 2 * np.eye(4), record=record)
     with pytest.raises(TypeError):
         VectorMeasure(space, m.X, 2 * np.eye(4), kind="indicator")
-    elsewhere = Partition.one_block(MeasureSpace.uniform(4, total=2.0))
+    elsewhere = Partition(MeasureSpace(np.full(4, 0.5)), np.zeros(4, dtype=int), 1)
     with pytest.raises(ValueError, match="different space"):
         VectorMeasure(space, m.X, record=Expectation(elsewhere))
     with pytest.raises(ValueError, match="different space"):
@@ -293,10 +293,10 @@ def test_record_atoms_equal_the_eager_construction(n, weights, monkeypatch):
 
     rng = np.random.default_rng(40 + n)
     space = MeasureSpace.uniform(n) if weights == "uniform" else random_space(rng, n)
-    partitions = [Partition.one_block(space), Partition.singletons(space)]
+    partitions = [Partition(space, np.zeros(n, dtype=int), 1), Partition(space, np.arange(n), n)]
     partitions.append(Partition(space, np.arange(n) % 3, min(n, 3)))
     builds = spy_record_builds(monkeypatch)
-    for X in (NormSpec.l1_of_mu(space), NormSpec.l2(n, rng.uniform(0.5, 2.0, size=n))):
+    for X in (NormSpec.l1_of_mu(space), NormSpec("L2", n, rng.uniform(0.5, 2.0, size=n))):
         m = indicator_measure(space, X)
         g = rng.normal(size=n)
         measures = [m, rank_one_measure(space, g, X)]
@@ -320,18 +320,18 @@ def test_recorded_measures_check_their_record_at_construction():
     from vmlab.vector_measure import Expectation, Indicator, Truncation
 
     space = MeasureSpace.uniform(4)
-    for X in (NormSpec.l2(3), NormSpec.l1(5)):
+    for X in (NormSpec("L2", 3, 1.0), NormSpec("L1", 5, 1.0)):
         with pytest.raises(ValueError, match=rf"atom matrix must be 4 x {X.dim}, got \(4, 4\)"):
             indicator_measure(space, X)
-        for record in (Indicator(), Expectation(Partition.one_block(space)), Truncation(1)):
+        for record in (Indicator(), Expectation(Partition(space, np.zeros(4, dtype=int), 1)), Truncation(1)):
             with pytest.raises(ValueError, match=rf"atom matrix must be 4 x {X.dim}"):
                 VectorMeasure(space, X, record=record)
-    plain = VectorMeasure(space, NormSpec.l2(3), np.ones((4, 3)))  # the positional form keeps its checks
+    plain = VectorMeasure(space, NormSpec("L2", 3, 1.0), np.ones((4, 3)))  # the positional form keeps its checks
     assert plain.record is None and plain.atoms.tobytes() == np.ones((4, 3)).tobytes()
     with pytest.raises(ValueError, match=r"atom matrix must be 4 x 3, got \(4, 4\)"):
-        VectorMeasure(space, NormSpec.l2(3), np.eye(4))
+        VectorMeasure(space, NormSpec("L2", 3, 1.0), np.eye(4))
     with pytest.raises(ValueError, match="atom values must be finite"):
-        VectorMeasure(space, NormSpec.l2(3), np.full((4, 3), np.inf))
+        VectorMeasure(space, NormSpec("L2", 3, 1.0), np.full((4, 3), np.inf))
 
 
 def test_combine_records_plain_atoms():
@@ -340,7 +340,7 @@ def test_combine_records_plain_atoms():
     rng = np.random.default_rng(21)
     space = random_space(rng, 8)
     p = Partition(space, np.arange(8) // 4, 2)
-    for X in (NormSpec.l1_of_mu(space), NormSpec.l2(8)):
+    for X in (NormSpec.l1_of_mu(space), NormSpec("L2", 8, 1.0)):
         m = indicator_measure(space, X)
         averaged = martingale_measure(m, p)
         difference = combine(m, -1.0, averaged)
@@ -380,12 +380,12 @@ def test_rank_one_measure_records_its_density():
     default = rank_one_measure(space, rng.normal(size=5))
     assert default.X.kind == NormSpec.l1_of_mu(space).kind and default.X.dim == 5
     with pytest.raises(ValueError, match="atom matrix must be 5 x 4"):
-        rank_one_measure(space, g, NormSpec.l2(4))
+        rank_one_measure(space, g, NormSpec("L2", 4, 1.0))
 
 
 def test_a_rank_one_record_refuses_what_its_atoms_would_at_construction():
     space = MeasureSpace(np.array([0.5, 1.0, 2.0]))
-    X = NormSpec.l2(2)
+    X = NormSpec("L2", 2, 1.0)
     for g in (np.ones(3), np.ones((2, 1)), np.ones((1, 2)), 1.0, []):
         with pytest.raises(ValueError, match="atom matrix must be 3 x 2"):
             rank_one_measure(space, g, X)
@@ -414,7 +414,7 @@ def test_a_truncation_record_takes_an_int_in_1_to_d():
         basis_truncated_measure(m, np.int64(2))
     # the indicator's truncations are recorded into any value space; others stay atoms
     rng = np.random.default_rng(23)
-    for X in (NormSpec.l1_of_mu(space), NormSpec.l2(4)):
+    for X in (NormSpec.l1_of_mu(space), NormSpec("L2", 4, 1.0)):
         truncated = basis_truncated_measure(indicator_measure(space, X), 3)
         assert truncated.record == Truncation(3) and truncated.X is X
         assert truncated.atoms.tobytes() == (np.eye(4) * (np.arange(4) < 3)).tobytes()
@@ -426,3 +426,30 @@ def test_a_truncation_record_takes_an_int_in_1_to_d():
     assert basis_truncated_measure(truncated, 2).record is None
     with pytest.raises(ValueError, match="out of range"):
         basis_truncated_measure(m, 0)
+
+
+def test_derived_plain_atom_measures_hold_their_one_new_matrix():
+    import tracemalloc
+
+    from vmlab import Partition, basis_truncated_measure, martingale_measure
+
+    n = 512  # 2 MB of atoms per measure
+    rng = np.random.default_rng(512)
+    space = random_space(rng, n)
+    X = NormSpec("L2", n, 1.0)
+    m, m1 = (VectorMeasure(space, X, rng.normal(size=(n, n))) for _ in range(2))
+    p = Partition(space, np.arange(n) // (n // 2), 2)
+    builds = {
+        "martingale_measure": lambda: martingale_measure(m, p),
+        "basis_truncated_measure": lambda: basis_truncated_measure(m, n // 2),
+        "combine": lambda: combine(m, 0.5, m1),
+    }
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            level = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not level.atoms.flags.writeable
+        assert peak <= 1.25 * level.atoms.nbytes, f"{name} peaked at {peak} bytes for {level.atoms.nbytes} of atoms"
