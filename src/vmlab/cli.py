@@ -8,11 +8,12 @@
     vmlab report      --scenario ...          run the scenario's own experiment
     vmlab preset      NAME [--out PATH]       dump a builtin scenario as JSON
 
-Common flags: --scenario (path or preset name), --out, --format {json,csv};
---seed, --exact-cutoff, --tolerance only where the kind takes them (all on
-report).  Every flag given goes into the experiment section before the one
-build, and ``harness.run`` takes only the scenario, so the report's echoed
-scenario reruns it.  Exit codes: 0 success; 1 validation,
+Common flags: --scenario (path or preset name), --out, --format {json,csv}.
+A subcommand has the ``_FLAGS`` of the settings its kinds read in
+``EXPERIMENTS``; report those (seed, exact_cutoff, tolerance) that another
+subcommand keeps from the file.  Every flag given goes into the experiment
+section before the one build, and ``harness.run`` takes only the scenario, so
+the report's echoed scenario reruns it.  Exit codes: 0 success; 1 validation,
 parse, usage or write error, or a report error section (such as a
 floating-point overflow); 2 capacity error (recorded in the report).
 Any report error section is also named on stderr: ``error: TYPE: MESSAGE``.
@@ -53,53 +54,45 @@ def _atom_counts(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser, *kinds: str):
-    """The flags every subcommand has, and each setting one of ``kinds`` takes."""
-    parser.add_argument("--scenario", required=True, help="scenario file or preset name")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", default="json", choices=("json", "csv"))
-    for key, type_ in (("seed", int), ("exact_cutoff", int), ("tolerance", float)):
-        if any(key in EXPERIMENTS[kind][1] for kind in kinds):
-            parser.add_argument("--" + key.replace("_", "-"), dest=key, type=type_, default=None)
+# each setting's flag, a subcommand listing those its kinds read in this order
+_FLAGS = {
+    ("--seed",): dict(type=int),
+    ("--exact-cutoff",): dict(type=int),
+    ("--tolerance",): dict(type=float),
+    ("--restarts",): dict(type=int),
+    ("--levels",): dict(type=int),
+    ("--family",): dict(choices=("coordinate", "expectation")),
+    ("--sweep",): dict(type=_atom_counts, help="comma-separated atom counts"),
+    ("--sign",): dict(type=int, choices=(-1, 1)),
+    ("--lambda", "--lam"): dict(type=float, help="coefficient of the second map"),
+    ("--samples",): dict(type=int),
+}
+_KEPT = {"seed", "exact_cutoff", "tolerance"}  # what a subcommand keeps from the file: report's flags
+
+_SUBCOMMANDS = {  # name: help, the kinds it runs (report: any)
+    "norm": ("norm table for every scenario function", ("norm",)),
+    "converge": ("net convergence diagnostics", ("martingale", "basis", "rn_net")),
+    "daugavet": ("rank-one Daugavet defect sweep", ("daugavet",)),
+    "identity": ("combined-norm density identity check", ("identity",)),
+    "series-gap": ("distance of the map to a partial operator sum", ("series_gap",)),
+    "report": ("run the experiment stored in the scenario", ()),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vmlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("norm", help="norm table for every scenario function")
-    _add_common(p, "norm")
-    p.add_argument("--restarts", type=int, default=None)
-
-    p = sub.add_parser("converge", help="net convergence diagnostics")
-    p.add_argument("net", choices=("martingale", "basis", "rn"))
-    _add_common(p, "martingale", "basis", "rn_net")
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--family", choices=("coordinate", "expectation"), default=None)
-
-    p = sub.add_parser("daugavet", help="rank-one Daugavet defect sweep")
-    _add_common(p, "daugavet")
-    p.add_argument("--sweep", type=_atom_counts, default=None, help="comma-separated atom counts")
-    p.add_argument("--sign", type=int, choices=(-1, 1), default=None)
-
-    p = sub.add_parser("identity", help="combined-norm density identity check")
-    _add_common(p, "identity")
-    p.add_argument(
-        "--lambda",
-        "--lam",
-        dest="lambda",
-        type=float,
-        default=None,
-        help="coefficient of the second map",
-    )
-
-    p = sub.add_parser("series-gap", help="distance of the map to a partial operator sum")
-    _add_common(p, "series_gap")
-    p.add_argument("--sign", type=int, choices=(-1, 1), default=None)
-    p.add_argument("--samples", type=int, default=None)
-
-    p = sub.add_parser("report", help="run the experiment stored in the scenario")
-    _add_common(p, *EXPERIMENTS)
+    for name, (help_, kinds) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if name == "converge":
+            p.add_argument("net", choices=("martingale", "basis", "rn"))
+        p.add_argument("--scenario", required=True, help="scenario file or preset name")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--format", default="json", choices=("json", "csv"))
+        settings = set().union(*(EXPERIMENTS[kind][1] for kind in kinds)) if kinds else _KEPT
+        for flags, options in _FLAGS.items():
+            if flags[0][2:].replace("-", "_") in settings:
+                p.add_argument(*flags, default=None, **options)
 
     p = sub.add_parser("preset", help="dump a builtin scenario as JSON")
     p.add_argument("name", choices=sorted(PRESETS))
@@ -121,7 +114,7 @@ def _experiment(args, raw: dict) -> dict:
         kind = args.command.replace("-", "_")
         if kind == "converge":
             kind = "rn_net" if args.net == "rn" else args.net
-        kept = {"seed", "exact_cutoff", "tolerance"} & EXPERIMENTS[kind][1].keys()
+        kept = _KEPT & EXPERIMENTS[kind][1].keys()
         exp = {**{k: v for k, v in exp.items() if k in kept}, "kind": kind}
     keys = {key for _, params in EXPERIMENTS.values() for key in params}
     return {**exp, **{k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}}

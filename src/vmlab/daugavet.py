@@ -372,8 +372,8 @@ def series_approximation_gap(G, parts: Sequence, samples: int = 64, seed: int = 
     return SeriesGapReport(gap_norm, float(c_estimate))
 
 
-def canonical_pair(space: MeasureSpace, g: SimpleFunction, tol: float = 1e-10):
-    """The indicator measure and the rank-one measure mu(A) * g, g of unit L1(mu) norm.
+def canonical_pair(space: MeasureSpace, g: SimpleFunction):
+    """The indicator measure and the rank-one measure mu(A) * g, ||g||_L1(mu) = 1 +- 1e-10.
 
     Both represent the discretized scalar L1 isometrically; their integration
     maps are the identity and a rank-one map.
@@ -381,6 +381,6 @@ def canonical_pair(space: MeasureSpace, g: SimpleFunction, tol: float = 1e-10):
     if not same_space(space, g.space):
         raise ValueError("density lives on a different space")
     gnorm = l1_mu_norm(g)
-    if abs(gnorm - 1.0) > tol:
+    if abs(gnorm - 1.0) > 1e-10:
         raise NotNormalized(f"the rank-one density must have unit L1(mu) norm, got {gnorm}")
     return indicator_measure(space), rank_one_measure(space, g.coeffs)

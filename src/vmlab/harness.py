@@ -34,11 +34,15 @@ the kind takes ``levels`` (martingale, and rn_net's expectation family, whose
 nets run over the dyadic chain of that depth), f followed by the indicator
 of each finest block.
 
+A ``Scenario`` holds the raw object (only echoed), the measure (its ``space``
+and ``X`` are the scenario's), the functions and the checked experiment.
+
 ``_CHECKS`` checks each numeric or sign parameter for every kind that takes
 it; the number lists (weights, g, rows, functions) and the scale refuse bools
-and strings.  ``run`` takes the scenario alone, so a report's echoed scenario
-reruns it, records ``metadata.seed`` only for kinds that take one, and records
-a floating-point overflow or invalid operation in the report's error section.
+(the lists numpy bools too) and strings.  ``run`` takes the scenario alone, so
+a report's echoed scenario reruns it, records ``metadata.seed`` only for kinds
+that take one, and records a floating-point overflow or invalid operation in
+the report's error section.
 Reports are deterministic for a fixed scenario (the wall-time metadata field
 aside); floats are serialized with 17 significant digits, so every finite
 float reads back equal in value (-0.0 and 1.0 as the integers 0 and 1).  CSV
@@ -85,7 +89,6 @@ SWEEP_LIMIT = 1 << 20  # largest daugavet sweep size: a point holds about ten n-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     raw: dict
-    space: MeasureSpace
     measure: VectorMeasure
     functions: list
     experiment: dict
@@ -112,7 +115,8 @@ def _check_number(value, what: str, low=None, real: bool = False):
 
 def _finite_array(value, shape: tuple, message: str) -> np.ndarray:
     """``value`` as a float array of ``shape`` with finite entries, else ValidationError(message).
-    The entry types are scanned, as no dtype shows a bool or string in a list of numbers."""
+    The entry types are scanned, as no dtype shows a bool or string in a list of numbers
+    (``np.bool_``, of a bool array's entries, is no subclass of ``bool``)."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -120,7 +124,7 @@ def _finite_array(value, shape: tuple, message: str) -> np.ndarray:
     if arr.shape != shape or not np.all(np.isfinite(arr)):
         raise ValidationError(message)
     types = set(map(type, value if len(shape) == 1 else chain.from_iterable(value)))
-    if any(issubclass(t, (bool, str)) for t in types):
+    if any(issubclass(t, (bool, np.bool_, str)) for t in types):
         raise ValidationError(f"{message}; bools and strings are not numbers")
     return arr
 
@@ -270,7 +274,7 @@ def build_scenario(data: dict) -> Scenario:
         message = f"functions[{idx}] must have one coefficient per atom, all finite"
         functions.append(SimpleFunction(space, _finite_array(coeffs, (space.n,), message)))
     experiment = _build_experiment(data["experiment"], (space, X, functions))
-    return Scenario(data, space, measure, functions, experiment)
+    return Scenario(data, measure, functions, experiment)
 
 
 def read_scenario(path):
@@ -304,7 +308,7 @@ def _run_norm(sc: Scenario, exp: dict) -> dict:
 def _run_net(sc: Scenario, exp: dict) -> dict:
     """The runner of the three net kinds; the module docstring gives its test family."""
     m, f = sc.measure, sc.functions[0]
-    chain = dyadic_chain(exp["levels"], sc.space) if "levels" in exp else None
+    chain = dyadic_chain(exp["levels"], m.space) if "levels" in exp else None
     if exp["kind"] == "basis":
         net = basis_net(m)
     else:
@@ -312,7 +316,7 @@ def _run_net(sc: Scenario, exp: dict) -> dict:
     tests = [f]
     if chain is not None:
         members = chain[-1].block_of == np.arange(chain[-1].n_blocks)[:, None]
-        tests.extend(SimpleFunction(sc.space, chi) for chi in members)
+        tests.extend(SimpleFunction(m.space, chi) for chi in members)
     report = run_net(m, net, f, tests=tests, exact_cutoff=exp["exact_cutoff"], seed=exp["seed"])
     rows = [[lv.index, lv.norm_gap, lv.deviation, lv.pointwise_gap, lv.weakstar_gap] for lv in report.levels]
     return {"columns": ["level", "norm_gap", "deviation", "pointwise_gap", "weakstar_gap"], "rows": rows}
@@ -341,8 +345,8 @@ def _run_identity(sc: Scenario, exp: dict) -> dict:
 
 def _run_series_gap(sc: Scenario, exp: dict) -> dict:
     """G is the measure's integration map; the part is that of sign * 1 mu^T."""
-    G = integration_operator(sc.measure)
-    part = integration_operator(rank_one_measure(sc.space, float(exp["sign"]) * np.ones(sc.space.n)))
+    G, space = integration_operator(sc.measure), sc.measure.space
+    part = integration_operator(rank_one_measure(space, float(exp["sign"]) * np.ones(space.n)))
     rep = series_approximation_gap(G, [part], samples=exp["samples"], seed=exp["seed"])
     return {"columns": ["gap_norm", "c_estimate"], "rows": [[rep.gap_norm, rep.c_estimate]]}
 

@@ -81,6 +81,7 @@ def _witness_from_pattern(f: SimpleFunction, support, delta) -> MeasurableSet:
     """The set {i : delta_i f_i >= 0}, with off-support atoms carrying +1."""
     mask = np.ones(f.space.n, dtype=bool)
     mask[support] = delta * f.coeffs[support] > 0.0
+    mask.setflags(write=False)  # fresh, so the set holds it
     return MeasurableSet(f.space, mask)
 
 
@@ -140,29 +141,26 @@ def norm_closed_form(m: VectorMeasure, f: SimpleFunction) -> NormResult:
     """
     if (refusal := _closed_form_refusal(m, f)) is not None:
         raise refusal
-    absf = np.abs(f.coeffs)
+    absf, w = np.abs(f.coeffs), m.X.scale
     if m.X.kind == LINF:
-        per_coord = m.X.scale * (absf @ np.abs(m.atoms))
+        per_coord = w * (absf @ np.abs(m.atoms))
         j = int(np.argmax(per_coord))
-        mask = f.coeffs * m.atoms[:, j] >= 0.0
-        return NormResult(float(per_coord[j]), MeasurableSet(f.space, mask), CLOSED_FORM)
-    w = m.X.scale
+        value, pairing = float(per_coord[j]), m.atoms[:, j]
     # past the refusal, rows beyond the corner limit are sign-consistent
-    if m.X.dim > L1_EXTREME_LIMIT or _rows_sign_consistent(m.atoms[_support(f)]):
+    elif m.X.dim > L1_EXTREME_LIMIT or _rows_sign_consistent(m.atoms[_support(f)]):
         # |<m_i, sigma*w>| <= sum_j w_j |m_ij| for every corner, with equality
         # at the all-plus corner when each row has one sign
-        value = float(absf @ (np.abs(m.atoms) @ w))
-        mask = f.coeffs * (m.atoms @ w) >= 0.0
-        return NormResult(value, MeasurableSet(f.space, mask), CLOSED_FORM)
-
-    weighted = absf[:, None] * m.atoms  # (n, d)
-    # a corner and its negative score alike, so the pinned half suffices;
-    # reversed rows give code bit j to coordinate j
-    axes = np.diag(w)[::-1]
-    pattern, best_value = best_sign_pattern(axes, lambda c: np.abs(weighted @ c.T).sum(axis=0))
-    best_corner = pattern[::-1] * w
-    mask = f.coeffs * (m.atoms @ best_corner) >= 0.0
-    return NormResult(best_value, MeasurableSet(f.space, mask), CLOSED_FORM)
+        value, pairing = float(absf @ (np.abs(m.atoms) @ w)), m.atoms @ w
+    else:
+        weighted = absf[:, None] * m.atoms  # (n, d)
+        # a corner and its negative score alike, so the pinned half suffices;
+        # reversed rows give code bit j to coordinate j
+        axes = np.diag(w)[::-1]
+        pattern, value = best_sign_pattern(axes, lambda c: np.abs(weighted @ c.T).sum(axis=0))
+        pairing = m.atoms @ (pattern[::-1] * w)
+    mask = f.coeffs * pairing >= 0.0  # <m_i, x*> at the best functional
+    mask.setflags(write=False)  # fresh, so the set holds it
+    return NormResult(value, MeasurableSet(f.space, mask), CLOSED_FORM)
 
 
 def norm_heuristic(
@@ -313,13 +311,13 @@ def koethe_dual_norm_info(m: VectorMeasure, g: SimpleFunction, seed: int = 0) ->
     return KoetheDualResult(max(float(sol.value), 0.0), EXACT, fstar)
 
 
-def koethe_dual_norm(m: VectorMeasure, g: SimpleFunction, seed: int = 0) -> float:
+def koethe_dual_norm(m: VectorMeasure, g: SimpleFunction) -> float:
     """sup { |sum_i f_i g_i mu_i| : ||f|| <= 1 }.
 
     LP-exact for polyhedral value norms; for L2-type norms the value is a
-    supergradient-ascent lower bound (see ``koethe_dual_norm_info``).
+    supergradient-ascent lower bound from seed 0 (see ``koethe_dual_norm_info``).
     """
-    return koethe_dual_norm_info(m, g, seed=seed).value
+    return koethe_dual_norm_info(m, g).value
 
 
 _ASCENT_RESTARTS = 32

@@ -7,7 +7,7 @@ types are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +73,9 @@ class MeasurableSet:
 
     @classmethod
     def full(cls, space: MeasureSpace) -> "MeasurableSet":
-        return cls(space, np.ones(space.n, dtype=bool))
+        mask = np.ones(space.n, dtype=bool)
+        mask.setflags(write=False)  # fresh, so the set holds it
+        return cls(space, mask)
 
     @classmethod
     def from_indices(cls, space: MeasureSpace, indices) -> "MeasurableSet":
@@ -119,11 +121,12 @@ def sign_function(A: MeasurableSet) -> SimpleFunction:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Partition of the atoms into n_blocks nonempty blocks, stored atom -> block."""
+    """Partition of the atoms into nonempty blocks 0..n_blocks-1, stored atom -> block;
+    ``n_blocks``, the largest block index plus one, is derived from ``block_of``."""
 
     space: MeasureSpace
     block_of: np.ndarray
-    n_blocks: int
+    n_blocks: int = field(init=False)
 
     def __post_init__(self):
         if np.asarray(self.block_of).dtype.kind not in "iu":
@@ -131,11 +134,12 @@ class Partition:
         b = _frozen(self.block_of, int)
         if b.shape != (self.space.n,):
             raise ValueError("block map length must equal the number of atoms")
-        if self.n_blocks < 1 or b.min() < 0 or b.max() >= self.n_blocks:
-            raise ValueError("block indices out of range")
-        if np.any(np.bincount(b, minlength=self.n_blocks) == 0):
+        if b.min() < 0:
+            raise ValueError("block indices must be nonnegative")
+        if not (sizes := np.bincount(b)).all():
             raise ValueError("every block must be nonempty")
         object.__setattr__(self, "block_of", b)
+        object.__setattr__(self, "n_blocks", sizes.size)
 
     def blocks(self) -> list[np.ndarray]:
         """Derived view: list of atom-index arrays, one per block."""
@@ -146,14 +150,11 @@ class Partition:
 
 
 def dyadic_chain(levels: int, space: MeasureSpace) -> list[Partition]:
-    """Refinement chain P_0, ..., P_levels where P_k has 2^k contiguous equal-size blocks."""
-    if levels < 0:
-        raise ValueError("levels must be nonnegative")
+    """Refinement chain P_0, ..., P_levels where P_k has 2^k contiguous equal-size
+    blocks; ``levels`` is an integer >= 0 (not a bool) with 2^levels dividing n."""
+    if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)) or levels < 0:
+        raise ValueError(f"levels must be an integer >= 0, got {levels!r}")
     n = space.n
     if levels >= n.bit_length() or n % (1 << levels) != 0:
         raise ValueError(f"number of atoms {n} is not divisible by 2**{levels}")
-    chain = []
-    for k in range(levels + 1):
-        nblocks = 1 << k
-        chain.append(Partition(space, np.arange(n) // (n // nblocks), nblocks))
-    return chain
+    return [Partition(space, np.arange(n) // (n >> k)) for k in range(levels + 1)]

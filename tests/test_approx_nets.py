@@ -46,12 +46,12 @@ def _conditional_expectation(space, p):
 
 def test_conditional_expectation_examples():
     space = MeasureSpace.uniform(4)
-    singles = _conditional_expectation(space, Partition(space, np.arange(space.n), space.n))
+    singles = _conditional_expectation(space, Partition(space, np.arange(space.n)))
     assert singles.entries == pytest.approx(np.eye(4), abs=1e-15)
-    one = _conditional_expectation(space, Partition(space, np.zeros(space.n, dtype=int), 1))
+    one = _conditional_expectation(space, Partition(space, np.zeros(space.n, dtype=int)))
     f = SimpleFunction(space, [2.0, 0.0, 4.0, -2.0])
     assert one.entries @ f.coeffs == pytest.approx(np.full(4, 1.0), abs=1e-15)
-    p = Partition(space, [0, 0, 1, 1], 2)
+    p = Partition(space, [0, 0, 1, 1])
     ep = _conditional_expectation(space, p)
     assert ep.entries @ [1.0, 0.0, 0.0, 0.0] == pytest.approx(
         [0.5, 0.5, 0.0, 0.0], abs=1e-15
@@ -64,7 +64,7 @@ def test_conditional_expectation_is_contraction():
         space = random_space(rng, 8)
         labels = rng.integers(0, 3, 8)
         labels[:3] = [0, 1, 2]
-        p = Partition(space, labels, 3)
+        p = Partition(space, labels)
         ep = _conditional_expectation(space, p)
         f = random_function(rng, space)
         ef = SimpleFunction(space, ep.entries @ f.coeffs)
@@ -84,19 +84,19 @@ def test_tower_property():
 
 def test_martingale_measure_examples(s1):
     space, m = s1
-    singles = martingale_measure(m, Partition(space, np.arange(space.n), space.n))
+    singles = martingale_measure(m, Partition(space, np.arange(space.n)))
     assert np.array_equal(singles.atoms, m.atoms)
-    p = Partition(space, [0, 0, 1, 1], 2)
+    p = Partition(space, [0, 0, 1, 1])
     m_eta = martingale_measure(m, p)
     assert m_eta.atoms[0] == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-15)
-    one = martingale_measure(m, Partition(space, np.zeros(space.n, dtype=int), 1))
+    one = martingale_measure(m, Partition(space, np.zeros(space.n, dtype=int)))
     g = m.atoms.sum(axis=0) / np.sum(space.weights)
     assert one.atoms == pytest.approx(space.weights[:, None] * g, abs=1e-15)
 
 
 def test_integrate_martingale_examples(s1):
     space, m = s1
-    p = Partition(space, [0, 0, 1, 1], 2)
+    p = Partition(space, [0, 0, 1, 1])
     chi_block = SimpleFunction(space, [1.0, 1.0, 0.0, 0.0])
     assert integrate(martingale_measure(m, p), chi_block) == pytest.approx(
         [1.0, 1.0, 0.0, 0.0], abs=1e-15
@@ -105,7 +105,7 @@ def test_integrate_martingale_examples(s1):
     value = integrate(martingale_measure(m, p), f)
     assert value == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-15)
     assert norm(m.X, integrate(m, f) - value) == pytest.approx(0.25, abs=1e-15)
-    singles = Partition(space, np.arange(space.n), space.n)
+    singles = Partition(space, np.arange(space.n))
     assert np.array_equal(integrate(martingale_measure(m, singles), f), integrate(m, f))
 
 
@@ -119,7 +119,7 @@ def test_martingale_factorization():
         m = random_measure(rng, space, X)
         labels = rng.integers(0, 3, 9)
         labels[:3] = [0, 1, 2]
-        p = Partition(space, labels, 3)
+        p = Partition(space, labels)
         f = random_function(rng, space)
         direct = sum(
             (f.coeffs[B] @ space.weights[B]) / space.weights[B].sum() * m.atoms[B].sum(axis=0)
@@ -177,7 +177,7 @@ def test_rn_operator_empty_and_single_pair():
 
 def test_expectation_family_reproduces_conditional_expectation(s1):
     space, m = s1
-    p = Partition(space, [0, 0, 1, 1], 2)
+    p = Partition(space, [0, 0, 1, 1])
     xs, vs = expectation_family(m, p)
     R = rn_operator(m, xs, vs)
     # E_p has entry (i, j) = mu_j / mu(B) when atoms i and j share the block B
@@ -212,7 +212,7 @@ def test_distance_of_the_indicator_to_its_expectation_operator_is_the_block_clos
         space = MeasureSpace.uniform(n) if i % 5 == 0 else random_space(rng, n)
         n_blocks = int(rng.integers(1, n + 1))
         labels = rng.permutation(np.concatenate([np.arange(n_blocks), rng.integers(0, n_blocks, n - n_blocks)]))
-        p = Partition(space, labels, n_blocks)
+        p = Partition(space, labels)
         m = indicator_measure(space)
         R = rn_operator(m, *expectation_family(m, p))
         distance = opnorm_from_l1(combine_operators(integration_operator(m), -1.0, R)).value
@@ -261,7 +261,7 @@ def test_weakstar_gap_examples(s1):
     space, m = s1
     f = SimpleFunction(space, [1.0, 0.0, 0.0, 0.0])
     assert weakstar_gap(m, m, np.ones(4), [f]) == 0.0
-    one_block = martingale_measure(m, Partition(space, np.zeros(space.n, dtype=int), 1))
+    one_block = martingale_measure(m, Partition(space, np.zeros(space.n, dtype=int)))
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
     assert weakstar_gap(m, one_block, e0, [f]) == pytest.approx(0.75, abs=1e-15)
     assert weakstar_gap(m, one_block, e0, []) == 0.0
@@ -347,7 +347,7 @@ def test_norm_gap_dominated_by_deviation_on_nets():
 
 def test_exhaustion_is_exact(s1, f1):
     space, m = s1
-    singles = Partition(space, np.arange(space.n), space.n)
+    singles = Partition(space, np.arange(space.n))
     assert deviation(m, martingale_measure(m, singles), f1) == 0.0
     assert norm_exact(martingale_measure(m, singles), f1).value == norm_exact(m, f1).value
     rng = np.random.default_rng(8)
@@ -687,7 +687,7 @@ def test_run_net_deviations_are_the_public_deviation_bitwise(weights):
         m = indicator_measure(space)
         f = _tied_function(rng, space)
         sizes = sorted({1, min(2, n), min(4, n), n})
-        partitions = [Partition(space, np.arange(n) // s, -(-n // s)) for s in sizes]
+        partitions = [Partition(space, np.arange(n) // s) for s in sizes]
         for make in (martingale_net, rn_net):
             levels = list(make(m, partitions))
             report = run_net(m, levels, f, restarts=1)

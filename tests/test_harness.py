@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from vmlab import MeasureSpace, NormSpec, ParseError, ValidationError
-from vmlab.cli import _build_parser
+from vmlab.cli import _atom_counts, _build_parser
 from vmlab.cli import main as cli_main
 from vmlab.daugavet import FactoredOperator, OperatorMatrix, series_approximation_gap
 from vmlab.harness import (
@@ -32,7 +33,7 @@ def test_load_scenario_roundtrip(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(_preset("canonical-l1")))
     sc = build_scenario(read_scenario(path))
-    assert sc.space.n == 4
+    assert sc.measure.space.n == 4
     assert sc.experiment["kind"] == "martingale"
 
 
@@ -75,7 +76,7 @@ def test_weights_given_as_an_array_build_as_the_list():
     want = build_scenario(data)
     data["space"]["weights"] = np.array([1.0, 2.0, 0.5, 3.0])
     got = build_scenario(data)
-    assert got.space.weights.tobytes() == want.space.weights.tobytes()
+    assert got.measure.space.weights.tobytes() == want.measure.space.weights.tobytes()
     assert got.measure.atoms.tobytes() == want.measure.atoms.tobytes()
     assert dumps_report(run(got)["results"]) == dumps_report(run(want)["results"])
     for word in ("Uniform", "uniformly", ""):
@@ -139,8 +140,8 @@ def test_default_block_tests_are_the_block_indicators_bitwise(monkeypatch):
         [(m, net, f, tests, kw)] = calls
         assert m is sc.measure and f is sc.functions[0] and tests[0] is f
         assert kw == {"exact_cutoff": 12, "seed": 3}
-        blocks = dyadic_chain(experiment["levels"], sc.space)[-1].blocks() if "levels" in experiment else []
-        want = [SimpleFunction.indicator(MeasurableSet.from_indices(sc.space, ids)) for ids in blocks]
+        blocks = dyadic_chain(experiment["levels"], m.space)[-1].blocks() if "levels" in experiment else []
+        want = [SimpleFunction.indicator(MeasurableSet.from_indices(m.space, ids)) for ids in blocks]
         assert len(tests) == 1 + len(want), experiment
         assert all(g.coeffs.tobytes() == w.coeffs.tobytes() for g, w in zip(tests[1:], want))
 
@@ -815,14 +816,24 @@ _NUMBER_FIELDS = ("weights", "rank_one.g", "matrix.rows", "functions")
 
 @pytest.mark.parametrize("field", _NUMBER_FIELDS)
 @pytest.mark.parametrize(
-    "values", [[True, True, True, True], [1.0, True, 2.0, 1.0], [1.0, "2", 1.0, 1.0], ["1", "1", "1", "1"]],
-    ids=["bools", "mixed", "string", "strings"],
+    "values",
+    [
+        [True, True, True, True],
+        [1.0, True, 2.0, 1.0],
+        [1.0, "2", 1.0, 1.0],
+        ["1", "1", "1", "1"],
+        np.array([True, False, True, False]),
+    ],
+    ids=["bools", "mixed", "string", "strings", "numpy-bools"],
 )
 def test_number_lists_refuse_bools_and_strings(tmp_path, capsys, field, values):
-    # numpy reads true and "2" as 1.0 and 2.0, and [1.0, true] as float64
+    # numpy reads true and "2" as 1.0 and 2.0, and [1.0, true] as float64;
+    # np.bool_ is no subclass of bool, so a bool array is a case of its own
     data = _set_number_field(_preset("canonical-l1"), field, values)
     with pytest.raises(ValidationError, match="bools and strings are not numbers"):
         build_scenario(data)
+    if isinstance(values, np.ndarray):
+        return  # a scenario file holds no numpy array
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     assert cli_main(["report", "--scenario", str(path)]) == 1
@@ -842,7 +853,7 @@ def test_number_lists_of_ints_and_floats_keep_their_bits(field):
 def test_identity_builds_its_other_measure_with_the_scenario():
     sc = build_scenario(PRESETS["rank-one"])
     other = sc.experiment["other"]
-    assert other.space is sc.space and np.array_equal(other.atoms, np.eye(4))
+    assert other.space is sc.measure.space and np.array_equal(other.atoms, np.eye(4))
 
 
 @pytest.mark.parametrize(
@@ -1024,32 +1035,59 @@ def test_a_setting_the_kind_does_not_read_is_a_validation_error(tmp_path, capsys
     assert captured.err.startswith("error: ") and setting in captured.err
 
 
+# each setting's flag: option strings, type, choices, a value on the command line and as parsed,
+# in the order a subcommand lists them
+_FLAGS = {
+    "seed": (["--seed"], int, None, "5", 5),
+    "exact_cutoff": (["--exact-cutoff"], int, None, "12", 12),
+    "tolerance": (["--tolerance"], float, None, "1e-08", 1e-8),
+    "restarts": (["--restarts"], int, None, "3", 3),
+    "levels": (["--levels"], int, None, "1", 1),
+    "family": (["--family"], None, ("coordinate", "expectation"), "expectation", "expectation"),
+    "sweep": (["--sweep"], _atom_counts, None, "4,8", [4, 8]),
+    "sign": (["--sign"], int, (-1, 1), "1", 1),
+    "lambda": (["--lambda", "--lam"], float, None, "2.5", 2.5),
+    "samples": (["--samples"], int, None, "8", 8),
+}
+
+
 @pytest.mark.parametrize(
-    "command, kind",
+    "command, kinds",
     [
-        (["norm"], "norm"),
-        (["converge", "martingale"], "martingale"),
-        (["converge", "basis"], "basis"),
-        (["converge", "rn"], "rn_net"),
-        (["daugavet"], "daugavet"),
-        (["identity"], "identity"),
-        (["series-gap"], "series_gap"),
+        (["norm"], ["norm"]),
+        (["converge", "martingale"], ["martingale", "basis", "rn_net"]),
+        (["converge", "basis"], ["martingale", "basis", "rn_net"]),
+        (["converge", "rn"], ["martingale", "basis", "rn_net"]),
+        (["daugavet"], ["daugavet"]),
+        (["identity"], ["identity"]),
+        (["series-gap"], ["series_gap"]),
         (["report"], None),
     ],
 )
-@pytest.mark.parametrize("setting", sorted(_SETTINGS))
-def test_a_subcommand_has_a_setting_flag_only_if_its_kind_takes_it(capsys, command, kind, setting):
-    flag = "--" + setting.replace("_", "-")
-    argv = command + ["--scenario", "canonical-l1", f"{flag}={_SETTINGS[setting]}"]
-    if kind is None or setting in _PARAMETERS[kind]:  # report runs any kind, so it has every flag
-        args = _build_parser().parse_args(argv)
-        assert getattr(args, setting) == _SETTINGS[setting]
-        return
-    with pytest.raises(SystemExit) as exc:
-        cli_main(argv)
-    assert exc.value.code == 1
-    err = capsys.readouterr().err.splitlines()[-1]
-    assert err == f"vmlab {command[0]}: error: unrecognized arguments: {argv[-1]}"
+@pytest.mark.parametrize("setting", list(_FLAGS))
+def test_a_subcommand_has_a_setting_flag_only_if_its_kind_takes_it(capsys, command, kinds, setting):
+    # a subcommand has the flags of the settings its kinds read; report has the
+    # three a subcommand keeps from its scenario file, and validates them against its kind
+    taken = {"seed", "exact_cutoff", "tolerance"} if kinds is None else set().union(*map(_PARAMETERS.get, kinds))
+    options, type_, choices, text, value = _FLAGS[setting]
+    for option in options:
+        argv = command + ["--scenario", "canonical-l1", f"{option}={text}"]
+        if setting in taken:
+            assert getattr(_build_parser().parse_args(argv), setting) == value
+            continue
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"vmlab {command[0]}: error: unrecognized arguments: {argv[-1]}"
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in subparsers.choices[command[0]]._actions if a.dest in _FLAGS]
+    assert [a.dest for a in actions] == [key for key in _FLAGS if key in taken]
+    for action in actions:
+        if action.dest == setting:
+            assert (action.option_strings, action.type, action.choices, action.default) == (
+                options, type_, choices, None
+            )
 
 
 @pytest.mark.parametrize(

@@ -267,6 +267,40 @@ def test_closed_form_l1_is_bitwise_the_full_corner_loop():
         assert np.array_equal(res.witness_set.members, members)
 
 
+def test_no_norm_engine_copies_its_witness_mask(monkeypatch):
+    # each engine freezes the fresh mask it builds, so MeasurableSet holds it
+    from vmlab import measure_core
+
+    copied, frozen = [], measure_core._frozen
+
+    def spy(a, dtype):
+        out = frozen(a, dtype)
+        if dtype is bool and out is not a:
+            copied.append(a)
+        return out
+
+    monkeypatch.setattr(measure_core, "_frozen", spy)
+    rng = np.random.default_rng(35)
+    space = random_space(rng, 6)
+    f = SimpleFunction(space, rng.normal(size=6))
+    zero = SimpleFunction.zeros(space)
+    m2, minf, m1 = (random_measure(rng, space, NormSpec(kind, 3, 1.0)) for kind in ("L2", "LINF", "L1"))
+    m1_plus = VectorMeasure(space, m1.X, np.abs(m1.atoms))  # sign-consistent rows: no corner loop
+    runs = [
+        (norm_exact, m2, f),
+        (norm_exact, m2, zero),
+        (norm_heuristic, m2, f),
+        (norm_heuristic, m2, zero),
+        (norm_closed_form, minf, f),
+        (norm_closed_form, m1, f),
+        (norm_closed_form, m1_plus, f),
+    ]
+    for engine, m, g in runs:
+        result = engine(m, g)
+        assert not copied, engine.__name__
+        assert _reproduce(m, g, result) == pytest.approx(result.value, rel=1e-12, abs=1e-15)
+
+
 def test_heuristic_examples(s1, f1):
     _, m = s1
     res = norm_heuristic(m, f1, restarts=8, seed=0)
@@ -316,7 +350,7 @@ def brute_norm_upper(m, f):
 def test_deviation_examples(s1, f1):
     space, m = s1
     assert deviation(m, m, f1) == 0.0
-    p = Partition(space, [0, 0, 1, 1], 2)
+    p = Partition(space, [0, 0, 1, 1])
     m_eta = martingale_measure(m, p)
     chi0 = SimpleFunction(space, [1.0, 0.0, 0.0, 0.0])
     value = deviation(m, m_eta, chi0)
@@ -618,7 +652,7 @@ def _block_instance(rng, block_sizes, block_weights, trial):
     block_of = np.repeat(np.arange(len(block_sizes)), block_sizes)
     rng.shuffle(block_of)  # blocks need not be contiguous
     space = MeasureSpace(np.asarray(block_weights)[block_of])
-    p = Partition(space, block_of, len(block_sizes))
+    p = Partition(space, block_of)
     if trial % 3 == 0:  # small integers: zeros, repeats and ties
         coeffs = rng.integers(-2, 3, size=n).astype(float)
     else:
@@ -678,7 +712,7 @@ def test_indicator_nets_take_no_hill_climb(monkeypatch, experiment, n, levels):
     assert "error" not in report
     rows = report["results"]["rows"]
     m, f = sc.measure, sc.functions[0]
-    chain = dyadic_chain(levels, sc.space)
+    chain = dyadic_chain(levels, m.space)
     if experiment == "martingale":
         net = list(martingale_net(m, chain))
     else:
@@ -706,7 +740,7 @@ def _count_hill_climbs(monkeypatch):
 def test_unequal_block_weights_and_other_value_spaces_keep_the_heuristic(monkeypatch):
     rng = np.random.default_rng(42)
     n = 32
-    p = Partition(MeasureSpace.uniform(n), np.arange(n) // 8, 4)
+    p = Partition(MeasureSpace.uniform(n), np.arange(n) // 8)
     f_coeffs = rng.normal(size=n)
     unequal = MeasureSpace(rng.uniform(0.5, 1.5, size=n))
     uniform = MeasureSpace.uniform(n)
@@ -717,7 +751,7 @@ def test_unequal_block_weights_and_other_value_spaces_keep_the_heuristic(monkeyp
     ]
     calls = _count_hill_climbs(monkeypatch)
     for m in cases:
-        part = Partition(m.space, p.block_of, p.n_blocks)
+        part = Partition(m.space, p.block_of)
         m1 = martingale_measure(m, part)
         assert isinstance(m1.record, Expectation)
         f = SimpleFunction(m.space, f_coeffs)
@@ -737,7 +771,7 @@ def test_exact_deviations_keep_their_engine():
         m = indicator_measure(space)
         f = SimpleFunction(space, rng.normal(size=n))
         for levels in range(n.bit_length()):
-            p = Partition(space, np.arange(n) // (n >> levels), 1 << levels)
+            p = Partition(space, np.arange(n) // (n >> levels))
             m1 = martingale_measure(m, p)
             plain = VectorMeasure(space, m.X, m.atoms - m1.atoms)
             value = deviation(m, m1, f)
@@ -852,7 +886,7 @@ def test_block_form_refuses_unequal_weights_inside_a_block(monkeypatch):
     calls = _count_hill_climbs(monkeypatch)
     for weights, equal in ((np.full(n, 0.5), True), (rng.uniform(0.5, 1.5, n), False)):
         space = MeasureSpace(weights)
-        p = Partition(space, np.arange(n) // 6, 4)
+        p = Partition(space, np.arange(n) // 6)
         m = indicator_measure(space)
         m1 = martingale_measure(m, p)
         g = SimpleFunction(space, f.coeffs)
@@ -873,7 +907,7 @@ def test_block_form_refuses_unequal_weights_inside_a_block(monkeypatch):
 def test_a_block_deviation_combines_nothing_and_climbs_nothing(monkeypatch):
     rng = np.random.default_rng(58)
     space = MeasureSpace.uniform(256)
-    p = Partition(space, np.arange(256) // 8, 32)
+    p = Partition(space, np.arange(256) // 8)
     m = indicator_measure(space)
     m1 = martingale_measure(m, p)
     f = SimpleFunction(space, rng.normal(size=256))

@@ -65,30 +65,42 @@ def test_sign_function_squares_to_one():
 
 def test_refine_examples():
     sp = MeasureSpace.uniform(4)
-    one = Partition(sp, np.zeros(4, dtype=int), 1)
-    singles = Partition(sp, np.arange(4), 4)
+    one = Partition(sp, np.zeros(4, dtype=int))
+    singles = Partition(sp, np.arange(4))
     assert refine(one, singles)
     assert not refine(singles, one)
-    p = Partition(sp, [0, 0, 1, 1], 2)
-    q = Partition(sp, [0, 1, 2, 2], 3)
+    p = Partition(sp, [0, 0, 1, 1])
+    q = Partition(sp, [0, 1, 2, 2])
     assert refine(p, q)
     assert not refine(q, p)
 
 
 def test_partition_validation():
     sp = MeasureSpace.uniform(4)
-    with pytest.raises(ValueError):
-        Partition(sp, [0, 0, 1, 3], 4)  # block 2 empty
-    with pytest.raises(ValueError):
-        Partition(sp, [0, 0, 0, 5], 2)
+    for block_of in ([0, 0, 1, 3], [0, 0, 0, 5]):  # block 2, blocks 1 to 4 empty
+        with pytest.raises(ValueError, match="every block must be nonempty"):
+            Partition(sp, block_of)
+    with pytest.raises(ValueError, match="block indices must be nonnegative"):
+        Partition(sp, [0, 0, -1, 1])
+    with pytest.raises(ValueError, match="block map length"):
+        Partition(sp, [0, 1])
+
+
+def test_partition_derives_its_block_count_from_its_map():
+    sp = MeasureSpace.uniform(4)
+    for block_of, count in (([0, 0, 0, 0], 1), ([2, 0, 1, 1], 3), (np.arange(4), 4)):
+        p = Partition(sp, block_of)
+        assert p.n_blocks == count and type(p.n_blocks) is int
+    with pytest.raises(TypeError):
+        Partition(sp, [0, 0, 1, 1], 2)
 
 
 def test_partition_refuses_non_integer_block_indices():
     sp = MeasureSpace.uniform(3)
     for block_of in ([0.0, 0.7, 1.5], np.array([0.0, 1.0, 1.0]), ["0", "1", "1"]):
         with pytest.raises(ValueError, match="block indices must be integers"):
-            Partition(sp, block_of, 2)
-    p = Partition(sp, np.array([0, 1, 1], dtype=np.uint8), 2)
+            Partition(sp, block_of)
+    p = Partition(sp, np.array([0, 1, 1], dtype=np.uint8))
     assert p.block_of.tolist() == [0, 1, 1] and p.n_blocks == 2
 
 
@@ -119,6 +131,7 @@ def test_dyadic_chain_shapes():
     sp = MeasureSpace.uniform(4)
     chain = dyadic_chain(2, sp)
     assert [p.n_blocks for p in chain] == [1, 2, 4]
+    assert [p.n_blocks for p in dyadic_chain(np.int64(2), sp)] == [1, 2, 4]
     assert [sorted(map(tuple, p.blocks())) for p in chain] == [
         [(0, 1, 2, 3)],
         [(0, 1), (2, 3)],
@@ -140,6 +153,13 @@ def test_dyadic_chain_refuses_a_huge_level_count_without_computing_its_power():
     assert len(dyadic_chain(3, sp)) == 4
 
 
+@pytest.mark.parametrize("levels", [True, False, 2.0, 1.5, "2", None, -1])
+def test_dyadic_chain_refuses_levels_that_are_not_an_integer(levels):
+    # True once read as level 1, 2.0 failed in 1 << levels with a TypeError
+    with pytest.raises(ValueError, match="levels must be an integer >= 0"):
+        dyadic_chain(levels, MeasureSpace.uniform(8))
+
+
 def test_dyadic_chain_refines():
     sp = MeasureSpace(np.random.default_rng(0).uniform(0.1, 1.0, 16))
     chain = dyadic_chain(4, sp)
@@ -150,7 +170,7 @@ def test_dyadic_chain_refines():
 def test_block_masses_sum_to_total():
     rng = np.random.default_rng(1)
     sp = MeasureSpace(rng.uniform(0.1, 1.0, 12))
-    p = Partition(sp, [0, 1, 1, 1, 2, 0, 2, 2, 2, 2, 2, 2], 3)
+    p = Partition(sp, [0, 1, 1, 1, 2, 0, 2, 2, 2, 2, 2, 2])
     assert np.sum(p.block_masses()) == pytest.approx(np.sum(sp.weights), abs=1e-12)
 
 

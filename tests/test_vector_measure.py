@@ -207,7 +207,7 @@ def test_combine_against_one_block_martingale(s1):
     from vmlab import Partition, martingale_measure
 
     space, m = s1
-    m_eta = martingale_measure(m, Partition(space, np.zeros(space.n, dtype=int), 1))
+    m_eta = martingale_measure(m, Partition(space, np.zeros(space.n, dtype=int)))
     diff = combine(m, -1.0, m_eta)
     g = m.atoms.sum(axis=0) / np.sum(space.weights)
     expected = m.atoms - space.weights[:, None] * g[None, :]
@@ -235,7 +235,7 @@ def test_constructors_record_the_measure_kind():
     from vmlab.vector_measure import Expectation, Indicator, RankOne, Truncation
 
     space = MeasureSpace.uniform(4)
-    p = Partition(space, np.array([0, 0, 1, 1]), 2)
+    p = Partition(space, np.array([0, 0, 1, 1]))
     m = indicator_measure(space)
     assert m.record == Indicator()
     assert indicator_measure(space, NormSpec("L2", 4, 1.0)).record == Indicator()
@@ -249,7 +249,7 @@ def test_constructors_record_the_measure_kind():
         assert martingale_measure(other, p).record is None  # only the indicator's average is recorded
     difference = combine(m, -1.0, averaged)
     assert difference.record is None
-    for record in ("indicator", "martingale_difference", Partition(space, np.zeros(4, dtype=int), 1), None):
+    for record in ("indicator", "martingale_difference", Partition(space, np.zeros(4, dtype=int)), None):
         with pytest.raises(ValueError, match="unknown measure record|exactly one of"):
             VectorMeasure(space, m.X, record=record)
     # a recorded measure takes no atom matrix, so a record cannot disagree with its atoms
@@ -258,7 +258,7 @@ def test_constructors_record_the_measure_kind():
             VectorMeasure(space, m.X, 2 * np.eye(4), record=record)
     with pytest.raises(TypeError):
         VectorMeasure(space, m.X, 2 * np.eye(4), kind="indicator")
-    elsewhere = Partition(MeasureSpace(np.full(4, 0.5)), np.zeros(4, dtype=int), 1)
+    elsewhere = Partition(MeasureSpace(np.full(4, 0.5)), np.zeros(4, dtype=int))
     with pytest.raises(ValueError, match="different space"):
         VectorMeasure(space, m.X, record=Expectation(elsewhere))
     with pytest.raises(ValueError, match="different space"):
@@ -293,8 +293,8 @@ def test_record_atoms_equal_the_eager_construction(n, weights, monkeypatch):
 
     rng = np.random.default_rng(40 + n)
     space = MeasureSpace.uniform(n) if weights == "uniform" else random_space(rng, n)
-    partitions = [Partition(space, np.zeros(n, dtype=int), 1), Partition(space, np.arange(n), n)]
-    partitions.append(Partition(space, np.arange(n) % 3, min(n, 3)))
+    partitions = [Partition(space, np.zeros(n, dtype=int)), Partition(space, np.arange(n))]
+    partitions.append(Partition(space, np.arange(n) % 3))
     builds = spy_record_builds(monkeypatch)
     for X in (NormSpec.l1_of_mu(space), NormSpec("L2", n, rng.uniform(0.5, 2.0, size=n))):
         m = indicator_measure(space, X)
@@ -323,7 +323,7 @@ def test_recorded_measures_check_their_record_at_construction():
     for X in (NormSpec("L2", 3, 1.0), NormSpec("L1", 5, 1.0)):
         with pytest.raises(ValueError, match=rf"atom matrix must be 4 x {X.dim}, got \(4, 4\)"):
             indicator_measure(space, X)
-        for record in (Indicator(), Expectation(Partition(space, np.zeros(4, dtype=int), 1)), Truncation(1)):
+        for record in (Indicator(), Expectation(Partition(space, np.zeros(4, dtype=int))), Truncation(1)):
             with pytest.raises(ValueError, match=rf"atom matrix must be 4 x {X.dim}"):
                 VectorMeasure(space, X, record=record)
     plain = VectorMeasure(space, NormSpec("L2", 3, 1.0), np.ones((4, 3)))  # the positional form keeps its checks
@@ -339,7 +339,7 @@ def test_combine_records_plain_atoms():
 
     rng = np.random.default_rng(21)
     space = random_space(rng, 8)
-    p = Partition(space, np.arange(8) // 4, 2)
+    p = Partition(space, np.arange(8) // 4)
     for X in (NormSpec.l1_of_mu(space), NormSpec("L2", 8, 1.0)):
         m = indicator_measure(space, X)
         averaged = martingale_measure(m, p)
@@ -438,7 +438,7 @@ def test_derived_plain_atom_measures_hold_their_one_new_matrix():
     space = random_space(rng, n)
     X = NormSpec("L2", n, 1.0)
     m, m1 = (VectorMeasure(space, X, rng.normal(size=(n, n))) for _ in range(2))
-    p = Partition(space, np.arange(n) // (n // 2), 2)
+    p = Partition(space, np.arange(n) // (n // 2))
     builds = {
         "martingale_measure": lambda: martingale_measure(m, p),
         "basis_truncated_measure": lambda: basis_truncated_measure(m, n // 2),
