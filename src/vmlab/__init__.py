@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     CapacityExceeded,
-    NotNormalized,
     NotPolyhedral,
     ParseError,
     ValidationError,
@@ -17,16 +16,12 @@ from .measure_core import (
     Partition,
     SimpleFunction,
     dyadic_chain,
-    l1_mu_norm,
-    sign_function,
 )
 from .normed_space import (
     L1,
     L2,
     LINF,
     NormSpec,
-    dual_norm,
-    dual_spec,
     norm,
 )
 from .vector_measure import (
@@ -34,9 +29,7 @@ from .vector_measure import (
     combine,
     indicator_measure,
     rank_one_measure,
-    rn_derivative,
     rn_derivatives,
-    scalarize,
 )
 from .l1m_norm import (
     CLOSED_FORM,
@@ -45,7 +38,6 @@ from .l1m_norm import (
     NormResult,
     deviation,
     integrate,
-    koethe_dual_norm,
     koethe_dual_norm_info,
     norm_best,
     norm_closed_form,
@@ -83,7 +75,6 @@ from .daugavet import (
     OperatorMatrix,
     OpNormResult,
     SeriesGapReport,
-    canonical_pair,
     center_defect,
     combine_operators,
     daugavet_defect,

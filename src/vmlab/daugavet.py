@@ -35,11 +35,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotNormalized
-from .measure_core import MeasureSpace, SimpleFunction, _frozen, l1_mu_norm, same_space
+from .measure_core import MeasureSpace, _frozen, same_space
 from .normed_space import NormSpec, dual_extreme_blocks, norm_rows, same_norm
 from .rng import SplitMix64
-from .vector_measure import Indicator, RankOne, VectorMeasure, combine, indicator_measure, rank_one_measure
+from .vector_measure import Indicator, RankOne, VectorMeasure, combine, indicator_measure
 
 _COLUMN_CHUNK = 512
 
@@ -370,17 +369,3 @@ def series_approximation_gap(G, parts: Sequence, samples: int = 64, seed: int = 
     if samples > 0:
         c_estimate = min(c_estimate, float(np.min(_sampled_center_values(G, samples, seed))))
     return SeriesGapReport(gap_norm, float(c_estimate))
-
-
-def canonical_pair(space: MeasureSpace, g: SimpleFunction):
-    """The indicator measure and the rank-one measure mu(A) * g, ||g||_L1(mu) = 1 +- 1e-10.
-
-    Both represent the discretized scalar L1 isometrically; their integration
-    maps are the identity and a rank-one map.
-    """
-    if not same_space(space, g.space):
-        raise ValueError("density lives on a different space")
-    gnorm = l1_mu_norm(g)
-    if abs(gnorm - 1.0) > 1e-10:
-        raise NotNormalized(f"the rank-one density must have unit L1(mu) norm, got {gnorm}")
-    return indicator_measure(space), rank_one_measure(space, g.coeffs)

@@ -13,10 +13,6 @@ class NotPolyhedral(VmlabError):
     """An operation requiring a polyhedral unit ball was called with an L2-type norm."""
 
 
-class NotNormalized(VmlabError):
-    """A vector that must have unit norm does not."""
-
-
 class ParseError(VmlabError):
     """A scenario file is not syntactically valid JSON."""
 

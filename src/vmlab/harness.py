@@ -35,14 +35,15 @@ nets run over the dyadic chain of that depth), f followed by the indicator
 of each finest block.
 
 A ``Scenario`` holds the raw object (only echoed), the measure (its ``space``
-and ``X`` are the scenario's), the functions and the checked experiment.
+and ``X`` are the scenario's), the functions and the checked experiment,
+which holds the dyadic chain when the kind takes ``levels``.
 
 ``_CHECKS`` checks each numeric or sign parameter for every kind that takes
-it; the number lists (weights, g, rows, functions) and the scale refuse bools
-(the lists numpy bools too) and strings.  ``run`` takes the scenario alone, so
-a report's echoed scenario reruns it, records ``metadata.seed`` only for kinds
-that take one, and records a floating-point overflow or invalid operation in
-the report's error section.
+it; the number lists (weights, g, rows, functions) and the scale refuse bools,
+numpy bools and strings by one scan of their entry types.  ``run`` takes the
+scenario alone, so a report's echoed scenario reruns it, records
+``metadata.seed`` only for kinds that take one, and records a floating-point
+overflow or invalid operation in the report's error section.
 Reports are deterministic for a fixed scenario (the wall-time metadata field
 aside); floats are serialized with 17 significant digits, so every finite
 float reads back equal in value (-0.0 and 1.0 as the integers 0 and 1).  CSV
@@ -113,19 +114,25 @@ def _check_number(value, what: str, low=None, real: bool = False):
         raise ValidationError(f"{what} must be {'a finite real number' if real else 'an integer'}{bound}")
 
 
+def _refuse_bools_and_strings(value, ndim: int, message: str):
+    """ValidationError(message) if a number, list or array of ``ndim`` dimensions holds a
+    bool or string.  The entry types are scanned, as no dtype shows a bool or string in a
+    list of numbers (``np.bool_``, of a bool array's entries, is no subclass of ``bool``)."""
+    entries = (value,) if ndim == 0 else value if ndim == 1 else chain.from_iterable(value)
+    if any(issubclass(t, (bool, np.bool_, str)) for t in set(map(type, entries))):
+        raise ValidationError(f"{message}; bools and strings are not numbers")
+
+
 def _finite_array(value, shape: tuple, message: str) -> np.ndarray:
-    """``value`` as a float array of ``shape`` with finite entries, else ValidationError(message).
-    The entry types are scanned, as no dtype shows a bool or string in a list of numbers
-    (``np.bool_``, of a bool array's entries, is no subclass of ``bool``)."""
+    """``value`` as a float array of ``shape`` with finite entries and no bool or string,
+    else ValidationError(message)."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(message) from None
     if arr.shape != shape or not np.all(np.isfinite(arr)):
         raise ValidationError(message)
-    types = set(map(type, value if len(shape) == 1 else chain.from_iterable(value)))
-    if any(issubclass(t, (bool, np.bool_, str)) for t in types):
-        raise ValidationError(f"{message}; bools and strings are not numbers")
+    _refuse_bools_and_strings(value, len(shape), message)
     return arr
 
 
@@ -158,12 +165,12 @@ def _build_value_space(section, space: MeasureSpace) -> NormSpec:
     d = section["d"]
     _check_number(d, "value_space.d", 1)
     scale = section.get("scale", 1.0)
-    if any(isinstance(v, (bool, str)) for v in (scale if isinstance(scale, list) else [scale])):
-        raise ValidationError("invalid value_space scale: it must hold numbers, not bools or strings")
     try:
-        return NormSpec(kind, d, scale)
+        X = NormSpec(kind, d, scale)
     except (TypeError, ValueError) as exc:  # TypeError: a scale numpy cannot read as floats
         raise ValidationError(f"invalid value_space scale: {exc}") from exc
+    _refuse_bools_and_strings(scale, np.ndim(scale), "invalid value_space scale")
+    return X
 
 
 def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "measure") -> VectorMeasure:
@@ -197,17 +204,11 @@ def _build_measure(section, space: MeasureSpace, X: NormSpec, where: str = "meas
         _require_keys(section, {"kind", "base", "k"}, {"kind", "base", "k"}, where)
         base = _build_measure(section["base"], space, X, where=f"{where}.base")
         k = section["k"]
-        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= X.dim:
+        _check_number(k, f"{where}.k", 1)
+        if k > X.dim:
             raise ValidationError(f"{where}: composed truncation rank k must be in 1..d")
         return basis_truncated_measure(base, k)
     raise ValidationError(f"{where}: unknown measure kind {kind!r}")
-
-
-def _check_levels(exp: dict, space: MeasureSpace, what: str):
-    levels = exp.get("levels")
-    _check_number(levels, f"{what} levels", 0)
-    if levels >= space.n.bit_length() or space.n % (1 << levels) != 0:
-        raise ValidationError(f"n={space.n} is not divisible by 2**{levels}")
 
 
 def _build_experiment(section, scenario_ctx) -> dict:
@@ -225,24 +226,24 @@ def _build_experiment(section, scenario_ctx) -> dict:
     space, X, functions = scenario_ctx
     if EXPERIMENTS[kind][0] is _run_net and not functions:
         raise ValidationError(f"experiment {kind} needs at least one function")
-    if kind == "martingale":
-        _check_levels(exp, space, "martingale experiment")
-    elif kind == "rn_net":
+    if kind == "rn_net":
         if exp["family"] not in ("coordinate", "expectation"):
             raise ValidationError("rn_net family must be coordinate or expectation")
         if exp["family"] == "coordinate" and "levels" in exp:
             raise ValidationError("rn_net levels apply to the expectation family only")
-        if exp["family"] == "expectation":
-            _check_levels(exp, space, "rn_net expectation family")
-            if X.dim != space.n:
-                raise ValidationError("expectation family needs value_space dimension equal to n")
-    elif kind == "daugavet":
-        exp.setdefault("sweep", [space.n])
-        sweep = exp["sweep"]
-        if not isinstance(sweep, list) or not sweep or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sweep
-        ):
-            raise ValidationError("daugavet sweep must be a nonempty list of positive integers")
+        if exp["family"] == "expectation" and X.dim != space.n:
+            raise ValidationError("expectation family needs value_space dimension equal to n")
+    if kind == "martingale" or (kind == "rn_net" and exp["family"] == "expectation"):
+        try:  # the runner's chain: dyadic_chain checks the level count
+            exp["chain"] = dyadic_chain(exp.get("levels"), space)
+        except ValueError as exc:
+            raise ValidationError(f"{kind}: {exc}") from None
+    if kind == "daugavet":
+        sweep = exp.setdefault("sweep", [space.n])
+        if not isinstance(sweep, list) or not sweep:
+            raise ValidationError("daugavet sweep must be a nonempty list of integers >= 1")
+        for size in sweep:
+            _check_number(size, "daugavet sweep entry", 1)
     elif kind == "identity":
         if not X.is_polyhedral:
             raise ValidationError("identity experiment needs a polyhedral value_space")
@@ -308,7 +309,7 @@ def _run_norm(sc: Scenario, exp: dict) -> dict:
 def _run_net(sc: Scenario, exp: dict) -> dict:
     """The runner of the three net kinds; the module docstring gives its test family."""
     m, f = sc.measure, sc.functions[0]
-    chain = dyadic_chain(exp["levels"], m.space) if "levels" in exp else None
+    chain = exp.get("chain")
     if exp["kind"] == "basis":
         net = basis_net(m)
     else:

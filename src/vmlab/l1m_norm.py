@@ -26,7 +26,7 @@ first engine that does not refuse; ``NormResult.refused`` has the reasons.
 its average A |-> E_p chi_A over blocks of one weight: there the deviation
 has a block closed form, one sort per block, O(n log n) and exact at any size.
 
-``koethe_dual_norm`` evaluates the associated dual function norm
+``koethe_dual_norm_info`` evaluates the associated dual function norm
 ``sup { |sum_i f_i g_i mu_i| : ||f|| <= 1 }`` by linear programming on
 polyhedral value spaces (finitely many ball inequalities over u = |f| >= 0,
 with f = sign(g)*u), and by projected supergradient ascent otherwise.
@@ -309,15 +309,6 @@ def koethe_dual_norm_info(m: VectorMeasure, g: SimpleFunction, seed: int = 0) ->
         return KoetheDualResult(float("inf"), EXACT, None)
     fstar = SimpleFunction(m.space, np.sign(c) * sol.point)
     return KoetheDualResult(max(float(sol.value), 0.0), EXACT, fstar)
-
-
-def koethe_dual_norm(m: VectorMeasure, g: SimpleFunction) -> float:
-    """sup { |sum_i f_i g_i mu_i| : ||f|| <= 1 }.
-
-    LP-exact for polyhedral value norms; for L2-type norms the value is a
-    supergradient-ascent lower bound from seed 0 (see ``koethe_dual_norm_info``).
-    """
-    return koethe_dual_norm_info(m, g).value
 
 
 _ASCENT_RESTARTS = 32

@@ -77,15 +77,6 @@ class MeasurableSet:
         mask.setflags(write=False)  # fresh, so the set holds it
         return cls(space, mask)
 
-    @classmethod
-    def from_indices(cls, space: MeasureSpace, indices) -> "MeasurableSet":
-        ids = np.asarray(indices)  # no truncation of floats, no wrap-around from the end
-        if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= space.n):
-            raise ValueError(f"atom indices must be integers in 0..{space.n - 1}")
-        mask = np.zeros(space.n, dtype=bool)
-        mask[ids.astype(int)] = True
-        return cls(space, mask)
-
 
 @dataclass(frozen=True, eq=False)
 class SimpleFunction:
@@ -103,20 +94,6 @@ class SimpleFunction:
     @classmethod
     def zeros(cls, space: MeasureSpace) -> "SimpleFunction":
         return cls(space, np.zeros(space.n))
-
-    @classmethod
-    def indicator(cls, A: MeasurableSet) -> "SimpleFunction":
-        return cls(A.space, A.members.astype(float))
-
-
-def l1_mu_norm(f: SimpleFunction) -> float:
-    """Scalar L1(mu) norm, sum of mu_i |f_i|."""
-    return float(np.sum(np.abs(f.coeffs) * f.space.weights))
-
-
-def sign_function(A: MeasurableSet) -> SimpleFunction:
-    """The +-1 valued function that is +1 on A and -1 on its complement."""
-    return SimpleFunction(A.space, np.where(A.members, 1.0, -1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +117,6 @@ class Partition:
             raise ValueError("every block must be nonempty")
         object.__setattr__(self, "block_of", b)
         object.__setattr__(self, "n_blocks", sizes.size)
-
-    def blocks(self) -> list[np.ndarray]:
-        """Derived view: list of atom-index arrays, one per block."""
-        return [np.flatnonzero(self.block_of == k) for k in range(self.n_blocks)]
 
     def block_masses(self) -> np.ndarray:
         return np.bincount(self.block_of, weights=self.space.weights, minlength=self.n_blocks)

@@ -29,7 +29,6 @@ L2 = "L2"
 LINF = "LINF"
 
 _KINDS = (L1, L2, LINF)
-_DUAL_KIND = {L1: LINF, L2: L2, LINF: L1}
 
 # 2^d corner enumeration stops here; beyond it callers get a capacity error
 # instead of a silent slowdown.
@@ -109,15 +108,6 @@ def norm_rows(X: NormSpec, V) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     _check_dim(X, V)
     return np.abs(V) @ X.scale  # scale > 0, so |v * w| sums as |v| @ w
-
-
-def dual_spec(X: NormSpec) -> NormSpec:
-    """The norm on the dual space under the plain pairing: swapped kind, inverse scale."""
-    return NormSpec(_DUAL_KIND[X.kind], X.dim, 1.0 / X.scale)
-
-
-def dual_norm(X: NormSpec, xstar) -> float:
-    return norm(dual_spec(X), xstar)
 
 
 def dual_extreme_blocks(X: NormSpec):

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measure_core import MeasureSpace, Partition, SimpleFunction, _frozen, same_space
+from .measure_core import MeasureSpace, Partition, _frozen, same_space
 from .normed_space import NormSpec, same_norm
 
 
@@ -151,25 +151,14 @@ def rank_one_measure(space: MeasureSpace, g, X: Optional[NormSpec] = None) -> Ve
     return VectorMeasure(space, X, record=RankOne(g))
 
 
-def scalarize(m: VectorMeasure, xstar) -> SimpleFunction:
-    """Atom masses of the scalar measure A |-> <m(A), x*>."""
-    xstar = np.asarray(xstar, dtype=float)
-    return SimpleFunction(m.space, m.atoms @ xstar)
-
-
-def rn_derivative(m: VectorMeasure, xstar) -> SimpleFunction:
-    """Density of the scalarized measure against the atom weights."""
-    return SimpleFunction(m.space, scalarize(m, xstar).coeffs / m.space.weights)
-
-
 def rn_derivatives(m: VectorMeasure, xstars) -> np.ndarray:
     """Densities for a stack of dual vectors: row k is the density for xstars[k].
 
     Accepts one dual vector or a (p, d) stack, and returns a C-contiguous
     (p, n) array; an empty stack gives shape (0, n).  The densities come from
     one matrix product, which is exact for coordinate vectors (every row then
-    has the bits of ``rn_derivative``) but may round differently from
-    one-at-a-time ``rn_derivative`` calls for general dense vectors.
+    has the bits of the lone density ``(m.atoms @ x) / mu``) but may round
+    differently from one vector at a time for general dense vectors.
     """
     xstars = np.asarray(xstars, dtype=float)
     if xstars.shape == (0,):

@@ -10,10 +10,18 @@ tableau, slack columns included, with one Python loop per row and per
 column; ``solve_lp`` on the condensed tableau must equal it bit for bit.  ``loop_koethe_supergradient`` runs the L2 Köthe ascent one
 restart at a time with one ``norm_best`` call per iterate, the reference
 for the stacked ascent.
+
+From ``NotNormalized`` to ``canonical_pair`` follow the textbook objects that
+the tests compute and no experiment does: the scalar L1(mu) norm, the sign
+function h_A, sets from atom indices, indicators and block lists, the dual
+norm, the Köthe dual norm value, scalarization, one Radon-Nikodym derivative
+and the canonical measure pair.
 """
 
+import ctypes
 import itertools
 import platform
+from pathlib import Path
 
 import numpy as np
 
@@ -22,25 +30,46 @@ from vmlab import (
     L2,
     LINF,
     LPSolution,
+    MeasurableSet,
     MeasureSpace,
     NormSpec,
     OPTIMAL,
     SimpleFunction,
     UNBOUNDED,
     VectorMeasure,
+    VmlabError,
+    indicator_measure,
+    koethe_dual_norm_info,
     norm,
+    rank_one_measure,
 )
+from vmlab.measure_core import same_space
 
 KINDS = (L1, L2, LINF)
 
 
+def openblas_kernel() -> str:
+    """The kernel that numpy's bundled OpenBLAS runs on this CPU, or "unknown"."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):  # another BLAS, or another platform
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def numerics() -> str:
-    """The numpy, BLAS, machine and Python that bitwise results depend on, for failure messages."""
+    """The numpy, BLAS and its kernel, machine and Python that bitwise results depend on,
+    for failure messages."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 prints its configuration only
         blas = "unknown"
-    return f"numpy {np.__version__}, BLAS {blas}, {platform.machine()}, Python {platform.python_version()}"
+    return (
+        f"numpy {np.__version__}, BLAS {blas}, kernel {openblas_kernel()}, "
+        f"{platform.machine()}, Python {platform.python_version()}"
+    )
 
 
 def random_space(rng, n):
@@ -90,7 +119,87 @@ def brute_deviation(m, m1, f):
 
 def refine(p, q):
     """True iff q refines p: every block of q lies inside one block of p."""
-    return all(np.unique(p.block_of[block]).size == 1 for block in q.blocks())
+    return all(np.unique(p.block_of[block]).size == 1 for block in blocks(q))
+
+
+class NotNormalized(VmlabError):
+    """A vector that must have unit norm does not."""
+
+
+def l1_mu_norm(f):
+    """Scalar L1(mu) norm, sum of mu_i |f_i|."""
+    return float(np.sum(np.abs(f.coeffs) * f.space.weights))
+
+
+def sign_function(A):
+    """The +-1 valued function that is +1 on A and -1 on its complement."""
+    return SimpleFunction(A.space, np.where(A.members, 1.0, -1.0))
+
+
+def from_indices(space, indices):
+    """The set of the given atoms."""
+    ids = np.asarray(indices)  # no truncation of floats, no wrap-around from the end
+    if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= space.n):
+        raise ValueError(f"atom indices must be integers in 0..{space.n - 1}")
+    mask = np.zeros(space.n, dtype=bool)
+    mask[ids.astype(int)] = True
+    return MeasurableSet(space, mask)
+
+
+def indicator(A):
+    """chi_A as a simple function."""
+    return SimpleFunction(A.space, A.members.astype(float))
+
+
+def blocks(p):
+    """The atom-index arrays of the blocks of p, one per block."""
+    return [np.flatnonzero(p.block_of == k) for k in range(p.n_blocks)]
+
+
+_DUAL_KIND = {L1: LINF, L2: L2, LINF: L1}
+
+
+def dual_spec(X):
+    """The norm on the dual space under the plain pairing: swapped kind, inverse scale."""
+    return NormSpec(_DUAL_KIND[X.kind], X.dim, 1.0 / X.scale)
+
+
+def dual_norm(X, xstar):
+    return norm(dual_spec(X), xstar)
+
+
+def koethe_dual_norm(m, g):
+    """sup { |sum_i f_i g_i mu_i| : ||f|| <= 1 }.
+
+    LP-exact for polyhedral value norms; for L2-type norms the value is a
+    supergradient-ascent lower bound from seed 0 (see ``koethe_dual_norm_info``).
+    """
+    return koethe_dual_norm_info(m, g).value
+
+
+def scalarize(m, xstar):
+    """Atom masses of the scalar measure A |-> <m(A), x*>."""
+    xstar = np.asarray(xstar, dtype=float)
+    return SimpleFunction(m.space, m.atoms @ xstar)
+
+
+def rn_derivative(m, xstar):
+    """Density of the scalarized measure against the atom weights."""
+    return SimpleFunction(m.space, scalarize(m, xstar).coeffs / m.space.weights)
+
+
+def canonical_pair(space, g):
+    """The indicator measure and the rank-one measure mu(A) * g, ||g||_L1(mu) = 1 +- 1e-10.
+
+    Both represent the discretized scalar L1 isometrically; their integration
+    maps are the identity and a rank-one map.
+    """
+    if not same_space(space, g.space):
+        raise ValueError("density lives on a different space")
+    gnorm = l1_mu_norm(g)
+    if abs(gnorm - 1.0) > 1e-10:
+        raise NotNormalized(f"the rank-one density must have unit L1(mu) norm, got {gnorm}")
+    return indicator_measure(space), rank_one_measure(space, g.coeffs)
 
 
 def dual_extreme_table(X):

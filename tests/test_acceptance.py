@@ -9,23 +9,30 @@ import time
 
 import numpy as np
 
-from helpers import random_function, random_measure, random_norm_spec, random_space
+from helpers import (
+    canonical_pair,
+    dual_norm,
+    koethe_dual_norm,
+    l1_mu_norm,
+    random_function,
+    random_measure,
+    random_norm_spec,
+    random_space,
+    rn_derivative,
+    sign_function,
+)
 from vmlab import (
     MeasurableSet,
     MeasureSpace,
     SimpleFunction,
     basis_truncated_measure,
-    canonical_pair,
     daugavet_defect,
     density_norm_identity,
     deviation,
-    dual_norm,
     dyadic_chain,
     indicator_measure,
     integrate,
     integration_operator,
-    koethe_dual_norm,
-    l1_mu_norm,
     martingale_net,
     norm,
     norm_best,
@@ -34,9 +41,7 @@ from vmlab import (
     norm_heuristic,
     opnorm_from_l1,
     rank_one_operator,
-    rn_derivative,
     run_net,
-    sign_function,
 )
 from vmlab.harness import EXPERIMENTS, PRESETS, build_scenario, dumps_report, run
 

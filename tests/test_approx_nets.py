@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
 
-from helpers import KINDS, random_function, random_measure, random_norm_spec, random_space, refine, spy_record_builds
+from helpers import (
+    KINDS,
+    blocks,
+    from_indices,
+    indicator,
+    l1_mu_norm,
+    random_function,
+    random_measure,
+    random_norm_spec,
+    random_space,
+    refine,
+    rn_derivative,
+    spy_record_builds,
+)
 from vmlab import (
     L2,
-    MeasurableSet,
     MeasureSpace,
     NetLevelStats,
     NormSpec,
@@ -22,14 +34,12 @@ from vmlab import (
     indicator_measure,
     integrate,
     integration_operator,
-    l1_mu_norm,
     martingale_measure,
     martingale_net,
     norm,
     norm_exact,
     opnorm_from_l1,
     rank_one_measure,
-    rn_derivative,
     rn_derivatives,
     rn_net,
     rn_operator,
@@ -123,7 +133,7 @@ def test_martingale_factorization():
         f = random_function(rng, space)
         direct = sum(
             (f.coeffs[B] @ space.weights[B]) / space.weights[B].sum() * m.atoms[B].sum(axis=0)
-            for B in p.blocks()
+            for B in blocks(p)
         )
         ef = SimpleFunction(space, _conditional_expectation(space, p).entries @ f.coeffs)
         assert direct == pytest.approx(integrate(m, ef), abs=1e-12)
@@ -219,7 +229,7 @@ def test_distance_of_the_indicator_to_its_expectation_operator_is_the_block_clos
         closed = float(np.max(2.0 * (1.0 - space.weights / p.block_masses()[p.block_of])))
         assert distance == pytest.approx(closed, rel=1e-12, abs=1e-15), (i, n, n_blocks)
         singletons += np.any(np.bincount(p.block_of) == 1)
-        mixed += any(np.ptp(space.weights[B]) > 0 for B in p.blocks())
+        mixed += any(np.ptp(space.weights[B]) > 0 for B in blocks(p))
     assert singletons > 50 and mixed > 50
 
 
@@ -368,8 +378,8 @@ def _reference_weakstar_gap(m, m1, probes, tests):
 
 
 def _block_tests(space, f, p):
-    blocks = [MeasurableSet.from_indices(space, ids) for ids in p.blocks()]
-    return [f] + [SimpleFunction.indicator(A) for A in blocks]
+    sets = [from_indices(space, ids) for ids in blocks(p)]
+    return [f] + [indicator(A) for A in sets]
 
 
 def _nets(m, chain):

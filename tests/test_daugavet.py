@@ -3,19 +3,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import dual_extreme_table, random_function, random_measure, random_norm_spec, random_space
+from helpers import (
+    NotNormalized,
+    canonical_pair,
+    dual_extreme_table,
+    l1_mu_norm,
+    random_function,
+    random_measure,
+    random_norm_spec,
+    random_space,
+)
 from vmlab import (
     DefectReport,
     FactoredOperator,
     MeasureSpace,
     NormSpec,
-    NotNormalized,
     NotPolyhedral,
     OperatorMatrix,
     SeriesGapReport,
     SimpleFunction,
     VectorMeasure,
-    canonical_pair,
     center_defect,
     combine_operators,
     daugavet_defect,
@@ -23,7 +30,6 @@ from vmlab import (
     identity_operator,
     indicator_measure,
     integration_operator,
-    l1_mu_norm,
     norm,
     norm_best,
     opnorm_from_l1,

@@ -98,7 +98,7 @@ def test_validation_refuses_a_huge_level_count_without_computing_its_power():
     for experiment in ({"kind": "martingale"}, {"kind": "rn_net", "family": "expectation"}):
         data = _preset("canonical-l1")
         data["experiment"] = {**experiment, "levels": 10**12}
-        with pytest.raises(ValidationError, match=r"n=4 is not divisible by 2\*\*1000000000000"):
+        with pytest.raises(ValidationError, match=r"number of atoms 4 is not divisible by 2\*\*1000000000000"):
             build_scenario(data)
     data = _preset("canonical-l1")
     data["experiment"]["levels"] = 2  # the largest count n = 4 allows
@@ -122,7 +122,8 @@ def _spy_run_net(monkeypatch) -> list:
 
 
 def test_default_block_tests_are_the_block_indicators_bitwise(monkeypatch):
-    from vmlab import MeasurableSet, SimpleFunction, dyadic_chain
+    from helpers import blocks, from_indices, indicator
+    from vmlab import dyadic_chain
 
     calls = _spy_run_net(monkeypatch)
     data = _preset("canonical-l1")
@@ -140,8 +141,8 @@ def test_default_block_tests_are_the_block_indicators_bitwise(monkeypatch):
         [(m, net, f, tests, kw)] = calls
         assert m is sc.measure and f is sc.functions[0] and tests[0] is f
         assert kw == {"exact_cutoff": 12, "seed": 3}
-        blocks = dyadic_chain(experiment["levels"], m.space)[-1].blocks() if "levels" in experiment else []
-        want = [SimpleFunction.indicator(MeasurableSet.from_indices(m.space, ids)) for ids in blocks]
+        finest = blocks(dyadic_chain(experiment["levels"], m.space)[-1]) if "levels" in experiment else []
+        want = [indicator(from_indices(m.space, ids)) for ids in finest]
         assert len(tests) == 1 + len(want), experiment
         assert all(g.coeffs.tobytes() == w.coeffs.tobytes() for g, w in zip(tests[1:], want))
 
@@ -538,8 +539,12 @@ def test_identity_cli_lambda(tmp_path):
         # True == 1, so bools must be refused before any range check
         ("daugavet", "sign", True),
         ("daugavet", "sweep", [4, True]),
+        ("daugavet", "sweep", [0]),
+        ("daugavet", "sweep", [2.0]),
         ("series_gap", "sign", True),
         ("measure", "k", True),
+        ("measure", "k", 0),
+        ("measure", "k", 2.0),
     ],
 )
 def test_invalid_numeric_parameters_are_validation_errors(tmp_path, capsys, section, key, value):
@@ -781,8 +786,13 @@ NAN, INF = float("nan"), float("inf")
         ),
         # numpy reads a dict scale with a TypeError, and True as 1.0
         ("random-measure", {"value_space": {"kind": "LINF", "d": 3, "scale": {"a": 1}}}, "invalid value_space scale"),
-        ("random-measure", {"value_space": {"kind": "LINF", "d": 3, "scale": True}}, "not bools or strings"),
-        ("random-measure", {"value_space": {"kind": "LINF", "d": 3, "scale": [1.0, "2", 1.0]}}, "not bools or strings"),
+        ("random-measure", {"value_space": {"kind": "LINF", "d": 3, "scale": True}}, "bools and strings are not numbers"),
+        ("random-measure", {"value_space": {"kind": "LINF", "d": 3, "scale": [1.0, "2", 1.0]}}, "bools and strings are not numbers"),
+        # numpy bools and strings, array or scalar, reach the scale only from Python
+        *(
+            ("random-measure", {"value_space": {"kind": "LINF", "d": 3, "scale": scale}}, "bools and strings are not numbers")
+            for scale in (np.array([True, True, True]), np.array(["1", "2", "1"]), np.True_)
+        ),
     ],
 )
 def test_validation_errors_fail_the_build_and_the_cli(tmp_path, capsys, preset, sections, message):
@@ -790,6 +800,8 @@ def test_validation_errors_fail_the_build_and_the_cli(tmp_path, capsys, preset, 
     data.update(sections)
     with pytest.raises(ValidationError, match=message):
         build_scenario(data)
+    if isinstance(data["value_space"].get("scale"), (np.ndarray, np.generic)):
+        return  # a scenario file holds no numpy value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     assert cli_main(["report", "--scenario", str(path)]) == 1

@@ -8,12 +8,16 @@ from helpers import (
     brute_deviation,
     brute_norm,
     dual_extreme_table,
+    from_indices,
+    indicator,
+    koethe_dual_norm,
     koethe_scipy,
     loop_koethe_supergradient,
     random_function,
     random_measure,
     random_norm_spec,
     random_space,
+    sign_function,
 )
 from vmlab import (
     CLOSED_FORM,
@@ -31,7 +35,6 @@ from vmlab import (
     deviation,
     indicator_measure,
     integrate,
-    koethe_dual_norm,
     koethe_dual_norm_info,
     martingale_measure,
     norm,
@@ -40,7 +43,6 @@ from vmlab import (
     norm_exact,
     norm_heuristic,
     rank_one_measure,
-    sign_function,
 )
 from vmlab import l1m_norm, normed_space
 from vmlab.vector_measure import Expectation
@@ -53,8 +55,8 @@ def _reproduce(m, f, result):
 
 def test_integrate_examples(s1):
     space, m = s1
-    A = MeasurableSet.from_indices(space, [1, 3])
-    chi = SimpleFunction.indicator(A)
+    A = from_indices(space, [1, 3])
+    chi = indicator(A)
     assert np.array_equal(integrate(m, chi), [0.0, 1.0, 0.0, 1.0])  # m(A) = e_1 + e_3
     f = SimpleFunction(space, [1.0, -2.0, 0.0, 3.0])
     assert np.array_equal(integrate(m, f), f.coeffs)
@@ -462,7 +464,7 @@ def test_integration_map_ratio_is_one(s1):
     space, m = s1
     ratios = []
     for i in range(space.n):
-        chi = SimpleFunction.indicator(MeasurableSet.from_indices(space, [i]))
+        chi = indicator(from_indices(space, [i]))
         ratios.append(norm(m.X, integrate(m, chi)) / norm_exact(m, chi).value)
     assert max(ratios) == 1.0
 

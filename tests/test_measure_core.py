@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import refine
+from helpers import blocks, from_indices, refine, sign_function
 from vmlab import (
     MeasurableSet,
     MeasureSpace,
@@ -15,7 +15,6 @@ from vmlab import (
     integration_operator,
     rank_one_measure,
     rn_operator,
-    sign_function,
 )
 from vmlab.daugavet import FactoredOperator
 from vmlab.measure_core import _frozen
@@ -50,7 +49,7 @@ def test_sign_function_examples():
     assert np.array_equal(
         sign_function(MeasurableSet(sp, np.zeros(4, dtype=bool))).coeffs, -np.ones(4)
     )
-    A = MeasurableSet.from_indices(sp, [0, 2])
+    A = from_indices(sp, [0, 2])
     assert np.array_equal(sign_function(A).coeffs, [1.0, -1.0, 1.0, -1.0])
 
 
@@ -108,23 +107,23 @@ def test_partition_refuses_non_integer_block_indices():
 def test_atom_indices_refuse_a_negative_index(indices):
     sp = MeasureSpace.uniform(4)  # [-1] would select the last atom
     with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
-        MeasurableSet.from_indices(sp, indices)
+        from_indices(sp, indices)
 
 
 @pytest.mark.parametrize("indices", [[0.7, 2.9], [1.0], [True], ["1"]])
 def test_atom_indices_refuse_non_integers(indices):
     sp = MeasureSpace.uniform(4)  # [0.7, 2.9] would select atoms 0 and 2
     with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
-        MeasurableSet.from_indices(sp, indices)
+        from_indices(sp, indices)
 
 
 @pytest.mark.parametrize("indices", [[4], [0, 7]])
 def test_atom_indices_refuse_an_index_past_the_last_atom(indices):
     sp = MeasureSpace.uniform(4)
     with pytest.raises(ValueError, match=r"atom indices must be integers in 0\.\.3"):
-        MeasurableSet.from_indices(sp, indices)
-    assert MeasurableSet.from_indices(sp, [3, 0]).members.tolist() == [True, False, False, True]
-    assert not MeasurableSet.from_indices(sp, []).members.any()
+        from_indices(sp, indices)
+    assert from_indices(sp, [3, 0]).members.tolist() == [True, False, False, True]
+    assert not from_indices(sp, []).members.any()
 
 
 def test_dyadic_chain_shapes():
@@ -132,14 +131,14 @@ def test_dyadic_chain_shapes():
     chain = dyadic_chain(2, sp)
     assert [p.n_blocks for p in chain] == [1, 2, 4]
     assert [p.n_blocks for p in dyadic_chain(np.int64(2), sp)] == [1, 2, 4]
-    assert [sorted(map(tuple, p.blocks())) for p in chain] == [
+    assert [sorted(map(tuple, blocks(p))) for p in chain] == [
         [(0, 1, 2, 3)],
         [(0, 1), (2, 3)],
         [(0,), (1,), (2,), (3,)],
     ]
     chain8 = dyadic_chain(1, MeasureSpace.uniform(8))
-    assert [len(b) for b in chain8[0].blocks()] == [8]
-    assert [len(b) for b in chain8[1].blocks()] == [4, 4]
+    assert [len(b) for b in blocks(chain8[0])] == [8]
+    assert [len(b) for b in blocks(chain8[1])] == [4, 4]
     with pytest.raises(ValueError):
         dyadic_chain(3, sp)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import KINDS, dual_extreme_table, random_norm_spec
+from helpers import KINDS, dual_extreme_table, dual_norm, dual_spec, random_norm_spec
 from vmlab import normed_space
 from vmlab.normed_space import dual_extreme_blocks
 from vmlab.opt_engine import _BLOCK_BITS, sign_table
@@ -9,8 +9,6 @@ from vmlab import (
     CapacityExceeded,
     NormSpec,
     NotPolyhedral,
-    dual_norm,
-    dual_spec,
     norm,
 )
 

@@ -1,29 +1,36 @@
 import numpy as np
 import pytest
 
-from helpers import random_function, random_measure, random_norm_spec, random_space, spy_record_builds
+from helpers import (
+    dual_norm,
+    from_indices,
+    indicator,
+    koethe_dual_norm,
+    random_function,
+    random_measure,
+    random_norm_spec,
+    random_space,
+    rn_derivative,
+    scalarize,
+    spy_record_builds,
+)
 from vmlab import (
     MeasurableSet,
     MeasureSpace,
     NormSpec,
-    SimpleFunction,
     VectorMeasure,
     combine,
-    dual_norm,
     indicator_measure,
     integrate,
-    koethe_dual_norm,
     norm_exact,
     rank_one_measure,
-    rn_derivative,
     rn_derivatives,
-    scalarize,
 )
 
 
 def _set_value(m, A):
     """m(A), the integral of the indicator of A."""
-    return integrate(m, SimpleFunction.indicator(A))
+    return integrate(m, indicator(A))
 
 
 def _variation(m, xstar, A):
@@ -33,13 +40,13 @@ def _variation(m, xstar, A):
 
 def _semivariation(m, A):
     """Sup of the scalarized variations on A over the dual ball: the norm of chi_A."""
-    return norm_exact(m, SimpleFunction.indicator(A)).value
+    return norm_exact(m, indicator(A)).value
 
 
 def test_set_value_examples(s1):
     space, m = s1
     assert np.array_equal(_set_value(m, MeasurableSet(space, np.zeros(4, dtype=bool))), np.zeros(4))
-    A = MeasurableSet.from_indices(space, [0, 1])
+    A = from_indices(space, [0, 1])
     assert np.array_equal(_set_value(m, A), [1.0, 1.0, 0.0, 0.0])
     g = np.array([2.0, -1.0, 0.5, 0.0])
     mr = rank_one_measure(space, g)
