@@ -107,8 +107,10 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
 
 
 def _check_number(value, what: str, low=None, real: bool = False):
-    """Reject bools, non-numbers (non-integers unless ``real``), NaN, infinities and values < ``low``."""
-    number = not isinstance(value, bool) and isinstance(value, (int, float) if real else int)
+    """Reject bools, non-numbers (non-integers unless ``real``), NaN, infinities and values < ``low``.
+    numpy integers count as integers; ``np.bool_`` is no ``np.integer``, so it is refused too."""
+    integer = (int, np.integer)
+    number = not isinstance(value, bool) and isinstance(value, (*integer, float) if real else integer)
     if not number or not -np.inf < value < np.inf or (low is not None and not value >= low):
         bound = "" if low is None else f" >= {low}"
         raise ValidationError(f"{what} must be {'a finite real number' if real else 'an integer'}{bound}")

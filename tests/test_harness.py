@@ -568,6 +568,49 @@ def test_invalid_numeric_parameters_are_validation_errors(tmp_path, capsys, sect
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _numpy_integers(obj):
+    """``obj`` with every int in it, bools aside, made an ``np.int64``."""
+    if isinstance(obj, dict):
+        return {key: _numpy_integers(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_numpy_integers(value) for value in obj]
+    return np.int64(obj) if type(obj) is int else obj
+
+
+@pytest.mark.parametrize(
+    "preset, settings",
+    [
+        ("canonical-l1", {"seed": 5, "exact_cutoff": 12}),
+        ("random-measure", {"seed": 5, "restarts": 3}),
+        ("canonical-l1", {"kind": "series_gap", "seed": 5, "samples": 16}),
+        ("daugavet-sweep", {}),
+    ],
+)
+def test_numpy_integer_settings_build_the_same_report_as_ints(preset, settings):
+    # every int of the scenario: n, d, the measure seed, levels, sweep sizes and the settings
+    data = _preset(preset)
+    data["experiment"].update(settings)
+    if settings.get("kind") == "series_gap":
+        data["experiment"].pop("levels")
+    numpy_data = _numpy_integers(data)
+    assert type(numpy_data["space"]["n"]) is np.int64
+    texts = []
+    for scenario in (data, numpy_data):
+        report = run(build_scenario(scenario))
+        del report["metadata"]["wall_time_s"]
+        texts.append(dumps_report(report))
+    assert "error" not in json.loads(texts[0]) and texts[1] == texts[0]
+
+
+@pytest.mark.parametrize("section, key", [("space", "n"), ("experiment", "seed"), ("experiment", "restarts"),
+                                          ("value_space", "d"), ("measure", "seed")])
+def test_numpy_bools_are_no_integers(section, key):
+    data = _preset("random-measure")
+    data[section][key] = np.True_
+    with pytest.raises(ValidationError, match=key):
+        build_scenario(data)
+
+
 @pytest.mark.parametrize("flag, value", [("--exact-cutoff", "-1"), ("--tolerance", "-1e-10")])
 def test_cli_overrides_are_validation_errors(capsys, flag, value):
     # flag=value, since argparse reads a lone -1e-10 as an option; identity takes the tolerance

@@ -1,5 +1,7 @@
+import decimal
 import math
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +16,7 @@ SEEDS = [0, 1, 2**63 + 7, 2**64 - 1]
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
-    "k", [0, 1, 7, 4096, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5, 65535, 65536, 65537, 2**17 + 3]
+    "k", [0, 1, 7, 511, 513, 4096, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5, 65535, 65536, 65537, 2**17 + 3]
 )
 def test_normals_is_bitwise_the_scalar_stream(seed, k):
     batched, scalar = SplitMix64(seed), SplitMix64(seed)
@@ -93,6 +95,104 @@ def test_log_is_bitwise_math_log_on_2_to_the_20_draws(seed):
     expect = np.fromiter(map(math.log, u1.tolist()), np.float64, u1.size)
     mismatches = int(np.count_nonzero(_log(u1).view(np.uint64) != expect.view(np.uint64)))
     assert mismatches == 0
+
+
+def _cell_edges():
+    """The 513 edges of the reduction cells of ``_log``, c = 0.70703125 to 2c."""
+    return (rng._CELL_BASE + (np.arange(513, dtype=np.int64) << rng._CELL_SHIFT)).view(np.float64)
+
+
+def _reduced(u):
+    """(x, k) with u = x 2^k and x in [c, 2c), from math.frexp."""
+    pairs = [math.frexp(v) for v in u.tolist()]
+    pairs = [(2.0 * m, e - 1) if m < 0.70703125 else (m, e) for m, e in pairs]
+    return [m for m, _ in pairs], [e for _, e in pairs]
+
+
+def test_reduction_gives_t_exactly_at_every_cell_edge_and_inside_each_cell():
+    edges = _cell_edges()
+    gen = np.random.default_rng(37)
+    inside = edges[:-1, None] + (edges[1:] - edges[:-1])[:, None] * gen.random((512, 6))
+    x = np.concatenate([edges[:-1], np.nextafter(edges[1:], 0.0), inside.ravel()])
+    cells = np.concatenate([np.arange(512), np.arange(512), np.repeat(np.arange(512), 6)])
+    k = gen.integers(-1000, 1000, x.size)
+    k[:600] = 0
+    u = np.concatenate([np.ldexp(x, k), [5e-324, 3 * 5e-324, 2.0**-1022 - 2.0**-1074, 1.7976931348623157e308]])
+    assert u.size >= rng._LOG_CROSSOVER and np.all(np.ldexp(u[: x.size], -k) == x)
+    cell, K, _, t_hi, t_lo = rng._reduce(u, np.empty((7, u.size)))
+    r = rng._log_table()[0]
+    want_x, want_k = _reduced(u)
+    assert cell[: x.size].tolist() == cells.tolist()
+    assert K.tolist() == [e * rng._LN2_HI for e in want_k]
+    for xj, rj, hi, lo in zip(want_x, r[cell].tolist(), t_hi.tolist(), t_lo.tolist()):
+        assert Fraction(hi) + Fraction(lo) == Fraction(xj) * Fraction(rj) - 1
+        assert abs(hi) < (2.0**-9 if rj == 1.0 else 2.0**-10)
+
+
+def test_cell_logarithms_are_double_doubles_within_2_to_the_minus_100():
+    r, T_hi, T_lo = rng._log_table()
+    one = np.searchsorted(_cell_edges(), 1.0)  # the cell that starts at 1
+    assert np.flatnonzero(r == 1.0).tolist() == [one - 1, one]
+    assert T_hi[r == 1.0].tolist() == [0.0, 0.0] and not np.any(np.signbit(T_hi[r == 1.0]))
+    assert all(Fraction(v).numerator.bit_length() <= 24 for v in r.tolist())
+    assert np.all(np.abs(T_hi[r != 1.0]) > 2.0**-10)  # above |t|, for FastTwoSum
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        bound = decimal.Decimal(2) ** -100
+        for rj, hi, lo in zip(r.tolist(), T_hi.tolist(), T_lo.tolist()):
+            assert abs(decimal.Decimal(hi) + decimal.Decimal(lo) + decimal.Decimal(rj).ln()) <= bound
+        error = decimal.Decimal(rng._LN2_HI) + decimal.Decimal(rng._LN2_LO) - decimal.Decimal(2).ln()
+        assert abs(error) < decimal.Decimal(2) ** -89
+    assert Fraction(rng._LN2_HI).numerator.bit_length() <= 32  # so 1074 ln2_hi is exact
+
+
+def test_log_estimate_is_within_its_error_bound():
+    # |L - log u| <= E s on cell edges at several exponents, near 1 and on draws
+    edges = _cell_edges()
+    gen = np.random.default_rng(41)
+    near_one = np.concatenate([1.0 + gen.random(600) * 2.0**-9, 1.0 - gen.random(600) * 2.0**-10])
+    draws, _ = _uniform_pairs(3, 1000)
+    u = np.concatenate([np.ldexp(edges[:-1], k) for k in (0, -1, 1, -60, 1000)] + [near_one, draws])
+    out = np.empty(u.size)
+    residual = rng._estimate(u, out, np.empty((7, u.size)))
+    spacing = np.abs(out - np.nextafter(out, 0.0))
+    worst = 0.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for uj, d, res, s in zip(u.tolist(), out.tolist(), residual.tolist(), spacing.tolist()):
+            error = decimal.Decimal(d) + decimal.Decimal(res) - decimal.Decimal(uj).ln()
+            assert d != 0.0 or error == 0  # u = 1
+            worst = max(worst, float(abs(error)) / s) if d != 0.0 else worst
+    assert worst <= rng._LOG_ERROR, f"|L - log u| reached 2^{math.log2(worst):.2f} of the spacing"
+
+
+def test_log_is_bitwise_math_log_across_the_positive_doubles():
+    gen = np.random.default_rng(43)
+    u = np.concatenate([
+        [1.0, 5e-324, 2.0**-1022, 2.0**-1022 - 2.0**-1074, 1.7976931348623157e308],
+        np.ldexp(1.0, np.arange(-1074, 1024)),  # every power of two, the subnormal ones too
+        1.0 + np.arange(1, 2000) * 2.0**-52,
+        1.0 - np.arange(1, 2000) * 2.0**-53,
+        gen.integers(1, 1 << 52, 4096).view(np.float64),  # subnormals
+        gen.integers(1 << 52, 0x7FF0000000000000, 1 << 15).view(np.float64),  # normals, every exponent
+    ])
+    assert u.size >= rng._LOG_CROSSOVER and np.all(u > 0.0) and np.all(np.isfinite(u))
+    out = _log(u)
+    assert out.tobytes() == np.array([math.log(x) for x in u.tolist()]).tobytes()
+    assert out[0] == 0.0 and not np.signbit(out[0])  # log 1 = +0.0
+
+
+def test_normals_take_no_slice_sized_temporary_beside_the_workspace():
+    k = 65536
+    SplitMix64(9).normals(k)
+    tracemalloc.start()
+    try:
+        SplitMix64(9).normals(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    workspace = rng._NORMALS_ROWS * rng._NORMALS_SLICE * 8
+    assert peak - 8 * k - workspace < 8 * rng._NORMALS_SLICE, f"normals({k}) peaked at {peak} bytes"
 
 
 @pytest.mark.parametrize("seed", [1, 47])
