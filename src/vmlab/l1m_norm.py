@@ -330,21 +330,15 @@ def _enumerates_full_support(m: VectorMeasure) -> bool:
 def _ball_norms(m: VectorMeasure, F: np.ndarray, enumerates: bool) -> np.ndarray:
     """``norm_best`` of each row of F, bitwise.
 
-    With ``enumerates`` (``_enumerates_full_support``), rows without a zero
-    share one stacked exact sign search; every other row (a shrunken support,
-    a closed form or the heuristic) takes norm_best alone.
+    With ``enumerates`` (``_enumerates_full_support``) and no zero in F, the
+    rows share one stacked exact sign search; otherwise each row (a shrunken
+    support, a closed form or the heuristic) takes norm_best alone.
     """
     if enumerates and F.all():
         a = np.abs(F)[:, :, None] * m.atoms
         pattern, _ = best_sign_pattern(a, lambda sums: norm_rows(m.X, sums))
         return x_norm(m.X, np.matmul(pattern[:, None, :], a)[:, 0])
-    stacked = F.all(axis=1) & enumerates
-    out = np.empty(F.shape[0])
-    for r in (~stacked).nonzero()[0]:
-        out[r] = norm_best(m, SimpleFunction(m.space, F[r])).value
-    if stacked.any():
-        out[stacked] = _ball_norms(m, F[stacked], True)
-    return out
+    return np.array([norm_best(m, SimpleFunction(m.space, row)).value for row in F])
 
 
 def _koethe_supergradient(m: VectorMeasure, g: SimpleFunction, seed: int = 0):

@@ -279,9 +279,9 @@ class SplitMix64:
     def sign(self) -> float:
         return 1.0 if (self.next_u64() & 1) == 0 else -1.0
 
-    def _outputs(self, skip: int, count: int) -> np.ndarray:
-        """Outputs skip+1 .. skip+count from the current state, as uint64, state unchanged."""
-        z = np.arange(skip + 1, skip + count + 1, dtype=np.uint64)
+    def _outputs(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs, as uint64, state unchanged."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
         z *= np.uint64(_GAMMA)  # wraps mod 2**64
         z += np.uint64(self._state)
         return _mix(z, np.empty_like(z))
@@ -290,7 +290,7 @@ class SplitMix64:
         k = operator.index(k)  # a numpy integer times GAMMA would overflow int64
         if k > SIGNS_LIMIT:
             raise CapacityExceeded(f"{k} signs exceed the draw limit {SIGNS_LIMIT}")
-        out = 1.0 - 2.0 * (self._outputs(0, k) & np.uint64(1)).astype(np.float64)
+        out = 1.0 - 2.0 * (self._outputs(k) & np.uint64(1)).astype(np.float64)
         self._state = (self._state + k * _GAMMA) & _MASK
         return out
 

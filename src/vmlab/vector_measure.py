@@ -69,6 +69,10 @@ class Truncation:
 
     k: int
 
+    def __post_init__(self):  # a numpy integer k is kept as its int, as scenarios take it
+        if isinstance(self.k, np.integer):
+            object.__setattr__(self, "k", int(self.k))
+
     def build(self, space: MeasureSpace) -> np.ndarray:
         return truncate(np.eye(space.n), self.k)
 

@@ -60,15 +60,15 @@ def openblas_kernel() -> str:
 
 
 def numerics() -> str:
-    """The numpy, BLAS and its kernel, machine and Python that bitwise results depend on,
-    for failure messages."""
+    """The numpy, BLAS and its kernel, machine, libc and Python that bitwise results depend on,
+    for failure messages and the CI log."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 prints its configuration only
         blas = "unknown"
     return (
         f"numpy {np.__version__}, BLAS {blas}, kernel {openblas_kernel()}, "
-        f"{platform.machine()}, Python {platform.python_version()}"
+        f"{platform.machine()}, libc {' '.join(platform.libc_ver())}, Python {platform.python_version()}"
     )
 
 

@@ -43,15 +43,28 @@ def test_every_traced_target_resolves(name):
     assert callable(target), name
 
 
-def test_a_traced_nets_round_has_exact_norm_best_spans():
-    from vmlab import harness
+@pytest.fixture
+def run(monkeypatch):
+    """``bench/run.py``, with the modules it imports by top-level name registered for this test."""
+    for name in ("oracles", "workloads"):
+        monkeypatch.setitem(sys.modules, name, _bench_module(name))
+    monkeypatch.setitem(sys.modules, "spans", spans)
+    return _bench_module("run")
 
-    workloads = _bench_module("workloads")
+
+def test_a_traced_nets_round_has_exact_norm_best_spans(run):
+    # the traced rounds of ``bench/run.py --workload nets --seed 1 --trace 1``: nets
+    # take no hill climbing, and each norm_best call runs one exact engine
+    rounds = sys.modules["workloads"].generate("nets", 1)
     with spans.Tracer() as tracer:
-        for op in workloads.generate("nets", 1)[0]:
-            harness.dumps_report(harness.run(harness.build_scenario(op.scenario)))
+        executions = [e for i in range(run.TRACE_ROUNDS["nets"]) for e in run.run_round(rounds[i], i, tracer)]
+    assert [e.error for e in executions if e.error] == []
     best = [s for s in tracer.spans if s[1] == "l1m_norm.norm_best" and s[6] is None]
     assert any(s[8] in ("exact", "closed_form") for s in best), len(best)
+    calls = {name: value for name, (value, _) in spans.layer_metrics(tracer.spans).items() if name.endswith(".calls")}
+    assert calls["opt_engine.hill_climb.calls"] == calls["l1m_norm.norm_heuristic.calls"] == 0, calls
+    exact = calls["l1m_norm.norm_exact.calls"] + calls["l1m_norm.norm_closed_form.calls"]
+    assert 0 < calls["l1m_norm.norm_best.calls"] == exact, calls
 
 
 def test_the_lp_work_count_reads_the_row_array_program(monkeypatch):
@@ -88,15 +101,6 @@ GOLDEN = {
     (47, "operators"): "ad12f23166279755a87d62b92fc457600f2d0e27d1f614726ab3572a2d95db19",
     (47, "koethe"): "6fd81fd94ee8367551f2bd3f7be9b585dda771436f98bef33337d46414476b5e",
 }
-
-
-@pytest.fixture
-def run(monkeypatch):
-    """``bench/run.py``, with the modules it imports by top-level name registered for this test."""
-    for name in ("oracles", "workloads"):
-        monkeypatch.setitem(sys.modules, name, _bench_module(name))
-    monkeypatch.setitem(sys.modules, "spans", spans)
-    return _bench_module("run")
 
 
 @pytest.mark.parametrize("seed, workload", sorted(GOLDEN))

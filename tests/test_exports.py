@@ -9,23 +9,19 @@ call lives in ``tests/helpers.py``.  Docstrings do not count, and neither does a
 reference inside the name's own definition.
 
 A public function, property or classmethod in the body of an exported class
-counts as used when those sources, or the Python snippets of the tier-1
-workflow, read it as an attribute outside its own definition.  Attributes
-read on a module such as ``np`` do not count, nor do bare names: ``np.empty``
-or a local ``total`` says nothing of ``MeasurableSet.empty`` or a ``total``
-property.
+counts as used when those sources read it as an attribute outside its own
+definition.  Attributes read on a module such as ``np`` do not count, nor do
+bare names: ``np.empty`` or a local ``total`` says nothing of
+``MeasurableSet.empty`` or a ``total`` property.
 """
 
 import ast
-import re
-import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vmlab"
 SOURCES = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
 SOURCES += [*(ROOT / "bench").glob("*.py")]
-WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 MODULES = {"np", "numpy", "math", "sys", "os"}
 
 
@@ -109,8 +105,6 @@ def test_every_member_of_an_exported_class_is_used_outside_its_own_tests():
         for node in cls.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
-    snippets = re.findall(r"python3? -c '([^']*)'", WORKFLOW.read_text(encoding="utf-8"))
-    trees = [*map(_parse, SOURCES), *(ast.parse(textwrap.dedent(code)) for code in snippets)]
-    read = set().union(*(_AttributeReads(tree).found for tree in trees))
+    read = set().union(*(_AttributeReads(_parse(path)).found for path in SOURCES))
     unused = [member for member in members if member.rpartition(".")[2] not in read]
     assert unused == [], f"class members read only by their own tests: {sorted(unused)}"

@@ -56,7 +56,7 @@ _RANDOM_L1_OF_MU = dict(
     measure={"kind": "random", "seed": 3},
     functions=[[1.0, -2.0, 0.0, 3.0, 0.5, -1.0, 2.0, 1.0]],
 )
-# the random8 space and function of the tier-1 workflow's net step into
+# the space and function of random8, the net test scenario of test_harness.py, into
 # L1(mu): the expectation family's block values come from the atoms
 _RANDOM8_L1_OF_MU = dict(
     space={"n": 8, "weights": [0.5 + (i * 5 % 8) / 8 for i in range(8)]},

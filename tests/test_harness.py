@@ -121,30 +121,65 @@ def _spy_run_net(monkeypatch) -> list:
     return calls
 
 
-def test_default_block_tests_are_the_block_indicators_bitwise(monkeypatch):
+def _direct_net(m, experiment: dict):
+    """The net of a net experiment, from the library's net constructors."""
+    from vmlab import basis_net, dyadic_chain, martingale_net, rn_net
+
+    if experiment["kind"] == "basis":
+        return basis_net(m)
+    if "levels" not in experiment:
+        return rn_net(m)  # the coordinate family
+    chain = dyadic_chain(experiment["levels"], m.space)
+    return martingale_net(m, chain) if experiment["kind"] == "martingale" else rn_net(m, chain)
+
+
+# the indicator into l1-of-mu, and random atoms into L2 at d = n = 8 ("random8")
+_NET_SCENARIOS = {
+    "indicator8": {
+        "space": {"n": 8, "weights": [0.5 + (i * 3 % 8) / 8 for i in range(8)]},
+        "functions": [[(-1.0) ** i * (1 + i % 3) / 3 for i in range(8)]],
+    },
+    "random8": {
+        "space": {"n": 8, "weights": [0.5 + (i * 5 % 8) / 8 for i in range(8)]},
+        "value_space": {"kind": "L2", "d": 8, "scale": [1.0 + (i % 3) / 4 for i in range(8)]},
+        "measure": {"kind": "random", "seed": 3},
+        "functions": [[(-1.0) ** i * (1 + i % 3) / 16 for i in range(8)]],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NET_SCENARIOS))
+def test_default_block_tests_are_the_block_indicators_bitwise(monkeypatch, tmp_path, capsys, name):
+    # each net through the command line runs run_net on f and the finest-block
+    # indicators, and reports the rows of run_net called directly
     from helpers import blocks, from_indices, indicator
-    from vmlab import dyadic_chain
+    from vmlab import dyadic_chain, run_net
 
     calls = _spy_run_net(monkeypatch)
-    data = _preset("canonical-l1")
-    data["space"] = {"n": 8, "weights": [0.5 + (i * 3 % 8) / 8 for i in range(8)]}
-    data["functions"] = [[(-1.0) ** i * (1 + i % 3) / 3 for i in range(8)]]
+    data = {**_preset("canonical-l1"), **_NET_SCENARIOS[name]}
+    path = tmp_path / "scenario.json"
     experiments = [{"kind": "basis"}, {"kind": "rn_net", "family": "coordinate"}]
     for levels in range(4):
         experiments += [{"kind": "martingale", "levels": levels},
                         {"kind": "rn_net", "family": "expectation", "levels": levels}]
     for experiment in experiments:
         data["experiment"] = {**experiment, "seed": 3, "exact_cutoff": 12}
-        sc = build_scenario(data)
+        path.write_text(json.dumps(data))
         calls.clear()
-        assert "error" not in run(sc)
+        assert cli_main(["report", "--scenario", str(path)]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
         [(m, net, f, tests, kw)] = calls
-        assert m is sc.measure and f is sc.functions[0] and tests[0] is f
-        assert kw == {"exact_cutoff": 12, "seed": 3}
+        assert tests[0] is f and kw == {"exact_cutoff": 12, "seed": 3}
         finest = blocks(dyadic_chain(experiment["levels"], m.space)[-1]) if "levels" in experiment else []
         want = [indicator(from_indices(m.space, ids)) for ids in finest]
         assert len(tests) == 1 + len(want), experiment
         assert all(g.coeffs.tobytes() == w.coeffs.tobytes() for g, w in zip(tests[1:], want))
+        sc = build_scenario(data)
+        g, net = sc.functions[0], _direct_net(sc.measure, experiment)
+        # through the report writer, so that 0.0 reads back as 0 on both sides
+        direct = [[lv.index, lv.norm_gap, lv.deviation, lv.pointwise_gap, lv.weakstar_gap]
+                  for lv in run_net(sc.measure, net, g, tests=[g, *want], **kw).levels]
+        assert rows and repr(rows) == repr(json.loads(dumps_report(direct))), experiment
 
 
 def test_validation_unknown_keys():
@@ -577,19 +612,25 @@ def _numpy_integers(obj):
     return np.int64(obj) if type(obj) is int else obj
 
 
+_COMPOSED_INDICATOR = {"kind": "composed", "base": {"kind": "indicator"}, "k": 2}
+
+
 @pytest.mark.parametrize(
-    "preset, settings",
+    "preset, settings, measure",
     [
-        ("canonical-l1", {"seed": 5, "exact_cutoff": 12}),
-        ("random-measure", {"seed": 5, "restarts": 3}),
-        ("canonical-l1", {"kind": "series_gap", "seed": 5, "samples": 16}),
-        ("daugavet-sweep", {}),
+        ("canonical-l1", {"seed": 5, "exact_cutoff": 12}, None),
+        ("random-measure", {"seed": 5, "restarts": 3}, None),
+        ("canonical-l1", {"kind": "series_gap", "seed": 5, "samples": 16}, None),
+        ("daugavet-sweep", {}, None),
+        ("canonical-l1", {}, _COMPOSED_INDICATOR),
     ],
 )
-def test_numpy_integer_settings_build_the_same_report_as_ints(preset, settings):
-    # every int of the scenario: n, d, the measure seed, levels, sweep sizes and the settings
+def test_numpy_integer_settings_build_the_same_report_as_ints(preset, settings, measure):
+    # every int of the scenario: n, d, the measure seed, levels, sweep sizes, the
+    # composed measure's k and the settings
     data = _preset(preset)
     data["experiment"].update(settings)
+    data["measure"] = measure or data["measure"]
     if settings.get("kind") == "series_gap":
         data["experiment"].pop("levels")
     numpy_data = _numpy_integers(data)
@@ -603,9 +644,11 @@ def test_numpy_integer_settings_build_the_same_report_as_ints(preset, settings):
 
 
 @pytest.mark.parametrize("section, key", [("space", "n"), ("experiment", "seed"), ("experiment", "restarts"),
-                                          ("value_space", "d"), ("measure", "seed")])
+                                          ("value_space", "d"), ("measure", "seed"), ("measure", "k")])
 def test_numpy_bools_are_no_integers(section, key):
     data = _preset("random-measure")
+    if key == "k":
+        data = {**_preset("canonical-l1"), "measure": dict(_COMPOSED_INDICATOR)}
     data[section][key] = np.True_
     with pytest.raises(ValidationError, match=key):
         build_scenario(data)
@@ -697,21 +740,56 @@ def test_norm_table_fallback_uses_experiment_seed_and_restarts():
         assert row[1] == row[3]
 
 
-def test_rn_net_expectation_matches_martingale_table():
-    data = _preset("canonical-l1")
-    data["experiment"] = {"kind": "rn_net", "family": "expectation", "levels": 2}
-    rn_rows = run(build_scenario(data))["results"]["rows"]
-    martingale_rows = run(build_scenario(PRESETS["canonical-l1"]))["results"]["rows"]
-    assert rn_rows == martingale_rows
+def _net_rows(tmp_path, capsys, data: dict, *argvs) -> list:
+    """The report rows of each ``vmlab`` argv on the scenario ``data``."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    rows = []
+    for argv in argvs:
+        assert cli_main([*argv, "--scenario", str(path)]) == 0
+        rows.append(json.loads(capsys.readouterr().out)["results"]["rows"])
+    return rows
 
 
-def test_rn_net_coordinate_runner():
-    data = _preset("schauder")
-    data["experiment"] = {"kind": "rn_net", "family": "coordinate"}
-    report = run(build_scenario(data))
-    rows = report["results"]["rows"]
-    assert len(rows) == 4
-    assert rows[-1][1:] == pytest.approx([0.0, 0.0, 0.0, 0.0], abs=1e-12)
+_UNIFORM64 = {
+    "space": {"n": 64, "weights": "uniform"},
+    "functions": [[(-1.0) ** i * (i % 5) / 3 for i in range(64)]],
+    "experiment": {"kind": "martingale", "levels": 6},
+}
+
+
+@pytest.mark.parametrize("edit", [{}, _UNIFORM64], ids=["canonical-l1", "indicator64"])
+def test_rn_net_expectation_matches_martingale_table(tmp_path, capsys, edit):
+    # the indicator into l1-of-mu on uniform atoms: both nets read their rows from
+    # block means, and the last level is the indicator measure itself
+    data = {**_preset("canonical-l1"), **edit}
+    levels = data["experiment"]["levels"]
+    rn_rows, martingale_rows = _net_rows(
+        tmp_path, capsys, data, ["converge", "rn", "--family", "expectation", "--levels", str(levels)],
+        ["converge", "martingale", "--levels", str(levels)],
+    )
+    assert len(martingale_rows) == levels + 1 and rn_rows == martingale_rows
+    assert martingale_rows[-1][1] == martingale_rows[-1][3] == 0.0  # norm_gap, pointwise_gap
+
+
+_INDICATOR64 = {
+    "space": {"n": 64, "weights": [0.5 + (i * 37 % 64) / 64 for i in range(64)]},
+    "functions": [[(-1.0) ** i * (i % 5) / 3 for i in range(64)]],
+    "experiment": {"kind": "basis"},
+}
+
+
+@pytest.mark.parametrize("preset, edit", [("schauder", {}), ("canonical-l1", _INDICATOR64)],
+                         ids=["schauder", "indicator64"])
+def test_rn_net_coordinate_runner(tmp_path, capsys, preset, edit):
+    # the coordinate family gives the basis net's rows; of the indicator into
+    # l1-of-mu both read them from suffix sums
+    data = {**_preset(preset), **edit}
+    coordinate, basis = _net_rows(
+        tmp_path, capsys, data, ["converge", "rn", "--family", "coordinate"], ["converge", "basis"]
+    )
+    assert len(coordinate) == data["space"]["n"] and coordinate == basis
+    assert coordinate[-1][1:] == pytest.approx([0.0, 0.0, 0.0, 0.0], abs=1e-12)
 
 
 def test_series_gap_runner():

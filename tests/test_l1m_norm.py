@@ -953,20 +953,23 @@ def test_engines_are_looked_up_at_call_time(monkeypatch):
     assert norm_best(m_large, SimpleFunction(large, rng.normal(size=17))).method == HEURISTIC
     assert (len(exact_calls), len(heuristic_calls)) == (1, 1)
     F = rng.normal(size=(3, 6))
-    F[0, 2] = 0.0  # a shrunken support takes norm_best, and so norm_exact, alone
+    F[0, 2] = 0.0  # a zero in F sends each of its 3 rows to norm_best, and so to norm_exact, alone
     l1m_norm._ball_norms(m_small, F, l1m_norm._enumerates_full_support(m_small))
     l1m_norm._ball_norms(m_large, rng.normal(size=(2, 17)), l1m_norm._enumerates_full_support(m_large))
-    assert (len(exact_calls), len(heuristic_calls)) == (2, 3)
+    assert (len(exact_calls), len(heuristic_calls)) == (4, 3)
 
 
 def test_ball_norms_ask_the_table_beyond_the_corner_limit():
-    # L1 with d = 21 and mixed rows: the closed form refuses, so full-support
-    # rows share the stacked enumeration
+    # L1 with d = 21: the closed form refuses, so rows without a zero share the
+    # stacked enumeration, and with a zero in F each row takes norm_best alone
     rng = np.random.default_rng(58)
     space = random_space(rng, 8)
     m = random_measure(rng, space, NormSpec(KINDS[0], 21, rng.uniform(0.5, 2.0, size=21)))
-    F = rng.normal(size=(5, 8))
-    F[1, 3] = 0.0
-    got = l1m_norm._ball_norms(m, F, l1m_norm._enumerates_full_support(m))
-    want = [norm_best(m, SimpleFunction(space, row)).value for row in F]
-    assert got.tobytes() == np.array(want).tobytes()
+    full = rng.normal(size=(5, 8))
+    mixed = full.copy()
+    mixed[1, 3] = 0.0
+    assert l1m_norm._enumerates_full_support(m)
+    for F in (full, mixed):
+        got = l1m_norm._ball_norms(m, F, True)
+        want = [norm_best(m, SimpleFunction(space, row)).value for row in F]
+        assert got.tobytes() == np.array(want).tobytes()
