@@ -55,7 +55,6 @@ from .opt_engine import (
 )
 from .approx_nets import (
     NetLevelStats,
-    NetReport,
     associated_measure,
     basis_net,
     basis_truncated_measure,

@@ -25,10 +25,10 @@ one level alive rather than the whole net:
 the pointwise integration gap, and a weak* gap over the coordinate probe
 functionals, which together witness or refute convergence of the net.
 Against the indicator measure into L1(mu), levels recorded as its
-truncations read their rows from suffix sums, O(n) per net and exact at any
-n; its averages over blocks of one weight read theirs from block means,
-O(n + T n) per level for T test functions; no norm engine runs and no level
-builds its atoms for either.
+truncations read their rows from suffix sums, O(B n) per net for f and B
+block indicators as test functions, exact at any n; its averages over blocks
+of one weight read theirs from block means, O(B n) per level; no norm engine
+runs and no level builds its atoms for either.
 """
 
 from __future__ import annotations
@@ -112,15 +112,15 @@ def expectation_family(m: VectorMeasure, p: Partition):
     return xstars, [members @ m.atoms for members in blocks]  # the values m(B)
 
 
-def _max_pairing(diff: np.ndarray, weights: np.ndarray, tests: Sequence[SimpleFunction]) -> float:
-    """max over rows of diff and test functions of | sum_i f_i diff_i mu_i |.
+def _max_pairing(diff: np.ndarray, weights: np.ndarray, family) -> float:
+    """max over rows of diff and coefficient rows f of ``family`` of | sum_i f_i diff_i mu_i |.
 
     Each row sum runs over the contiguous last axis, so it has the bits of the
     1-D ``np.sum`` of that row alone.
     """
     gap = 0.0
-    for f in tests:
-        row_gaps = np.abs(np.sum(f.coeffs * diff * weights, axis=1))
+    for coeffs in family:
+        row_gaps = np.abs(np.sum(coeffs * diff * weights, axis=1))
         gap = max(gap, float(np.max(row_gaps, initial=0.0)))
     return gap
 
@@ -138,7 +138,7 @@ def weakstar_gap(
     if not same_setting(m, m1):
         raise ValueError("measures live on different spaces or value spaces")
     diff = rn_derivatives(m1, xstars) - rn_derivatives(m, xstars)
-    return _max_pairing(diff, m.space.weights, tests)
+    return _max_pairing(diff, m.space.weights, [t.coeffs for t in tests])
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,6 @@ class NetLevelStats:
     deviation: float
     pointwise_gap: float
     weakstar_gap: float
-
-
-@dataclass(frozen=True)
-class NetReport:
-    levels: tuple
 
 
 def martingale_net(m: VectorMeasure, partitions: Iterable[Partition]) -> Iterator[VectorMeasure]:
@@ -191,62 +186,66 @@ def _coordinate_densities(m: VectorMeasure) -> np.ndarray:
     return densities
 
 
-def _truncation_tails(w: np.ndarray, f: SimpleFunction, tests: Sequence[SimpleFunction]):
+def _truncation_tails(w: np.ndarray, family: np.ndarray):
     """Rows of the rank-k truncations of the indicator measure into L1(mu): the
-    three gaps are tail[k] = sum_{i >= k} |f_i| w_i, the weak* gap is wtail[k] =
-    max over tests t and j >= k of |(t_j (1/w_j)) w_j|, the one nonzero term of
-    a dense pairing row, with its bits; k = 0..n, both 0 at n."""
+    three gaps are tail[k] = sum_{i >= k} |f_i| w_i, f = family[0], the weak* gap
+    is wtail[k] = max over rows t of ``family`` and j >= k of |(t_j (1/w_j)) w_j|,
+    the one nonzero term of a dense pairing row, with its bits; k = 0..n, both 0 at n."""
     tail = np.zeros(w.size + 1)
-    tail[:-1] = np.cumsum((np.abs(f.coeffs) * w)[::-1])[::-1]
+    tail[:-1] = np.cumsum((np.abs(family[0]) * w)[::-1])[::-1]
     wtail = np.zeros(w.size + 1)
-    for t in tests:
-        np.maximum(wtail[:-1], np.abs(t.coeffs * (1.0 / w) * w), out=wtail[:-1])
+    wtail[:-1] = np.max(np.abs(family * (1.0 / w) * w), axis=0)
     wtail[:-1] = np.maximum.accumulate(wtail[-2::-1])[::-1]
     return tail.tolist(), wtail.tolist()
 
 
-def _expectation_row(X: NormSpec, p: Partition, f: SimpleFunction, stack: np.ndarray):
+def _expectation_row(X: NormSpec, p: Partition, f: SimpleFunction, family: np.ndarray):
     """Deviation (the block closed form), pointwise gap || f - E_p f || and weak* gap
-    max_{t, j} |(E_p t)_j - t_j| of the level A |-> E_p chi_A, every block of one
-    weight; the rows of ``stack`` are f and the tests, their block means unweighted."""
-    rows, n_blocks = stack.shape[0], p.n_blocks
+    max_{t, j} |(E_p t)_j - t_j| over the rows t of ``family`` (f its row 0) of the
+    level A |-> E_p chi_A, every block of one weight; the block means are unweighted."""
+    rows, n_blocks = family.shape[0], p.n_blocks
     cells = (np.arange(rows)[:, None] * n_blocks + p.block_of).ravel()
-    sums = np.bincount(cells, weights=stack.ravel(), minlength=rows * n_blocks)
+    sums = np.bincount(cells, weights=family.ravel(), minlength=rows * n_blocks)
     means = sums.reshape(rows, n_blocks) / np.bincount(p.block_of, minlength=n_blocks)
-    gaps = means[:, p.block_of] - stack  # exactly 0 on a singleton block
-    weakstar = float(np.max(np.abs(gaps[1:]), initial=0.0))
-    return _norm_block_closed_form(p, f), x_norm(X, gaps[0]), weakstar
+    gaps = means[:, p.block_of] - family  # exactly 0 on a singleton block
+    return _norm_block_closed_form(p, f), x_norm(X, gaps[0]), float(np.max(np.abs(gaps)))
 
 
 def run_net(
     m: VectorMeasure,
     net: Iterable[VectorMeasure],
     f: SimpleFunction,
-    tests: Optional[Sequence[SimpleFunction]] = None,
+    blocks: Optional[Partition] = None,
     exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
     restarts: int = 8,
     seed: int = 0,
-) -> NetReport:
-    """Convergence diagnostics of a net of measures against its target.
+) -> tuple:
+    """Convergence diagnostics of a net of measures against its target: one
+    ``NetLevelStats`` per level, in a tuple.
 
     Per level: the norm gap | ||f||_level - ||f||_m |, the deviation
     seminorm (which always dominates the norm gap), the pointwise gap
     || I_m f - I_level f ||_X, and the largest weak* gap over the coordinate
-    probe functionals evaluated on the test family (defaults to {f}).  The
-    net is read one level at a time; the target's densities, norm and
+    probe functionals evaluated on the test family: f and, given ``blocks``,
+    the indicator of each of its blocks, built once as the rows of one array.
+    The net is read one level at a time; the target's densities, norm and
     integral are computed once per net, on the first level that needs them,
     so a net of closed rows never reads the target's atoms.  Against the
     indicator measure into L1(mu), levels recorded as its truncations read
     their rows from ``_truncation_tails``, and its averages over blocks of
     one weight from ``_expectation_row``.
     """
-    tests = [f] if tests is None else tests
+    if blocks is not None and not same_space(m.space, blocks.space):
+        raise ValueError("partition lives on a different space")
+    family = np.zeros((1 + (0 if blocks is None else blocks.n_blocks), m.space.n))
+    family[0] = f.coeffs
+    if blocks is not None:
+        family[1 + blocks.block_of, np.arange(m.space.n)] = 1.0
     kw = dict(exact_cutoff=exact_cutoff, restarts=restarts, seed=seed)
     target = None  # densities, norm of f and I_m f, read on the first dense level
     closed = isinstance(m.record, Indicator) and same_norm(m.X, NormSpec.l1_of_mu(m.space))
     if closed:
-        tail, wtail = _truncation_tails(m.space.weights, f, tests)
-        stack = np.array([f.coeffs, *(t.coeffs for t in tests)])
+        tail, wtail = _truncation_tails(m.space.weights, family)
     levels = []
     for idx, m_level in enumerate(net):
         if not same_setting(m, m_level):
@@ -255,9 +254,9 @@ def run_net(
             k = m_level.record.k
             levels.append(NetLevelStats(idx, tail[k], tail[k], tail[k], wtail[k]))
             continue
-        if (p := _block_partition(m, m_level)) is not None:  # implies closed: stack is set
+        if (p := _block_partition(m, m_level)) is not None:
             # the level's atoms are nonnegative, so its norm of f is the target's
-            levels.append(NetLevelStats(idx, 0.0, *_expectation_row(m.X, p, f, stack)))
+            levels.append(NetLevelStats(idx, 0.0, *_expectation_row(m.X, p, f, family)))
             continue
         if target is None:
             target = _coordinate_densities(m), norm_best(m, f, **kw).value, integrate(m, f)
@@ -265,6 +264,6 @@ def run_net(
         level_norm = norm_best(m_level, f, **kw).value
         dev = deviation_seminorm(m, m_level, f, **kw)
         pointwise = x_norm(m.X, target_value - integrate(m_level, f))
-        wsgap = _max_pairing(_coordinate_densities(m_level) - phi, m.space.weights, tests)
+        wsgap = _max_pairing(_coordinate_densities(m_level) - phi, m.space.weights, family)
         levels.append(NetLevelStats(idx, abs(level_norm - target_norm), dev, pointwise, wsgap))
-    return NetReport(tuple(levels))
+    return tuple(levels)

@@ -10,13 +10,14 @@
 
 Common flags: --scenario (path or preset name), --out, --format {json,csv}.
 A subcommand has the ``_FLAGS`` of the settings its kinds read in
-``EXPERIMENTS``; report those (seed, exact_cutoff, tolerance) that another
-subcommand keeps from the file.  Every flag given goes into the experiment
-section before the one build, and ``harness.run`` takes only the scenario, so
-the report's echoed scenario reruns it.  Exit codes: 0 success; 1 validation,
-parse, usage or write error, or a report error section (such as a
-floating-point overflow); 2 capacity error (recorded in the report).
-Any report error section is also named on stderr: ``error: TYPE: MESSAGE``.
+``EXPERIMENTS``, and keeps the file's experiment section when its kind (and
+rn_net family) is the file's; else of it only the seed, exact_cutoff and
+tolerance its kind takes, report's flags.  Every flag given goes into the
+experiment section before the one build, and ``harness.run`` takes only the
+scenario, so the report's echoed scenario reruns it.  Exit codes: 0 success;
+1 validation, parse, usage or write error, or a report error section (such as
+a floating-point overflow); 2 capacity error (recorded in the report).  Any
+report error section is also named on stderr: ``error: TYPE: MESSAGE``.
 """
 
 from __future__ import annotations
@@ -103,10 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _experiment(args, raw: dict) -> dict:
     """The experiment section a run records, every flag given copied in.
 
-    ``report`` keeps the scenario's section; another subcommand replaces it,
-    keeping those of the file's ``seed``, ``exact_cutoff`` and ``tolerance``
-    that the new kind takes.  Harness validation rejects flags the kind does
-    not take.
+    ``report``, and a subcommand of the scenario's own kind and rn_net family,
+    keep the scenario's section; a subcommand of another replaces it, keeping
+    those of the file's ``seed``, ``exact_cutoff`` and ``tolerance`` that the
+    new kind takes.  Harness validation rejects flags the kind does not take.
     """
     exp = raw.get("experiment")
     exp = exp if isinstance(exp, dict) else {}
@@ -114,8 +115,11 @@ def _experiment(args, raw: dict) -> dict:
         kind = args.command.replace("-", "_")
         if kind == "converge":
             kind = "rn_net" if args.net == "rn" else args.net
-        kept = _KEPT & EXPERIMENTS[kind][1].keys()
-        exp = {**{k: v for k, v in exp.items() if k in kept}, "kind": kind}
+        defaults = EXPERIMENTS[kind][1]
+        switched = getattr(args, "family", None) not in (None, exp.get("family", defaults.get("family")))
+        if exp.get("kind") != kind or switched:  # of rn_net, the family is part of the kind
+            kept = _KEPT & defaults.keys()
+            exp = {**{k: v for k, v in exp.items() if k in kept}, "kind": kind}
     keys = {key for _, params in EXPERIMENTS.values() for key in params}
     return {**exp, **{k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}}
 

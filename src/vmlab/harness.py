@@ -31,8 +31,8 @@ engines, ``seed`` of series_gap to its sampled family:
 The three net kinds share one runner, which runs the kind's net on f =
 functions[0], one row per level.  Its weak* test family is f alone or, when
 the kind takes ``levels`` (martingale, and rn_net's expectation family, whose
-nets run over the dyadic chain of that depth), f followed by the indicator
-of each finest block.
+nets run over the dyadic chain of that depth), f and the indicator of each
+block of the chain's finest partition, which the runner passes as it is.
 
 A ``Scenario`` holds the raw object (only echoed), the measure (its ``space``
 and ``X`` are the scenario's), the functions and the checked experiment,
@@ -139,7 +139,7 @@ def _finite_array(value, shape: tuple, message: str) -> np.ndarray:
 
 
 def _check_sign(value, what: str):
-    if isinstance(value, bool) or value not in (-1, 1):
+    if isinstance(value, (bool, np.bool_)) or value not in (-1, 1):
         raise ValidationError(f"{what} must be -1 or 1")
 
 
@@ -316,12 +316,9 @@ def _run_net(sc: Scenario, exp: dict) -> dict:
         net = basis_net(m)
     else:
         net = (martingale_net if exp["kind"] == "martingale" else rn_net)(m, chain)
-    tests = [f]
-    if chain is not None:
-        members = chain[-1].block_of == np.arange(chain[-1].n_blocks)[:, None]
-        tests.extend(SimpleFunction(m.space, chi) for chi in members)
-    report = run_net(m, net, f, tests=tests, exact_cutoff=exp["exact_cutoff"], seed=exp["seed"])
-    rows = [[lv.index, lv.norm_gap, lv.deviation, lv.pointwise_gap, lv.weakstar_gap] for lv in report.levels]
+    blocks = None if chain is None else chain[-1]
+    levels = run_net(m, net, f, blocks=blocks, exact_cutoff=exp["exact_cutoff"], seed=exp["seed"])
+    rows = [[lv.index, lv.norm_gap, lv.deviation, lv.pointwise_gap, lv.weakstar_gap] for lv in levels]
     return {"columns": ["level", "norm_gap", "deviation", "pointwise_gap", "weakstar_gap"], "rows": rows}
 
 

@@ -128,13 +128,13 @@ def test_criterion_04_martingale_convergence():
             coeffs = np.zeros(n)
             coeffs[0] = 1.0
             f = SimpleFunction(space, coeffs)
-            report = run_net(m, martingale_net(m, chain), f)
-            assert report.levels[-1].pointwise_gap == 0.0
-            assert report.levels[-1].norm_gap == 0.0
-            for stats in report.levels:
+            levels = run_net(m, martingale_net(m, chain), f)
+            assert levels[-1].pointwise_gap == 0.0
+            assert levels[-1].norm_gap == 0.0
+            for stats in levels:
                 assert stats.norm_gap <= stats.deviation + 1e-10
             if n == 4:
-                assert report.levels[1].pointwise_gap == 0.25
+                assert levels[1].pointwise_gap == 0.25
         assert c.elapsed < 5.0
 
 

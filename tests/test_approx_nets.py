@@ -285,8 +285,7 @@ def test_weakstar_gap_examples(s1):
 
 def test_run_net_trivial(s1, f1):
     _, m = s1
-    report = run_net(m, [m, m, m], f1)
-    for stats in report.levels:
+    for stats in run_net(m, [m, m, m], f1):
         assert stats.norm_gap == 0.0
         assert stats.deviation == 0.0
         assert stats.pointwise_gap == 0.0
@@ -297,17 +296,18 @@ def test_run_net_canonical_martingale(s1):
     space, m = s1
     chain = dyadic_chain(2, space)
     f = SimpleFunction(space, [1.0, 0.0, 0.0, 0.0])
-    report = run_net(m, martingale_net(m, chain), f)
-    assert [lv.pointwise_gap for lv in report.levels] == pytest.approx([0.375, 0.25, 0.0], abs=1e-15)
-    assert [lv.norm_gap for lv in report.levels] == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
-    assert report.levels[-1].deviation == 0.0
+    levels = run_net(m, martingale_net(m, chain), f)
+    assert [lv.pointwise_gap for lv in levels] == pytest.approx([0.375, 0.25, 0.0], abs=1e-15)
+    assert [lv.norm_gap for lv in levels] == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
+    assert levels[-1].deviation == 0.0
 
 
 def test_run_net_basis_on_s2(s2):
     space2, m2 = s2
     f = SimpleFunction(space2, [3.0, -4.0])
-    report = run_net(m2, basis_net(m2), f)
-    assert [lv.norm_gap for lv in report.levels] == pytest.approx([1.0, 0.0], abs=1e-15)
+    levels = run_net(m2, basis_net(m2), f)
+    assert isinstance(levels, tuple)
+    assert [lv.norm_gap for lv in levels] == pytest.approx([1.0, 0.0], abs=1e-15)
 
 
 def test_basis_net_norm_one_inclusion_and_monotone():
@@ -378,6 +378,7 @@ def _reference_weakstar_gap(m, m1, probes, tests):
 
 
 def _block_tests(space, f, p):
+    """The test family of ``run_net(..., blocks=p)``, one SimpleFunction per test: the oracle's."""
     sets = [from_indices(space, ids) for ids in blocks(p)]
     return [f] + [indicator(A) for A in sets]
 
@@ -405,9 +406,9 @@ def test_run_net_weakstar_column_is_bitwise_the_per_probe_loop(kind):
         tests = _block_tests(space, f, chain[-1])
         probes = np.eye(m.X.dim)
         for name, net in _nets(m, chain).items():
-            report = run_net(m, net, f, tests=tests, restarts=1)
+            levels = run_net(m, net, f, blocks=chain[-1], restarts=1)
             expected = [_reference_weakstar_gap(m, lv, probes, tests) for lv in net]
-            assert [lv.weakstar_gap for lv in report.levels] == expected, (kind, n, name)
+            assert [lv.weakstar_gap for lv in levels] == expected, (kind, n, name)
             assert any(v > 0.0 for v in expected), (kind, n, name)
 
 
@@ -430,7 +431,7 @@ def test_run_net_default_probes_have_the_product_bits():
         f = random_function(rng, space)
         net = list(basis_net(m))
         expected = [weakstar_gap(m, lv, np.eye(d), [f]) for lv in net]
-        assert [lv.weakstar_gap for lv in run_net(m, net, f, restarts=1).levels] == expected
+        assert [lv.weakstar_gap for lv in run_net(m, net, f, restarts=1)] == expected
 
 
 def test_weakstar_gap_stack_matches_per_probe_loop_on_dense_probes():
@@ -462,14 +463,20 @@ def test_weakstar_gap_probe_edge_cases(s1, f1, probes):
         assert gaps == [0.0, 0.0, 0.0]
 
 
-def test_run_net_empty_tests_and_weakstar_gap_wrong_probe_length(s1, f1):
+def test_weakstar_gap_wrong_probe_length(s1, f1):
     space, m = s1
     net = list(martingale_net(m, dyadic_chain(2, space)))
-    assert [lv.weakstar_gap for lv in run_net(m, net, f1, tests=[]).levels] == [0.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="dimension 4"):
         weakstar_gap(m, net[0], [np.ones(3)], [f1])
     with pytest.raises(ValueError, match="dimension 4"):
         weakstar_gap(m, net[0], np.ones(5), [f1])
+
+
+def test_run_net_refuses_blocks_of_another_space(s1, f1):
+    _, m = s1
+    for other in (MeasureSpace.uniform(8), MeasureSpace(np.array([0.1, 0.2, 0.3, 0.4]))):
+        with pytest.raises(ValueError, match="different space"):
+            run_net(m, [m], f1, blocks=Partition(other, np.arange(other.n) // 2))
 
 
 def test_rn_operator_functionals_are_bitwise_the_stacked_derivatives():
@@ -541,17 +548,17 @@ def test_a_streamed_basis_net_run_keeps_few_levels_alive():
             yield level
 
     streamed, kept = [], []
-    report = run_net(m, watched(streamed), f)
+    rows = run_net(m, watched(streamed), f)
     levels = list(watched(kept))  # a reader that keeps every level
-    assert len(report.levels) == len(levels) == 128
+    assert len(rows) == len(levels) == 128
     assert kept == list(range(128))  # the probe sees levels that are kept
     assert max(streamed) <= 1, streamed  # only the level run_net is on
 
 
-def _dense_levels(m, net, f, tests):
+def _dense_levels(m, net, f, blocks):
     """run_net over the same levels rebuilt without their records: every level takes the dense path."""
     plain = [VectorMeasure(level.space, level.X, level.atoms) for level in net]
-    return run_net(m, plain, f, tests=tests, restarts=1).levels
+    return run_net(m, plain, f, blocks=blocks, restarts=1)
 
 
 def _tied_function(rng, space):
@@ -571,17 +578,18 @@ def test_truncation_rows_of_the_indicator_match_the_dense_path(n, weights):
     m = indicator_measure(space)
     f = _tied_function(rng, space)
     a = np.abs(f.coeffs) * space.weights
-    families = {"empty": [], "default": None, "several": [f, _tied_function(rng, space), random_function(rng, space)]}
+    # three scattered blocks (fewer when n < 3)
+    families = {"default": None, "blocks": Partition(space, rng.permutation(n) % 3)}
     # the coordinate net builds its levels by matrix products, O(n^4) in all,
     # and a dense n = 256 reference takes about half a second
     nets = {"basis": basis_net, "coordinate": rn_net}
     if n == 256:
-        nets, families = {"basis": basis_net}, {"several": families["several"]}
-    for name, tests in families.items():
+        nets, families = {"basis": basis_net}, {"blocks": families["blocks"]}
+    for name, blocks in families.items():
         rows = {}
         for net_name, make in nets.items():
-            closed = rows[net_name] = run_net(m, make(m), f, tests=tests).levels
-            dense = _dense_levels(m, make(m), f, tests)
+            closed = rows[net_name] = run_net(m, make(m), f, blocks=blocks)
+            dense = _dense_levels(m, make(m), f, blocks)
             for got, want in zip(closed, dense, strict=True):
                 assert got.weakstar_gap == want.weakstar_gap, (name, net_name, got.index)
                 for column in ("norm_gap", "deviation", "pointwise_gap"):
@@ -604,9 +612,8 @@ def test_the_truncation_record_keeps_other_rows_bitwise():
     for m in (indicator_measure(space, NormSpec("L2", 12, rng.uniform(0.5, 2.0, size=12))),
               random_measure(rng, space, NormSpec.l1_of_mu(space))):
         for net in (list(basis_net(m)), list(rn_net(m)), list(martingale_net(m, chain))):
-            tests = _block_tests(space, f, chain[-1])
-            got = run_net(m, net, f, tests=tests, restarts=1).levels
-            assert got == _dense_levels(m, net, f, tests)
+            got = run_net(m, net, f, blocks=chain[-1], restarts=1)
+            assert got == _dense_levels(m, net, f, chain[-1])
 
 
 def _spy(monkeypatch, calls, owner, name):
@@ -638,8 +645,7 @@ def test_an_indicator_basis_run_net_calls_no_engine_per_level(monkeypatch):
     m = indicator_measure(space)
     f = _tied_function(np.random.default_rng(25), space)
     calls = _spy_engines(monkeypatch)
-    report = run_net(m, basis_net(m), f)
-    assert len(report.levels) == 64
+    assert len(run_net(m, basis_net(m), f)) == 64
     # every level is closed, so not even the target's norm, value or densities are read
     assert calls == {}
 
@@ -661,15 +667,15 @@ def test_expectation_rows_of_the_indicator_match_the_dense_path(n, weights):
     m = indicator_measure(space)
     f = _tied_function(rng, space)
     chain = dyadic_chain(n.bit_length() - 1, space)  # down to the singletons: it reaches m
-    families = {"empty": [], "default": None, "blocks": _block_tests(space, f, chain[-1])}
+    families = {"default": None, "blocks": chain[-1]}
     if n == 256:  # a dense reference over the 257 block tests takes about 2 s
         families = {"default": None}
-    for name, tests in families.items():
+    for name, blocks in families.items():
         rows = {}
         for net_name, make in (("martingale", martingale_net), ("expectation", rn_net)):
             levels = list(make(m, chain))
-            closed = rows[net_name] = run_net(m, levels, f, tests=tests, restarts=1).levels
-            dense = _dense_levels(m, levels, f, tests)
+            closed = rows[net_name] = run_net(m, levels, f, blocks=blocks, restarts=1)
+            dense = _dense_levels(m, levels, f, blocks)
             scale = max(dense[0].deviation, dense[0].pointwise_gap, dense[0].weakstar_gap)
             for got, want, level in zip(closed, dense, levels, strict=True):
                 where = (name, net_name, got.index)
@@ -700,8 +706,7 @@ def test_run_net_deviations_are_the_public_deviation_bitwise(weights):
         partitions = [Partition(space, np.arange(n) // s) for s in sizes]
         for make in (martingale_net, rn_net):
             levels = list(make(m, partitions))
-            report = run_net(m, levels, f, restarts=1)
-            for got, level in zip(report.levels, levels, strict=True):
+            for got, level in zip(run_net(m, levels, f, restarts=1), levels, strict=True):
                 assert got.deviation == deviation(m, level, f, restarts=1), (n, make.__name__, got.index)
 
 
@@ -710,12 +715,10 @@ def test_an_indicator_expectation_run_net_calls_no_engine_per_level(monkeypatch)
     m = indicator_measure(space)
     f = _tied_function(np.random.default_rng(26), space)
     chain = dyadic_chain(6, space)
-    tests = _block_tests(space, f, chain[-1])
     calls = _spy_engines(monkeypatch)
     for net in (martingale_net(m, chain), rn_net(m, chain)):
         calls.clear()
-        report = run_net(m, net, f, tests=tests)
-        assert len(report.levels) == 7
+        assert len(run_net(m, net, f, blocks=chain[-1])) == 7
         # every level is closed, so not even the target's norm, value or densities are read
         assert calls == {}
 
@@ -769,5 +772,5 @@ def test_indicator_net_levels_into_l1_of_mu_build_no_atoms(monkeypatch):
     builds = spy_record_builds(monkeypatch)
     m = indicator_measure(space)
     for net in (basis_net(m), rn_net(m), martingale_net(m, chain), rn_net(m, chain)):
-        run_net(m, net, f, tests=_block_tests(space, f, chain[-1]))
+        run_net(m, net, f, blocks=chain[-1])
     assert builds == []

@@ -2,9 +2,10 @@
 
 Each case builds one object at a size where a second copy of an atom
 matrix, or a table built whole, would show: a net whose levels build no
-atoms, series gaps on recorded measures, a measure and each measure derived
-from it held once, and the Köthe LP, the identity and the L2 Köthe ascent at
-their engine limits.  The test runs ``python tests/test_bounds.py CASE`` in a
+atoms, a martingale net whose block-indicator tests are held once, series
+gaps on recorded measures, a measure and each measure derived from it held
+once, and the Köthe LP, the identity and the L2 Köthe ascent at their
+engine limits.  The test runs ``python tests/test_bounds.py CASE`` in a
 fresh process with the inherited environment and a timeout of the case's
 wall bound.  The child runs the case, which raises if the result is wrong,
 and prints its own VmHWM (the peak resident set, from /proc/self/status) on
@@ -53,6 +54,13 @@ def _basis_net():
     n = 512
     f = [(-1.0) ** i * (1 + i % 7) for i in range(n)]
     _cli(["converge", "basis"], _scenario(n, {"kind": "l1-of-mu"}, {"kind": "indicator"}, [f], {"kind": "basis"}))
+
+
+def _martingale_net():
+    n = 8192
+    f = [(-1.0) ** i * (1 + i % 7) for i in range(n)]
+    scenario = _scenario(n, {"kind": "l1-of-mu"}, {"kind": "indicator"}, [f], {"kind": "martingale"})
+    _cli(["converge", "martingale", "--levels", "10"], scenario)
 
 
 def _series_gap(measure: dict):
@@ -120,6 +128,9 @@ def _l2_ascent():
 BOUNDS = {
     # the levels build no atoms; the target's n x n atoms take 2 MB
     "basis-net-indicator-n512": (_basis_net, 60, 256),
+    # 1024 finest blocks: f and the block indicators take 67 MB as one array; with a second
+    # copy of them, one SimpleFunction per block, the run peaked at 380 MB
+    "martingale-net-indicator-n8192-levels10": (_martingale_net, 60, 352),
     # recorded measures, 64 samples; the n x n atoms alone would take 128 MB
     "series-gap-indicator-n4096": (partial(_series_gap, {"kind": "indicator"}), 60, 128),
     "series-gap-rank-one-n4096": (

@@ -106,16 +106,16 @@ def test_validation_refuses_a_huge_level_count_without_computing_its_power():
 
 
 def _spy_run_net(monkeypatch) -> list:
-    """The (measure, levels, f, tests, keywords) of each harness call of run_net from now on."""
+    """The (measure, levels, f, blocks, keywords) of each harness call of run_net from now on."""
     from vmlab import harness
 
     calls = []
     original = harness.run_net
 
-    def spy(m, net, f, tests=None, **kw):
+    def spy(m, net, f, blocks=None, **kw):
         net = list(net)
-        calls.append((m, net, f, tests, kw))
-        return original(m, net, f, tests=tests, **kw)
+        calls.append((m, net, f, blocks, kw))
+        return original(m, net, f, blocks=blocks, **kw)
 
     monkeypatch.setattr(harness, "run_net", spy)
     return calls
@@ -150,9 +150,8 @@ _NET_SCENARIOS = {
 
 @pytest.mark.parametrize("name", sorted(_NET_SCENARIOS))
 def test_default_block_tests_are_the_block_indicators_bitwise(monkeypatch, tmp_path, capsys, name):
-    # each net through the command line runs run_net on f and the finest-block
-    # indicators, and reports the rows of run_net called directly
-    from helpers import blocks, from_indices, indicator
+    # each net through the command line runs run_net on f and the chain's finest
+    # partition, and reports the rows of run_net called directly
     from vmlab import dyadic_chain, run_net
 
     calls = _spy_run_net(monkeypatch)
@@ -168,18 +167,43 @@ def test_default_block_tests_are_the_block_indicators_bitwise(monkeypatch, tmp_p
         calls.clear()
         assert cli_main(["report", "--scenario", str(path)]) == 0
         rows = json.loads(capsys.readouterr().out)["results"]["rows"]
-        [(m, net, f, tests, kw)] = calls
-        assert tests[0] is f and kw == {"exact_cutoff": 12, "seed": 3}
-        finest = blocks(dyadic_chain(experiment["levels"], m.space)[-1]) if "levels" in experiment else []
-        want = [indicator(from_indices(m.space, ids)) for ids in finest]
-        assert len(tests) == 1 + len(want), experiment
-        assert all(g.coeffs.tobytes() == w.coeffs.tobytes() for g, w in zip(tests[1:], want))
+        [(m, net, f, blocks, kw)] = calls
+        assert kw == {"exact_cutoff": 12, "seed": 3}
         sc = build_scenario(data)
+        assert f.coeffs.tobytes() == sc.functions[0].coeffs.tobytes()
+        finest = dyadic_chain(experiment["levels"], m.space)[-1] if "levels" in experiment else None
+        if finest is None:
+            assert blocks is None, experiment
+        else:
+            assert blocks.block_of.tobytes() == finest.block_of.tobytes(), experiment
         g, net = sc.functions[0], _direct_net(sc.measure, experiment)
         # through the report writer, so that 0.0 reads back as 0 on both sides
         direct = [[lv.index, lv.norm_gap, lv.deviation, lv.pointwise_gap, lv.weakstar_gap]
-                  for lv in run_net(sc.measure, net, g, tests=[g, *want], **kw).levels]
+                  for lv in run_net(sc.measure, net, g, blocks=finest, **kw)]
         assert rows and repr(rows) == repr(json.loads(dumps_report(direct))), experiment
+
+
+def test_a_martingale_run_builds_no_simple_function_per_block(monkeypatch):
+    # the runner hands run_net the chain's finest partition, so the functions a
+    # run constructs do not grow with its 2**levels blocks
+    from vmlab import SimpleFunction
+
+    built = []
+    original = SimpleFunction.__post_init__
+
+    def counted(self):
+        built.append(self.space.n)
+        original(self)
+
+    monkeypatch.setattr(SimpleFunction, "__post_init__", counted)
+    counts = {}
+    for levels in (0, 5):
+        data = {**_preset("canonical-l1"), **_UNIFORM64, "experiment": {"kind": "martingale", "levels": levels}}
+        built.clear()
+        report = run(build_scenario(data))
+        assert "error" not in report and len(report["results"]["rows"]) == levels + 1
+        counts[levels] = len(built)
+    assert counts[5] == counts[0], counts
 
 
 def test_validation_unknown_keys():
@@ -644,9 +668,10 @@ def test_numpy_integer_settings_build_the_same_report_as_ints(preset, settings, 
 
 
 @pytest.mark.parametrize("section, key", [("space", "n"), ("experiment", "seed"), ("experiment", "restarts"),
-                                          ("value_space", "d"), ("measure", "seed"), ("measure", "k")])
+                                          ("value_space", "d"), ("measure", "seed"), ("measure", "k"),
+                                          ("experiment", "sign")])
 def test_numpy_bools_are_no_integers(section, key):
-    data = _preset("random-measure")
+    data = _preset("daugavet-sweep" if key == "sign" else "random-measure")  # daugavet takes a sign
     if key == "k":
         data = {**_preset("canonical-l1"), "measure": dict(_COMPOSED_INDICATOR)}
     data[section][key] = np.True_
@@ -1047,6 +1072,33 @@ def test_cli_subcommand_keeps_the_settings_the_new_kind_takes(tmp_path, capsys, 
     assert cli_main([*argv, "--scenario", str(path)]) == 0
     experiment = json.loads(capsys.readouterr().out)["scenario"]["experiment"]
     assert experiment == {"kind": argv[-1].replace("-", "_"), **kept}
+
+
+def test_a_subcommand_of_the_files_own_kind_keeps_its_experiment_section(tmp_path, capsys):
+    # canonical-l1 runs a martingale net of levels 2, so converge martingale needs
+    # no --levels and prints report's rows; a flag given overrides the file's value
+    rows = []
+    for argv in (["report"], ["converge", "martingale"]):
+        assert cli_main([*argv, "--scenario", "canonical-l1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["scenario"]["experiment"] == {"kind": "martingale", "levels": 2}
+        rows.append(report["results"]["rows"])
+    assert len(rows[0]) == 3 and rows[1] == rows[0]
+    assert cli_main(["converge", "martingale", "--scenario", "canonical-l1", "--levels", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"]["experiment"] == {"kind": "martingale", "levels": 1}
+    # another kind still keeps only seed, exact_cutoff and tolerance: rn runs the coordinate family
+    assert cli_main(["converge", "rn", "--scenario", "canonical-l1"]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"]["experiment"] == {"kind": "rn_net"}
+    # of rn_net, the family is part of the kind: a --family switch drops the expectation's levels
+    path = tmp_path / "scenario.json"
+    expectation = {"kind": "rn_net", "family": "expectation", "levels": 2, "seed": 3}
+    path.write_text(json.dumps({**_preset("canonical-l1"), "experiment": expectation}))
+    coordinate = {"kind": "rn_net", "family": "coordinate", "seed": 3}
+    for family, want in (("expectation", expectation), ("coordinate", coordinate)):
+        assert cli_main(["converge", "rn", "--scenario", str(path), "--family", family]) == 0
+        assert json.loads(capsys.readouterr().out)["scenario"]["experiment"] == want, family
+    assert cli_main(["converge", "rn", "--scenario", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"]["experiment"] == expectation
 
 
 @pytest.mark.parametrize(
