@@ -173,8 +173,10 @@ def norm_heuristic(
     if support.size == 0:
         return NormResult(0.0, MeasurableSet.full(f.space), HEURISTIC)
     a = np.abs(f.coeffs[support])[:, None] * m.atoms[support]
-    # the value is x_norm(m.X, delta @ a) bitwise, the one a caller recomputes
-    delta, value = hill_climb(a, lambda sums: x_norm(m.X, sums), restarts=restarts, seed=seed)
+    # the value is x_norm(m.X, delta @ a) bitwise, the one a caller recomputes; an L2
+    # value norm lets hill_climb screen the flips from its quadratic form
+    scale = m.X.scale if m.X.kind == L2 else None
+    delta, value = hill_climb(a, lambda sums: x_norm(m.X, sums), restarts=restarts, seed=seed, l2_scale=scale)
     return NormResult(value, _witness_from_pattern(f, support, delta), HEURISTIC)
 
 

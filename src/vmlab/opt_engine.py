@@ -14,8 +14,10 @@ Three small deterministic tools back the norm and dual-norm engines:
     problem or a stack of them,
   * steepest-ascent single-flip hill climbing with seeded random restarts
     that ascend in lockstep as the rows of one array; the k flips of every
-    live restart are scored from its running sums, in blocks of 2^14 sum
-    entries, and the near-best flips again by one stacked product.
+    live restart are screened from its running sums, by the objective in
+    blocks of 2^14 sum entries or, for a weighted L2 norm, by one product
+    with the weighted rows, and the near flips are scored exactly by
+    stacked products of at most 2^14 pattern or sum entries.
 
 Problem sizes are desk scale (a few hundred variables, a few thousand
 constraints).  The simplex and the sign kernels replace per-row and
@@ -40,7 +42,7 @@ _PIVOT_TOL = 1e-9
 SIGN_ENUM_LIMIT = 24
 _BLOCK_BITS = 12
 _BATCH_RTOL = 1e-9  # batch values this close to the batch maximum are scored again
-_FLIP_BLOCK = 1 << 14  # flip sum entries per hill_climb objective call
+_FLIP_BLOCK = 1 << 14  # flip sum or pattern entries per hill_climb objective call
 
 
 def sign_table(scale, bits: int) -> np.ndarray:
@@ -213,20 +215,46 @@ def hill_climb(
     objective: Callable[[np.ndarray], np.ndarray],
     restarts: int = 8,
     seed: int = 0,
+    l2_scale: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, float]:
     """Steepest-ascent single-flip local search for the maximum of ``objective(eps @ a)``.
 
     ``objective`` maps an (..., d) array of sums to (...) values, each row as
     if alone.  The restarts take their starts restart-major from one
-    SplitMix64(seed) draw and ascend in lockstep as one array: each step scores
-    all k flips of every live restart from its running sums S as
-    S - 2 eps_j a_j, ``_FLIP_BLOCK`` sum entries per objective call at most,
-    and flips within a relative 1e-9 of a restart's batch maximum again by
-    one stacked product, bitwise the single-pattern ``eps @ a``; that product
-    holds the next sums.  A restart applies its best strictly improving flip
-    (smallest index on ties) until none remains, and then leaves the arrays;
-    the first best restart wins.  A batch maximum of +inf is matched
-    exactly, so an ascent stops at its first +inf; NaN raises.
+    SplitMix64(seed) draw and ascend in lockstep as one array.  Each step
+    screens all k flips of every live restart from its running sums S and
+    scores the near flips exactly, by stacked products bitwise the
+    single-pattern ``eps @ a``, at most ``_FLIP_BLOCK`` pattern or sum
+    entries per objective call.  A restart applies its best strictly
+    improving flip (smallest index on ties) until none remains, and then
+    leaves the arrays; the first best restart wins.  An exact value of +inf
+    is matched exactly, so an ascent stops at its first +inf; NaN raises.
+
+    The screen scores S - 2 eps_j a_j by ``objective``, ``_FLIP_BLOCK`` sum
+    entries per call, and takes the flips within a relative 1e-9 of a
+    restart's maximum.  Given ``l2_scale`` = w, ``objective`` must be the
+    w-weighted Euclidean norm as ``normed_space.norm`` computes it; then one
+    (R, d) x (d, k) product gives q_j = 4 ||w a_j||^2 - 4 eps_j <wS, w a_j>
+    for the R live restarts, which is ||w (S - 2 eps_j a_j)||^2 less the
+    restart's constant ||wS||^2, and the flips with q_j >= max q - 2 tau are
+    near, where
+
+      tau = (k + d + 8) 2^-40 (B^2 + 2^-1000),   B = sum_j ||w a_j||,
+
+    or every flip is, where 16 B^2 overflows.  So are all flips of the largest
+    exact value v_j: tau bounds |q_j + ||wS||^2 - v_j^2|, and v_i <= v_j gives
+    q_j >= q_i - 2 tau.  Proof of the bound, to first order in u = 2^-53, for
+    any summation order, with FMA or without.  ||w sigma @ a|| <= B for all
+    signs sigma.  The computed sums of flip j, and S - 2 eps_j a_j, are within
+    k u sum_i |a_i| of its exact sums t_j entrywise, so the squares of their
+    weighted lengths are within 2 k u B^2 of ||w t_j||^2.  v_j^2 is within
+    (d + 4) u B^2 of the first; the two terms of q_j are within (d + 2) u of
+    their size bound 4 B^2, and their sum, below 8 B^2, rounds once, so q_j is
+    within (8 d + 24) u B^2 of the second less ||wS||^2.  Below the normal
+    range a rounded product may be off by 2^-1075 more, which adds at most
+    8 d (B + 2) 2^-1075: below 4 d u B^2 where B >= 2^-1021, and far below
+    the 2^-1000 term elsewhere.  In all the bound is below tau / 512, which
+    leaves room for the higher orders and the rounding of B and max q - 2 tau.
     """
     k, d = a.shape
     if k < 1:
@@ -240,40 +268,60 @@ def hill_climb(
         raise ValueError("hill_climb objective returned NaN")
     final_eps, final_value = np.empty_like(eps), np.empty_like(value)
     ids = np.arange(restarts)  # the restart of each live row
-    per_call = max(1, _FLIP_BLOCK // max(1, k * d))  # restarts scored per objective call
-    twice = 2.0 * a
-    screen = np.empty((min(per_call, restarts), k, d))
+    per_call = max(1, _FLIP_BLOCK // max(1, k * d))  # restarts screened per objective call
+    per_block = max(1, _FLIP_BLOCK // max(k, d))  # near flips rescored per objective call
+    if l2_scale is None:
+        twice = 2.0 * a
+        screen = np.empty((min(per_call, restarts), k, d))
+    else:
+        with np.errstate(over="ignore"):  # where anything overflows, tau is inf and q unused
+            wa = a * l2_scale
+            lengths2 = np.einsum("ij,ij->i", wa, wa)  # ||w a_j||^2
+            b2 = np.sqrt(lengths2).sum() ** 2
+            tau = (k + d + 8) * 2.0**-40 * (b2 + 2.0**-1000) if 16.0 * b2 < np.inf else np.inf
+            minus_4wa, four_c = -4.0 * wa.T, 4.0 * lengths2
     while ids.size:
-        batch = np.empty((ids.size, k))
-        for i in range(0, ids.size, per_call):
-            block = screen[: min(per_call, ids.size - i)]
-            np.multiply(eps[i : i + per_call, :, None], twice, out=block)
-            np.subtract(sums[i : i + per_call, None], block, out=block)
-            batch[i : i + per_call] = objective(block)
-        top = batch.max(axis=1)
-        if np.isnan(top).any():
-            raise ValueError("hill_climb objective returned NaN")
-        slack = np.where(top < np.inf, _BATCH_RTOL * np.abs(top), 0.0)  # inf - inf is NaN
-        near = batch >= (top - slack)[:, None]
+        if l2_scale is None:
+            batch = np.empty((ids.size, k))
+            for i in range(0, ids.size, per_call):
+                block = screen[: min(per_call, ids.size - i)]
+                np.multiply(eps[i : i + per_call, :, None], twice, out=block)
+                np.subtract(sums[i : i + per_call, None], block, out=block)
+                batch[i : i + per_call] = objective(block)
+            top = batch.max(axis=1)
+            if np.isnan(top).any():
+                raise ValueError("hill_climb objective returned NaN")
+            slack = np.where(top < np.inf, _BATCH_RTOL * np.abs(top), 0.0)  # inf - inf is NaN
+            near = batch >= (top - slack)[:, None]
+        elif tau < np.inf:
+            q = (sums * l2_scale) @ minus_4wa
+            q *= eps
+            q += four_c
+            near = q >= (q.max(axis=1) - 2.0 * tau)[:, None]
+        else:
+            near = np.ones((ids.size, k), dtype=bool)
         rows, cols = near.nonzero()
-        flipped = eps[rows]
-        flipped[np.arange(rows.size), cols] *= -1.0
-        rescored = np.matmul(flipped[:, None, :], a)[:, 0]  # each row bitwise flipped[i] @ a
-        gain = np.asarray(objective(rescored), dtype=float)
         if rows.size == ids.size:  # one near flip per restart: it is the best
-            pick = rows
+            j = cols
         else:
             scored = np.full(near.shape, -np.inf)
-            scored[rows, cols] = gain
-            j = scored.argmax(axis=1)  # first maximum: the smallest flip index on ties
-            gain = scored[np.arange(ids.size), j]
-            # the index of (row, j) among the near flips; it is used only where the restart goes up
-            pick = np.searchsorted(rows * k + cols, np.arange(ids.size) * k + j)
+            for i in range(0, rows.size, per_block):
+                r, c = rows[i : i + per_block], cols[i : i + per_block]
+                flipped = eps[r]
+                flipped[np.arange(r.size), c] *= -1.0
+                scored[r, c] = objective(np.matmul(flipped[:, None, :], a)[:, 0])
+            j = scored.argmax(axis=1)  # first maximum: the smallest flip index on ties; NaN first
+        flipped = eps.copy()
+        flipped[np.arange(ids.size), j] *= -1.0
+        rescored = np.matmul(flipped[:, None, :], a)[:, 0]  # each row bitwise flipped[i] @ a
+        gain = np.asarray(objective(rescored), dtype=float)  # several near flips: scored again, same bits
+        if np.isnan(gain).any():
+            raise ValueError("hill_climb objective returned NaN")
         up = gain > value
         if not up.all():
             final_eps[ids[~up]] = eps[~up]
             final_value[ids[~up]] = value[~up]
-            ids, pick, gain = ids[up], pick[up], gain[up]
-        eps, sums, value = flipped[pick], rescored[pick], gain
+            ids, flipped, rescored, gain = ids[up], flipped[up], rescored[up], gain[up]
+        eps, sums, value = flipped, rescored, gain
     w = int(final_value.argmax())
     return final_eps[w].copy(), float(final_value[w])

@@ -2,7 +2,8 @@
 
 Each case builds one object at a size where a second copy of an atom
 matrix, or a table built whole, would show: a net whose levels build no
-atoms, a martingale net whose block-indicator tests are held once, series
+atoms, a martingale net whose block-indicator tests are held once, an
+indicator norm whose hill climb rescores its tied flips in blocks, series
 gaps on recorded measures, a measure and each measure derived from it held
 once, and the Köthe LP, the identity and the L2 Köthe ascent at their
 engine limits.  The test runs ``python tests/test_bounds.py CASE`` in a
@@ -54,6 +55,12 @@ def _basis_net():
     n = 512
     f = [(-1.0) ** i * (1 + i % 7) for i in range(n)]
     _cli(["converge", "basis"], _scenario(n, {"kind": "l1-of-mu"}, {"kind": "indicator"}, [f], {"kind": "basis"}))
+
+
+def _indicator_norm():
+    n = 1024
+    f = [(-1.0) ** i * (1 + i % 7) for i in range(n)]
+    _cli(["norm"], _scenario(n, {"kind": "l1-of-mu"}, {"kind": "indicator"}, [f], {"kind": "norm"}))
 
 
 def _martingale_net():
@@ -131,6 +138,9 @@ BOUNDS = {
     # 1024 finest blocks: f and the block indicators take 67 MB as one array; with a second
     # copy of them, one SimpleFunction per block, the run peaked at 380 MB
     "martingale-net-indicator-n8192-levels10": (_martingale_net, 60, 352),
+    # every flip of hill_climb ties; its 8192 near flips per step, rescored at once as
+    # 8192 x 1024 patterns and sums, peaked at 263 MB; in blocks of 2^14 entries, at 71 MB
+    "norm-indicator-l1-of-mu-n1024": (_indicator_norm, 60, 104),
     # recorded measures, 64 samples; the n x n atoms alone would take 128 MB
     "series-gap-indicator-n4096": (partial(_series_gap, {"kind": "indicator"}), 60, 128),
     "series-gap-rank-one-n4096": (

@@ -326,6 +326,27 @@ def test_heuristic_is_sound_and_deterministic():
         assert _reproduce(m, f, a) == pytest.approx(a.value, abs=1e-10)
 
 
+def test_norm_heuristic_gives_hill_climb_the_l2_scale_on_l2_value_norms_only(monkeypatch):
+    rng = np.random.default_rng(36)
+    space = random_space(rng, 12)
+    f = random_function(rng, space)
+    scales = []
+    climb = l1m_norm.hill_climb
+
+    def spy(*args, l2_scale=None, **kwargs):
+        scales.append(l2_scale)
+        return climb(*args, l2_scale=l2_scale, **kwargs)
+
+    monkeypatch.setattr(l1m_norm, "hill_climb", spy)
+    cases = [random_measure(rng, space, NormSpec(kind, 3, rng.uniform(0.5, 2.0, 3))) for kind in KINDS]
+    cases.append(indicator_measure(space))  # into l1-of-mu
+    for m in cases:
+        norm_heuristic(m, f)
+    assert len(scales) == len(cases)
+    for m, scale in zip(cases, scales):
+        assert scale is (m.X.scale if m.X.kind == "L2" else None), m.X.kind
+
+
 def test_norm_best_dispatch(s1, f1):
     _, m = s1
     assert norm_best(m, f1).method == CLOSED_FORM

@@ -14,6 +14,7 @@ from vmlab import (
     norm,
     solve_lp,
 )
+from vmlab import opt_engine
 from vmlab.opt_engine import _FLIP_BLOCK, _LOW_SIGNS, _pivot
 from vmlab.rng import SplitMix64
 
@@ -461,6 +462,114 @@ def test_hill_climb_rescores_flips_tied_up_to_rounding(kind, tenths, seed):
     want = _reference_ascent(a, lambda sums: norm(X, sums), restarts=1, seed=seed)
     assert pattern.tobytes() == want[0].tobytes()
     assert repr(value) == repr(want[1])
+
+
+def _l2_instance(rng, trial):
+    """An L2 hill-climb instance: tied, quarter-rounded or plain rows, scaled 10^-150, 1 or 10^150;
+    one trial in 16 has k = 1, and another d = 1."""
+    k = 1 if trial % 16 == 0 else int(rng.integers(1, 41))
+    d = 1 if trial % 16 == 8 else int(rng.integers(1, 9))
+    X = NormSpec("L2", d, rng.uniform(0.5, 2.0, d))
+    a = rng.normal(size=(k, d))
+    if trial % 3 == 1:
+        _tied_rows(rng, a)
+    elif trial % 3 == 2:
+        a = np.round(4.0 * a) / 4.0  # exact quarters: many flips tie exactly
+    a *= 10.0 ** (150 * (trial // 3 % 3 - 1))
+    return a, X, (1, 3, 8)[trial % 5 % 3]
+
+
+def _recorded(X, rows):
+    """The L2 objective of X, which appends the row count of each call to ``rows``."""
+
+    def objective(sums):
+        rows.append(sums.shape[0])
+        return norm(X, sums)
+
+    return objective
+
+
+def test_hill_climb_l2_screen_is_bitwise_the_single_pattern_ascent():
+    rng = np.random.default_rng(16)
+    several = 0  # objective calls with more rows than restarts: the several-near-flips branch
+    for trial in range(240):
+        a, X, restarts = _l2_instance(rng, trial)
+        seed = int(rng.integers(1 << 62))
+        rows = []
+        pattern, value = hill_climb(a, _recorded(X, rows), restarts, seed, l2_scale=X.scale)
+        several += sum(r > restarts for r in rows)
+        want = _reference_ascent(a, lambda sums: norm(X, sums), restarts=restarts, seed=seed)
+        assert pattern.tobytes() == want[0].tobytes(), trial
+        assert repr(value) == repr(want[1]), trial
+        unscreened = hill_climb(a, lambda sums: norm(X, sums), restarts, seed)
+        assert unscreened[0].tobytes() == pattern.tobytes() and repr(unscreened[1]) == repr(value)
+    assert several >= 100
+
+
+def test_hill_climb_l2_screen_keeps_flips_tied_up_to_rounding():
+    # rows in tenths tie flips exactly, while their quadratic forms differ in the last bits;
+    # without the margin tau, about one climb in 60 here took another flip than the reference
+    rng = np.random.default_rng(20)
+    for _ in range(1500):
+        k, d = int(rng.integers(3, 9)), int(rng.integers(1, 3))
+        X = NormSpec("L2", d, np.ones(d))
+        a = rng.integers(-9, 10, size=(k, d)) / 10.0
+        seed = int(rng.integers(1 << 30))
+        pattern, value = hill_climb(a, lambda sums: norm(X, sums), 1, seed, l2_scale=X.scale)
+        want = _reference_ascent(a, lambda sums: norm(X, sums), restarts=1, seed=seed)
+        assert pattern.tobytes() == want[0].tobytes(), (a.tolist(), seed)
+        assert repr(value) == repr(want[1])
+
+
+def test_hill_climb_l2_screen_rescores_every_flip_where_its_margin_overflows():
+    # rows of 1e154 / k to 2e154 / k put B = sum_j ||w a_j|| >= 5e153 and 16 B^2 past the largest
+    # double, while many sums keep finite norms; rows near 1e160 overflow every norm
+    rng = np.random.default_rng(17)
+    for trial in range(24):
+        k, d = int(rng.integers(1, 41)), int(rng.integers(1, 3))
+        X = NormSpec("L2", d, rng.uniform(0.5, 2.0, d))
+        a = rng.choice([-1.0, 1.0], size=(k, d)) * rng.uniform(1.0, 2.0, size=(k, d))
+        a *= (1e154 if trial % 2 else 1e160) / k
+        restarts, seed = (1, 3, 8)[trial % 3], int(rng.integers(1 << 62))
+        rows = []
+        with np.errstate(over="ignore"):
+            pattern, value = hill_climb(a, _recorded(X, rows), restarts, seed, l2_scale=X.scale)
+            want = _reference_ascent(a, lambda sums: norm(X, sums), restarts=restarts, seed=seed)
+        assert rows[1] == min(restarts * k, max(1, _FLIP_BLOCK // max(k, d)))  # the first step's every flip
+        assert pattern.tobytes() == want[0].tobytes()
+        assert repr(value) == repr(want[1])
+
+
+def test_hill_climb_keeps_each_restarts_first_best_across_rescoring_blocks(monkeypatch):
+    # one near flip per objective call, so the best flip of a restart and its ties meet in different calls
+    monkeypatch.setattr(opt_engine, "_FLIP_BLOCK", 1)
+    rng = np.random.default_rng(18)
+    for trial in range(60):
+        a, X, restarts = _l2_instance(rng, 3 * trial + 1)  # tied rows
+        seed = int(rng.integers(1 << 62))
+        l2_scale = X.scale if trial % 2 else None
+        pattern, value = hill_climb(a, lambda sums: norm(X, sums), restarts, seed, l2_scale=l2_scale)
+        want = _reference_ascent(a, lambda sums: norm(X, sums), restarts=restarts, seed=seed)
+        assert pattern.tobytes() == want[0].tobytes()
+        assert repr(value) == repr(want[1])
+
+
+@pytest.mark.parametrize("kind", ["L1", "L2"])
+def test_hill_climb_all_tie_objectives_are_bitwise_the_single_pattern_ascent(kind):
+    # the indicator measure into L1(mu), or its L2 analogue: the value does not depend on
+    # the signs, so every flip of every restart is near, in blocks of _FLIP_BLOCK entries
+    rng = np.random.default_rng(19)
+    for k in [*range(1, 300, 23), 300]:
+        X = NormSpec(kind, k, rng.uniform(0.5, 2.0, k))
+        a = np.diag(rng.choice([1.0, 2.0, 3.0, 7.0], size=k))
+        seed = int(rng.integers(1 << 62))
+        rows = []
+        pattern, value = hill_climb(a, _recorded(X, rows), 8, seed, l2_scale=X.scale if kind == "L2" else None)
+        want = _reference_ascent(a, lambda sums: norm(X, sums), restarts=8, seed=seed)
+        assert pattern.tobytes() == want[0].tobytes()
+        assert repr(value) == repr(want[1])
+        if kind == "L2" and k > 1:  # no objective call screens: the rescoring takes 8 k flips
+            assert sum(rows[1:-1]) == 8 * k and max(rows[1:-1]) <= max(1, _FLIP_BLOCK // k)
 
 
 def test_stacked_single_row_products_are_bitwise_the_single_products():
