@@ -16,8 +16,10 @@ tolerance its kind takes, report's flags.  Every flag given goes into the
 experiment section before the one build, and ``harness.run`` takes only the
 scenario, so the report's echoed scenario reruns it.  Exit codes: 0 success;
 1 validation, parse, usage or write error, or a report error section (such as
-a floating-point overflow); 2 capacity error (recorded in the report).  Any
-report error section is also named on stderr: ``error: TYPE: MESSAGE``.
+a floating-point overflow); 2 capacity error, recorded in the report unless the
+build finds it (``space.n`` above ``rng.NORMALS_LIMIT``, a measure's draws past
+their limit).  A report or capacity error is also named on stderr as
+``error: TYPE: MESSAGE``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ParseError, ValidationError
+from .errors import CapacityExceeded, ParseError, ValidationError
 from .harness import EXPERIMENTS, PRESETS, build_scenario, emit, read_scenario, run
 
 
@@ -139,6 +141,9 @@ def main(argv=None) -> int:
             print(f"error: {error['type']}: {error['message']}", file=sys.stderr)
             return 2 if error["type"] == "CapacityExceeded" else 1
         return 0
+    except CapacityExceeded as exc:  # raised by the build, which writes no report
+        print(f"error: CapacityExceeded: {exc}", file=sys.stderr)
+        return 2
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,9 @@ which holds the dyadic chain when the kind takes ``levels``.
 
 ``_CHECKS`` checks each numeric or sign parameter for every kind that takes
 it; the number lists (weights, g, rows, functions) and the scale refuse bools,
-numpy bools and strings by one scan of their entry types.  ``run`` takes the
+numpy bools and strings by one scan of their entry types.  A ``space.n`` above
+``rng.NORMALS_LIMIT`` (2**25) raises ``CapacityExceeded`` in the build, before
+any array is allocated, so no report is made.  ``run`` takes the
 scenario alone, so a report's echoed scenario reruns it, records
 ``metadata.seed`` only for kinds that take one, and records a floating-point
 overflow or invalid operation in the report's error section.
@@ -80,7 +82,7 @@ from .errors import CapacityExceeded, ParseError, ValidationError, VmlabError
 from .l1m_norm import DEFAULT_EXACT_CUTOFF, HEURISTIC, norm_best, norm_heuristic
 from .measure_core import MeasureSpace, SimpleFunction, dyadic_chain
 from .normed_space import NormSpec, same_norm
-from .rng import SplitMix64
+from .rng import NORMALS_LIMIT, SplitMix64
 from .vector_measure import VectorMeasure, indicator_measure, rank_one_measure
 
 SCHEMA_VERSION = 1
@@ -108,9 +110,9 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
 
 def _check_number(value, what: str, low=None, real: bool = False):
     """Reject bools, non-numbers (non-integers unless ``real``), NaN, infinities and values < ``low``.
-    numpy integers count as integers; ``np.bool_`` is no ``np.integer``, so it is refused too."""
-    integer = (int, np.integer)
-    number = not isinstance(value, bool) and isinstance(value, (*integer, float) if real else integer)
+    numpy integers and floats count as Python's; ``np.bool_`` is neither, so it is refused too."""
+    types = (int, np.integer, float, np.floating) if real else (int, np.integer)
+    number = not isinstance(value, bool) and isinstance(value, types)
     if not number or not -np.inf < value < np.inf or (low is not None and not value >= low):
         bound = "" if low is None else f" >= {low}"
         raise ValidationError(f"{what} must be {'a finite real number' if real else 'an integer'}{bound}")
@@ -147,6 +149,8 @@ def _build_space(section) -> MeasureSpace:
     _require_keys(section, {"n", "weights"}, {"n", "weights"}, "space")
     n = section["n"]
     _check_number(n, "space.n", 1)
+    if n > NORMALS_LIMIT:  # before any n-float array is allocated
+        raise CapacityExceeded(f"space.n {n} exceeds the limit {NORMALS_LIMIT}")
     weights = section["weights"]
     if isinstance(weights, str) and weights == "uniform":  # an array's == compares entries
         return MeasureSpace.uniform(n)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vmlab import MeasureSpace, NormSpec, ParseError, ValidationError
+from vmlab import CapacityExceeded, MeasureSpace, NormSpec, ParseError, ValidationError
 from vmlab.cli import _atom_counts, _build_parser
 from vmlab.cli import main as cli_main
 from vmlab.daugavet import FactoredOperator, OperatorMatrix, series_approximation_gap
@@ -22,7 +22,7 @@ from vmlab.harness import (
     read_scenario,
     run,
 )
-from vmlab.rng import SplitMix64
+from vmlab.rng import NORMALS_LIMIT, SplitMix64
 
 
 def _preset(name):
@@ -496,6 +496,63 @@ def test_daugavet_sweep_past_the_limit_exits_2_before_any_point(tmp_path, monkey
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "sections, message",
+    [
+        (
+            {
+                "space": {"n": 8192, "weights": "uniform"},
+                "value_space": {"kind": "L2", "d": 8192},
+                "measure": {"kind": "random", "seed": 1},
+                "functions": [[1.0] * 8192],
+            },
+            "67108864 normals exceed the draw limit 33554432",
+        ),
+        ({"space": {"n": 2**62, "weights": "uniform"}}, f"space.n {2**62} exceeds the limit {NORMALS_LIMIT}"),
+    ],
+    ids=["random-measure-draws", "space-n"],
+)
+def test_a_capacity_error_of_the_build_exits_2_without_a_report(tmp_path, monkeypatch, capsys, sections, message):
+    # the build raises before any report exists, so its stderr line is all that names the error;
+    # numpy would refuse n = 2**62 weights with a bare ValueError, so they must never be asked for
+    uniform = MeasureSpace.uniform
+
+    def guarded(n):
+        assert n <= NORMALS_LIMIT, f"MeasureSpace.uniform({n}) was called"
+        return uniform(n)
+
+    monkeypatch.setattr(MeasureSpace, "uniform", guarded)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**_preset("canonical-l1"), **sections}))
+    out = tmp_path / "r.json"
+    for extra in ([], ["--out", str(out)]):
+        started = time.perf_counter()
+        assert cli_main(["report", "--scenario", str(path), *extra]) == 2
+        assert time.perf_counter() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: CapacityExceeded: {message}\n"
+    assert not out.exists()
+
+
+def test_space_n_is_refused_past_the_normals_limit_before_its_weights(monkeypatch):
+    # 2**20 atoms, the largest n any benchmark or ROADMAP target asks for, build for real;
+    # n = NORMALS_LIMIT builds from a 4-atom stand-in (no 256 MB array is made), and one
+    # more atom is refused before MeasureSpace.uniform runs
+    n = 2**20
+    data = {**_preset("canonical-l1"), "space": {"n": n, "weights": "uniform"}, "functions": [np.ones(n)]}
+    assert build_scenario(data).measure.space.n == n
+    sizes = []
+    uniform = MeasureSpace.uniform
+    monkeypatch.setattr(MeasureSpace, "uniform", lambda n: sizes.append(n) or uniform(4))
+    data = _preset("canonical-l1")
+    data["space"]["n"] = NORMALS_LIMIT
+    build_scenario(data)
+    data["space"]["n"] = NORMALS_LIMIT + 1
+    with pytest.raises(CapacityExceeded, match=f"space.n {NORMALS_LIMIT + 1} exceeds the limit"):
+        build_scenario(data)
+    assert sizes == [NORMALS_LIMIT]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "argv, message",
@@ -665,6 +722,29 @@ def test_numpy_integer_settings_build_the_same_report_as_ints(preset, settings, 
         del report["metadata"]["wall_time_s"]
         texts.append(dumps_report(report))
     assert "error" not in json.loads(texts[0]) and texts[1] == texts[0]
+
+
+def test_numpy_float_settings_build_the_same_report_as_floats():
+    # the identity's two real settings; 0.5 and 2**-10 are exact in every float width
+    data = _preset("rank-one")
+    data["experiment"].update({"lambda": 0.5, "tolerance": 2**-10})
+    numpy_data = copy.deepcopy(data)
+    numpy_data["experiment"].update({"lambda": np.float32(0.5), "tolerance": np.float16(2**-10)})
+    texts = []
+    for scenario in (data, numpy_data):
+        report = run(build_scenario(scenario))
+        del report["metadata"]["wall_time_s"]
+        texts.append(dumps_report(report))
+    assert "error" not in json.loads(texts[0]) and texts[1] == texts[0]
+
+
+@pytest.mark.parametrize("value", [np.float32("nan"), np.float16("inf"), np.float64("-inf"), np.True_, True])
+@pytest.mark.parametrize("key", ["lambda", "tolerance"])
+def test_numpy_floats_that_are_not_finite_reals_are_refused(key, value):
+    data = _preset("rank-one")
+    data["experiment"][key] = value
+    with pytest.raises(ValidationError, match=f"{key} must be a finite real number"):
+        build_scenario(data)
 
 
 @pytest.mark.parametrize("section, key", [("space", "n"), ("experiment", "seed"), ("experiment", "restarts"),
@@ -850,6 +930,8 @@ NAN, INF = float("nan"), float("inf")
     "preset, sections, message",
     [
         ("canonical-l1", {"experiment": {"levels": 2}}, "experiment must be an object with a kind"),
+        # 2**(10**12) would need about 125 GB; the refusal must not compute it
+        ("canonical-l1", {"experiment": {"kind": "martingale", "levels": 10**12}}, r"not divisible by 2\*\*1000000000000"),
         ("canonical-l1", {"experiment": {"kind": "bogus"}}, "unknown experiment kind 'bogus'"),
         ("canonical-l1", {"experiment": {"kind": ["norm"]}}, "unknown experiment kind"),
         ("canonical-l1", {"functions": []}, "experiment martingale needs at least one function"),
